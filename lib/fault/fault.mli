@@ -24,7 +24,14 @@ val polarity_bit : polarity -> bool
 val opposite : polarity -> polarity
 
 val to_string : Circuit.Netlist.t -> t -> string
-(** Human-readable form, e.g. ["G16/sa0"] or ["G22.in1/sa1"]. *)
+(** Human-readable form, e.g. ["G16/sa0"] or ["G22.in1/sa1"]; a node
+    id outside the circuit reads as ["#id"]. *)
+
+val check : Circuit.Netlist.t -> t -> unit
+(** Raises [Invalid_argument] naming the fault unless it is a line of
+    the circuit: a stem on a node id in [\[0, num_nodes)], or a branch
+    on input pin [\[0, arity)] of a node that has input pins.  Every
+    fault-simulation engine checks its faults with this at entry. *)
 
 val site_node : t -> int
 (** The node the fault is attached to (the gate, for a branch fault). *)

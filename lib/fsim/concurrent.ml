@@ -64,6 +64,7 @@ let propagate st =
   done
 
 let run (c : Circuit.Netlist.t) faults patterns =
+  Array.iter (Faults.Fault.check c) faults;
   Instrument.engine_run ~engine:"concurrent" ~faults:(Array.length faults)
     ~patterns:(Array.length patterns)
   @@ fun () ->

@@ -1,6 +1,7 @@
 module Int_set = Fault_lists.Int_set
 
 let run (c : Circuit.Netlist.t) faults patterns =
+  Array.iter (Faults.Fault.check c) faults;
   Instrument.engine_run ~engine:"deductive" ~faults:(Array.length faults)
     ~patterns:(Array.length patterns)
   @@ fun () ->

@@ -1,143 +1,126 @@
 (* Multicore PPSFP: shard the fault universe across domains, each
-   running the serial engine's copy-on-write propagation over its shard
-   with a private Ppsfp.state.  The good-machine blocks are evaluated
-   once up front and shared read-only.
+   running Ppsfp's block loop over its shard with a private kernel.
+   The good-machine words of every block are evaluated once up front
+   and shared read-only.
 
    Per-fault results are independent of every other fault (dropping
    only skips already-detected faults), so any deterministic sharding
-   merges to exactly the serial answer.  We use contiguous shards for
-   cache locality; each worker writes its own disjoint slice of the
-   shared results array, and Domain.join publishes the writes. *)
+   merges to exactly the serial answer.  Shards are round-robin, fault
+   [f] to shard [f mod d]: a universe in node order puts one region of
+   the circuit in each contiguous range, and regions differ in cost (deep
+   random control logic against shallow datapath), so round-robin gives
+   every domain a share of every region.  Each worker writes only its
+   own faults' slots of the shared result arrays, and Domain.join
+   publishes the writes. *)
 
-type slice = {
-  block_start : int;   (* pattern index of bit 0 of this block *)
-  patterns : int;      (* live pattern count of this block *)
-  live : int64;
-  good : int64 array;  (* read-only good-machine values, by node id *)
-}
-
-let prepare c patterns =
-  let slices = ref [] in
-  let start = ref 0 in
-  List.iter
-    (fun block ->
-      slices :=
-        { block_start = !start;
-          patterns = block.Logicsim.Packed.pattern_count;
-          live = Logicsim.Packed.live_mask block;
-          good = Logicsim.Packed.eval_block c block }
-        :: !slices;
-      start := !start + block.Logicsim.Packed.pattern_count)
-    (Logicsim.Packed.blocks_of_patterns c patterns);
-  List.rev !slices
-
-(* Grade faults [lo, hi) of [faults] against every slice, with fault
-   dropping, writing first detections into the shard's own slice of
-   [results].  Mirrors Ppsfp.run_general's block loop exactly.
-   Returns the number of detections this shard made. *)
-let run_shard c ~cancel ~progress slices faults results lo hi =
-  let st = Ppsfp.make_state c in
-  let alive = ref (List.init (hi - lo) (fun i -> lo + i)) in
-  let detected = ref 0 in
-  List.iter
-    (fun { block_start; patterns; live; good } ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"par" (List.length !alive);
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = Ppsfp.propagate st good ~live faults.(fi) in
-            if mask = 0L then survivors := fi :: !survivors
-            else begin
-              results.(fi) <- Some (block_start + Ppsfp.lowest_set_bit mask);
-              incr detected
-            end)
-          !alive;
-        alive := List.rev !survivors
-      end;
-      Obs.Progress.step progress patterns)
-    slices;
-  !detected
+(* The faults shard [i] of [d] owns, in increasing order. *)
+let owned ~faults ~domains i =
+  Array.init ((faults - i + domains - 1) / domains) (fun j -> i + (j * domains))
 
 (* Shared domain-spawning driver for both first-detection and
-   n-detection grading: shard faults [0, n) into contiguous ranges, run
-   [grade ~progress slices lo hi] (returning the shard's detection
-   count) on one domain per shard, and record per-shard wall/imbalance
-   observability under [engine] ("par" or "ndetect.par").  [annotate]
-   adds engine-specific span attributes inside the top-level span.
+   n-detection grading: run Ppsfp's block loop with drop rule [n] over
+   each shard on its own domain, writing into [detections]/[nth], and
+   record per-shard wall/imbalance observability under [engine] ("par"
+   or "ndetect.par").  [annotate] adds engine-specific span attributes
+   inside the top-level span.
 
    Shard supervision: each shard runs under per-domain exception
    capture (a domain that dies would otherwise take the whole run down
-   at [Domain.join]).  A failed shard's result range is wiped via
-   [reset] and the shard re-run on a fresh domain up to
-   [max_shard_retries] times; if every retry fails it is recomputed
-   serially in the calling domain as a deterministic last resort.
-   Because per-fault results are independent and each shard owns a
-   disjoint range, recompute-after-reset merges bit-identically with
-   the untouched shards.  The ["fsim.par.shard"] failpoint sits in
-   front of every supervised attempt (never the serial fallback), so
-   recovery is testable end to end. *)
+   at [Domain.join]).  A failed shard's faults are reset and the shard
+   re-run on a fresh domain up to [max_shard_retries] times; if every
+   retry fails it is recomputed serially in the calling domain as a
+   deterministic last resort.  Because per-fault results are
+   independent and each shard owns a disjoint set of faults,
+   recompute-after-reset merges bit-identically with the untouched
+   shards.  The ["fsim.par.shard"] failpoint fires once in every
+   supervised attempt (never in the serial fallback), after the
+   attempt has written its first block's results, so recovery and the
+   reset are testable end to end. *)
 let shard_failpoint = "fsim.par.shard"
 
-let drive ~engine ?(annotate = fun () -> ()) ?(max_shard_retries = 1) ?domains
-    c faults patterns ~reset grade =
-  let n = Array.length faults in
+let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
+    ?(max_shard_retries = 1) ?domains ~n c faults patterns =
+  let nf = Array.length faults in
   let requested =
     match domains with Some d -> d | None -> Domain.recommended_domain_count ()
   in
   if requested < 1 then invalid_arg "Par: need at least one domain";
-  let domains = max 1 (min requested n) in
-  Instrument.engine_run ~engine ~faults:n
-    ~patterns:(Array.length patterns)
+  Array.iter (Faults.Fault.check c) faults;
+  let domains = max 1 (min requested nf) in
+  let detections = Array.make nf 0 in
+  let nth = Array.make nf None in
+  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
   @@ fun () ->
   Obs.Trace.add_int "domains" domains;
   annotate ();
-  if n > 0 then begin
-    let slices =
+  if nf > 0 then begin
+    let blocks, goods =
       Obs.Trace.with_span ("fsim." ^ engine ^ ".prepare") (fun () ->
-          prepare c patterns)
+          let blocks =
+            Array.of_list (Logicsim.Packed.blocks_of_patterns c patterns)
+          in
+          ( blocks,
+            Array.map
+              (fun block ->
+                let words = Logicsim.Packed.words c in
+                Logicsim.Packed.eval_words c block words;
+                words)
+              blocks ))
     in
-    (* One shared task; every shard walks every slice, so the atomic
+    (* One shared task; every shard walks every block, so the atomic
        counter ends at patterns x domains whatever the interleaving. *)
     let progress =
       Instrument.progress_start ~engine
         ~patterns:(Array.length patterns * domains)
     in
-    let bounds d = d * n / domains in
     let observing = Instrument.observing () in
     (* Per-shard wall time and detection counts; each worker writes only
        its own slot, Domain.join publishes the writes (same discipline
        as the result arrays). *)
     let shard_wall = Array.make domains 0.0 in
     let shard_detected = Array.make domains 0 in
-    let graded_shard i lo hi () =
+    let graded_shard ?on_block i () =
       Obs.Trace.with_span (Printf.sprintf "fsim.%s.shard[%d]" engine i)
         (fun () ->
           let t0 = if observing then Obs.Trace.now_s () else 0.0 in
-          let detected = grade ~progress slices lo hi in
+          let alive = owned ~faults:nf ~domains i in
+          let detected =
+            Ppsfp.grade ~cancel ?on_block ~engine ~n ~progress c faults ~blocks
+              ~good:(Array.get goods) ~alive ~detections ~nth
+          in
           if observing then begin
             shard_wall.(i) <- Obs.Trace.now_s () -. t0;
             shard_detected.(i) <- detected;
-            Obs.Trace.add_int "faults" (hi - lo);
+            Obs.Trace.add_int "faults" (Array.length alive);
             Obs.Trace.add_int "detected" detected
           end)
     in
-    let attempt_shard i lo hi () =
-      Robust.Inject.hit shard_failpoint;
-      graded_shard i lo hi ()
+    let attempt_shard i () =
+      let hit = ref false in
+      let fail_once ~patterns_applied:_ ~dropped:_ =
+        if not !hit then begin
+          hit := true;
+          Robust.Inject.hit shard_failpoint
+        end
+      in
+      graded_shard ~on_block:fail_once i ();
+      fail_once ~patterns_applied:0 ~dropped:0
+    in
+    let reset i =
+      Array.iter
+        (fun f ->
+          detections.(f) <- 0;
+          nth.(f) <- None)
+        (owned ~faults:nf ~domains i)
     in
     let failures = Array.make domains None in
-    let captured i lo hi () =
-      try attempt_shard i lo hi ()
-      with e -> failures.(i) <- Some e
+    let captured i () =
+      try attempt_shard i () with e -> failures.(i) <- Some e
     in
     let workers =
-      Array.init (domains - 1) (fun i ->
-          let lo = bounds (i + 1) and hi = bounds (i + 2) in
-          Domain.spawn (captured (i + 1) lo hi))
+      Array.init (domains - 1) (fun i -> Domain.spawn (captured (i + 1)))
     in
-    captured 0 0 (bounds 1) ();
+    captured 0 ();
     Array.iter Domain.join workers;
     let prefix = "fsim." ^ engine in
     Array.iteri
@@ -145,19 +128,17 @@ let drive ~engine ?(annotate = fun () -> ()) ?(max_shard_retries = 1) ?domains
         match failure with
         | None -> ()
         | Some _ ->
-          let lo = bounds i and hi = bounds (i + 1) in
           let rec retry attempt =
+            reset i;
             if attempt > max_shard_retries then begin
               (* Serial last resort in the calling domain, without the
                  failpoint: deterministic by construction. *)
-              reset lo hi;
               Obs.Metrics.incr (prefix ^ ".shard_fallbacks");
-              graded_shard i lo hi ()
+              graded_shard i ()
             end
             else begin
-              reset lo hi;
               Obs.Metrics.incr (prefix ^ ".shard_retries");
-              match Domain.join (Domain.spawn (attempt_shard i lo hi)) with
+              match Domain.join (Domain.spawn (attempt_shard i)) with
               | () -> ()
               | exception _ -> retry (attempt + 1)
             end
@@ -166,7 +147,6 @@ let drive ~engine ?(annotate = fun () -> ()) ?(max_shard_retries = 1) ?domains
       failures;
     Obs.Progress.finish progress;
     if Obs.Metrics.enabled () then begin
-      let prefix = "fsim." ^ engine in
       Array.iteri
         (fun i wall ->
           Obs.Metrics.observe (prefix ^ ".shard_wall_s") wall;
@@ -179,56 +159,14 @@ let drive ~engine ?(annotate = fun () -> ()) ?(max_shard_retries = 1) ?domains
       if mean > 0.0 then
         Obs.Metrics.set (prefix ^ ".shard_imbalance") (slowest /. mean)
     end
-  end
-
-let run ?(cancel = Robust.Cancel.none) ?domains c faults patterns =
-  let results = Array.make (Array.length faults) None in
-  drive ~engine:"par" ?domains c faults patterns
-    ~reset:(fun lo hi -> Array.fill results lo (hi - lo) None)
-    (fun ~progress slices lo hi ->
-      run_shard c ~cancel ~progress slices faults results lo hi);
-  results
-
-(* n-detection shard: the Ppsfp drop-after-n policy over [lo, hi),
-   writing counts and n-th-detection indices into the shard's disjoint
-   slices of [detections]/[nth].  Per-fault state never crosses shard
-   boundaries, so the merge (array concatenation by construction) is
-   deterministic for every domain count. *)
-let run_shard_counts ~n c ~cancel ~progress slices faults detections nth lo hi =
-  let st = Ppsfp.make_state c in
-  let alive = ref (List.init (hi - lo) (fun i -> lo + i)) in
-  let detected = ref 0 in
-  List.iter
-    (fun { block_start; patterns; live; good } ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ndetect.par"
-            (List.length !alive);
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = Ppsfp.propagate st good ~live faults.(fi) in
-            if Ppsfp.record_detections ~n ~block_start ~detections ~nth mask fi
-            then survivors := fi :: !survivors
-            else incr detected)
-          !alive;
-        alive := List.rev !survivors
-      end;
-      Obs.Progress.step progress patterns)
-    slices;
-  !detected
-
-let run_counts ?(cancel = Robust.Cancel.none) ?domains ~n c faults patterns =
-  if n < 1 then invalid_arg "Par.run_counts: n must be >= 1";
-  let nf = Array.length faults in
-  let detections = Array.make nf 0 in
-  let nth = Array.make nf None in
-  drive ~engine:"ndetect.par"
-    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
-    ?domains c faults patterns
-    ~reset:(fun lo hi ->
-      Array.fill detections lo (hi - lo) 0;
-      Array.fill nth lo (hi - lo) None)
-    (fun ~progress slices lo hi ->
-      run_shard_counts ~n c ~cancel ~progress slices faults detections nth lo hi);
+  end;
   (detections, nth)
+
+let run ?cancel ?domains c faults patterns =
+  snd (drive ?cancel ~engine:"par" ?domains ~n:1 c faults patterns)
+
+let run_counts ?cancel ?domains ~n c faults patterns =
+  if n < 1 then invalid_arg "Par.run_counts: n must be >= 1";
+  drive ?cancel ~engine:"ndetect.par"
+    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
+    ?domains ~n c faults patterns

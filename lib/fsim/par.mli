@@ -1,12 +1,16 @@
 (** Multicore PPSFP fault simulation.
 
     Shards the fault universe across OCaml 5 domains; every domain runs
-    the {!Ppsfp} copy-on-write propagation over its shard with a
-    private state, against good-machine blocks evaluated once and
-    shared read-only.  Sharding is deterministic (contiguous fault
-    ranges) and per-fault results do not depend on the other faults in
-    a shard, so the merged output is {e bit-identical} to {!Ppsfp.run}
-    for every domain count. *)
+    {!Ppsfp.grade}, the same block loop as {!Ppsfp.run}, over its shard
+    with a private kernel, against good-machine words evaluated once
+    per block and shared read-only.  Sharding is deterministic and
+    round-robin: with [d] domains, shard [i] owns the faults whose
+    index is [i] mod [d], which spreads the costly cones of one region
+    of the circuit over every domain.  Per-fault results do not depend
+    on the other faults in a shard, so the merged output is
+    {e bit-identical} to {!Ppsfp.run} for every domain count.
+    Malformed faults raise {!Faults.Fault.check}'s [Invalid_argument]
+    before any domain is spawned. *)
 
 val run :
   ?cancel:Robust.Cancel.t ->
@@ -20,10 +24,12 @@ val run :
     shard.
 
     Shards run supervised: a shard whose domain dies (including at the
-    ["fsim.par.shard"] failpoint) has its result range wiped and is
-    retried on a fresh domain, then recomputed serially in the calling
-    domain as a deterministic fallback — the merged result stays
-    bit-identical.  Retries and fallbacks are counted in the
+    ["fsim.par.shard"] failpoint, which fires once per supervised
+    attempt, after its first block's results are written) has the
+    results of exactly the faults it owns reset and is retried on a
+    fresh domain, then recomputed serially in the calling domain as a
+    deterministic fallback — the merged result stays bit-identical.
+    Retries and fallbacks are counted in the
     ["fsim.par.shard_retries"] / ["fsim.par.shard_fallbacks"]
     metrics. *)
 
@@ -36,7 +42,7 @@ val run_counts :
 (** Multicore n-detection grading; same contract as
     {!Ppsfp.run_counts} (per-fault detection count saturated at [n] and
     the index of the [n]-th detecting pattern, drop-after-n policy).
-    Each shard owns a contiguous fault range and writes disjoint slices
-    of both result arrays, so the merged output is bit-identical to
+    Each shard writes only its own faults' slots of both result
+    arrays, so the merged output is bit-identical to
     {!Ppsfp.run_counts} for every domain count.  Raises
     [Invalid_argument] when [n < 1] or [domains < 1]. *)

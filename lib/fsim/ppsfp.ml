@@ -1,124 +1,3 @@
-type state = {
-  circuit : Circuit.Netlist.t;
-  is_output : bool array;
-  (* Copy-on-write faulty values: fval.(u) is meaningful only when
-     stamp.(u) = generation. *)
-  fval : int64 array;
-  stamp : int array;
-  sched : int array;
-  buckets : int list array;
-  mutable generation : int;
-}
-
-let make_state (c : Circuit.Netlist.t) =
-  let n = Circuit.Netlist.num_nodes c in
-  let is_output = Array.make n false in
-  Array.iter (fun id -> is_output.(id) <- true) c.outputs;
-  { circuit = c; is_output; fval = Array.make n 0L; stamp = Array.make n (-1);
-    sched = Array.make n (-1); buckets = Array.make (Circuit.Netlist.depth c + 1) [];
-    generation = 0 }
-
-let eval_faulty st good u =
-  let c = st.circuit in
-  let srcs = c.fanins.(u) in
-  let value src = if st.stamp.(src) = st.generation then st.fval.(src) else good.(src) in
-  let fold op =
-    let acc = ref (value srcs.(0)) in
-    for i = 1 to Array.length srcs - 1 do
-      acc := op !acc (value srcs.(i))
-    done;
-    !acc
-  in
-  match c.kinds.(u) with
-  | Circuit.Gate.Input -> good.(u)
-  | Circuit.Gate.Const0 -> 0L
-  | Circuit.Gate.Const1 -> -1L
-  | Circuit.Gate.Buf -> value srcs.(0)
-  | Circuit.Gate.Not -> Int64.lognot (value srcs.(0))
-  | Circuit.Gate.And -> fold Int64.logand
-  | Circuit.Gate.Nand -> Int64.lognot (fold Int64.logand)
-  | Circuit.Gate.Or -> fold Int64.logor
-  | Circuit.Gate.Nor -> Int64.lognot (fold Int64.logor)
-  | Circuit.Gate.Xor -> fold Int64.logxor
-  | Circuit.Gate.Xnor -> Int64.lognot (fold Int64.logxor)
-
-let seed_word st good fault =
-  let forced =
-    match fault.Faults.Fault.polarity with Faults.Fault.Stuck_at_0 -> 0L | Faults.Fault.Stuck_at_1 -> -1L
-  in
-  match fault.Faults.Fault.site with
-  | Faults.Fault.Stem v -> (v, forced)
-  | Faults.Fault.Branch { gate; pin } ->
-    let c = st.circuit in
-    let srcs = c.fanins.(gate) in
-    let value i = if i = pin then forced else good.(srcs.(i)) in
-    let fold op =
-      let acc = ref (value 0) in
-      for i = 1 to Array.length srcs - 1 do
-        acc := op !acc (value i)
-      done;
-      !acc
-    in
-    let w =
-      match c.kinds.(gate) with
-      | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 ->
-        invalid_arg "Ppsfp: branch fault on a node without input pins"
-      | Circuit.Gate.Buf -> value 0
-      | Circuit.Gate.Not -> Int64.lognot (value 0)
-      | Circuit.Gate.And -> fold Int64.logand
-      | Circuit.Gate.Nand -> Int64.lognot (fold Int64.logand)
-      | Circuit.Gate.Or -> fold Int64.logor
-      | Circuit.Gate.Nor -> Int64.lognot (fold Int64.logor)
-      | Circuit.Gate.Xor -> fold Int64.logxor
-      | Circuit.Gate.Xnor -> Int64.lognot (fold Int64.logxor)
-    in
-    (gate, w)
-
-(* Propagate one fault through its cone; returns the mask of patterns
-   (within [live]) on which some primary output diverges. *)
-let propagate st good ~live fault =
-  st.generation <- st.generation + 1;
-  let c = st.circuit in
-  let node, w = seed_word st good fault in
-  if Int64.logand (Int64.logxor w good.(node)) live = 0L then 0L
-  else begin
-    st.fval.(node) <- w;
-    st.stamp.(node) <- st.generation;
-    let out_diff = ref 0L in
-    if st.is_output.(node) then
-      out_diff := Int64.logand (Int64.logxor w good.(node)) live;
-    let max_level = ref c.levels.(node) in
-    let schedule u =
-      if st.sched.(u) <> st.generation then begin
-        st.sched.(u) <- st.generation;
-        let l = c.levels.(u) in
-        st.buckets.(l) <- u :: st.buckets.(l);
-        if l > !max_level then max_level := l
-      end
-    in
-    Array.iter schedule c.fanouts.(node);
-    let level = ref (c.levels.(node) + 1) in
-    while !level <= !max_level do
-      let bucket = st.buckets.(!level) in
-      st.buckets.(!level) <- [];
-      List.iter
-        (fun u ->
-          let fresh = eval_faulty st good u in
-          if Int64.logand (Int64.logxor fresh good.(u)) live <> 0L then begin
-            st.fval.(u) <- fresh;
-            st.stamp.(u) <- st.generation;
-            if st.is_output.(u) then
-              out_diff :=
-                Int64.logor !out_diff
-                  (Int64.logand (Int64.logxor fresh good.(u)) live);
-            Array.iter schedule c.fanouts.(u)
-          end)
-        bucket;
-      incr level
-    done;
-    !out_diff
-  end
-
 (* Constant-time lowest-set-bit: isolate the bit with [w land (-w)],
    then perfect-hash the 64 single-bit words through a de Bruijn
    multiply.  The table is built from the same multiply, so it is
@@ -136,7 +15,7 @@ let debruijn_index =
   done;
   table
 
-let lowest_set_bit w =
+let[@inline] lowest_set_bit w =
   if w = 0L then invalid_arg "lowest_set_bit: zero word";
   let isolated = Int64.logand w (Int64.neg w) in
   debruijn_index.(Int64.to_int
@@ -144,7 +23,7 @@ let lowest_set_bit w =
 
 (* Branch-free SWAR popcount: pairwise sums, then nibble sums, then one
    multiply to fold the byte counts into the top byte. *)
-let popcount w =
+let[@inline] popcount w =
   let open Int64 in
   let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
   let w =
@@ -157,7 +36,7 @@ let popcount w =
 
 (* Index of the k-th (1-based) set bit: clear the k-1 lowest set bits
    with [w land (w - 1)], then take the lowest survivor. *)
-let nth_set_bit w k =
+let[@inline] nth_set_bit w k =
   if k < 1 then invalid_arg "nth_set_bit: k must be >= 1";
   let w = ref w in
   for _ = 2 to k do
@@ -173,7 +52,7 @@ let nth_set_bit w k =
    and the index of the n-th detecting pattern is recorded exactly
    once; with [n = 1] the recorded index is [lowest_set_bit mask], i.e.
    bit-identical to the first-detection engines. *)
-let record_detections ~n ~block_start ~detections ~nth mask fi =
+let[@inline] record_detections ~n ~block_start ~detections ~nth mask fi =
   if mask = 0L then true
   else begin
     let seen = detections.(fi) in
@@ -189,94 +68,190 @@ let record_detections ~n ~block_start ~detections ~nth mask fi =
     end
   end
 
-let run_general ?(cancel = Robust.Cancel.none) c faults patterns ~on_block =
-  Instrument.engine_run ~engine:"ppsfp" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  let st = make_state c in
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ppsfp" ~patterns:(Array.length patterns)
+(* Per-domain scratch of the kernel.  A faulty word [faulty] at node
+   [u] is valid only while [stamp.(u) = generation]; every fault-block
+   starts a new generation, so nothing is ever cleared.  The event
+   queue is one flat array partitioned by level: level [l]'s pending
+   nodes are [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)],
+   and a node is queued at most once per generation
+   ([queued.(u) = generation]), so each level's segment is as long as
+   the number of nodes on that level. *)
+type kernel = {
+  circuit : Circuit.Netlist.t;
+  is_output : bool array;
+  faulty : Bytes.t;
+  stamp : int array;
+  queued : int array;
+  queue : int array;
+  first : int array;
+  fill : int array;
+  mutable top : int;  (* highest level queued in this generation *)
+  mutable generation : int;
+}
+
+let kernel (c : Circuit.Netlist.t) =
+  let nodes = Circuit.Netlist.num_nodes c in
+  let is_output = Array.make nodes false in
+  Array.iter (fun id -> is_output.(id) <- true) c.outputs;
+  let depth = Circuit.Netlist.depth c in
+  let first = Array.make (depth + 2) 0 in
+  Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) c.levels;
+  for l = 1 to depth + 1 do
+    first.(l) <- first.(l) + first.(l - 1)
+  done;
+  { circuit = c; is_output; faulty = Logicsim.Packed.words c;
+    stamp = Array.make nodes (-1); queued = Array.make nodes (-1);
+    queue = Array.make nodes 0; first; fill = Array.make (depth + 1) 0;
+    top = 0; generation = 0 }
+
+let[@inline] schedule_fanouts k u =
+  let outs = k.circuit.fanouts.(u) in
+  for i = 0 to Array.length outs - 1 do
+    let v = outs.(i) in
+    if k.queued.(v) <> k.generation then begin
+      k.queued.(v) <- k.generation;
+      let l = k.circuit.levels.(v) in
+      k.queue.(k.first.(l) + k.fill.(l)) <- v;
+      k.fill.(l) <- k.fill.(l) + 1;
+      if l > k.top then k.top <- l
+    end
+  done
+
+(* Propagate one fault through its cone over one block whose good
+   words are [good]; returns the mask of patterns (within [live]) on
+   which some primary output diverges.  A node's faulty word is written
+   into its slot, then stamped (and its fanouts queued) only when it
+   differs from the good word on a live pattern. *)
+let[@inline] propagate k good ~live fault =
+  k.generation <- k.generation + 1;
+  let generation = k.generation in
+  let c = k.circuit and faulty = k.faulty and stamp = k.stamp in
+  let forced =
+    match fault.Faults.Fault.polarity with
+    | Faults.Fault.Stuck_at_0 -> 0L
+    | Faults.Fault.Stuck_at_1 -> -1L
   in
-  let results = Array.make (Array.length faults) None in
-  let alive = ref (List.init (Array.length faults) (fun i -> i)) in
-  let detected = ref 0 in
+  let node =
+    match fault.Faults.Fault.site with
+    | Faults.Fault.Stem v ->
+      Bytes.set_int64_ne faulty (v lsl 3) forced;
+      v
+    | Faults.Fault.Branch { gate; pin } ->
+      Logicsim.Packed.eval_gate c ~good ~faulty ~stamp ~generation ~pin ~forced gate;
+      gate
+  in
+  let diff =
+    Int64.logand
+      (Int64.logxor (Bytes.get_int64_ne faulty (node lsl 3))
+         (Bytes.get_int64_ne good (node lsl 3)))
+      live
+  in
+  if diff = 0L then 0L
+  else begin
+    stamp.(node) <- generation;
+    let out = ref (if k.is_output.(node) then diff else 0L) in
+    k.top <- 0;
+    schedule_fanouts k node;
+    let level = ref (c.levels.(node) + 1) in
+    while !level <= k.top do
+      let l = !level in
+      let base = k.first.(l) in
+      for j = base to base + k.fill.(l) - 1 do
+        let u = k.queue.(j) in
+        Logicsim.Packed.eval_gate c ~good ~faulty ~stamp ~generation ~pin:(-1)
+          ~forced:0L u;
+        let d =
+          Int64.logand
+            (Int64.logxor (Bytes.get_int64_ne faulty (u lsl 3))
+               (Bytes.get_int64_ne good (u lsl 3)))
+            live
+        in
+        if d <> 0L then begin
+          stamp.(u) <- generation;
+          if k.is_output.(u) then out := Int64.logor !out d;
+          schedule_fanouts k u
+        end
+      done;
+      k.fill.(l) <- 0;
+      incr level
+    done;
+    !out
+  end
+
+let no_block ~patterns_applied:_ ~dropped:_ = ()
+
+let grade ?(cancel = Robust.Cancel.none) ?(on_block = no_block) ~engine ~n
+    ~progress c faults ~blocks ~good ~alive ~detections ~nth =
+  let k = kernel c in
+  let alive_count = ref (Array.length alive) in
+  let dropped = ref 0 in
   let block_start = ref 0 in
-  List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ppsfp" (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let live = Logicsim.Packed.live_mask block in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = propagate st good ~live faults.(fi) in
-            if mask = 0L then survivors := fi :: !survivors
-            else begin
-              results.(fi) <- Some (!block_start + lowest_set_bit mask);
-              incr detected
-            end)
-          !alive;
-        alive := List.rev !survivors
-      end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count;
-      on_block ~patterns_applied:!block_start ~detected:!detected)
-    blocks;
+  for b = 0 to Array.length blocks - 1 do
+    let block = blocks.(b) in
+    if !alive_count > 0 && not (Robust.Cancel.stop_requested cancel) then begin
+      if Instrument.observing () then
+        Instrument.count_fault_evals ~engine !alive_count;
+      let good = good b in
+      let live = Logicsim.Packed.live_mask block in
+      let kept = ref 0 in
+      for j = 0 to !alive_count - 1 do
+        let fi = alive.(j) in
+        let mask = propagate k good ~live faults.(fi) in
+        if record_detections ~n ~block_start:!block_start ~detections ~nth mask fi
+        then begin
+          alive.(!kept) <- fi;
+          incr kept
+        end
+        else incr dropped
+      done;
+      alive_count := !kept
+    end;
+    block_start := !block_start + block.Logicsim.Packed.pattern_count;
+    Obs.Progress.step progress block.Logicsim.Packed.pattern_count;
+    on_block ~patterns_applied:!block_start ~dropped:!dropped
+  done;
+  !dropped
+
+(* The single-domain engines: every fault is alive at the start, and
+   the good machine is evaluated block by block into one buffer, only
+   while some fault is still alive. *)
+let run_general ?cancel ?on_block ?(annotate = ignore) ~engine ~n c faults
+    patterns =
+  Array.iter (Faults.Fault.check c) faults;
+  let nf = Array.length faults in
+  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
+  @@ fun () ->
+  annotate ();
+  let blocks = Array.of_list (Logicsim.Packed.blocks_of_patterns c patterns) in
+  let progress =
+    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
+  in
+  let words = Logicsim.Packed.words c in
+  let good b =
+    Logicsim.Packed.eval_words c blocks.(b) words;
+    words
+  in
+  let detections = Array.make nf 0 in
+  let nth = Array.make nf None in
+  ignore
+    (grade ?cancel ?on_block ~engine ~n ~progress c faults ~blocks ~good
+       ~alive:(Array.init nf Fun.id) ~detections ~nth);
   Obs.Progress.finish progress;
-  results
+  (detections, nth)
 
 let run ?cancel c faults patterns =
-  run_general ?cancel c faults patterns
-    ~on_block:(fun ~patterns_applied:_ ~detected:_ -> ())
+  snd (run_general ?cancel ~engine:"ppsfp" ~n:1 c faults patterns)
 
 let run_curve c faults patterns =
   let checkpoints = ref [] in
-  let results =
-    run_general c faults patterns ~on_block:(fun ~patterns_applied ~detected ->
-        checkpoints := (patterns_applied, detected) :: !checkpoints)
+  let on_block ~patterns_applied ~dropped =
+    checkpoints := (patterns_applied, dropped) :: !checkpoints
   in
-  (results, List.rev !checkpoints)
+  let _, first = run_general ~on_block ~engine:"ppsfp" ~n:1 c faults patterns in
+  (first, List.rev !checkpoints)
 
-let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
+let run_counts ?cancel ~n c faults patterns =
   if n < 1 then invalid_arg "Ppsfp.run_counts: n must be >= 1";
-  Instrument.engine_run ~engine:"ndetect.ppsfp" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  Obs.Trace.add_int "n" n;
-  let st = make_state c in
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ndetect.ppsfp"
-      ~patterns:(Array.length patterns)
-  in
-  let nf = Array.length faults in
-  let detections = Array.make nf 0 in
-  let nth = Array.make nf None in
-  let alive = ref (List.init nf Fun.id) in
-  let block_start = ref 0 in
-  List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ndetect.ppsfp"
-            (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let live = Logicsim.Packed.live_mask block in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = propagate st good ~live faults.(fi) in
-            if record_detections ~n ~block_start:!block_start ~detections ~nth
-                 mask fi
-            then survivors := fi :: !survivors)
-          !alive;
-        alive := List.rev !survivors
-      end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
-    blocks;
-  Obs.Progress.finish progress;
-  (detections, nth)
+  run_general ?cancel
+    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
+    ~engine:"ndetect.ppsfp" ~n c faults patterns

@@ -2,37 +2,29 @@
 
     For each 64-pattern block the good machine is simulated once; each
     live fault is then propagated only through its fanout cone, level by
-    level, with copy-on-write faulty values.  A fault whose effect dies
-    out is abandoned early, and detected faults are dropped.  Produces
-    byte-identical results to {!Serial.run} (differential-tested), at a
-    fraction of the cost on large circuits. *)
+    level, with copy-on-write faulty words.  A fault whose effect dies
+    out is abandoned early, and faults are dropped once detected [n]
+    times.  Produces byte-identical results to {!Serial.run}
+    (differential-tested), at a fraction of the cost on large circuits.
+
+    One allocation-free kernel does the work of {!run}, {!run_curve},
+    {!run_counts} and every {!Par} shard ({!grade}).  Its invariants:
+    words live unboxed in [Bytes] and are evaluated by
+    {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
+    while its stamp equals the current generation, and a new
+    generation starts with every fault-block; pending nodes sit in one
+    flat [int array] partitioned by level; the alive faults are an
+    [int array] compacted in place after every block.  Malformed faults
+    are rejected at entry by {!Faults.Fault.check}. *)
 
 val run :
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> int option array
 (** Same contract as {!Serial.run}: per fault, first detecting pattern
     index, with fault dropping.  [cancel] is polled per 64-pattern
-    block; see {!Serial.run} for the partial-result contract. *)
-
-(** {2 Propagation core}
-
-    The single-fault propagation machinery is exposed so that {!Par}
-    can run the identical copy-on-write cone walk from several domains,
-    each with its own [state], over a shared read-only good-value
-    block. *)
-
-type state
-(** Per-simulation scratch (copy-on-write faulty values, schedule
-    buckets).  Not thread-safe: one [state] per domain. *)
-
-val make_state : Circuit.Netlist.t -> state
-
-val propagate :
-  state -> int64 array -> live:int64 -> Faults.Fault.t -> int64
-(** [propagate st good ~live fault] walks the fault's fanout cone over
-    one 64-pattern block whose good-machine node values are [good], and
-    returns the mask of patterns (within [live]) on which some primary
-    output diverges. *)
+    block; see {!Serial.run} for the partial-result contract.  Set-up
+    is O(nodes + faults), so grading one pattern at a time (as ATPG
+    does) stays cheap. *)
 
 val lowest_set_bit : int64 -> int
 (** Index of the lowest set bit (constant time; raises
@@ -84,3 +76,35 @@ val run_counts :
     [n = 1] the result is bit-identical to {!run}: [nth] equals the
     first-detection array and [detections] is its indicator.  Raises
     [Invalid_argument] when [n < 1]. *)
+
+(** {2 The block loop}
+
+    Exposed so that {!Par} runs the identical loop on every domain. *)
+
+val grade :
+  ?cancel:Robust.Cancel.t ->
+  ?on_block:(patterns_applied:int -> dropped:int -> unit) ->
+  engine:string ->
+  n:int ->
+  progress:Obs.Progress.t ->
+  Circuit.Netlist.t ->
+  Faults.Fault.t array ->
+  blocks:Logicsim.Packed.block array ->
+  good:(int -> Bytes.t) ->
+  alive:int array ->
+  detections:int array ->
+  nth:int option array ->
+  int
+(** [grade ~engine ~n ~progress c faults ~blocks ~good ~alive
+    ~detections ~nth] grades the faults whose indices [alive] holds
+    against every block, with drop rule [n] ({!record_detections}), and
+    returns how many of them it dropped.  [good b] returns the
+    good-machine words ({!Logicsim.Packed.eval_words}) of block [b]; the
+    loop only reads them, and asks only while some fault is alive and
+    [cancel] has not fired.  [alive] is compacted in place as faults
+    drop, and only its faults' slots of [detections]/[nth] are written.
+    After every block the loop steps [progress] by the block's pattern
+    count and calls [on_block] with the patterns applied and the faults
+    dropped so far; while faults are alive it also adds their number to
+    ["fsim.<engine>.fault_evals"].  The faults must already have passed
+    {!Faults.Fault.check}. *)

@@ -1,8 +1,10 @@
 let forced_word polarity =
   match polarity with Faults.Fault.Stuck_at_0 -> 0L | Faults.Fault.Stuck_at_1 -> -1L
 
-(* Evaluate gate [id] with input pin [pin] forced to [word]. *)
-let eval_gate_with_pin_override (c : Circuit.Netlist.t) id ~pin ~word values =
+(* The oracle's own gate evaluator, independent of the packed kernel:
+   recompute node [id] from the fanin words in [values], with input pin
+   [pin] (-1 for none) forced to [word]. *)
+let eval_node (c : Circuit.Netlist.t) id ~pin ~word values =
   let srcs = c.fanins.(id) in
   let value_of i = if i = pin then word else values.(srcs.(i)) in
   let fold op =
@@ -38,18 +40,18 @@ let eval_with_fault (c : Circuit.Netlist.t) fault block =
         else
           match c.kinds.(id) with
           | Circuit.Gate.Input -> ()
-          | _ -> values.(id) <- Logicsim.Packed.eval_node c id values)
+          | _ -> values.(id) <- eval_node c id ~pin:(-1) ~word:0L values)
       c.topo_order
   | Faults.Fault.Branch { gate; pin } ->
     let word = forced_word fault.Faults.Fault.polarity in
     Array.iter
       (fun id ->
         if id = gate then
-          values.(id) <- eval_gate_with_pin_override c id ~pin ~word values
+          values.(id) <- eval_node c id ~pin ~word values
         else
           match c.kinds.(id) with
           | Circuit.Gate.Input -> ()
-          | _ -> values.(id) <- Logicsim.Packed.eval_node c id values)
+          | _ -> values.(id) <- eval_node c id ~pin:(-1) ~word:0L values)
       c.topo_order);
   values
 
@@ -69,6 +71,7 @@ let lowest_set_bit w =
   loop 0
 
 let run ?(cancel = Robust.Cancel.none) c faults patterns =
+  Array.iter (Faults.Fault.check c) faults;
   Instrument.engine_run ~engine:"serial" ~faults:(Array.length faults)
     ~patterns:(Array.length patterns)
   @@ fun () ->
@@ -103,6 +106,7 @@ let run ?(cancel = Robust.Cancel.none) c faults patterns =
 
 let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
   if n < 1 then invalid_arg "Serial.run_counts: n must be >= 1";
+  Array.iter (Faults.Fault.check c) faults;
   Instrument.engine_run ~engine:"ndetect.serial" ~faults:(Array.length faults)
     ~patterns:(Array.length patterns)
   @@ fun () ->

@@ -36,86 +36,84 @@ let live_mask { pattern_count; _ } =
   if pattern_count = 64 then -1L
   else Int64.sub (Int64.shift_left 1L pattern_count) 1L
 
-let eval_into (c : Circuit.Netlist.t) values =
-  let fanins = c.fanins and kinds = c.kinds in
-  Array.iter
-    (fun id ->
-      match kinds.(id) with
-      | Circuit.Gate.Input -> ()
-      | Circuit.Gate.Const0 -> values.(id) <- 0L
-      | Circuit.Gate.Const1 -> values.(id) <- -1L
-      | Circuit.Gate.Buf -> values.(id) <- values.(fanins.(id).(0))
-      | Circuit.Gate.Not -> values.(id) <- Int64.lognot values.(fanins.(id).(0))
-      | Circuit.Gate.And ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logand !acc values.(srcs.(i))
-        done;
-        values.(id) <- !acc
-      | Circuit.Gate.Nand ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logand !acc values.(srcs.(i))
-        done;
-        values.(id) <- Int64.lognot !acc
-      | Circuit.Gate.Or ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logor !acc values.(srcs.(i))
-        done;
-        values.(id) <- !acc
-      | Circuit.Gate.Nor ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logor !acc values.(srcs.(i))
-        done;
-        values.(id) <- Int64.lognot !acc
-      | Circuit.Gate.Xor ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logxor !acc values.(srcs.(i))
-        done;
-        values.(id) <- !acc
-      | Circuit.Gate.Xnor ->
-        let srcs = fanins.(id) in
-        let acc = ref values.(srcs.(0)) in
-        for i = 1 to Array.length srcs - 1 do
-          acc := Int64.logxor !acc values.(srcs.(i))
-        done;
-        values.(id) <- Int64.lognot !acc)
-    c.topo_order
+let words c = Bytes.make (8 * Circuit.Netlist.num_nodes c) '\000'
 
-let eval_node (c : Circuit.Netlist.t) id values =
+(* Word of input pin [i] of a gate with fanins [srcs]: [forced] on the
+   stuck pin, else the fanin's overlay word if stamped, else its good
+   word.  Inlined into every loop below, so nothing is boxed. *)
+let[@inline] pin_word good faulty (stamp : int array) (generation : int) (pin : int)
+    (forced : int64) (srcs : int array) i =
+  if i = pin then forced
+  else begin
+    let s = srcs.(i) in
+    Bytes.get_int64_ne (if stamp.(s) = generation then faulty else good) (s lsl 3)
+  end
+
+let[@inline] eval_gate (c : Circuit.Netlist.t) ~good ~faulty ~stamp ~generation
+    ~pin ~forced id =
   let srcs = c.fanins.(id) in
-  let fold op =
-    let acc = ref values.(srcs.(0)) in
-    for i = 1 to Array.length srcs - 1 do
-      acc := op !acc values.(srcs.(i))
-    done;
-    !acc
+  let last = Array.length srcs - 1 in
+  let kind = c.kinds.(id) in
+  let w =
+    match kind with
+    | Circuit.Gate.Input -> Bytes.get_int64_ne good (id lsl 3)
+    | Circuit.Gate.Const0 -> 0L
+    | Circuit.Gate.Const1 -> -1L
+    | Circuit.Gate.Buf | Circuit.Gate.Not ->
+      pin_word good faulty stamp generation pin forced srcs 0
+    | Circuit.Gate.And | Circuit.Gate.Nand ->
+      let acc = ref (pin_word good faulty stamp generation pin forced srcs 0) in
+      for i = 1 to last do
+        let w = pin_word good faulty stamp generation pin forced srcs i in
+        acc := Int64.logand !acc w
+      done;
+      !acc
+    | Circuit.Gate.Or | Circuit.Gate.Nor ->
+      let acc = ref (pin_word good faulty stamp generation pin forced srcs 0) in
+      for i = 1 to last do
+        let w = pin_word good faulty stamp generation pin forced srcs i in
+        acc := Int64.logor !acc w
+      done;
+      !acc
+    | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
+      let acc = ref (pin_word good faulty stamp generation pin forced srcs 0) in
+      for i = 1 to last do
+        let w = pin_word good faulty stamp generation pin forced srcs i in
+        acc := Int64.logxor !acc w
+      done;
+      !acc
   in
-  match c.kinds.(id) with
-  | Circuit.Gate.Input -> values.(id)
-  | Circuit.Gate.Const0 -> 0L
-  | Circuit.Gate.Const1 -> -1L
-  | Circuit.Gate.Buf -> values.(srcs.(0))
-  | Circuit.Gate.Not -> Int64.lognot values.(srcs.(0))
-  | Circuit.Gate.And -> fold Int64.logand
-  | Circuit.Gate.Nand -> Int64.lognot (fold Int64.logand)
-  | Circuit.Gate.Or -> fold Int64.logor
-  | Circuit.Gate.Nor -> Int64.lognot (fold Int64.logor)
-  | Circuit.Gate.Xor -> fold Int64.logxor
-  | Circuit.Gate.Xnor -> Int64.lognot (fold Int64.logxor)
+  let w =
+    match kind with
+    | Circuit.Gate.Not | Circuit.Gate.Nand | Circuit.Gate.Nor | Circuit.Gate.Xnor ->
+      Int64.lognot w
+    | _ -> w
+  in
+  Bytes.set_int64_ne faulty (id lsl 3) w
+
+let eval_words (c : Circuit.Netlist.t) block words =
+  for i = 0 to Array.length c.inputs - 1 do
+    Bytes.set_int64_ne words (c.inputs.(i) lsl 3) block.input_words.(i)
+  done;
+  (* With [faulty == good] every fanin reads [words] whatever its
+     stamp, so any node-indexed int array serves as [stamp]. *)
+  let topo = c.topo_order in
+  for k = 0 to Array.length topo - 1 do
+    let id = topo.(k) in
+    match c.kinds.(id) with
+    | Circuit.Gate.Input -> ()
+    | _ ->
+      eval_gate c ~good:words ~faulty:words ~stamp:c.levels ~generation:(-1)
+        ~pin:(-1) ~forced:0L id
+  done
 
 let eval_block c block =
+  let w = words c in
+  eval_words c block w;
   let values = Array.make (Circuit.Netlist.num_nodes c) 0L in
-  Array.iteri (fun i id -> values.(id) <- block.input_words.(i)) c.Circuit.Netlist.inputs;
-  eval_into c values;
+  for id = 0 to Array.length values - 1 do
+    values.(id) <- Bytes.get_int64_ne w (id lsl 3)
+  done;
   values
 
 let output_words (c : Circuit.Netlist.t) values =

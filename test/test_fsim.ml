@@ -496,6 +496,168 @@ let test_ndetect_invalid_n_rejected () =
       (fun () -> ignore (Fsim.Par.run_counts ~n:0 c universe patterns));
       (fun () -> ignore (Fsim.Coverage.detection_counts ~n:(-2) c universe patterns)) ]
 
+(* ------------------------------- kernel ------------------------------ *)
+
+(* Every gate kind and fanin width the packed kernel handles: BUF, NOT,
+   both constants, 3- and 4-input AND/NAND/OR/NOR/XOR/XNOR, a stem
+   that reconverges, and a primary output that also feeds logic. *)
+let every_kind_circuit () =
+  let b = N.Builder.create ~name:"every_kind" in
+  let i = Array.init 7 (fun k -> N.Builder.add_input b (Printf.sprintf "i%d" k)) in
+  let zero = N.Builder.add_const b "zero" false in
+  let one = N.Builder.add_const b "one" true in
+  let g kind fanins = N.Builder.add_gate b kind fanins in
+  let buf = g Circuit.Gate.Buf [ i.(0) ] in
+  let inv = g Circuit.Gate.Not [ i.(1) ] in
+  let and3 = g Circuit.Gate.And [ buf; inv; i.(2) ] in
+  let nand4 = g Circuit.Gate.Nand [ i.(2); i.(3); i.(4); one ] in
+  let or3 = g Circuit.Gate.Or [ i.(3); zero; inv ] in
+  let nor4 = g Circuit.Gate.Nor [ and3; i.(5); i.(6); zero ] in
+  let xor3 = g Circuit.Gate.Xor [ nand4; or3; i.(0) ] in
+  let xnor4 = g Circuit.Gate.Xnor [ xor3; nor4; buf; i.(6) ] in
+  (* [xor3] is an output and also feeds [xnor4] and [and4]; [buf] and
+     [inv] reconverge at [and4]. *)
+  let and4 = g Circuit.Gate.And [ xor3; buf; inv; i.(4) ] in
+  let or4 = g Circuit.Gate.Or [ and4; xnor4; nand4; i.(5) ] in
+  let nand3 = g Circuit.Gate.Nand [ or4; one; i.(1) ] in
+  let xnor3 = g Circuit.Gate.Xnor [ nand3; zero; and3 ] in
+  List.iter (N.Builder.mark_output b) [ xor3; or4; xnor3; nor4; one ];
+  N.Builder.build b
+
+let check_engines_agree name c universe patterns =
+  let serial = Fsim.Serial.run c universe patterns in
+  Alcotest.(check bool) (name ^ ": ppsfp = serial") true
+    (Fsim.Ppsfp.run c universe patterns = serial);
+  Alcotest.(check bool) (name ^ ": run_curve = serial") true
+    (fst (Fsim.Ppsfp.run_curve c universe patterns) = serial);
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: par(%d) = serial" name domains)
+        true
+        (Fsim.Par.run ~domains c universe patterns = serial))
+    [ 1; 2; 3; 5 ];
+  List.iter
+    (fun n ->
+      let reference = Fsim.Serial.run_counts ~n c universe patterns in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: ppsfp counts = serial at n=%d" name n)
+        true
+        (Fsim.Ppsfp.run_counts ~n c universe patterns = reference);
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: par(%d) counts = serial at n=%d" name domains n)
+            true
+            (Fsim.Par.run_counts ~domains ~n c universe patterns = reference))
+        [ 1; 2; 3; 5 ])
+    [ 1; 3; 64 ]
+
+let test_kernel_every_gate_kind () =
+  let c = every_kind_circuit () in
+  let universe = Faults.Universe.all c in
+  let exhaustive = exhaustive_patterns 7 in
+  check_engines_agree "exhaustive" c universe exhaustive;
+  (* 100 patterns: the last block is partial. *)
+  check_engines_agree "100 patterns" c universe
+    (Array.init 100 (fun k -> exhaustive.((k * 37) mod 128)))
+
+let test_kernel_lsi_chip_n64 () =
+  let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:4 () in
+  let universe =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let patterns = random_patterns ~seed:64 ~count:512 c in
+  let reference = Fsim.Serial.run_counts ~n:64 c universe patterns in
+  Alcotest.(check bool) "ppsfp = serial at n=64" true
+    (Fsim.Ppsfp.run_counts ~n:64 c universe patterns = reference);
+  Alcotest.(check bool) "par(2) = serial at n=64" true
+    (Fsim.Par.run_counts ~domains:2 ~n:64 c universe patterns = reference)
+
+(* One malformed fault, hidden among good ones, must stop every engine
+   with the same typed error before any grading. *)
+let test_malformed_fault_rejected () =
+  let c = Circuit.Generators.c17 () in
+  let universe = Faults.Universe.all c in
+  let patterns = exhaustive_patterns 5 in
+  let gate =
+    Array.to_list c.N.topo_order
+    |> List.find (fun id -> Array.length c.N.fanins.(id) = 2)
+  in
+  let malformed =
+    [ F.{ site = Stem (N.num_nodes c); polarity = Stuck_at_0 };
+      F.{ site = Stem (-1); polarity = Stuck_at_1 };
+      F.{ site = Branch { gate = c.N.inputs.(0); pin = 0 }; polarity = Stuck_at_0 };
+      F.{ site = Branch { gate; pin = 2 }; polarity = Stuck_at_1 };
+      F.{ site = Branch { gate; pin = -1 }; polarity = Stuck_at_0 };
+      F.{ site = Branch { gate = N.num_nodes c + 3; pin = 0 }; polarity = Stuck_at_1 } ]
+  in
+  let error f = try ignore (f ()); None with Invalid_argument msg -> Some msg in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      List.iter
+        (fun fault ->
+          let faults = Array.append universe [| fault |] in
+          let expected = error (fun () -> F.check c fault) in
+          Alcotest.(check bool) "check rejects it" true (expected <> None);
+          List.iter
+            (fun (engine, run) ->
+              Alcotest.(check (option string)) engine expected (error run))
+            [ ("serial", fun () -> ignore (Fsim.Serial.run c faults patterns));
+              ("serial counts", fun () ->
+                 ignore (Fsim.Serial.run_counts ~n:2 c faults patterns));
+              ("ppsfp", fun () -> ignore (Fsim.Ppsfp.run c faults patterns));
+              ("ppsfp curve", fun () ->
+                 ignore (Fsim.Ppsfp.run_curve c faults patterns));
+              ("ppsfp counts", fun () ->
+                 ignore (Fsim.Ppsfp.run_counts ~n:2 c faults patterns));
+              ("par", fun () -> ignore (Fsim.Par.run ~domains:3 c faults patterns));
+              ("par counts", fun () ->
+                 ignore (Fsim.Par.run_counts ~domains:3 ~n:2 c faults patterns));
+              ("deductive", fun () -> ignore (Fsim.Deductive.run c faults patterns));
+              ("concurrent", fun () ->
+                 ignore (Fsim.Concurrent.run c faults patterns)) ])
+        malformed;
+      Alcotest.(check (option (float 0.0))) "par spent no shard retries" None
+        (Obs.Metrics.value "fsim.par.shard_retries");
+      Alcotest.(check (option (float 0.0))) "nor a fallback" None
+        (Obs.Metrics.value "fsim.par.shard_fallbacks"))
+
+(* Fault x 64-pattern-block evaluations implied by a drop-on-detection
+   result (the benchmark's count). *)
+let fault_blocks ~patterns detect =
+  let blocks = (patterns + 63) / 64 in
+  Array.fold_left
+    (fun acc d -> acc + match d with Some p -> (p / 64) + 1 | None -> blocks)
+    0 detect
+
+let test_kernel_allocation_guard () =
+  let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:6 () in
+  let universe =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let patterns = random_patterns ~seed:6 ~count:512 c in
+  let per_fault_block name grade =
+    let before = Gc.minor_words () in
+    let detect = grade () in
+    let words = Gc.minor_words () -. before in
+    let per = words /. float_of_int (fault_blocks ~patterns:512 detect) in
+    if per > 64.0 then
+      Alcotest.failf "%s allocates %.1f minor words per fault-block (> 64)" name per
+  in
+  per_fault_block "Ppsfp.run" (fun () -> Fsim.Ppsfp.run c universe patterns);
+  per_fault_block "Ppsfp.run_counts ~n:8" (fun () ->
+      snd (Fsim.Ppsfp.run_counts ~n:8 c universe patterns));
+  per_fault_block "Par.run_counts ~domains:1 ~n:8" (fun () ->
+      snd (Fsim.Par.run_counts ~domains:1 ~n:8 c universe patterns))
+
 (* ------------------------------- stafan ------------------------------ *)
 
 let test_stafan_controllabilities () =
@@ -852,6 +1014,11 @@ let suite =
         tc "coverage non-increasing in n" test_ndetect_coverage_monotone_in_n;
         tc "coverage engine plumbing" test_ndetect_via_coverage_engine;
         tc "n < 1 rejected" test_ndetect_invalid_n_rejected ] );
+    ( "fsim.kernel",
+      [ tc "every gate kind: serial = ppsfp = par" test_kernel_every_gate_kind;
+        tc "lsi_chip n=64: serial = ppsfp = par" test_kernel_lsi_chip_n64;
+        tc "malformed faults: one typed error" test_malformed_fault_rejected;
+        tc "allocation guard" test_kernel_allocation_guard ] );
     ( "fsim.stafan",
       [ tc "controllabilities" test_stafan_controllabilities;
         tc "PO observability" test_stafan_po_observability;

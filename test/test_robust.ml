@@ -240,6 +240,22 @@ let test_par_shard_retry_recovers () =
   Alcotest.(check (option (float 1e-9))) "one retry recorded" (Some 1.0)
     (Obs.Metrics.value "fsim.par.shard_retries")
 
+(* The failpoint fires after the failed attempt has written its first
+   block's counts, so only a reset of exactly the faults that shard
+   owns (every third one) reproduces the single-domain answer: a reset
+   that missed them would double-count, one that hit another shard's
+   faults would lose its counts. *)
+let test_par_counts_shard_retry_resets_owned_faults () =
+  with_inject @@ fun () ->
+  with_metrics @@ fun () ->
+  let c, universe, patterns = Lazy.force fsim_rig in
+  let baseline = Fsim.Ppsfp.run_counts ~n:4 c universe patterns in
+  Robust.Inject.set "fsim.par.shard" (Robust.Inject.At_nth 2);
+  let par = Fsim.Par.run_counts ~domains:3 ~n:4 c universe patterns in
+  Alcotest.(check bool) "retried shard's counts bit-identical" true (par = baseline);
+  Alcotest.(check (option (float 1e-9))) "one retry recorded" (Some 1.0)
+    (Obs.Metrics.value "fsim.ndetect.par.shard_retries")
+
 let test_par_shard_fallback_recovers () =
   with_inject @@ fun () ->
   with_metrics @@ fun () ->
@@ -546,6 +562,8 @@ let suite =
         tc "mismatched resume rejected" test_restart_mismatch_is_error;
         tc "par shard retry recovers" test_par_shard_retry_recovers;
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
+        tc "par counts retry resets owned faults"
+          test_par_counts_shard_retry_resets_owned_faults;
         tc "cancelled profile is empty prefix" test_fsim_cancelled_partial_profile ] );
     ( "robust.atpg",
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
