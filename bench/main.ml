@@ -1159,28 +1159,12 @@ let micro_tests () =
       Test.make ~name:"fsim-ppsfp-400f-64p"
         (Staged.stage (fun () ->
              Fsim.Ppsfp.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-deductive-400f-64p"
-        (Staged.stage (fun () ->
-             Fsim.Deductive.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-concurrent-400f-64p-random"
-        (Staged.stage (fun () ->
-             Fsim.Concurrent.run circuit sample_faults (Array.sub patterns 0 64)));
-      Test.make ~name:"fsim-concurrent-400f-64p-walk"
-        (let walk_rng = Stats.Rng.create ~seed:23 () in
-         let walk = Tpg.Random_tpg.random_walk walk_rng circuit ~count:64 () in
-         Staged.stage (fun () -> Fsim.Concurrent.run circuit sample_faults walk));
-      Test.make ~name:"fsim-deductive-400f-64p-walk"
-        (let walk_rng = Stats.Rng.create ~seed:23 () in
-         let walk = Tpg.Random_tpg.random_walk walk_rng circuit ~count:64 () in
-         Staged.stage (fun () -> Fsim.Deductive.run circuit sample_faults walk));
       Test.make ~name:"logicsim-packed-64p"
         (Staged.stage (fun () -> Logicsim.Packed.eval_block circuit one_block));
       Test.make ~name:"logicsim-ref-1p"
         (Staged.stage (fun () -> Logicsim.Refsim.eval circuit patterns.(0)));
       Test.make ~name:"podem-one-fault"
         (Staged.stage (fun () -> Tpg.Podem.generate circuit reps.(17)));
-      Test.make ~name:"implication-atpg-one-fault"
-        (Staged.stage (fun () -> Tpg.Implication_atpg.generate circuit reps.(17)));
       Test.make ~name:"podem-scoap-guided"
         (let scoap = Tpg.Scoap.analyze circuit in
          Staged.stage (fun () ->

@@ -100,6 +100,20 @@ let progress_arg =
   Arg.(value & opt ~vopt:(Some 0.5) (some float) None
        & info [ "progress" ] ~docv:"SECS" ~doc)
 
+(* The four flags above, bundled once for every command that takes them
+   and consumed by [with_obs]. *)
+type obs = {
+  trace : string option;
+  metrics : bool;
+  journal : string option;
+  progress : float option;
+}
+
+let obs_term =
+  Term.(const (fun trace metrics journal progress ->
+            { trace; metrics; journal; progress })
+        $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+
 let exact_arg =
   let doc =
     "Additionally run the exact ROBDD analysis with node budget $(docv): \
@@ -144,6 +158,20 @@ let resume_arg =
   let doc = "Resume from the $(b,--checkpoint) file instead of starting over." in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
+(* The four flags above, bundled once for fsim, atpg and simulate-lot and
+   validated by [robust_setup]. *)
+type robust = {
+  deadline : float option;
+  checkpoint : string option;
+  every : int;
+  resume : bool;
+}
+
+let robust_term =
+  Term.(const (fun deadline checkpoint every resume ->
+            { deadline; checkpoint; every; resume })
+        $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
+
 (* Manual flag validation: combinations cmdliner cannot express are
    usage errors — message on stderr, exit 2, before any work or obs
    state exists. *)
@@ -156,13 +184,13 @@ let usage_error fmt =
 
 (* Validate the shared robustness flags and build the run's cancel
    token with SIGINT/SIGTERM pointed at it. *)
-let robust_setup ~deadline ~checkpoint ~resume =
-  (match deadline with
+let robust_setup r =
+  (match r.deadline with
   | Some d when d <= 0.0 -> usage_error "--deadline must be > 0 (got %g)" d
   | _ -> ());
-  if resume && checkpoint = None then
+  if r.resume && r.checkpoint = None then
     usage_error "--resume requires --checkpoint FILE";
-  let cancel = Robust.Cancel.create ?deadline_s:deadline () in
+  let cancel = Robust.Cancel.create ?deadline_s:r.deadline () in
   Robust.Signals.install cancel;
   cancel
 
@@ -184,8 +212,8 @@ let robust_finish ?(note = "") cancel =
    All obs output is status, never data — stdout stays pipe-clean.
    [cancel] classifies the journal outcome: a run whose token fired
    ends [Interrupted], not [Finished]/[Failed]. *)
-let with_obs ?seed ?circuit ?(cancel = Robust.Cancel.none) ~trace ~metrics
-    ~journal ~progress f =
+let with_obs ?seed ?circuit ?(cancel = Robust.Cancel.none)
+    { trace; metrics; journal; progress } f =
   let classify_ok () =
     if Robust.Cancel.stop_requested cancel then Obs.Journal.Interrupted
     else Obs.Journal.Finished
@@ -369,11 +397,11 @@ let simulate_lot_cmd =
                  --exclude-untestable).")
   in
   let action scale chips target_yield n0 clustered exclude_untestable
-      collapse_dominance n_detect seed domains deadline checkpoint every resume
-      trace metrics journal progress =
-    let cancel = robust_setup ~deadline ~checkpoint ~resume in
+      collapse_dominance n_detect seed domains
+      ({ checkpoint; every; resume; _ } as robust) obs =
+    let cancel = robust_setup robust in
     (try
-       with_obs ~seed ~cancel ~trace ~metrics ~journal ~progress @@ fun () ->
+       with_obs ~seed ~cancel obs @@ fun () ->
        let config =
          { Experiments.Pipeline.default_config with
            Experiments.Pipeline.scale; lot_size = chips; target_yield;
@@ -435,8 +463,7 @@ let simulate_lot_cmd =
   Cmd.v (Cmd.info "simulate-lot" ~doc)
     Term.(const action $ scale $ chips $ target_yield $ n0_arg $ clustered
           $ exclude_untestable $ collapse_dominance $ n_detect_arg $ seed_arg
-          $ domains_arg $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg
-          $ resume_arg $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+          $ domains_arg $ robust_term $ obs_term)
 
 (* ------------------------------ fsim ------------------------------- *)
 
@@ -447,14 +474,11 @@ let fsim_cmd =
   in
   let engine =
     Arg.(value & opt (some (enum [ ("serial", Fsim.Coverage.Serial);
-                                   ("ppsfp", Fsim.Coverage.Parallel);
-                                   ("deductive", Fsim.Coverage.Deductive);
-                                   ("concurrent", Fsim.Coverage.Concurrent) ]))
+                                   ("ppsfp", Fsim.Coverage.Parallel) ]))
            None
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"serial, ppsfp, deductive or concurrent (default ppsfp).  \
-                   Conflicts with $(b,--domains), which selects the \
-                   multicore par engine.")
+             ~doc:"serial or ppsfp (default ppsfp).  Conflicts with \
+                   $(b,--domains), which selects the multicore par engine.")
   in
   let csv =
     Arg.(value & flag & info [ "csv" ]
@@ -467,7 +491,7 @@ let fsim_cmd =
                  equivalence representatives.")
   in
   let action circuit count engine seed domains collapse_dominance n_detect csv
-      deadline checkpoint every resume trace metrics journal progress =
+      ({ checkpoint; every; resume; _ } as robust) obs =
     let engine =
       match (engine, domains) with
       | Some _, Some _ ->
@@ -478,11 +502,10 @@ let fsim_cmd =
       | None, Some n -> Fsim.Coverage.Par { domains = n }
       | None, None -> Fsim.Coverage.Parallel
     in
-    let cancel = robust_setup ~deadline ~checkpoint ~resume in
+    let cancel = robust_setup robust in
     let note =
       try
-        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel ~trace
-          ~metrics ~journal ~progress
+        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
         @@ fun () ->
         let rng = Stats.Rng.create ~seed () in
         let universe = Faults.Universe.all circuit in
@@ -513,12 +536,21 @@ let fsim_cmd =
               in
               (o.Fsim.Restart.profile, note))
         in
+        (* The n-detect pass shares the cancel token: its figures are
+           reported only when it ran to completion with the token
+           unfired, never as the zeros of a pass that stopped early. *)
         let ndetect_counts =
-          Option.map
-            (fun n ->
-              Fsim.Coverage.detection_counts ~engine ~cancel ~n circuit reps
-                patterns)
-            n_detect
+          Option.bind n_detect (fun n ->
+              let cs =
+                Fsim.Coverage.detection_counts ~engine ~cancel ~n circuit reps
+                  patterns
+              in
+              if Robust.Cancel.stop_requested cancel then None else Some cs)
+        in
+        let note =
+          if n_detect <> None && ndetect_counts = None then
+            note ^ "; n-detect pass not completed"
+          else note
         in
     (* Progress/status on stderr; only the results on stdout, so
        `--csv` output pipes clean. *)
@@ -576,9 +608,8 @@ let fsim_cmd =
   let doc = "Fault-simulate random patterns and print the coverage curve." in
   Cmd.v (Cmd.info "fsim" ~doc)
     Term.(const action $ circuit_arg $ patterns $ engine $ seed_arg
-          $ domains_arg $ collapse_dominance $ n_detect_arg $ csv
-          $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-          $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+          $ domains_arg $ collapse_dominance $ n_detect_arg $ csv $ robust_term
+          $ obs_term)
 
 (* ------------------------------ atpg ------------------------------- *)
 
@@ -614,16 +645,14 @@ let atpg_cmd =
                  reproducible runs.")
   in
   let action circuit out seed use_analysis learn_depth exact backtrack_limit
-      podem_budget deadline checkpoint every resume trace metrics journal
-      progress =
+      podem_budget ({ checkpoint; every; resume; _ } as robust) obs =
     (match podem_budget with
     | Some b when b <= 0.0 -> usage_error "--podem-budget must be > 0 (got %g)" b
     | _ -> ());
-    let cancel = robust_setup ~deadline ~checkpoint ~resume in
+    let cancel = robust_setup robust in
     let note =
       try
-        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel ~trace
-          ~metrics ~journal ~progress
+        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
         @@ fun () ->
         let universe = Faults.Universe.all circuit in
         let classes = Faults.Collapse.equivalence circuit universe in
@@ -682,8 +711,7 @@ let atpg_cmd =
   Cmd.v (Cmd.info "atpg" ~doc)
     Term.(const action $ circuit_arg $ out $ seed_arg $ use_analysis
           $ learn_depth $ exact_arg $ backtrack_limit $ podem_budget
-          $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-          $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+          $ robust_term $ obs_term)
 
 (* ------------------------------ convert ----------------------------- *)
 
@@ -897,13 +925,11 @@ let lint_cmd =
                  proofs.")
   in
   let action circuit json fail_on fanout_threshold structural_only learn_depth
-      exact trace metrics journal progress =
+      exact obs =
     (* [exit] must happen outside [with_obs]: it does not unwind the
        stack, so the trace file would never be written. *)
     let trip =
-      with_obs ~circuit:circuit.Circuit.Netlist.name ~trace ~metrics ~journal
-        ~progress
-      @@ fun () ->
+      with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let config =
         { Lint.Driver.default_config with
           Lint.Driver.fanout_threshold; testability = not structural_only;
@@ -928,8 +954,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const action $ circuit_arg $ json $ fail_on $ fanout_threshold
-          $ structural_only $ learn_depth $ exact_arg $ trace_arg
-          $ metrics_arg $ journal_arg $ progress_arg)
+          $ structural_only $ learn_depth $ exact_arg $ obs_term)
 
 (* ------------------------------ analyze ----------------------------- *)
 
@@ -960,11 +985,9 @@ let analyze_cmd =
            ~doc:"List learned constants and each literal's implications.")
   in
   let action circuit json fail_on learn_depth show_dominators show_implications
-      trace metrics journal progress =
+      obs =
     let trip =
-      with_obs ~circuit:circuit.Circuit.Netlist.name ~trace ~metrics ~journal
-        ~progress
-      @@ fun () ->
+      with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let module N = Circuit.Netlist in
       let engine =
         Analysis.Engine.build ~learn_depth:(Some learn_depth) circuit
@@ -1184,8 +1207,7 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(const action $ circuit_arg $ json $ fail_on $ learn_depth
-          $ show_dominators $ show_implications $ trace_arg $ metrics_arg
-          $ journal_arg $ progress_arg)
+          $ show_dominators $ show_implications $ obs_term)
 
 (* ---------------------------- testability --------------------------- *)
 
@@ -1239,13 +1261,11 @@ let testability_cmd =
                    $(b,--exact) node budget.")
   in
   let action circuit json csv threshold predict_curve test_length max_patterns
-      yield_opt n0 fail_on exact trace metrics journal progress =
+      yield_opt n0 fail_on exact obs =
     (* [exit] must happen outside [with_obs]: it does not unwind the
        stack, so the trace file would never be written. *)
     let trip =
-      with_obs ~circuit:circuit.Circuit.Netlist.name ~trace ~metrics ~journal
-        ~progress
-      @@ fun () ->
+      with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let module N = Circuit.Netlist in
       let module SP = Analysis.Signal_prob in
       let module D = Analysis.Detectability in
@@ -1486,7 +1506,7 @@ let testability_cmd =
   Cmd.v (Cmd.info "testability" ~doc)
     Term.(const action $ circuit_arg $ json $ csv $ threshold $ predict_curve
           $ test_length $ max_patterns $ yield_opt $ n0_arg $ fail_on
-          $ exact_arg $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+          $ exact_arg $ obs_term)
 
 (* ------------------------------ equiv ------------------------------ *)
 
@@ -1521,11 +1541,11 @@ let equiv_cmd =
                    disagreements (different input or output names) are usage \
                    errors: exit code 2 at any level.")
   in
-  let action a b budget json fail_on trace metrics journal progress =
+  let action a b budget json fail_on obs =
     (* [exit] must happen outside [with_obs]: it does not unwind the
        stack, so the trace file would never be written. *)
     let severity =
-      with_obs ~trace ~metrics ~journal ~progress @@ fun () ->
+      with_obs obs @@ fun () ->
       match Bdd.Equiv.check ~budget a b with
       | Error e ->
         Printf.eprintf "equiv: %s\n" (Bdd.Equiv.error_to_string e);
@@ -1590,7 +1610,7 @@ let equiv_cmd =
   in
   Cmd.v (Cmd.info "equiv" ~doc)
     Term.(const action $ circuit_a $ circuit_b $ budget $ json $ fail_on
-          $ trace_arg $ metrics_arg $ journal_arg $ progress_arg)
+          $ obs_term)
 
 (* --------------------------- experiments --------------------------- *)
 
@@ -1600,10 +1620,10 @@ let experiments_cmd =
            ~doc:"fig1 fig2 fig3 fig4 fig5 fig6 table1 pipeline comparison \
                  fineline ablation economics drift.")
   in
-  let action target seed domains trace metrics journal progress =
+  let action target seed domains obs =
     (* `exit 2` on an unknown target must not skip with_obs's finaliser. *)
     let output =
-      with_obs ~seed ~trace ~metrics ~journal ~progress @@ fun () ->
+      with_obs ~seed obs @@ fun () ->
       match target with
       | "fig1" -> Some (Experiments.Fig1.render ())
       | "fig2" ->
@@ -1653,8 +1673,7 @@ let experiments_cmd =
   in
   let doc = "Regenerate one of the paper's figures or tables." in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(const action $ target $ seed_arg $ domains_arg $ trace_arg
-          $ metrics_arg $ journal_arg $ progress_arg)
+    Term.(const action $ target $ seed_arg $ domains_arg $ obs_term)
 
 (* ------------------------------ report ----------------------------- *)
 

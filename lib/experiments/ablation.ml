@@ -143,12 +143,7 @@ let atpg_engines ?(bits = 6) ?(hardest = 60) () =
           Tpg.Podem.generate ~backtrack_limit:5000
             ~guidance:(Tpg.Podem.Scoap_based scoap) c fault
         in
-        (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted));
-    measure "bidirectional implication" (fun fault ->
-        let r, s = Tpg.Implication_atpg.generate ~backtrack_limit:5000 c fault in
-        ( s.Tpg.Implication_atpg.backtracks,
-          s.Tpg.Implication_atpg.implications,
-          r = Tpg.Implication_atpg.Aborted )) ]
+        (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted)) ]
 
 let render () =
   let buf = Buffer.create 4096 in

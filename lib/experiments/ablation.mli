@@ -56,10 +56,9 @@ type atpg_engine_row = {
 }
 
 val atpg_engines : ?bits:int -> ?hardest:int -> unit -> atpg_engine_row list
-(** Search effort of the deterministic engines — PODEM (level-guided),
-    PODEM (SCOAP-guided) and the bidirectional-implication search — on
-    the [hardest] faults (by SCOAP difficulty) of a [bits]-wide array
-    multiplier. *)
+(** Search effort of PODEM under its two backtrace guidances —
+    level-guided and SCOAP-guided — on the [hardest] faults (by SCOAP
+    difficulty) of a [bits]-wide array multiplier. *)
 
 val render : unit -> string
 (** All studies (runs two small pipelines; a few seconds). *)

@@ -1,4 +1,4 @@
-type engine = Serial | Parallel | Deductive | Concurrent | Par of { domains : int }
+type engine = Serial | Parallel | Par of { domains : int }
 
 type profile = {
   universe_size : int;
@@ -11,8 +11,6 @@ let profile ?(engine = Parallel) ?cancel c faults patterns =
     match engine with
     | Serial -> Serial.run ?cancel c faults patterns
     | Parallel -> Ppsfp.run ?cancel c faults patterns
-    | Deductive -> Deductive.run c faults patterns
-    | Concurrent -> Concurrent.run c faults patterns
     | Par { domains } -> Par.run ?cancel ~domains c faults patterns
   in
   { universe_size = Array.length faults;
@@ -29,11 +27,7 @@ let detection_counts ?(engine = Parallel) ?cancel ~n c faults patterns =
   let detections, nth_detection =
     match engine with
     | Serial -> Serial.run_counts ?cancel ~n c faults patterns
-    | Parallel | Deductive | Concurrent ->
-      (* The deductive and concurrent engines have no drop-after-n
-         kernel; all engines produce identical detection sets, so they
-         fall back to the PPSFP kernel. *)
-      Ppsfp.run_counts ?cancel ~n c faults patterns
+    | Parallel -> Ppsfp.run_counts ?cancel ~n c faults patterns
     | Par { domains } -> Par.run_counts ?cancel ~domains ~n c faults patterns
   in
   { require = n;

@@ -7,10 +7,8 @@
     first at pattern [first_detection.(j)]). *)
 
 type engine =
-  | Serial
-  | Parallel
-  | Deductive
-  | Concurrent
+  | Serial    (** One fault at a time ({!Serial.run}): the oracle. *)
+  | Parallel  (** PPSFP ({!Ppsfp.run}), the default. *)
   | Par of { domains : int }
       (** Multicore PPSFP ({!Par.run}): fault universe sharded across
           [domains] OCaml domains, results bit-identical to
@@ -26,11 +24,10 @@ val profile :
   ?engine:engine ->
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> profile
-(** Run fault simulation (default {!Parallel}; {!Serial} and
-    {!Deductive} give identical results at different costs) and package
-    the result.  [cancel] reaches the block loops of {!Serial},
-    {!Parallel} and {!Par} (the deductive/concurrent reference engines
-    ignore it); a cancelled run returns the partial profile. *)
+(** Run fault simulation (default {!Parallel}; every engine gives
+    identical results at a different cost) and package the result.
+    [cancel] reaches the block loops of every engine; a cancelled run
+    returns the partial profile. *)
 
 type counts = {
   require : int;
@@ -54,12 +51,10 @@ val detection_counts :
   ?cancel:Robust.Cancel.t ->
   n:int ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> counts
-(** Run n-detection fault simulation.  {!Serial}, {!Parallel} and
-    {!Par} use their native drop-after-n kernels ({!Serial.run_counts},
-    {!Ppsfp.run_counts}, {!Par.run_counts}); {!Deductive} and
-    {!Concurrent} fall back to the PPSFP kernel (all engines agree on
-    detection sets).  With [n = 1], [nth_detection] is bit-identical to
-    the {!profile}'s [first_detection] on every engine.  Raises
+(** Run n-detection fault simulation with each engine's drop-after-n
+    kernel ({!Serial.run_counts}, {!Ppsfp.run_counts},
+    {!Par.run_counts}).  With [n = 1], [nth_detection] is bit-identical
+    to the {!profile}'s [first_detection] on every engine.  Raises
     [Invalid_argument] when [n < 1]. *)
 
 val n_detect_profile : counts -> profile

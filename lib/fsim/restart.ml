@@ -23,8 +23,6 @@ let segment_failpoint = "fsim.restart.segment"
 let engine_tag = function
   | Coverage.Serial -> "serial"
   | Coverage.Parallel -> "ppsfp"
-  | Coverage.Deductive -> "deductive"
-  | Coverage.Concurrent -> "concurrent"
   (* Par results are bit-identical for every domain count, so the
      domain count is not part of the checkpoint identity: a run may be
      resumed with a different [--domains]. *)

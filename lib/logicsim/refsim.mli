@@ -2,7 +2,7 @@
 
     Deliberately simple — one boolean per node, full evaluation in
     topological order — so it can serve as the oracle that the packed
-    and event-driven simulators are differential-tested against. *)
+    simulator is differential-tested against. *)
 
 val eval : Circuit.Netlist.t -> bool array -> bool array
 (** [eval c inputs] returns the value of every node.  [inputs] holds one

@@ -1,11 +1,8 @@
-type engine = Podem_engine | Implication_engine
-
 type config = {
   random_budget : int;
   random_target : float;
   backtrack_limit : int;
   seed : int;
-  engine : engine;
   use_analysis : bool;
   learn_depth : int;
   exact_budget : int option;
@@ -16,7 +13,7 @@ type config = {
 
 let default_config =
   { random_budget = 512; random_target = 0.90; backtrack_limit = 2000; seed = 7;
-    engine = Podem_engine; use_analysis = false; learn_depth = 1;
+    use_analysis = false; learn_depth = 1;
     exact_budget = None; hybrid = false; resistant_threshold = 0.01;
     podem_time_budget_s = None }
 
@@ -40,7 +37,8 @@ let ckpt_kind = "atpg"
 (* Everything that shapes the deterministic computation is part of the
    checkpoint identity: the random phase and the target order are
    re-derived on resume, so they must be re-derived from the same
-   inputs. *)
+   inputs.  ["engine"] is always ["podem"]; it stays in the identity so
+   existing checkpoint files still validate. *)
 let ckpt_fields config c faults =
   let opt_int = function
     | Some n -> Report.Json.Int n
@@ -53,11 +51,7 @@ let ckpt_fields config c faults =
     ("random_budget", Report.Json.Int config.random_budget);
     ("random_target", Report.Json.Float config.random_target);
     ("backtrack_limit", Report.Json.Int config.backtrack_limit);
-    ("engine",
-     Report.Json.String
-       (match config.engine with
-       | Podem_engine -> "podem"
-       | Implication_engine -> "implication"));
+    ("engine", Report.Json.String "podem");
     ("use_analysis", Report.Json.Bool config.use_analysis);
     ("learn_depth", Report.Json.Int config.learn_depth);
     ("exact_budget", opt_int config.exact_budget);
@@ -155,17 +149,14 @@ let rec drop n l =
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
   Obs.Trace.with_span "atpg.run" @@ fun () ->
-  let want_exact = config.exact_budget <> None && config.engine = Podem_engine in
+  let want_exact = config.exact_budget <> None in
   let analysis =
-    if
-      (config.use_analysis && config.engine = Podem_engine)
-      || config.hybrid || want_exact
-    then
+    if config.use_analysis || config.hybrid || want_exact then
       Some
         (Analysis.Engine.build
            ~learn_depth:
              (if config.use_analysis then Some config.learn_depth else None)
-           ?exact_budget:(if want_exact then config.exact_budget else None)
+           ?exact_budget:config.exact_budget
            c)
     else None
   in
@@ -309,28 +300,13 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
         deterministic ()
       end
       else begin
-        let verdict =
-          match config.engine with
-          | Podem_engine ->
-            (match
-               Podem.generate ~backtrack_limit:config.backtrack_limit
-                 ?time_budget_s:config.podem_time_budget_s ~cancel
-                 ?analysis:podem_analysis c faults.(target)
-             with
-            | Podem.Test pattern, _ -> `Test pattern
-            | Podem.Untestable, _ -> `Untestable
-            | Podem.Aborted, _ -> `Aborted)
-          | Implication_engine ->
-            (match
-               Implication_atpg.generate ~backtrack_limit:config.backtrack_limit c
-                 faults.(target)
-             with
-            | Implication_atpg.Test pattern, _ -> `Test pattern
-            | Implication_atpg.Untestable, _ -> `Untestable
-            | Implication_atpg.Aborted, _ -> `Aborted)
+        let verdict, _ =
+          Podem.generate ~backtrack_limit:config.backtrack_limit
+            ?time_budget_s:config.podem_time_budget_s ~cancel
+            ?analysis:podem_analysis c faults.(target)
         in
         match verdict with
-        | `Aborted when Robust.Cancel.stop_requested cancel ->
+        | Podem.Aborted when Robust.Cancel.stop_requested cancel ->
           (* The cancel token fired mid-search, so this [Aborted] is not
              a real per-fault verdict: leave the target in [remaining]
              so it is reported as unknown and retried on resume. *)
@@ -340,9 +316,9 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
           incr processed;
           Obs.Progress.step progress 1;
           (match verdict with
-          | `Untestable -> incr untestable
-          | `Aborted -> incr aborted
-          | `Test pattern ->
+          | Podem.Untestable -> incr untestable
+          | Podem.Aborted -> incr aborted
+          | Podem.Test pattern ->
             let pattern_index = base + !extra_count in
             extra := pattern :: !extra;
             incr extra_count;

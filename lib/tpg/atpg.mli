@@ -5,23 +5,17 @@
     first, targeted patterns later) gives exactly the steeply-rising
     coverage curve the paper describes for production test programs. *)
 
-type engine =
-  | Podem_engine        (** Forward-implication PODEM (default). *)
-  | Implication_engine  (** Bidirectional-implication search. *)
-
 type config = {
   random_budget : int;     (** Max random patterns before the deterministic phase. *)
   random_target : float;   (** Stop random phase at this coverage. *)
   backtrack_limit : int;   (** Deterministic budget per fault. *)
   seed : int;
-  engine : engine;
   use_analysis : bool;
       (** Build a static {!Analysis.Engine.t} (dominators + learned
           implications) once per run and hand it to every
           {!Podem.generate} call — unique sensitization, objective
           pruning and pre-search untestability verdicts.  Verdicts are
-          unchanged; only the search effort shrinks.  Ignored by
-          {!Implication_engine}.  Default off. *)
+          unchanged; only the search effort shrinks.  Default off. *)
   learn_depth : int;
       (** Implication learning depth when [use_analysis] is set. *)
   exact_budget : int option;
@@ -29,8 +23,7 @@ type config = {
           and let PODEM settle fault verdicts before search: exact
           Untestable proofs skip the search outright, exact Testable
           skips the (then provably fruitless) static untestability
-          checks.  Only meaningful with {!Podem_engine}.  Default
-          [None]. *)
+          checks.  Default [None]. *)
   hybrid : bool;
       (** Principled random/deterministic cutover: cap the random
           phase at {!Analysis.Detectability.cutover} — the statically
@@ -49,7 +42,7 @@ type config = {
       (** Per-fault wall-clock budget for each {!Podem.generate} call;
           a fault whose search exceeds it counts as [aborted].  Makes
           verdicts timing-dependent — leave [None] (the default) for
-          reproducible runs.  Ignored by {!Implication_engine}. *)
+          reproducible runs. *)
 }
 
 val default_config : config

@@ -48,27 +48,48 @@ let test_ppsfp_equals_serial_c17 () =
   Alcotest.(check bool) "identical results" true
     (Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns)
 
+let check_ppsfp_equals_serial c patterns =
+  let universe = Faults.Universe.all c in
+  let serial = Fsim.Serial.run c universe patterns in
+  let ppsfp = Fsim.Ppsfp.run c universe patterns in
+  Array.iteri
+    (fun i a ->
+      if a <> ppsfp.(i) then
+        Alcotest.failf "disagreement on %s" (F.to_string c universe.(i)))
+    serial
+
 let test_ppsfp_equals_serial_random () =
   List.iter
     (fun seed ->
       let c = Circuit.Generators.random_circuit ~inputs:10 ~gates:150 ~outputs:8 ~seed in
-      let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(seed * 11) ~count:100 c in
-      let serial = Fsim.Serial.run c universe patterns in
-      let ppsfp = Fsim.Ppsfp.run c universe patterns in
-      Array.iteri
-        (fun i a ->
-          if a <> ppsfp.(i) then
-            Alcotest.failf "disagreement on %s" (F.to_string c universe.(i)))
-        serial)
-    [ 1; 2; 3; 4 ]
+      check_ppsfp_equals_serial c (random_patterns ~seed:(seed * 11) ~count:100 c))
+    [ 1; 2; 3; 4 ];
+  List.iter
+    (fun seed ->
+      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
+      check_ppsfp_equals_serial c (random_patterns ~seed:(seed * 3) ~count:80 c))
+    [ 5; 6; 7 ];
+  (* Uniform and correlated random-walk streams, the latter shaped like
+     the lot pipeline's functional prelude. *)
+  List.iter
+    (fun seed ->
+      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
+      let rng = Stats.Rng.create ~seed:(seed * 5) () in
+      let rand = Tpg.Random_tpg.uniform rng c ~count:70 in
+      let walk = Tpg.Random_tpg.random_walk rng c ~count:70 () in
+      check_ppsfp_equals_serial c rand;
+      check_ppsfp_equals_serial c walk)
+    [ 8; 9; 10 ]
 
 let test_ppsfp_equals_serial_arithmetic () =
   let c = Circuit.Generators.array_multiplier ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:9 ~count:96 c in
-  Alcotest.(check bool) "mul4 identical" true
-    (Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns)
+  check_ppsfp_equals_serial c (random_patterns ~seed:9 ~count:96 c);
+  let alu = Circuit.Generators.alu ~bits:3 in
+  check_ppsfp_equals_serial alu (random_patterns ~seed:17 ~count:64 alu);
+  (* Faults detected early in a walk must not be re-reported nor
+     disturb later detections. *)
+  let rng = Stats.Rng.create ~seed:12 () in
+  check_ppsfp_equals_serial alu (Tpg.Random_tpg.random_walk rng alu ~count:120 ())
 
 let test_c17_full_coverage_exhaustive () =
   (* c17 is irredundant: exhaustive patterns detect everything. *)
@@ -164,76 +185,6 @@ let test_undetected_listing () =
     (Array.length universe - Fsim.Coverage.detected_count profile)
     (List.length missing)
 
-(* ----------------------------- deductive ---------------------------- *)
-
-let test_deductive_equals_serial_c17 () =
-  let c = Circuit.Generators.c17 () in
-  let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
-  Alcotest.(check bool) "identical results" true
-    (Fsim.Serial.run c universe patterns = Fsim.Deductive.run c universe patterns)
-
-let test_deductive_equals_serial_random () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
-      let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(seed * 3) ~count:80 c in
-      let serial = Fsim.Serial.run c universe patterns in
-      let deductive = Fsim.Deductive.run c universe patterns in
-      Array.iteri
-        (fun i a ->
-          if a <> deductive.(i) then
-            Alcotest.failf "deductive disagrees on %s (serial %s, deductive %s)"
-              (F.to_string c universe.(i))
-              (match a with Some k -> string_of_int k | None -> "-")
-              (match deductive.(i) with Some k -> string_of_int k | None -> "-"))
-        serial)
-    [ 5; 6; 7 ]
-
-let test_deductive_equals_serial_arithmetic () =
-  let c = Circuit.Generators.alu ~bits:3 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:17 ~count:64 c in
-  Alcotest.(check bool) "alu identical" true
-    (Fsim.Serial.run c universe patterns = Fsim.Deductive.run c universe patterns)
-
-let test_concurrent_equals_serial () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
-      let universe = Faults.Universe.all c in
-      let rng = Stats.Rng.create ~seed:(seed * 5) () in
-      let rand = Tpg.Random_tpg.uniform rng c ~count:70 in
-      let walk = Tpg.Random_tpg.random_walk rng c ~count:70 () in
-      List.iter
-        (fun patterns ->
-          Alcotest.(check bool) "concurrent = serial" true
-            (Fsim.Serial.run c universe patterns
-            = Fsim.Concurrent.run c universe patterns))
-        [ rand; walk ])
-    [ 8; 9; 10 ]
-
-let test_concurrent_dropping_across_patterns () =
-  (* Faults detected early must not be re-reported nor disturb later
-     detections, even though dead entries linger in unchanged cones. *)
-  let c = Circuit.Generators.alu ~bits:3 in
-  let universe = Faults.Universe.all c in
-  let rng = Stats.Rng.create ~seed:12 () in
-  let walk = Tpg.Random_tpg.random_walk rng c ~count:120 () in
-  let serial = Fsim.Serial.run c universe walk in
-  let concurrent = Fsim.Concurrent.run c universe walk in
-  Alcotest.(check bool) "identical with dropping" true (serial = concurrent)
-
-let test_deductive_via_coverage_engine () =
-  let c = Circuit.Generators.parity_tree ~bits:6 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:23 ~count:32 c in
-  let a = Fsim.Coverage.profile ~engine:Fsim.Coverage.Deductive c universe patterns in
-  let b = Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns in
-  Alcotest.(check bool) "profiles equal" true
-    (a.Fsim.Coverage.first_detection = b.Fsim.Coverage.first_detection)
-
 (* ----------------------------- multicore ---------------------------- *)
 
 let test_par_equals_ppsfp_c17 () =
@@ -281,13 +232,13 @@ let test_par_via_coverage_engine () =
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
   let patterns = random_patterns ~seed:23 ~count:50 c in
-  let a =
-    Fsim.Coverage.profile ~engine:(Fsim.Coverage.Par { domains = 3 }) c universe
-      patterns
-  in
-  let b = Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns in
-  Alcotest.(check bool) "profiles equal" true
-    (a.Fsim.Coverage.first_detection = b.Fsim.Coverage.first_detection)
+  let reference = Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns in
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool) "profiles equal" true
+        ((Fsim.Coverage.profile ~engine c universe patterns).Fsim.Coverage.first_detection
+        = reference.Fsim.Coverage.first_detection))
+    [ Fsim.Coverage.Parallel; Fsim.Coverage.Par { domains = 3 } ]
 
 let test_par_empty_universe () =
   let c = Circuit.Generators.c17 () in
@@ -468,7 +419,7 @@ let test_ndetect_coverage_monotone_in_n () =
 
 let test_ndetect_via_coverage_engine () =
   (* Every engine choice must agree through the detection_counts
-     dispatcher, including the fall-back engines. *)
+     dispatcher. *)
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
   let patterns = random_patterns ~seed:23 ~count:50 c in
@@ -477,8 +428,7 @@ let test_ndetect_via_coverage_engine () =
     (fun engine ->
       Alcotest.(check bool) "counts equal" true
         (Fsim.Coverage.detection_counts ~engine ~n:3 c universe patterns = reference))
-    [ Fsim.Coverage.Serial; Fsim.Coverage.Parallel; Fsim.Coverage.Deductive;
-      Fsim.Coverage.Concurrent; Fsim.Coverage.Par { domains = 3 } ]
+    [ Fsim.Coverage.Serial; Fsim.Coverage.Parallel; Fsim.Coverage.Par { domains = 3 } ]
 
 let test_ndetect_invalid_n_rejected () =
   let c = Circuit.Generators.c17 () in
@@ -619,10 +569,7 @@ let test_malformed_fault_rejected () =
                  ignore (Fsim.Ppsfp.run_counts ~n:2 c faults patterns));
               ("par", fun () -> ignore (Fsim.Par.run ~domains:3 c faults patterns));
               ("par counts", fun () ->
-                 ignore (Fsim.Par.run_counts ~domains:3 ~n:2 c faults patterns));
-              ("deductive", fun () -> ignore (Fsim.Deductive.run c faults patterns));
-              ("concurrent", fun () ->
-                 ignore (Fsim.Concurrent.run c faults patterns)) ])
+                 ignore (Fsim.Par.run_counts ~domains:3 ~n:2 c faults patterns)) ])
         malformed;
       Alcotest.(check (option (float 0.0))) "par spent no shard retries" None
         (Obs.Metrics.value "fsim.par.shard_retries");
@@ -948,10 +895,7 @@ let qcheck_props =
         in
         let universe = Faults.Universe.all c in
         let patterns = random_patterns ~seed:(gates + 2) ~count:70 c in
-        let serial = Fsim.Serial.run c universe patterns in
-        serial = Fsim.Ppsfp.run c universe patterns
-        && serial = Fsim.Deductive.run c universe patterns
-        && serial = Fsim.Concurrent.run c universe patterns);
+        Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns);
     Test.make ~count:15 ~name:"multi-fault first fail <= each member's (on chains it can differ)"
       (int_range 1 1000)
       (fun seed ->
@@ -991,13 +935,6 @@ let suite =
         tc "coverage_after = curve" test_coverage_after_consistent;
         tc "run_curve checkpoints" test_run_curve_checkpoints;
         tc "undetected listing" test_undetected_listing ] );
-    ( "fsim.deductive",
-      [ tc "deductive = serial (c17 exhaustive)" test_deductive_equals_serial_c17;
-        tc "deductive = serial (random)" test_deductive_equals_serial_random;
-        tc "deductive = serial (alu)" test_deductive_equals_serial_arithmetic;
-        tc "coverage engine plumbing" test_deductive_via_coverage_engine;
-        tc "concurrent = serial (rand + walk)" test_concurrent_equals_serial;
-        tc "concurrent dropping across patterns" test_concurrent_dropping_across_patterns ] );
     ( "fsim.par",
       [ tc "par = ppsfp (c17 exhaustive)" test_par_equals_ppsfp_c17;
         tc "par = ppsfp (odd pattern counts)" test_par_equals_ppsfp_odd_pattern_counts;

@@ -1,14 +1,13 @@
-(* Differential tests across the three logic simulators. *)
+(* Differential tests of the packed simulator against the reference one. *)
 
 module N = Circuit.Netlist
 
 let random_inputs rng width = Array.init width (fun _ -> Stats.Rng.bool rng)
 
-let test_packed_matches_ref () =
-  let c = Circuit.Generators.lsi_chip ~scale:4 () in
-  let rng = Stats.Rng.create ~seed:101 () in
+let check_packed_matches_ref c ~seed ~count =
+  let rng = Stats.Rng.create ~seed () in
   let width = N.num_inputs c in
-  let patterns = Array.init 100 (fun _ -> random_inputs rng width) in
+  let patterns = Array.init count (fun _ -> random_inputs rng width) in
   let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
   let base = ref 0 in
   List.iter
@@ -24,42 +23,11 @@ let test_packed_matches_ref () =
       base := !base + block.Logicsim.Packed.pattern_count)
     blocks
 
-let test_eventsim_matches_ref () =
-  let c = Circuit.Generators.random_circuit ~inputs:14 ~gates:400 ~outputs:10 ~seed:4 in
-  let sim = Logicsim.Eventsim.create c in
-  let rng = Stats.Rng.create ~seed:102 () in
-  for _ = 1 to 200 do
-    let input = random_inputs rng 14 in
-    ignore (Logicsim.Eventsim.set_pattern sim input);
-    let expected = Logicsim.Refsim.eval c input in
-    Array.iteri
-      (fun id v ->
-        Alcotest.(check bool) "event value" v (Logicsim.Eventsim.value sim id))
-      expected
-  done
-
-let test_eventsim_incremental_activity () =
-  (* One flipped input must evaluate no more gates than a full pass. *)
-  let c = Circuit.Generators.lsi_chip ~scale:6 () in
-  let sim = Logicsim.Eventsim.create c in
-  let width = N.num_inputs c in
-  let pattern = Array.make width false in
-  ignore (Logicsim.Eventsim.set_pattern sim pattern);
-  pattern.(3) <- true;
-  let evaluations = Logicsim.Eventsim.set_pattern sim pattern in
-  Alcotest.(check bool) "partial re-evaluation" true
-    (evaluations < N.num_gates c);
-  (* And an unchanged pattern costs nothing. *)
-  let evaluations = Logicsim.Eventsim.set_pattern sim pattern in
-  Alcotest.(check int) "no-change is free" 0 evaluations
-
-let test_eventsim_initial_state () =
-  let c = Circuit.Generators.c17 () in
-  let sim = Logicsim.Eventsim.create c in
-  let expected = Logicsim.Refsim.eval c (Array.make 5 false) in
-  Array.iteri
-    (fun id v -> Alcotest.(check bool) "settled at zero" v (Logicsim.Eventsim.value sim id))
-    expected
+let test_packed_matches_ref () =
+  check_packed_matches_ref (Circuit.Generators.lsi_chip ~scale:4 ()) ~seed:101 ~count:100;
+  check_packed_matches_ref
+    (Circuit.Generators.random_circuit ~inputs:14 ~gates:400 ~outputs:10 ~seed:4)
+    ~seed:102 ~count:200
 
 let test_packed_live_mask () =
   let c = Circuit.Generators.c17 () in
@@ -117,7 +85,7 @@ let test_refsim_rejects_bad_width () =
 
 let qcheck_props =
   let open QCheck in
-  [ Test.make ~count:25 ~name:"packed = ref = event on random circuits"
+  [ Test.make ~count:25 ~name:"packed = ref on random circuits"
       (pair (int_range 3 12) (int_range 20 250))
       (fun (inputs, gates) ->
         let c =
@@ -128,17 +96,12 @@ let qcheck_props =
         let patterns = Array.init 64 (fun _ -> random_inputs rng inputs) in
         let block = Logicsim.Packed.block_of_patterns c patterns in
         let packed = Logicsim.Packed.eval_block c block in
-        let sim = Logicsim.Eventsim.create c in
         let ok = ref true in
         Array.iteri
           (fun i pattern ->
-            let expected = Logicsim.Refsim.eval c pattern in
-            ignore (Logicsim.Eventsim.set_pattern sim pattern);
             Array.iteri
-              (fun id v ->
-                if Logicsim.Packed.bit packed.(id) i <> v then ok := false;
-                if Logicsim.Eventsim.value sim id <> v then ok := false)
-              expected)
+              (fun id v -> if Logicsim.Packed.bit packed.(id) i <> v then ok := false)
+              (Logicsim.Refsim.eval c pattern))
           patterns;
         !ok) ]
 
@@ -146,9 +109,6 @@ let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "logicsim",
       [ tc "packed matches reference" test_packed_matches_ref;
-        tc "event-driven matches reference" test_eventsim_matches_ref;
-        tc "event-driven is incremental" test_eventsim_incremental_activity;
-        tc "event-driven initial state" test_eventsim_initial_state;
         tc "live mask" test_packed_live_mask;
         tc "block splitting" test_packed_block_splitting;
         tc "bad widths rejected" test_packed_rejects_bad_widths;

@@ -110,7 +110,13 @@ let test_podem_random_circuits () =
       check_podem_on
         (Circuit.Generators.random_circuit ~inputs:7 ~gates:60 ~outputs:4 ~seed)
         7)
-    [ 10; 20; 30 ]
+    [ 10; 20; 30; 11; 21; 31 ];
+  List.iter
+    (fun seed ->
+      check_podem_on
+        (Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed)
+        8)
+    [ 51; 52 ]
 
 let test_podem_finds_redundancy () =
   (* y = OR(a, AND(a, b)) — the AND gate is functionally redundant
@@ -332,86 +338,6 @@ let test_scoap_export () =
       entries
   | _ -> Alcotest.fail "json export is not a list"
 
-(* ------------------------- implication atpg ------------------------- *)
-
-let check_implication_on c width =
-  let universe = Faults.Universe.all c in
-  Array.iter
-    (fun fault ->
-      match Tpg.Implication_atpg.generate ~backtrack_limit:10_000 c fault with
-      | Tpg.Implication_atpg.Test pattern, _ ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: test detects" (F.to_string c fault))
-          true (verify_test_detects c fault pattern)
-      | Tpg.Implication_atpg.Untestable, _ ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: redundancy claim true" (F.to_string c fault))
-          false (exhaustively_detectable c fault width)
-      | Tpg.Implication_atpg.Aborted, _ ->
-        Alcotest.failf "%s: aborted on a small circuit" (F.to_string c fault))
-    universe
-
-let test_implication_c17 () = check_implication_on (Circuit.Generators.c17 ()) 5
-
-let test_implication_adder () =
-  check_implication_on (Circuit.Generators.ripple_carry_adder ~bits:3) 7
-
-let test_implication_random () =
-  List.iter
-    (fun seed ->
-      check_implication_on
-        (Circuit.Generators.random_circuit ~inputs:7 ~gates:60 ~outputs:4 ~seed)
-        7)
-    [ 11; 21; 31 ]
-
-let test_implication_agrees_with_podem () =
-  List.iter
-    (fun seed ->
-      let c = Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed in
-      Array.iter
-        (fun fault ->
-          let podem =
-            match Tpg.Podem.generate ~backtrack_limit:10_000 c fault with
-            | Tpg.Podem.Test _, _ -> `Test
-            | Tpg.Podem.Untestable, _ -> `Untestable
-            | Tpg.Podem.Aborted, _ -> `Aborted
-          in
-          let implication =
-            match Tpg.Implication_atpg.generate ~backtrack_limit:10_000 c fault with
-            | Tpg.Implication_atpg.Test _, _ -> `Test
-            | Tpg.Implication_atpg.Untestable, _ -> `Untestable
-            | Tpg.Implication_atpg.Aborted, _ -> `Aborted
-          in
-          Alcotest.(check bool) "same verdict" true
-            (podem = implication || podem = `Aborted || implication = `Aborted))
-        (Faults.Universe.all c))
-    [ 51; 52 ]
-
-let test_implication_finds_redundancy () =
-  let b = N.Builder.create ~name:"redundant" in
-  let a = N.Builder.add_input b "a" in
-  let bb = N.Builder.add_input b "b" in
-  let g = N.Builder.add_gate b ~name:"g" Circuit.Gate.And [ a; bb ] in
-  let y = N.Builder.add_gate b ~name:"y" Circuit.Gate.Or [ a; g ] in
-  N.Builder.mark_output b y;
-  let c = N.Builder.build b in
-  match
-    Tpg.Implication_atpg.generate c { F.site = F.Stem g; polarity = F.Stuck_at_0 }
-  with
-  | Tpg.Implication_atpg.Untestable, _ -> ()
-  | Tpg.Implication_atpg.Test _, _ -> Alcotest.fail "claimed a test"
-  | Tpg.Implication_atpg.Aborted, _ -> Alcotest.fail "aborted"
-
-let test_atpg_with_implication_engine () =
-  let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let config =
-    { Tpg.Atpg.default_config with Tpg.Atpg.engine = Tpg.Atpg.Implication_engine }
-  in
-  let report = Tpg.Atpg.run ~config c universe in
-  Alcotest.(check int) "no aborts" 0 report.Tpg.Atpg.aborted;
-  Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Tpg.Atpg.coverage report)
-
 (* ---------------------------- random tpg ---------------------------- *)
 
 let test_random_walk_shape () =
@@ -461,13 +387,16 @@ let test_until_coverage_reaches_target () =
 
 let test_atpg_full_coverage_small () =
   (* On irredundant circuits the flow must reach 100 % of detectable
-     faults; c17 has no redundancy at all. *)
-  let c = Circuit.Generators.c17 () in
-  let universe = Faults.Universe.all c in
-  let report = Tpg.Atpg.run c universe in
-  Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Tpg.Atpg.coverage report);
-  Alcotest.(check int) "no aborts" 0 report.Tpg.Atpg.aborted;
-  Alcotest.(check int) "no redundancy in c17" 0 report.Tpg.Atpg.untestable
+     faults; c17 and a 4-bit ripple-carry adder have no redundancy at
+     all. *)
+  List.iter
+    (fun c ->
+      let universe = Faults.Universe.all c in
+      let report = Tpg.Atpg.run c universe in
+      Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Tpg.Atpg.coverage report);
+      Alcotest.(check int) "no aborts" 0 report.Tpg.Atpg.aborted;
+      Alcotest.(check int) "no redundancy" 0 report.Tpg.Atpg.untestable)
+    [ Circuit.Generators.c17 (); Circuit.Generators.ripple_carry_adder ~bits:4 ]
 
 let test_atpg_multiplier () =
   let c = Circuit.Generators.array_multiplier ~bits:4 in
@@ -593,13 +522,6 @@ let suite =
         tc "podem guidance preserves verdicts" test_podem_scoap_guidance_same_verdicts;
         tc "saturating add clamps" test_scoap_saturating_add;
         tc "hardest-fault export" test_scoap_export ] );
-    ( "tpg.implication_atpg",
-      [ tc "c17 sound and complete" test_implication_c17;
-        tc "adder sound and complete" test_implication_adder;
-        tc "random circuits sound and complete" test_implication_random;
-        tc "verdicts agree with podem" test_implication_agrees_with_podem;
-        tc "proves redundancy" test_implication_finds_redundancy;
-        tc "drives the ATPG flow" test_atpg_with_implication_engine ] );
     ( "tpg.random",
       [ tc "random walk hamming" test_random_walk_shape;
         tc "weighted extremes" test_weighted_extremes;
