@@ -287,19 +287,31 @@ let with_obs ?seed ?circuit ?(cancel = Robust.Cancel.none)
 
 (* --------------------------- reject-rate --------------------------- *)
 
+(* The paper's models raise Invalid_argument on a parameter outside
+   their domain, NaN included: a usage error, reported before any
+   answer is printed. *)
+let model_answers compute =
+  match compute () with
+  | answers -> answers
+  | exception Invalid_argument msg -> usage_error "%s" msg
+
 let reject_rate_cmd =
   let coverage =
     Arg.(required & opt (some float) None & info [ "f"; "coverage" ] ~docv:"F"
            ~doc:"Fault coverage of the test set, in [0,1].")
   in
   let action y n0 f =
-    Printf.printf "field reject rate  r(f) = %.6f\n"
-      (Quality.Reject.reject_rate ~yield_:y ~n0 f);
-    Printf.printf "bad-chips-passing  Ybg  = %.6f\n" (Quality.Reject.ybg ~yield_:y ~n0 f);
-    Printf.printf "fraction rejected  P(f) = %.6f\n"
-      (Quality.Reject.p_reject ~yield_:y ~n0 f);
-    Printf.printf "baseline (Wadsack) r    = %.6f\n"
-      (Quality.Wadsack.reject_rate ~yield_:y f)
+    let r, ybg, p, wadsack =
+      model_answers (fun () ->
+          let r = Quality.Reject.reject_rate ~yield_:y ~n0 f in
+          let ybg = Quality.Reject.ybg ~yield_:y ~n0 f in
+          let p = Quality.Reject.p_reject ~yield_:y ~n0 f in
+          (r, ybg, p, Quality.Wadsack.reject_rate ~yield_:y f))
+    in
+    Printf.printf "field reject rate  r(f) = %.6f\n" r;
+    Printf.printf "bad-chips-passing  Ybg  = %.6f\n" ybg;
+    Printf.printf "fraction rejected  P(f) = %.6f\n" p;
+    Printf.printf "baseline (Wadsack) r    = %.6f\n" wadsack
   in
   let doc = "Field reject rate for a given coverage (paper Eq. 7-9)." in
   Cmd.v (Cmd.info "reject-rate" ~doc)
@@ -309,13 +321,22 @@ let reject_rate_cmd =
 
 let required_coverage_cmd =
   let action y n0 reject =
-    (match Quality.Requirement.required_coverage ~yield_:y ~n0 ~reject with
+    let ours, wadsack, williams_brown =
+      model_answers (fun () ->
+          let ours = Quality.Requirement.required_coverage ~yield_:y ~n0 ~reject in
+          let wadsack = Quality.Wadsack.required_coverage ~yield_:y ~reject in
+          ( ours,
+            wadsack,
+            Quality.Williams_brown.required_coverage ~yield_:y
+              ~defect_level:reject ))
+    in
+    (match ours with
     | Some f -> Printf.printf "required coverage (this model): %.4f\n" f
     | None -> print_endline "required coverage (this model): unreachable");
-    (match Quality.Wadsack.required_coverage ~yield_:y ~reject with
+    (match wadsack with
     | Some f -> Printf.printf "required coverage (Wadsack):    %.4f\n" f
     | None -> print_endline "required coverage (Wadsack):    unreachable");
-    match Quality.Williams_brown.required_coverage ~yield_:y ~defect_level:reject with
+    match williams_brown with
     | Some f -> Printf.printf "required coverage (Williams-Brown): %.4f\n" f
     | None -> print_endline "required coverage (Williams-Brown): n/a"
   in

@@ -9,8 +9,8 @@
     classic cheap static order; {!sift_order} optionally improves it
     by sifting (here implemented as sifting-by-rebuild: each variable
     is tried at every position and the placement minimizing the shared
-    output size is kept — quadratic in inputs, intended for bench
-    ablations and small circuits, not the hot path).
+    output size is kept — quadratic in inputs, intended for small
+    circuits, not the hot path).
 
     Fault machinery: {!detection_function} returns the Boolean
     difference [D_f = OR over outputs o of (good_o XOR faulty_o)],
@@ -47,8 +47,8 @@ val sift_order : ?budget:int -> Circuit.Netlist.t -> int array -> int array
     node count.  Orders whose build exceeds [budget] are treated as
     infinitely bad, so the result never builds worse than [init] when
     [init] itself fits.  Returns [init] unchanged (copied) for
-    circuits with more than 24 inputs — quadratic rebuilds are a bench
-    ablation tool, not a production ordering engine. *)
+    circuits with more than 24 inputs — quadratic rebuilds are an
+    opt-in refinement, not a production ordering engine. *)
 
 val eval_netlist :
   Robdd.t -> Circuit.Netlist.t -> level_of_pos:int array -> Robdd.node array

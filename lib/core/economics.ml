@@ -7,14 +7,17 @@ type t = {
 }
 
 let create ~yield_ ~n0 ~pattern_cost ~patterns_per_decade ~escape_cost =
-  if yield_ < 0.0 || yield_ > 1.0 then invalid_arg "Economics.create: yield outside [0,1]";
-  if n0 < 1.0 then invalid_arg "Economics.create: n0 must be >= 1";
-  if pattern_cost < 0.0 || patterns_per_decade <= 0.0 || escape_cost < 0.0 then
-    invalid_arg "Economics.create: negative cost";
+  if not (0.0 <= yield_ && yield_ <= 1.0) then
+    invalid_arg "Economics.create: yield outside [0,1]";
+  if not (1.0 <= n0) then invalid_arg "Economics.create: n0 must be >= 1";
+  if
+    not (0.0 <= pattern_cost && 0.0 < patterns_per_decade && 0.0 <= escape_cost)
+  then invalid_arg "Economics.create: negative cost";
   { yield_; n0; pattern_cost; patterns_per_decade; escape_cost }
 
 let test_cost t f =
-  if f < 0.0 || f >= 1.0 then invalid_arg "Economics.test_cost: coverage outside [0,1)";
+  if not (0.0 <= f && f < 1.0) then
+    invalid_arg "Economics.test_cost: coverage outside [0,1)";
   t.pattern_cost *. t.patterns_per_decade *. -.log1p (-.f)
 
 let escape_cost_per_chip t f =

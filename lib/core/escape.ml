@@ -1,5 +1,5 @@
 let check_coverage f =
-  if f < 0.0 || f > 1.0 then invalid_arg "Escape: coverage outside [0,1]"
+  if not (0.0 <= f && f <= 1.0) then invalid_arg "Escape: coverage outside [0,1]"
 
 let qk ~total ~faulty ~covered k =
   let dist =

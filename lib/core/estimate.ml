@@ -4,9 +4,9 @@ let validate points =
   if points = [] then invalid_arg "Estimate: empty data";
   List.iter
     (fun { coverage; fraction_failed } ->
-      if coverage < 0.0 || coverage > 1.0 then
+      if not (0.0 <= coverage && coverage <= 1.0) then
         invalid_arg "Estimate: coverage outside [0,1]";
-      if fraction_failed < 0.0 || fraction_failed > 1.0 then
+      if not (0.0 <= fraction_failed && fraction_failed <= 1.0) then
         invalid_arg "Estimate: fraction outside [0,1]")
     points
 
@@ -38,7 +38,7 @@ let slope_nav ?(points_used = 1) points =
   slope_points points_used points
 
 let slope_n0 ?(points_used = 1) ~yield_ points =
-  if yield_ >= 1.0 then invalid_arg "Estimate.slope_n0: yield must be < 1";
+  if not (yield_ < 1.0) then invalid_arg "Estimate.slope_n0: yield must be < 1";
   slope_nav ~points_used points /. (1.0 -. yield_)
 
 let fit_n0_and_yield ?(n0_max = 100.0) points =

@@ -1,9 +1,9 @@
 type t = { yield_ : float; n0 : float }
 
 let create ~yield_ ~n0 =
-  if yield_ < 0.0 || yield_ > 1.0 then
+  if not (0.0 <= yield_ && yield_ <= 1.0) then
     invalid_arg "Fault_distribution.create: yield outside [0,1]";
-  if n0 < 1.0 then invalid_arg "Fault_distribution.create: n0 must be >= 1";
+  if not (1.0 <= n0) then invalid_arg "Fault_distribution.create: n0 must be >= 1";
   { yield_; n0 }
 
 let conditional t = Stats.Dist.Shifted_poisson.create t.n0

@@ -1,5 +1,5 @@
 let check_epsilon epsilon =
-  if epsilon < 0.0 || epsilon > 1.0 then
+  if not (0.0 <= epsilon && epsilon <= 1.0) then
     invalid_arg "Ndetect: epsilon outside [0,1]"
 
 let fault_escape ~epsilon k =

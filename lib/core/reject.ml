@@ -1,7 +1,7 @@
 let check ~yield_ ~n0 f =
-  if yield_ < 0.0 || yield_ > 1.0 then invalid_arg "Reject: yield outside [0,1]";
-  if n0 < 1.0 then invalid_arg "Reject: n0 must be >= 1";
-  if f < 0.0 || f > 1.0 then invalid_arg "Reject: coverage outside [0,1]"
+  if not (0.0 <= yield_ && yield_ <= 1.0) then invalid_arg "Reject: yield outside [0,1]";
+  if not (1.0 <= n0) then invalid_arg "Reject: n0 must be >= 1";
+  if not (0.0 <= f && f <= 1.0) then invalid_arg "Reject: coverage outside [0,1]"
 
 let ybg ~yield_ ~n0 f =
   check ~yield_ ~n0 f;
@@ -42,10 +42,11 @@ let p_reject_slope ~yield_ ~n0 f =
 let initial_slope ~yield_ ~n0 = (1.0 -. yield_) *. n0
 
 let yield_for ~reject ~n0 f =
-  if reject <= 0.0 || reject >= 1.0 then
+  if not (0.0 < reject && reject < 1.0) then
     invalid_arg "Reject.yield_for: reject rate outside (0,1)";
-  if n0 < 1.0 then invalid_arg "Reject.yield_for: n0 must be >= 1";
-  if f < 0.0 || f > 1.0 then invalid_arg "Reject.yield_for: coverage outside [0,1]";
+  if not (1.0 <= n0) then invalid_arg "Reject.yield_for: n0 must be >= 1";
+  if not (0.0 <= f && f <= 1.0) then
+    invalid_arg "Reject.yield_for: coverage outside [0,1]";
   let escaped = (1.0 -. f) *. exp (-.(n0 -. 1.0) *. f) in
   let numerator = (1.0 -. reject) *. escaped in
   numerator /. (reject +. numerator)

@@ -1,5 +1,5 @@
 let required_coverage ~yield_ ~n0 ~reject =
-  if reject <= 0.0 || reject >= 1.0 then
+  if not (0.0 < reject && reject < 1.0) then
     invalid_arg "Requirement.required_coverage: reject outside (0,1)";
   let r f = Reject.reject_rate ~yield_ ~n0 f in
   if r 0.0 <= reject then Some 0.0

@@ -1,12 +1,12 @@
 let reject_rate ~yield_ f =
-  if yield_ < 0.0 || yield_ > 1.0 then invalid_arg "Wadsack: yield outside [0,1]";
-  if f < 0.0 || f > 1.0 then invalid_arg "Wadsack: coverage outside [0,1]";
+  if not (0.0 <= yield_ && yield_ <= 1.0) then invalid_arg "Wadsack: yield outside [0,1]";
+  if not (0.0 <= f && f <= 1.0) then invalid_arg "Wadsack: coverage outside [0,1]";
   (1.0 -. yield_) *. (1.0 -. f)
 
 let required_coverage ~yield_ ~reject =
-  if reject <= 0.0 || reject >= 1.0 then
+  if not (0.0 < reject && reject < 1.0) then
     invalid_arg "Wadsack.required_coverage: reject outside (0,1)";
-  if yield_ < 0.0 || yield_ > 1.0 then
+  if not (0.0 <= yield_ && yield_ <= 1.0) then
     invalid_arg "Wadsack.required_coverage: yield outside [0,1]";
   if 1.0 -. yield_ <= reject then Some 0.0
   else Some (1.0 -. (reject /. (1.0 -. yield_)))

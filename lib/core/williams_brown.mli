@@ -22,8 +22,9 @@ val defect_level : yield_:float -> float -> float
 
 val required_coverage : yield_:float -> defect_level:float -> float option
 (** Closed-form inverse: [f = 1 - ln(1 - DL) / ln y].
-    [Some 0.] when the raw yield already meets the target; [None] for
-    y = 1 (never any defect level to fix). *)
+    [Some 0.] when the raw yield already meets the target; [Some 1.]
+    for y = 0, the formula's limit; [None] for y = 1 (never any defect
+    level to fix). *)
 
 val implied_n0 : yield_:float -> float
 (** The defective-chip fault mean implied by the model's underlying

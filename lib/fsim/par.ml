@@ -97,14 +97,14 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
     in
     let attempt_shard i () =
       let hit = ref false in
-      let fail_once ~patterns_applied:_ ~dropped:_ =
+      let fail_once () =
         if not !hit then begin
           hit := true;
           Robust.Inject.hit shard_failpoint
         end
       in
       graded_shard ~on_block:fail_once i ();
-      fail_once ~patterns_applied:0 ~dropped:0
+      fail_once ()
     in
     let reset i =
       Array.iter

@@ -178,9 +178,7 @@ let[@inline] propagate k good ~live fault =
     !out
   end
 
-let no_block ~patterns_applied:_ ~dropped:_ = ()
-
-let grade ?(cancel = Robust.Cancel.none) ?(on_block = no_block) ~engine ~n
+let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
     ~progress c faults ~blocks ~good ~alive ~detections ~nth =
   let k = kernel c in
   let alive_count = ref (Array.length alive) in
@@ -208,15 +206,14 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = no_block) ~engine ~n
     end;
     block_start := !block_start + block.Logicsim.Packed.pattern_count;
     Obs.Progress.step progress block.Logicsim.Packed.pattern_count;
-    on_block ~patterns_applied:!block_start ~dropped:!dropped
+    on_block ()
   done;
   !dropped
 
 (* The single-domain engines: every fault is alive at the start, and
    the good machine is evaluated block by block into one buffer, only
    while some fault is still alive. *)
-let run_general ?cancel ?on_block ?(annotate = ignore) ~engine ~n c faults
-    patterns =
+let run_general ?cancel ?(annotate = ignore) ~engine ~n c faults patterns =
   Array.iter (Faults.Fault.check c) faults;
   let nf = Array.length faults in
   Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
@@ -234,21 +231,13 @@ let run_general ?cancel ?on_block ?(annotate = ignore) ~engine ~n c faults
   let detections = Array.make nf 0 in
   let nth = Array.make nf None in
   ignore
-    (grade ?cancel ?on_block ~engine ~n ~progress c faults ~blocks ~good
+    (grade ?cancel ~engine ~n ~progress c faults ~blocks ~good
        ~alive:(Array.init nf Fun.id) ~detections ~nth);
   Obs.Progress.finish progress;
   (detections, nth)
 
 let run ?cancel c faults patterns =
   snd (run_general ?cancel ~engine:"ppsfp" ~n:1 c faults patterns)
-
-let run_curve c faults patterns =
-  let checkpoints = ref [] in
-  let on_block ~patterns_applied ~dropped =
-    checkpoints := (patterns_applied, dropped) :: !checkpoints
-  in
-  let _, first = run_general ~on_block ~engine:"ppsfp" ~n:1 c faults patterns in
-  (first, List.rev !checkpoints)
 
 let run_counts ?cancel ~n c faults patterns =
   if n < 1 then invalid_arg "Ppsfp.run_counts: n must be >= 1";

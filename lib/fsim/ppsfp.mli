@@ -7,8 +7,8 @@
     times.  Produces byte-identical results to {!Serial.run}
     (differential-tested), at a fraction of the cost on large circuits.
 
-    One allocation-free kernel does the work of {!run}, {!run_curve},
-    {!run_counts} and every {!Par} shard ({!grade}).  Its invariants:
+    One allocation-free kernel does the work of {!run}, {!run_counts}
+    and every {!Par} shard ({!grade}).  Its invariants:
     words live unboxed in [Bytes] and are evaluated by
     {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
     while its stamp equals the current generation, and a new
@@ -52,17 +52,6 @@ val record_detections :
     reaches [n], and return whether the fault stays alive (i.e. still
     needs detections). *)
 
-val run_curve :
-  Circuit.Netlist.t ->
-  Faults.Fault.t array ->
-  bool array array ->
-  int option array * (int * int) list
-(** Like {!run} but also returns the cumulative detection counts as
-    [(patterns_applied, faults_detected)] checkpoints after every block
-    — the "cumulative fault coverage as a function of the number of test
-    patterns" the paper's Section 5 procedure asks the fault simulator
-    for. *)
-
 val run_counts :
   ?cancel:Robust.Cancel.t ->
   n:int ->
@@ -83,7 +72,7 @@ val run_counts :
 
 val grade :
   ?cancel:Robust.Cancel.t ->
-  ?on_block:(patterns_applied:int -> dropped:int -> unit) ->
+  ?on_block:(unit -> unit) ->
   engine:string ->
   n:int ->
   progress:Obs.Progress.t ->
@@ -104,7 +93,6 @@ val grade :
     [cancel] has not fired.  [alive] is compacted in place as faults
     drop, and only its faults' slots of [detections]/[nth] are written.
     After every block the loop steps [progress] by the block's pattern
-    count and calls [on_block] with the patterns applied and the faults
-    dropped so far; while faults are alive it also adds their number to
-    ["fsim.<engine>.fault_evals"].  The faults must already have passed
-    {!Faults.Fault.check}. *)
+    count and calls [on_block]; while faults are alive it also adds
+    their number to ["fsim.<engine>.fault_evals"].  The faults must
+    already have passed {!Faults.Fault.check}. *)

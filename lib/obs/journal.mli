@@ -1,6 +1,6 @@
 (** Structured run journal: typed events appended as JSONL.
 
-    The journal is the durable record of one [lsiq]/[bench] run: a
+    The journal is the durable record of one [lsiq] run: a
     [run_start] header (argv, seed, circuit, host, git revision), then
     throttled [progress] events from the hot loops, optional
     [metrics_snapshot]s, and a closing [run_end] carrying the outcome
@@ -8,8 +8,8 @@
 
     Events go to an optional file sink (one JSON object per line,
     flushed per event so the file can be tailed) and always to a small
-    in-memory ring buffer readable via {!tail} — tests and smoke
-    targets can assert on the ring without touching the filesystem.
+    in-memory ring buffer readable via {!tail} — tests can assert on
+    the ring without touching the filesystem.
 
     Like {!Trace} and {!Metrics}, the journal is off by default and the
     disabled path of every emitter is a single atomic load. *)

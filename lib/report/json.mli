@@ -3,8 +3,8 @@
     The toolkit deliberately carries no third-party JSON dependency;
     this covers the subset the reporting layers need: building a value,
     serialising it with correct string escaping and round-trippable
-    numbers, and parsing it back (used by the bench-smoke validation of
-    emitted trace files and by the round-trip tests). *)
+    numbers, and parsing it back (used to read run journals and
+    checkpoints, and by the round-trip tests). *)
 
 type t =
   | Null

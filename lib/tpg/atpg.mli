@@ -33,8 +33,8 @@ type config = {
           provably random-pattern-resistant faults
           ([d_hi < resistant_threshold]) are targeted first.  On
           random-pattern-resistant circuits this reaches at least the
-          pure-random coverage with fewer total patterns (hard-checked
-          by the [testability] bench target).  Default off. *)
+          pure-random coverage with fewer total patterns (checked on
+          a 5-to-32 decoder by the [tpg] tests).  Default off. *)
   resistant_threshold : float;
       (** Detection-probability bound below which a fault counts as
           random-pattern-resistant in hybrid mode (default 0.01). *)

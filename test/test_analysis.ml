@@ -378,13 +378,8 @@ let test_restrict_validates () =
    reorders or shortcuts the search.  Backtrack counts are a heuristic
    matter on any single circuit (unique sensitization can misjudge a
    small reconvergent cone), so the effort guarantee is asserted on the
-   aggregate across all tested circuits, mirroring the bench ablation
-   that gates every build. *)
-let check_podem_equivalent name c =
-  let universe =
-    Faults.Collapse.representatives
-      (Faults.Collapse.equivalence c (Faults.Universe.all c))
-  in
+   aggregate across all tested circuits. *)
+let check_podem_equivalent name c universe =
   let analysis = Analysis.Engine.build ~learn_depth:(Some 2) c in
   let tag = function
     | Tpg.Podem.Test _ -> "test"
@@ -407,10 +402,15 @@ let check_podem_equivalent name c =
 
 let test_podem_analysis_equivalence () =
   let grand_baseline = ref 0 and grand_assisted = ref 0 in
-  let run name c =
-    let baseline, assisted = check_podem_equivalent name c in
+  let run_on name c universe =
+    let baseline, assisted = check_podem_equivalent name c universe in
     grand_baseline := !grand_baseline + baseline;
     grand_assisted := !grand_assisted + assisted
+  in
+  let run name c =
+    run_on name c
+      (Faults.Collapse.representatives
+         (Faults.Collapse.equivalence c (Faults.Universe.all c)))
   in
   run "c17" (Circuit.Generators.c17 ());
   run "redundant" (Circuit.Generators.redundant_demo ());
@@ -419,6 +419,23 @@ let test_podem_analysis_equivalence () =
       (Printf.sprintf "rand seed %d" seed)
       (Circuit.Generators.random_circuit ~inputs:8 ~gates:60 ~outputs:5 ~seed)
   done;
+  (* The faults deterministic ATPG actually works on: the
+     dominance-collapsed faults a short random pattern set leaves
+     undetected on a 400-gate circuit. *)
+  let c = Circuit.Generators.random_circuit ~inputs:16 ~gates:400 ~outputs:12 ~seed:7 in
+  let universe =
+    Faults.Collapse.dominance c
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let patterns =
+    Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:99 ()) c ~count:32
+  in
+  let hard =
+    Fsim.Coverage.undetected (Fsim.Coverage.profile c universe patterns) universe
+  in
+  Alcotest.(check int) "random patterns leave 126 hard faults" 126
+    (List.length hard);
+  run_on "rand400 hard faults" c (Array.of_list hard);
   Alcotest.(check bool)
     (Printf.sprintf "aggregate assisted backtracks (%d) <= baseline (%d)"
        !grand_assisted !grand_baseline)

@@ -61,6 +61,7 @@ let workloads () =
     ("rca:4", G.ripple_carry_adder ~bits:4);
     ("cmp:4", G.comparator ~bits:4);
     ("dec:3", G.decoder ~bits:3);
+    ("dec:5", G.decoder ~bits:5);
     ("mux:2", G.mux_tree ~select_bits:2);
     ("parity:8", G.parity_tree ~bits:8);
     ("redundant", G.redundant_demo ());
@@ -324,6 +325,7 @@ let test_sifting_never_loses () =
       Alcotest.(check bool) (name ^ " sift <= dfs") true
         (nodes sifted <= nodes dfs))
     [ ("c17", G.c17 ()); ("dec:3", G.decoder ~bits:3);
+      ("dec:5", G.decoder ~bits:5); ("parity:8", G.parity_tree ~bits:8);
       ("rca:4", G.ripple_carry_adder ~bits:4);
       ("rand:8,30", G.random_circuit ~inputs:8 ~gates:30 ~outputs:4 ~seed:11) ]
 

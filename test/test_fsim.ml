@@ -152,29 +152,6 @@ let test_coverage_after_consistent () =
         (Fsim.Coverage.coverage_after profile k))
     curve
 
-let test_run_curve_checkpoints () =
-  let c = Circuit.Generators.comparator ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:6 ~count:130 c in
-  let results, checkpoints = Fsim.Ppsfp.run_curve c universe patterns in
-  Alcotest.(check int) "3 blocks" 3 (List.length checkpoints);
-  let detected =
-    Array.fold_left (fun acc d -> if d <> None then acc + 1 else acc) 0 results
-  in
-  (match List.rev checkpoints with
-  | (patterns_applied, total) :: _ ->
-    Alcotest.(check int) "final total" detected total;
-    Alcotest.(check int) "all patterns applied" 130 patterns_applied
-  | [] -> Alcotest.fail "no checkpoints");
-  (* Checkpoints are cumulative and non-decreasing. *)
-  let rec check_monotone = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-      Alcotest.(check bool) "monotone" true (a <= b);
-      check_monotone rest
-    | [ _ ] | [] -> ()
-  in
-  check_monotone checkpoints
-
 let test_undetected_listing () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
@@ -354,7 +331,7 @@ let test_ndetect_engines_bit_identical () =
               if Fsim.Par.run_counts ~domains ~n c universe patterns <> reference
               then Alcotest.failf "par(%d) diverges at n=%d seed=%d" domains n seed)
             [ 1; 2; 3; 8 ])
-        [ 1; 2; 4 ])
+        [ 1; 2; 4; 8 ])
     [ 4; 5 ]
 
 let test_ndetect_exhaustive_oracle () =
@@ -478,8 +455,6 @@ let check_engines_agree name c universe patterns =
   let serial = Fsim.Serial.run c universe patterns in
   Alcotest.(check bool) (name ^ ": ppsfp = serial") true
     (Fsim.Ppsfp.run c universe patterns = serial);
-  Alcotest.(check bool) (name ^ ": run_curve = serial") true
-    (fst (Fsim.Ppsfp.run_curve c universe patterns) = serial);
   List.iter
     (fun domains ->
       Alcotest.(check bool)
@@ -563,8 +538,6 @@ let test_malformed_fault_rejected () =
               ("serial counts", fun () ->
                  ignore (Fsim.Serial.run_counts ~n:2 c faults patterns));
               ("ppsfp", fun () -> ignore (Fsim.Ppsfp.run c faults patterns));
-              ("ppsfp curve", fun () ->
-                 ignore (Fsim.Ppsfp.run_curve c faults patterns));
               ("ppsfp counts", fun () ->
                  ignore (Fsim.Ppsfp.run_counts ~n:2 c faults patterns));
               ("par", fun () -> ignore (Fsim.Par.run ~domains:3 c faults patterns));
@@ -933,7 +906,6 @@ let suite =
     ( "fsim.coverage",
       [ tc "curve is monotone" test_coverage_curve_monotone;
         tc "coverage_after = curve" test_coverage_after_consistent;
-        tc "run_curve checkpoints" test_run_curve_checkpoints;
         tc "undetected listing" test_undetected_listing ] );
     ( "fsim.par",
       [ tc "par = ppsfp (c17 exhaustive)" test_par_equals_ppsfp_c17;
@@ -946,7 +918,7 @@ let suite =
       [ tc "popcount = naive scan" test_popcount_matches_naive;
         tc "nth_set_bit = naive scan" test_nth_set_bit_matches_naive;
         tc "n=1 bit-identical to first detection" test_ndetect_n1_equals_first_detection;
-        tc "serial = ppsfp = par (n in 1,2,4)" test_ndetect_engines_bit_identical;
+        tc "serial = ppsfp = par (n in 1,2,4,8)" test_ndetect_engines_bit_identical;
         tc "exhaustive nth-index oracle (c17)" test_ndetect_exhaustive_oracle;
         tc "coverage non-increasing in n" test_ndetect_coverage_monotone_in_n;
         tc "coverage engine plumbing" test_ndetect_via_coverage_engine;

@@ -118,6 +118,15 @@ let test_metrics_snapshot_json () =
 let tiny_circuit () =
   Circuit.Generators.random_circuit ~inputs:10 ~gates:120 ~outputs:6 ~seed:3
 
+let check_spans_present names =
+  List.iter
+    (fun required ->
+      Alcotest.(check bool) (required ^ " present") true (List.mem required names))
+
+let check_counted name =
+  Alcotest.(check bool) (name ^ " counted") true
+    (match Obs.Metrics.value name with Some v -> v > 0.0 | None -> false)
+
 let test_par_trace_has_shard_spans () =
   let circuit = tiny_circuit () in
   let universe =
@@ -129,15 +138,31 @@ let test_par_trace_has_shard_spans () =
   in
   with_obs @@ fun () ->
   ignore (Fsim.Par.run ~domains:2 circuit universe patterns);
-  let names = span_names () in
-  List.iter
-    (fun required ->
-      Alcotest.(check bool) (required ^ " present") true (List.mem required names))
-    [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]" ];
   let tids =
     List.sort_uniq compare (List.map (fun s -> s.Obs.Trace.tid) (Obs.Trace.spans ()))
   in
   Alcotest.(check (list int)) "two dense domain ids" [ 0; 1 ] tids;
+  ignore (Fsim.Par.run_counts ~domains:2 ~n:2 circuit universe patterns);
+  ignore (Analysis.Engine.build ~learn_depth:(Some 1) circuit);
+  let names = span_names () in
+  check_spans_present names
+    [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]";
+      "fsim.ndetect.par"; "fsim.ndetect.par.prepare";
+      "fsim.ndetect.par.shard[0]"; "fsim.ndetect.par.shard[1]";
+      "analysis.build"; "analysis.dominators"; "analysis.implications";
+      "analysis.prob.signal"; "analysis.prob.observability" ];
+  List.iter check_counted
+    [ "fsim.par.fault_evals"; "fsim.ndetect.par.fault_evals";
+      "analysis.prob.nodes"; "analysis.prob.cut_stems" ];
+  (* Exact analysis is opt-in: a default build records no BDD work. *)
+  let metrics =
+    match Obs.Metrics.snapshot () with
+    | Report.Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "metrics snapshot is not an object"
+  in
+  let bdd = String.starts_with ~prefix:"analysis.bdd." in
+  Alcotest.(check (list string)) "no analysis.bdd spans or metrics" []
+    (List.filter bdd (names @ metrics));
   (* The trace export must itself be valid JSON that our parser accepts. *)
   match Report.Json.parse (Report.Json.to_string (Obs.Trace.to_chrome_json ())) with
   | Error message -> Alcotest.failf "chrome trace does not parse: %s" message
@@ -145,6 +170,21 @@ let test_par_trace_has_shard_spans () =
     Alcotest.(check bool) "has traceEvents" true
       (List.mem_assoc "traceEvents" fields)
   | Ok _ -> Alcotest.fail "chrome trace is not an object"
+
+(* The opt-in side: an exact-analysis build and an equivalence check
+   record every analysis.bdd span and metric, and a default budget that
+   fits c17 falls back nowhere. *)
+let test_exact_trace_has_bdd_spans () =
+  let circuit = Circuit.Generators.c17 () in
+  with_obs @@ fun () ->
+  ignore
+    (Analysis.Engine.build ~exact_budget:Analysis.Exact.default_budget circuit);
+  ignore (Bdd.Equiv.check circuit circuit);
+  check_spans_present (span_names ())
+    [ "analysis.bdd.build"; "analysis.bdd.redundancy"; "analysis.bdd.equiv" ];
+  List.iter check_counted [ "analysis.bdd.nodes"; "analysis.bdd.cache_lookups" ];
+  Alcotest.(check (option (float 0.0))) "no budget fallbacks" (Some 0.0)
+    (Obs.Metrics.value "analysis.bdd.budget_fallbacks")
 
 (* Acceptance: span tree *shape* (names and nesting; timestamps and
    counters ignored) must be identical across runs of the same seeded
@@ -352,9 +392,12 @@ let test_journal_file_roundtrip () =
           (contains needle summary))
       [ "lsiq test"; "c17"; "fsim.test"; "boom" ]
 
-(* Unthrottled journal streams from a single-threaded loop are
-   deterministic at fixed seed, and items never go backwards. *)
-let journaled_serial_fsim () =
+(* Unthrottled journal streams: items never go backwards within a
+   (label, task), and a single-threaded loop's stream is deterministic
+   at fixed seed.  Which intermediate counts the two Par shards publish
+   depends on their interleaving, so Par is checked for monotonicity
+   only. *)
+let journaled_fsim () =
   with_journal @@ fun () ->
   Obs.Progress.configure ~interval_s:0.0 ~printer:None ();
   Obs.Progress.set_enabled true;
@@ -366,30 +409,43 @@ let journaled_serial_fsim () =
   let patterns =
     Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:5 ()) circuit ~count:192
   in
+  ignore (Fsim.Par.run ~domains:2 circuit universe patterns);
   ignore (Fsim.Ppsfp.run circuit universe patterns);
   List.filter_map
     (function
-      | Obs.Journal.Progress { label; items; total; _ } ->
-        Some (label, items, total)
+      | Obs.Journal.Progress { label; task; items; total; _ } ->
+        Some (label, task, items, total)
       | _ -> None)
     (Obs.Journal.tail ())
 
 let test_journal_progress_deterministic () =
-  let stream1 = journaled_serial_fsim () in
-  let stream2 = journaled_serial_fsim () in
-  Alcotest.(check bool) "stream non-empty" true (stream1 <> []);
-  let monotone =
-    let ok = ref true in
-    let prev = ref (-1) in
-    List.iter
-      (fun (_, items, _) ->
-        if items < !prev then ok := false;
-        prev := items)
-      stream1;
-    !ok
+  let stream1 = journaled_fsim () in
+  let stream2 = journaled_fsim () in
+  let serial stream =
+    List.filter_map
+      (fun (label, _, items, total) ->
+        if label = "fsim.ppsfp" then Some (items, total) else None)
+      stream
   in
-  Alcotest.(check bool) "items monotone" true monotone;
-  Alcotest.(check bool) "identical across runs" true (stream1 = stream2)
+  Alcotest.(check bool) "par stream non-empty" true
+    (List.exists (fun (label, _, _, _) -> label = "fsim.par") stream1);
+  Alcotest.(check bool) "serial stream non-empty" true (serial stream1 <> []);
+  let monotone =
+    let last = Hashtbl.create 4 in
+    List.for_all
+      (fun (label, task, items, _) ->
+        let ok =
+          match Hashtbl.find_opt last (label, task) with
+          | Some prev -> items >= prev
+          | None -> true
+        in
+        Hashtbl.replace last (label, task) items;
+        ok)
+      stream1
+  in
+  Alcotest.(check bool) "items monotone per task" true monotone;
+  Alcotest.(check bool) "serial stream identical across runs" true
+    (serial stream1 = serial stream2)
 
 (* ----------------------- disabled-path costs ----------------------- *)
 
@@ -409,86 +465,6 @@ let test_disabled_progress_allocates_nothing () =
     (Printf.sprintf "no per-step allocation (delta %.0f words)" delta)
     true (delta < 64.0)
 
-(* ----------------------------- history ----------------------------- *)
-
-let bench_doc ?(cores = 4) ~min_s ~coverage () =
-  Report.Json.Obj
-    [ ( "host",
-        Report.Json.Obj
-          [ ("cores", Report.Json.Int cores);
-            ("ocaml_version", Report.Json.String "5.1.1");
-            ("word_size", Report.Json.Int 64) ] );
-      ( "runs",
-        Report.Json.List
-          [ Report.Json.Obj
-              [ ("engine", Report.Json.String "ppsfp");
-                ("domains", Report.Json.Int 1);
-                ("min_s", Report.Json.Float min_s);
-                ("faults", Report.Json.Int 100);
-                ("patterns", Report.Json.Int 64) ] ] );
-      ( "ndetect",
-        Report.Json.List
-          [ Report.Json.Obj
-              [ ("n", Report.Json.Int 1);
-                ("min_s", Report.Json.Float 0.01);
-                ("coverage", Report.Json.Float coverage) ] ] ) ]
-
-let test_history_compare () =
-  let doc = bench_doc ~min_s:0.01 ~coverage:0.95 () in
-  (* Identical documents: nothing regresses. *)
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:doc () in
-  Alcotest.(check bool) "rows non-empty" true (rows <> []);
-  Alcotest.(check int) "identical docs clean" 0
-    (List.length (Obs.History.regressions rows));
-  (* A 5x slowdown well past the absolute floor regresses, by name. *)
-  let slow = bench_doc ~min_s:0.05 ~coverage:0.95 () in
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:slow () in
-  (match Obs.History.regressions rows with
-  | [ r ] ->
-    Alcotest.(check string) "block named" "runs/ppsfp@d1" r.Obs.History.r_block;
-    Alcotest.(check string) "metric named" "min_s" r.Obs.History.r_name;
-    Alcotest.(check bool) "verdict Slower" true
-      (r.Obs.History.r_verdict = Obs.History.Slower)
-  | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
-  (* Same ratio on a sub-floor block: timing noise, not a regression. *)
-  let tiny = bench_doc ~min_s:0.0002 ~coverage:0.95 () in
-  let tiny_slow = bench_doc ~min_s:0.001 ~coverage:0.95 () in
-  let rows = Obs.History.compare_docs ~baseline:tiny ~current:tiny_slow () in
-  Alcotest.(check int) "sub-floor jitter tolerated" 0
-    (List.length (Obs.History.regressions rows));
-  (* Exact metrics flag on any change. *)
-  let drift = bench_doc ~min_s:0.01 ~coverage:0.951 () in
-  let rows = Obs.History.compare_docs ~baseline:doc ~current:drift () in
-  match Obs.History.regressions rows with
-  | [ r ] ->
-    Alcotest.(check string) "coverage block" "ndetect/n=1" r.Obs.History.r_block;
-    Alcotest.(check bool) "verdict Changed" true
-      (r.Obs.History.r_verdict = Obs.History.Changed)
-  | rs -> Alcotest.failf "expected 1 changed metric, got %d" (List.length rs)
-
-let test_history_append_load () =
-  let path = Filename.temp_file "lsiq_history" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Sys.remove path;
-  (match Obs.History.load path with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "missing file should be an empty history"
-  | Error message -> Alcotest.failf "missing file errored: %s" message);
-  let doc1 = bench_doc ~min_s:0.01 ~coverage:0.95 () in
-  let doc2 = bench_doc ~min_s:0.02 ~coverage:0.95 () in
-  Obs.History.append ~path (Obs.History.entry ~time_unix:1.0 doc1);
-  Obs.History.append ~path (Obs.History.entry ~time_unix:2.0 doc2);
-  match Obs.History.load path with
-  | Error message -> Alcotest.failf "history does not load: %s" message
-  | Ok entries ->
-    Alcotest.(check int) "two entries" 2 (List.length entries);
-    let docs = List.filter_map Obs.History.doc_of_entry entries in
-    Alcotest.(check bool) "docs survive the round-trip" true
-      (docs = [ doc1; doc2 ]);
-    Alcotest.(check string) "host key" "cores=4 ocaml=5.1.1 word=64"
-      (Obs.History.host_key doc1)
-
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "obs",
@@ -499,6 +475,7 @@ let suite =
         tc "metrics kinds" test_metrics_kinds;
         tc "metrics snapshot json" test_metrics_snapshot_json;
         tc "par trace has shard spans" test_par_trace_has_shard_spans;
+        tc "exact trace has bdd spans" test_exact_trace_has_bdd_spans;
         tc "tree shape deterministic" test_tree_shape_deterministic;
         tc "clock never backwards" test_clock_never_backwards;
         tc "histogram quantile edges" test_histogram_quantile_edges;
@@ -508,6 +485,4 @@ let suite =
         tc "journal file roundtrip" test_journal_file_roundtrip;
         tc "journal progress deterministic" test_journal_progress_deterministic;
         tc "disabled progress allocates nothing"
-          test_disabled_progress_allocates_nothing;
-        tc "history compare" test_history_compare;
-        tc "history append load" test_history_append_load ] ) ]
+          test_disabled_progress_allocates_nothing ] ) ]

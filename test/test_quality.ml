@@ -426,7 +426,11 @@ let test_wb_formula_values () =
 let test_wb_boundaries () =
   close ~eps:1e-12 0.3 (Quality.Williams_brown.defect_level ~yield_:0.7 0.0);
   close ~eps:1e-12 0.0 (Quality.Williams_brown.defect_level ~yield_:0.7 1.0);
-  close ~eps:1e-12 0.0 (Quality.Williams_brown.defect_level ~yield_:1.0 0.5)
+  close ~eps:1e-12 0.0 (Quality.Williams_brown.defect_level ~yield_:1.0 0.5);
+  (* y = 0: the y -> 0 limit of 1 - ln(1 - DL) / ln y. *)
+  Alcotest.(check (option (float 0.0))) "zero yield needs full coverage"
+    (Some 1.0)
+    (Quality.Williams_brown.required_coverage ~yield_:0.0 ~defect_level:0.001)
 
 let test_wb_required_coverage_inverts () =
   List.iter
@@ -490,6 +494,62 @@ let test_wb_monotone_decreasing () =
     Alcotest.(check bool) "decreasing" true (dl <= !prev +. 1e-12);
     prev := dl
   done
+
+(* ---------------------------- NaN inputs ---------------------------- *)
+
+(* NaN fails every range check, so each model raises instead of
+   answering NaN or a confident wrong number. *)
+let test_nan_parameters_rejected () =
+  let open Quality in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) (name ^ " = nan raises") true
+        (try
+           f ();
+           false
+         with Invalid_argument _ -> true))
+    [ ("Reject.reject_rate yield", fun () ->
+          ignore (Reject.reject_rate ~yield_:nan ~n0:8.0 0.5));
+      ("Reject.reject_rate n0", fun () ->
+          ignore (Reject.reject_rate ~yield_:0.07 ~n0:nan 0.5));
+      ("Reject.reject_rate f", fun () ->
+          ignore (Reject.reject_rate ~yield_:0.07 ~n0:8.0 nan));
+      ("Reject.p_reject yield", fun () ->
+          ignore (Reject.p_reject ~yield_:nan ~n0:8.0 0.5));
+      ("Reject.p_reject n0", fun () ->
+          ignore (Reject.p_reject ~yield_:0.07 ~n0:nan 0.5));
+      ("Reject.p_reject f", fun () ->
+          ignore (Reject.p_reject ~yield_:0.07 ~n0:8.0 nan));
+      ("Reject.yield_for reject", fun () ->
+          ignore (Reject.yield_for ~reject:nan ~n0:8.0 0.5));
+      ("Reject.yield_for n0", fun () ->
+          ignore (Reject.yield_for ~reject:0.001 ~n0:nan 0.5));
+      ("Reject.yield_for f", fun () ->
+          ignore (Reject.yield_for ~reject:0.001 ~n0:8.0 nan));
+      ("Requirement.required_coverage yield", fun () ->
+          ignore (Requirement.required_coverage ~yield_:nan ~n0:8.0 ~reject:0.001));
+      ("Requirement.required_coverage n0", fun () ->
+          ignore (Requirement.required_coverage ~yield_:0.07 ~n0:nan ~reject:0.001));
+      ("Requirement.required_coverage reject", fun () ->
+          ignore (Requirement.required_coverage ~yield_:0.07 ~n0:8.0 ~reject:nan));
+      ("Wadsack.reject_rate yield", fun () ->
+          ignore (Wadsack.reject_rate ~yield_:nan 0.5));
+      ("Wadsack.reject_rate f", fun () ->
+          ignore (Wadsack.reject_rate ~yield_:0.07 nan));
+      ("Wadsack.required_coverage yield", fun () ->
+          ignore (Wadsack.required_coverage ~yield_:nan ~reject:0.001));
+      ("Wadsack.required_coverage reject", fun () ->
+          ignore (Wadsack.required_coverage ~yield_:0.07 ~reject:nan));
+      ("Williams_brown.defect_level yield", fun () ->
+          ignore (Williams_brown.defect_level ~yield_:nan 0.5));
+      ("Williams_brown.defect_level f", fun () ->
+          ignore (Williams_brown.defect_level ~yield_:0.07 nan));
+      ("Williams_brown.required_coverage yield", fun () ->
+          ignore (Williams_brown.required_coverage ~yield_:nan ~defect_level:0.001));
+      ("Williams_brown.required_coverage defect_level", fun () ->
+          ignore (Williams_brown.required_coverage ~yield_:0.07 ~defect_level:nan));
+      ("Escape.q0_simple coverage", fun () ->
+          ignore (Escape.q0_simple ~faulty:8 ~coverage:nan)) ]
 
 (* ------------------------------ griffin ----------------------------- *)
 
@@ -802,7 +862,8 @@ let suite =
         tc "Eq.9 identity" test_eq9_identity;
         tc "Eq.10 slope" test_eq10_slope;
         tc "Eq.11 inverts Eq.8" test_eq11_inverts_eq8;
-        tc "reject band from coverage band" test_reject_band ] );
+        tc "reject band from coverage band" test_reject_band;
+        tc "NaN parameters rejected by every model" test_nan_parameters_rejected ] );
     ( "quality.requirement",
       [ tc "solution is a root" test_required_coverage_is_root;
         tc "zero-coverage case" test_required_coverage_zero_case;

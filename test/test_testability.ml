@@ -149,7 +149,8 @@ let test_coverage_band_contains_expected_curve () =
               name n expected band.SP.lo band.SP.hi)
         [ 1; 4; 16; 64; 256 ])
     [ ("c17", G.c17 ()); ("cmp:4", G.comparator ~bits:4);
-      ("dec:3", G.decoder ~bits:3);
+      ("dec:3", G.decoder ~bits:3); ("dec:5", G.decoder ~bits:5);
+      ("parity:8", G.parity_tree ~bits:8);
       ("rand:8,30", G.random_circuit ~inputs:8 ~gates:30 ~outputs:4 ~seed:11) ]
 
 let test_untestable_claims_are_sound () =
