@@ -158,6 +158,49 @@ let test_podem_stats_populated () =
   let _, stats = Tpg.Podem.generate c fault in
   Alcotest.(check bool) "did some implications" true (stats.Tpg.Podem.implications > 0)
 
+(* The search record of every collapsed lsi:4 fault under each guidance
+   mode — one line [index mode pattern|U|A backtracks implications] per
+   call — must match the checked-in golden byte for byte: any change to
+   PODEM's decisions, not just to its verdicts, shows up here. *)
+let test_podem_search_record_pinned () =
+  let c = Circuit.Generators.lsi_chip ~scale:4 () in
+  let reps =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let scoap = Tpg.Podem.Scoap_based (Tpg.Scoap.analyze c) in
+  let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
+  let modes =
+    [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:200 c f);
+      ("scoap", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~guidance:scoap c f);
+      ("analysis", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~analysis c f) ]
+  in
+  let actual =
+    Array.to_list reps
+    |> List.mapi (fun i fault ->
+           List.map
+             (fun (mode, generate) ->
+               let verdict, stats = generate fault in
+               let verdict =
+                 match verdict with
+                 | Tpg.Podem.Test p ->
+                   String.init (Array.length p) (fun j -> if p.(j) then '1' else '0')
+                 | Tpg.Podem.Untestable -> "U"
+                 | Tpg.Podem.Aborted -> "A"
+               in
+               Printf.sprintf "%d %s %s %d %d" i mode verdict
+                 stats.Tpg.Podem.backtracks stats.Tpg.Podem.implications)
+             modes)
+    |> List.concat
+  in
+  let expected =
+    In_channel.with_open_text "expected/podem_lsi4.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one line per call" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "search record" e a) expected actual
+
 (* ------------------------------ scoap ------------------------------- *)
 
 let test_scoap_inverter_chain () =
@@ -511,7 +554,8 @@ let suite =
         tc "random circuits sound and complete" test_podem_random_circuits;
         tc "proves absorption redundancy" test_podem_finds_redundancy;
         tc "respects backtrack limit" test_podem_respects_backtrack_limit;
-        tc "stats populated" test_podem_stats_populated ] );
+        tc "stats populated" test_podem_stats_populated;
+        tc "per-fault search record pinned" test_podem_search_record_pinned ] );
     ( "tpg.scoap",
       [ tc "inverter chain" test_scoap_inverter_chain;
         tc "and gate rules" test_scoap_and_gate;
