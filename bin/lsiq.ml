@@ -186,7 +186,7 @@ let usage_error fmt =
    token with SIGINT/SIGTERM pointed at it. *)
 let robust_setup r =
   (match r.deadline with
-  | Some d when d <= 0.0 -> usage_error "--deadline must be > 0 (got %g)" d
+  | Some d when not (0.0 < d) -> usage_error "--deadline must be > 0 (got %g)" d
   | _ -> ());
   if r.resume && r.checkpoint = None then
     usage_error "--resume requires --checkpoint FILE";
@@ -668,7 +668,7 @@ let atpg_cmd =
   let action circuit out seed use_analysis learn_depth exact backtrack_limit
       podem_budget ({ checkpoint; every; resume; _ } as robust) obs =
     (match podem_budget with
-    | Some b when b <= 0.0 -> usage_error "--podem-budget must be > 0 (got %g)" b
+    | Some b when not (0.0 < b) -> usage_error "--podem-budget must be > 0 (got %g)" b
     | _ -> ());
     let cancel = robust_setup robust in
     let note =

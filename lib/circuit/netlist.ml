@@ -6,6 +6,7 @@ type t = {
   node_names : string array;
   inputs : int array;
   outputs : int array;
+  output_flags : bool array;
   topo_order : int array;
   levels : int array;
 }
@@ -169,8 +170,10 @@ module Builder = struct
         in
         levels.(u) <- if Array.length fanins.(u) = 0 then 0 else lvl)
       topo;
+    let output_flags = Array.make n false in
+    Array.iter (fun id -> output_flags.(id) <- true) outputs;
     { name = b.circuit_name; kinds; fanins; fanouts; node_names; inputs;
-      outputs; topo_order = topo; levels }
+      outputs; output_flags; topo_order = topo; levels }
 end
 
 let num_nodes t = Array.length t.kinds
@@ -205,7 +208,7 @@ let find_node t name =
   in
   loop 0
 
-let is_output t id = Array.exists (fun o -> o = id) t.outputs
+let is_output t id = t.output_flags.(id)
 
 (* One stem per node plus one line per gate input pin. *)
 let line_count t =

@@ -14,6 +14,7 @@ type t = private {
   node_names : string array;      (** Human-readable signal names. *)
   inputs : int array;             (** Primary-input node ids, in order. *)
   outputs : int array;            (** Primary-output node ids, in order. *)
+  output_flags : bool array;      (** [output_flags.(id)] iff [id] is an output. *)
   topo_order : int array;         (** Every node, fanins before fanouts. *)
   levels : int array;             (** Logic level (inputs at 0). *)
 }
@@ -66,6 +67,7 @@ val find_node : t -> string -> int option
 (** Look a node up by name. *)
 
 val is_output : t -> int -> bool
+(** O(1): a lookup in [output_flags]. *)
 
 val line_count : t -> int
 (** Total number of circuit lines: one output stem per non-input node

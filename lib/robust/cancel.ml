@@ -18,7 +18,7 @@ let create ?deadline_s () =
     match deadline_s with
     | None -> None
     | Some d ->
-      if d <= 0.0 then invalid_arg "Cancel.create: deadline must be > 0";
+      if not (0.0 < d) then invalid_arg "Cancel.create: deadline must be > 0";
       Some (Obs.Clock.now_s () +. d)
   in
   Token { flag = Atomic.make false; why = Atomic.make None; deadline }

@@ -20,7 +20,7 @@ val none : t
 val create : ?deadline_s:float -> unit -> t
 (** A fresh token; with [deadline_s] it trips itself [deadline_s]
     seconds (monotonic clock) after creation.  Raises
-    [Invalid_argument] when [deadline_s <= 0]. *)
+    [Invalid_argument] unless [deadline_s > 0] (so on NaN). *)
 
 val cancel : ?reason:reason -> t -> unit
 (** Request a stop ([reason] defaults to [Requested]).  Idempotent;

@@ -1,14 +1,30 @@
-(** Roth's 5-valued logic for deterministic test generation.
+(** Roth's 5-valued logic for deterministic test generation, coded as
+    small ints.
 
     A value tracks the good machine and the faulty machine together:
-    [D] means good 1 / faulty 0, [Dbar] good 0 / faulty 1, and [X] is
-    unassigned in both.  Internally a value is a pair of ternary
-    components, which makes gate evaluation uniform. *)
+    [d] means good 1 / faulty 0, [dbar] good 0 / faulty 1, and [x] is
+    unassigned in both.  Each machine is one two-rail {!plane} — bit 0
+    "can be 0", bit 1 "can be 1" — with the good plane in bits 0–1 and
+    the faulty plane in bits 2–3, so a gate evaluates both machines at
+    once with a few [land]/[lor]/shifts, and a stuck-at fault is
+    injected by replacing the faulty plane. *)
 
-type t3 = F | T | U
-(** Ternary component: false, true, unknown. *)
+type plane = int
+(** One machine's ternary value: {!plane_0}, {!plane_1} or {!plane_x}. *)
 
-type t = { good : t3; faulty : t3 }
+val plane_0 : plane
+(** 1: can only be 0. *)
+
+val plane_1 : plane
+(** 2: can only be 1. *)
+
+val plane_x : plane
+(** 3: unknown. *)
+
+val plane_of_bool : bool -> plane
+
+type t = int
+(** [good lor (faulty lsl 2)]. *)
 
 val zero : t
 val one : t
@@ -17,31 +33,29 @@ val d : t
 val dbar : t
 
 val of_bool : bool -> t
+(** The same defined value on both machines. *)
 
-val is_x : t -> bool
-(** Both components unknown. *)
+val make : good:plane -> faulty:plane -> t
+val good : t -> plane
+val faulty : t -> plane
+
+val with_faulty : t -> plane -> t
+(** Replace the faulty plane — how a stuck-at fault is injected. *)
 
 val has_unknown : t -> bool
-(** At least one component unknown.  Unlike the classical 5-valued
+(** At least one plane unknown.  Unlike the classical 5-valued
     calculus, this representation keeps values such as good=1/faulty=X;
-    frontier and X-path tests must use this predicate, not {!is_x}. *)
+    frontier and X-path tests must use this predicate. *)
 
 val is_fault_effect : t -> bool
 (** Good and faulty defined and different (D or Dbar). *)
 
-val equal : t -> t -> bool
-val to_string : t -> string
+val eval : Circuit.Gate.kind -> t array -> int array -> t
+(** [eval kind values fanins] evaluates a gate whose pin [i] reads
+    [values.(fanins.(i))], each plane independently in ternary logic.
+    Raises [Invalid_argument] on [Input]. *)
 
-val and3 : t3 -> t3 -> t3
-val or3 : t3 -> t3 -> t3
-val not3 : t3 -> t3
-val xor3 : t3 -> t3 -> t3
-
-val eval_gate : Circuit.Gate.kind -> t array -> t
-(** Evaluate a gate over 5-valued fanins (good and faulty components
-    independently). *)
-
-val eval_gate_with_pin :
-  Circuit.Gate.kind -> t array -> pin:int -> forced_faulty:t3 -> t
-(** Same, but the faulty component of input [pin] is replaced by
-    [forced_faulty] — how a branch stuck-at is injected. *)
+val eval_with_pin :
+  Circuit.Gate.kind -> t array -> int array -> pin:int -> faulty:plane -> t
+(** Same, but the faulty plane of input [pin] is replaced by [faulty] —
+    how a branch stuck-at is injected. *)

@@ -5,15 +5,12 @@ type stats = { backtracks : int; implications : int }
 type guidance = Level_based | Scoap_based of Scoap.t
 
 type decision = {
-  input_index : int;
-  mutable value : Logic5.t3;
+  input : int;  (* node id *)
+  mutable value : bool;
   mutable flipped : bool;
 }
 
 exception Abort_search
-
-let stuck_t3 polarity =
-  match polarity with Faults.Fault.Stuck_at_0 -> Logic5.F | Faults.Fault.Stuck_at_1 -> Logic5.T
 
 (* The line the fault sits on, seen from the good machine: the stem node
    for a stem fault, the driving node for a branch fault. *)
@@ -26,7 +23,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     ?(cancel = Robust.Cancel.none) ?(guidance = Level_based) ?analysis
     (c : Circuit.Netlist.t) fault =
   (match time_budget_s with
-  | Some b when b <= 0.0 ->
+  | Some b when not (0.0 < b) ->
     invalid_arg "Podem.generate: time budget must be > 0"
   | Some _ | None -> ());
   (* Per-fault wall-clock budget, on the same monotonic clock as the
@@ -51,13 +48,23 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     | Level_based -> c.Circuit.Netlist.levels.(src)
     | Scoap_based scoap -> Scoap.cc scoap src value
   in
+  let kinds = c.kinds and fanins = c.fanins and fanouts = c.fanouts
+  and levels = c.levels in
   let num_nodes = Circuit.Netlist.num_nodes c in
-  let num_inputs = Array.length c.inputs in
-  let input_position = Hashtbl.create num_inputs in
-  Array.iteri (fun i id -> Hashtbl.replace input_position id i) c.inputs;
-  let pi = Array.make num_inputs Logic5.U in
+  let topo_position = Array.make num_nodes 0 in
+  Array.iteri (fun i id -> topo_position.(id) <- i) c.topo_order;
+  (* Node values.  An input's value is its PI assignment, [Logic5.x],
+     [zero] or [one], so the decisions need no array of their own. *)
   let values = Array.make num_nodes Logic5.x in
-  let stuck = stuck_t3 fault.Faults.Fault.polarity in
+  let stuck =
+    Logic5.plane_of_bool (fault.Faults.Fault.polarity = Faults.Fault.Stuck_at_1)
+  in
+  let stem, branch_gate, branch_pin =
+    match fault.Faults.Fault.site with
+    | Faults.Fault.Stem v -> (v, -1, -1)
+    | Faults.Fault.Branch { gate; pin } -> (-1, gate, pin)
+  in
+  let line = fault_line_driver c fault in
   let implications = ref 0 in
   let backtracks = ref 0 in
   let pruned = ref 0 in
@@ -95,106 +102,200 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       | Some consequences ->
         List.for_all
           (fun (m, w) ->
-            match values.(m).Logic5.good with
-            | Logic5.U -> true
-            | Logic5.T -> w
-            | Logic5.F -> not w)
+            let g = Logic5.good values.(m) in
+            g = Logic5.plane_x || g = Logic5.plane_of_bool w)
           consequences)
   in
 
-  (* Forward implication: recompute every node from the PI assignment,
-     injecting the fault's faulty-machine component at its site. *)
-  let imply () =
-    incr implications;
+  (* The fault's faulty plane, forced on its stem. *)
+  let inject id v = if id = stem then Logic5.with_faulty v stuck else v in
+  (* A gate's value from its fanins, with the fault injected at its
+     stem or branch pin. *)
+  let eval_gate id =
+    let kind = kinds.(id) in
+    inject id
+      (if id = branch_gate then
+         Logic5.eval_with_pin kind values fanins.(id) ~pin:branch_pin ~faulty:stuck
+       else Logic5.eval kind values fanins.(id))
+  in
+
+  (* D-frontier: gates with an X output and a fault effect on some input
+     (taking the branch injection into account).  Kept as a member set,
+     re-decided for every node implication re-evaluates: membership
+     depends only on a node's own value and its fanins', and a node is
+     re-evaluated whenever one of them changes. *)
+  let frontier = Array.make num_nodes 0 in
+  let frontier_slot = Array.make num_nodes (-1) in
+  let frontier_size = ref 0 in
+  let on_frontier id =
+    match kinds.(id) with
+    | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> false
+    | Circuit.Gate.Buf | Circuit.Gate.Not | Circuit.Gate.And
+    | Circuit.Gate.Nand | Circuit.Gate.Or | Circuit.Gate.Nor
+    | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
+      Logic5.has_unknown values.(id)
+      &&
+      let srcs = fanins.(id) in
+      let found = ref false and pin = ref 0 in
+      while (not !found) && !pin < Array.length srcs do
+        let v = values.(srcs.(!pin)) in
+        let v =
+          if id = branch_gate && !pin = branch_pin then Logic5.with_faulty v stuck
+          else v
+        in
+        if Logic5.is_fault_effect v then found := true;
+        incr pin
+      done;
+      !found
+  in
+  let update_frontier id =
+    let slot = frontier_slot.(id) in
+    if on_frontier id then begin
+      if slot < 0 then begin
+        frontier.(!frontier_size) <- id;
+        frontier_slot.(id) <- !frontier_size;
+        incr frontier_size
+      end
+    end
+    else if slot >= 0 then begin
+      decr frontier_size;
+      let last = frontier.(!frontier_size) in
+      frontier.(slot) <- last;
+      frontier_slot.(last) <- slot;
+      frontier_slot.(id) <- -1
+    end
+  in
+  (* The frontier in topological order, as a full scan would list it. *)
+  let frontier_list () =
+    let members = Array.sub frontier 0 !frontier_size in
+    Array.sort (fun a b -> compare topo_position.(a) topo_position.(b)) members;
+    Array.to_list members
+  in
+
+  (* Event-driven implication.  Values are a pure function of the PI
+     assignment, so after one full sweep only the fanout of the inputs
+     assigned, flipped or reset since the last call needs re-evaluating:
+     an input's own value is written as it is set, and its fanouts
+     wait in [queue], one flat array partitioned by level — level [l]'s
+     pending nodes are [queue.(first.(l)) .. queue.(first.(l) + fill.(l)
+     - 1)], each node queued at most once — drained in level order, so
+     every node is evaluated after all of its changed fanins. *)
+  let depth = Circuit.Netlist.depth c in
+  let first = Array.make (depth + 2) 0 in
+  Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) levels;
+  for l = 1 to depth + 1 do
+    first.(l) <- first.(l) + first.(l - 1)
+  done;
+  let fill = Array.make (depth + 1) 0 in
+  let queue = Array.make num_nodes 0 in
+  let queued = Array.make num_nodes false in
+  let top = ref 0 in
+  let schedule_fanouts u =
+    let outs = fanouts.(u) in
+    for k = 0 to Array.length outs - 1 do
+      let w = outs.(k) in
+      if not queued.(w) then begin
+        queued.(w) <- true;
+        let l = levels.(w) in
+        queue.(first.(l) + fill.(l)) <- w;
+        fill.(l) <- fill.(l) + 1;
+        if l > !top then top := l
+      end
+    done
+  in
+  let set id v =
+    if v <> values.(id) then begin
+      values.(id) <- v;
+      schedule_fanouts id
+    end
+  in
+  let assign input v = set input (inject input v) in
+  let sweep () =
     Array.iter
       (fun id ->
-        let v =
-          match c.kinds.(id) with
-          | Circuit.Gate.Input ->
-            let p = pi.(Hashtbl.find input_position id) in
-            { Logic5.good = p; faulty = p }
-          | kind ->
-            let fanin_values = Array.map (fun src -> values.(src)) c.fanins.(id) in
-            (match fault.Faults.Fault.site with
-            | Faults.Fault.Branch { gate; pin } when gate = id ->
-              Logic5.eval_gate_with_pin kind fanin_values ~pin ~forced_faulty:stuck
-            | Faults.Fault.Branch _ | Faults.Fault.Stem _ ->
-              Logic5.eval_gate kind fanin_values)
-        in
-        let v =
-          match fault.Faults.Fault.site with
-          | Faults.Fault.Stem s when s = id -> { v with Logic5.faulty = stuck }
-          | Faults.Fault.Stem _ | Faults.Fault.Branch _ -> v
-        in
-        values.(id) <- v)
-      c.topo_order
+        values.(id) <-
+          (match kinds.(id) with
+          | Circuit.Gate.Input -> inject id Logic5.x
+          | _ -> eval_gate id))
+      c.topo_order;
+    Array.iter update_frontier c.topo_order
+  in
+  let imply () =
+    incr implications;
+    (* Inputs and constants are level 0; gates start at level 1.  A
+       level's segment cannot grow while it drains: fanouts sit on
+       higher levels. *)
+    let l = ref 1 in
+    while !l <= !top do
+      for j = first.(!l) to first.(!l) + fill.(!l) - 1 do
+        let u = queue.(j) in
+        queued.(u) <- false;
+        set u (eval_gate u);
+        update_frontier u
+      done;
+      fill.(!l) <- 0;
+      incr l
+    done;
+    top := 0
   in
 
   let po_has_effect () =
     Array.exists (fun id -> Logic5.is_fault_effect values.(id)) c.outputs
   in
 
-  (* Whether the faulty line currently carries D/D'. *)
-  let fault_effect_value () =
-    match fault.Faults.Fault.site with
-    | Faults.Fault.Stem v -> values.(v)
-    | Faults.Fault.Branch { gate; pin } ->
-      let src = c.fanins.(gate).(pin) in
-      { Logic5.good = values.(src).Logic5.good; faulty = stuck }
-  in
+  (* Whether the faulty line currently carries D/D': its good value
+     against the stuck faulty value. *)
+  let activated () = Logic5.is_fault_effect (Logic5.with_faulty values.(line) stuck) in
 
-  (* D-frontier: gates with an X output and a fault effect on some input
-     (taking the branch injection into account). *)
-  let d_frontier () =
-    let frontier = ref [] in
-    Array.iter
-      (fun id ->
-        match c.kinds.(id) with
-        | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> ()
-        | Circuit.Gate.Buf | Circuit.Gate.Not | Circuit.Gate.And
-        | Circuit.Gate.Nand | Circuit.Gate.Or | Circuit.Gate.Nor
-        | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
-          if Logic5.has_unknown values.(id) then begin
-            let has_effect = ref false in
-            Array.iteri
-              (fun pin src ->
-                let v =
-                  match fault.Faults.Fault.site with
-                  | Faults.Fault.Branch { gate; pin = fp } when gate = id && fp = pin ->
-                    { Logic5.good = values.(src).Logic5.good; faulty = stuck }
-                  | Faults.Fault.Branch _ | Faults.Fault.Stem _ -> values.(src)
-                in
-                if Logic5.is_fault_effect v then has_effect := true)
-              c.fanins.(id);
-            if !has_effect then frontier := id :: !frontier
-          end)
-      c.topo_order;
-    List.rev !frontier
-  in
-
-  (* Is some primary output reachable from the frontier through X nodes? *)
-  let x_path_exists frontier =
-    let visited = Array.make num_nodes false in
-    let rec bfs = function
-      | [] -> false
-      | id :: rest ->
-        if visited.(id) then bfs rest
-        else begin
-          visited.(id) <- true;
-          if Circuit.Netlist.is_output c id then true
-          else begin
-            let next =
-              Array.fold_left
-                (fun acc dst ->
-                  if (not visited.(dst)) && Logic5.has_unknown values.(dst) then dst :: acc
-                  else acc)
-                rest c.fanouts.(id)
-            in
-            bfs next
+  (* Is some primary output reachable from the frontier through X
+     nodes?  [stamp] marks this call's visited nodes, so nothing is
+     cleared between calls. *)
+  let stamp = Array.make num_nodes 0 in
+  let generation = ref 0 in
+  let pending = Array.make num_nodes 0 in
+  let x_path_exists () =
+    incr generation;
+    let g = !generation in
+    let sp = ref 0 in
+    for k = 0 to !frontier_size - 1 do
+      let id = frontier.(k) in
+      stamp.(id) <- g;
+      pending.(!sp) <- id;
+      incr sp
+    done;
+    let found = ref false in
+    while (not !found) && !sp > 0 do
+      decr sp;
+      let id = pending.(!sp) in
+      if Circuit.Netlist.is_output c id then found := true
+      else begin
+        let outs = fanouts.(id) in
+        for k = 0 to Array.length outs - 1 do
+          let dst = outs.(k) in
+          if stamp.(dst) <> g && Logic5.has_unknown values.(dst) then begin
+            stamp.(dst) <- g;
+            pending.(!sp) <- dst;
+            incr sp
           end
-        end
-    in
-    bfs frontier
+        done
+      end
+    done;
+    !found
+  in
+
+  (* Lowest-level frontier gate, the earliest in topological order among
+     equals: the shortest remaining path. *)
+  let lowest_frontier_gate () =
+    let best = ref frontier.(0) in
+    for k = 1 to !frontier_size - 1 do
+      let g = frontier.(k) in
+      let b = !best in
+      if
+        levels.(g) < levels.(b)
+        || (levels.(g) = levels.(b) && topo_position.(g) < topo_position.(b))
+      then best := g
+    done;
+    !best
   in
 
   (* Choose the cheapest X input of [fanins] to drive toward [v],
@@ -226,13 +327,13 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      onward, every detection path crosses the frontier's common
      dominators, so their out-of-cone side inputs must settle at
      non-controlling values — schedule the first one still at X. *)
-  let unique_sensitization frontier =
+  let unique_sensitization () =
     match analysis with
     | None -> None
     | Some a ->
       let doms =
         Analysis.Dominators.common_dominators (Analysis.Engine.dominators a)
-          frontier
+          (frontier_list ())
       in
       let rec try_doms = function
         | [] -> None
@@ -265,31 +366,22 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
 
   (* Choose (node, boolean objective value). *)
   let objective () =
-    let line = fault_line_driver c fault in
-    let activated = Logic5.is_fault_effect (fault_effect_value ()) in
-    if not activated then Some (line, stuck = Logic5.F)
+    if not (activated ()) then Some (line, stuck = Logic5.plane_0)
       (* Drive the line to the complement of the stuck value. *)
+    else if !frontier_size = 0 then None
     else begin
-      match d_frontier () with
-      | [] -> None
-      | frontier ->
-        (match unique_sensitization frontier with
-        | Some objective -> Some objective
-        | None ->
-          (* Lowest-level frontier gate first: shortest remaining path. *)
-          let gate =
-            List.fold_left
-              (fun best g -> if c.levels.(g) < c.levels.(best) then g else best)
-              (List.hd frontier) frontier
-          in
-          let v =
-            match Circuit.Gate.controlling_value c.kinds.(gate) with
-            | Some controlling -> not controlling (* non-controlling value *)
-            | None -> false
-          in
-          (match pick_x_input c.fanins.(gate) v with
-          | None -> None
-          | Some src -> Some (src, v)))
+      match unique_sensitization () with
+      | Some objective -> Some objective
+      | None ->
+        let gate = lowest_frontier_gate () in
+        let v =
+          match Circuit.Gate.controlling_value c.kinds.(gate) with
+          | Some controlling -> not controlling (* non-controlling value *)
+          | None -> false
+        in
+        (match pick_x_input c.fanins.(gate) v with
+        | None -> None
+        | Some src -> Some (src, v))
     end
   in
 
@@ -297,7 +389,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let backtrace node value =
     let rec walk node value =
       match c.kinds.(node) with
-      | Circuit.Gate.Input -> Some (Hashtbl.find input_position node, value)
+      | Circuit.Gate.Input -> Some (node, value)
       | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> None
       | kind ->
         let value = if Circuit.Gate.inverts kind then not value else value in
@@ -315,45 +407,35 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     walk node value
   in
 
-  let stack = ref [] in
+  let decisions = ref [] in
 
   let rec attempt () =
     if should_stop () then raise Abort_search;
     imply ();
     if po_has_effect () then finish ()
+    else if Logic5.good values.(line) = stuck then step_back ()
+      (* Activation is contradicted: the line settled at the stuck value. *)
+    else if activated () && (!frontier_size = 0 || not (x_path_exists ())) then
+      step_back ()
     else begin
-      let line = fault_line_driver c fault in
-      let line_good = values.(line).Logic5.good in
-      if line_good <> Logic5.U && line_good = stuck then step_back ()
-        (* Activation is contradicted: the line settled at the stuck value. *)
-      else begin
-        let activated = Logic5.is_fault_effect (fault_effect_value ()) in
-        let frontier = d_frontier () in
-        if activated && frontier = [] then step_back ()
-        else if activated && not (x_path_exists frontier) then step_back ()
-        else begin
-          match objective () with
-          | None -> step_back ()
-          | Some (node, v) ->
-            (match backtrace node v with
-            | None -> step_back ()
-            | Some (input_index, bool_value) ->
-              let value = if bool_value then Logic5.T else Logic5.F in
-              let decision = { input_index; value; flipped = false } in
-              stack := decision :: !stack;
-              pi.(input_index) <- value;
-              attempt ())
-        end
-      end
+      match objective () with
+      | None -> step_back ()
+      | Some (node, v) ->
+        (match backtrace node v with
+        | None -> step_back ()
+        | Some (input, value) ->
+          decisions := { input; value; flipped = false } :: !decisions;
+          assign input (Logic5.of_bool value);
+          attempt ())
     end
 
   and step_back () =
-    match !stack with
+    match !decisions with
     | [] -> Untestable
     | top :: rest ->
       if top.flipped then begin
-        pi.(top.input_index) <- Logic5.U;
-        stack := rest;
+        assign top.input Logic5.x;
+        decisions := rest;
         step_back ()
       end
       else begin
@@ -361,16 +443,13 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
         if !backtracks > backtrack_limit || should_stop () then
           raise Abort_search;
         top.flipped <- true;
-        top.value <- Logic5.not3 top.value;
-        pi.(top.input_index) <- top.value;
+        top.value <- not top.value;
+        assign top.input (Logic5.of_bool top.value);
         attempt ()
       end
 
   and finish () =
-    let pattern =
-      Array.map (function Logic5.T -> true | Logic5.F | Logic5.U -> false) pi
-    in
-    Test pattern
+    Test (Array.map (fun id -> Logic5.good values.(id) = Logic5.plane_1) c.inputs)
   in
 
   (* Sound pre-search verdicts from the static analyses: a fault on a
@@ -399,8 +478,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
         match implication_graph with
         | None -> None
         | Some imp ->
-          let line = fault_line_driver c fault in
-          if Analysis.Implication.infeasible imp line (stuck = Logic5.F) then
+          if Analysis.Implication.infeasible imp line (stuck = Logic5.plane_0) then
             Some Untestable
           else None
       end)
@@ -413,10 +491,18 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
             if Obs.Metrics.enabled () then
               Obs.Metrics.incr "atpg.podem.static_untestable";
             verdict
-          | None -> ( try attempt () with Abort_search -> Aborted)
+          | None -> (
+            sweep ();
+            try attempt () with Abort_search -> Aborted)
         in
         Obs.Trace.add_int "backtracks" !backtracks;
         Obs.Trace.add_int "implications" !implications;
+        Obs.Trace.add_int "site" (Faults.Fault.site_node fault);
+        Obs.Trace.add_int "pin" branch_pin;
+        Obs.Trace.add_int "stuck" (if stuck = Logic5.plane_1 then 1 else 0);
+        Obs.Trace.add_int "aborted" (match verdict with Aborted -> 1 | Test _ | Untestable -> 0);
+        Obs.Trace.add_int "untestable"
+          (match verdict with Untestable -> 1 | Test _ | Aborted -> 0);
         if Option.is_some analysis then Obs.Trace.add_int "pruned" !pruned;
         verdict)
   in

@@ -38,7 +38,7 @@ val generate :
     typed [Aborted] verdict, never an exception.  A time budget makes
     verdicts timing-dependent — runs that must be reproducible should
     bound the search with [backtrack_limit] alone.  Raises
-    [Invalid_argument] when [time_budget_s <= 0].  The returned pattern is
+    [Invalid_argument] unless [time_budget_s > 0] (so on NaN).  The returned pattern is
     guaranteed (and test-suite verified) to detect the fault under the
     fault simulator; the verdicts (test found / untestable) do not
     depend on the guidance, only the search effort does.

@@ -23,7 +23,7 @@ let random_walk rng (c : Circuit.Netlist.t) ~count ?(flips = 1) () =
       Array.copy current)
 
 let until_coverage rng c faults ~target ~max_patterns =
-  if target < 0.0 || target > 1.0 then
+  if not (0.0 <= target && target <= 1.0) then
     invalid_arg "Random_tpg.until_coverage: target outside [0,1]";
   let total = Array.length faults in
   let first_detection = Array.make total None in

@@ -33,4 +33,5 @@ val until_coverage :
   bool array array * Fsim.Coverage.profile
 (** Keep appending 64-pattern random blocks until the fault coverage of
     the accumulated set reaches [target] or [max_patterns] is hit.
-    Returns the final ordered pattern set and its coverage profile. *)
+    Returns the final ordered pattern set and its coverage profile.
+    Raises [Invalid_argument] unless [0 <= target <= 1] (so on NaN). *)

@@ -118,6 +118,46 @@ let test_metrics_snapshot_json () =
 let tiny_circuit () =
   Circuit.Generators.random_circuit ~inputs:10 ~gates:120 ~outputs:6 ~seed:3
 
+(* Each podem.generate span names its fault and verdict next to its
+   search effort, so a trace shows which faults cost the time. *)
+let test_podem_span_names_fault () =
+  let c = Circuit.Generators.c17 () in
+  let span_counters ?cancel fault =
+    with_obs @@ fun () ->
+    let verdict, stats = Tpg.Podem.generate ?cancel c fault in
+    match Obs.Trace.spans () with
+    | [ s ] when s.Obs.Trace.name = "podem.generate" ->
+      (verdict, stats, s.Obs.Trace.counters)
+    | spans -> Alcotest.failf "expected one podem.generate span, got %d" (List.length spans)
+  in
+  let check counters expected =
+    List.iter
+      (fun (key, v) ->
+        Alcotest.(check (float 0.0)) key (float_of_int v) (List.assoc key counters))
+      expected
+  in
+  (* Stem fault: G11 (node 6) stuck-at-0, which PODEM tests. *)
+  let stem = { Faults.Fault.site = Faults.Fault.Stem 6; polarity = Faults.Fault.Stuck_at_0 } in
+  let verdict, stats, counters = span_counters stem in
+  Alcotest.(check bool) "stem fault tested" true
+    (match verdict with Tpg.Podem.Test _ -> true | Tpg.Podem.Untestable | Tpg.Podem.Aborted -> false);
+  check counters
+    [ ("backtracks", stats.Tpg.Podem.backtracks);
+      ("implications", stats.Tpg.Podem.implications);
+      ("site", 6); ("pin", -1); ("stuck", 0); ("aborted", 0); ("untestable", 0) ];
+  (* Branch fault: G11's branch into G16 (node 7, pin 1) stuck-at-1,
+     under a cancelled token so the verdict is Aborted. *)
+  let branch =
+    { Faults.Fault.site = Faults.Fault.Branch { gate = 7; pin = 1 };
+      polarity = Faults.Fault.Stuck_at_1 }
+  in
+  let cancel = Robust.Cancel.create () in
+  Robust.Cancel.cancel cancel;
+  let verdict, _, counters = span_counters ~cancel branch in
+  Alcotest.(check bool) "branch fault aborted" true (verdict = Tpg.Podem.Aborted);
+  check counters
+    [ ("site", 7); ("pin", 1); ("stuck", 1); ("aborted", 1); ("untestable", 0) ]
+
 let check_spans_present names =
   List.iter
     (fun required ->
@@ -476,6 +516,7 @@ let suite =
         tc "metrics snapshot json" test_metrics_snapshot_json;
         tc "par trace has shard spans" test_par_trace_has_shard_spans;
         tc "exact trace has bdd spans" test_exact_trace_has_bdd_spans;
+        tc "podem span names its fault" test_podem_span_names_fault;
         tc "tree shape deterministic" test_tree_shape_deterministic;
         tc "clock never backwards" test_clock_never_backwards;
         tc "histogram quantile edges" test_histogram_quantile_edges;

@@ -59,6 +59,26 @@ let test_cancel_basics () =
        false
      with Invalid_argument _ -> true)
 
+(* NaN fails every comparison, so a check written as [b <= 0.0] would
+   let it through as "no budget"; each entry point must reject it. *)
+let test_nan_budgets_rejected () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let c = Circuit.Generators.c17 () in
+  raises "Cancel.create ~deadline_s:nan" (fun () ->
+      Robust.Cancel.create ~deadline_s:Float.nan ());
+  raises "Podem.generate ~time_budget_s:nan" (fun () ->
+      Tpg.Podem.generate ~time_budget_s:Float.nan c
+        { F.site = F.Stem 0; polarity = F.Stuck_at_0 });
+  raises "Random_tpg.until_coverage ~target:nan" (fun () ->
+      Tpg.Random_tpg.until_coverage (Stats.Rng.create ~seed:1 ()) c
+        (Faults.Universe.all c) ~target:Float.nan ~max_patterns:64)
+
 let test_cancel_deadline_trips () =
   let t = Robust.Cancel.create ~deadline_s:0.005 () in
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -548,7 +568,8 @@ let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "robust.cancel",
       [ tc "token basics" test_cancel_basics;
-        tc "deadline trips" test_cancel_deadline_trips ] );
+        tc "deadline trips" test_cancel_deadline_trips;
+        tc "NaN budgets rejected" test_nan_budgets_rejected ] );
     ( "robust.inject",
       [ tc "triggers" test_inject_triggers;
         tc "spec parsing" test_inject_parse_spec ] );

@@ -10,65 +10,108 @@ let exhaustive_patterns width =
 
 (* ----------------------------- logic5 ------------------------------ *)
 
-let test_logic5_constants () =
+(* Every ternary vector of length [k], as planes. *)
+let ternary_vectors k =
+  let planes = [| L5.plane_0; L5.plane_1; L5.plane_x |] in
+  let rec pow3 k = if k = 0 then 1 else 3 * pow3 (k - 1) in
+  List.init (pow3 k) (fun code ->
+      let code = ref code in
+      Array.init k (fun _ ->
+          let p = planes.(!code mod 3) in
+          code := !code / 3;
+          p))
+
+(* The exact ternary value of one gate on one plane: defined exactly when
+   every Boolean completion of the unknown pins agrees under
+   [Gate.eval], and then equal to it. *)
+let exact_plane kind ins =
+  let unknown = List.filter (fun i -> ins.(i) = L5.plane_x) (List.init (Array.length ins) Fun.id) in
+  let completions =
+    List.init (1 lsl List.length unknown) (fun bits ->
+        let b = Array.map (fun p -> p = L5.plane_1) ins in
+        List.iteri (fun j i -> b.(i) <- (bits lsr j) land 1 = 1) unknown;
+        Circuit.Gate.eval kind b)
+  in
+  if List.for_all Fun.id completions then L5.plane_1
+  else if List.for_all not completions then L5.plane_0
+  else L5.plane_x
+
+let test_logic5_exhaustive_oracle () =
+  let arities kind =
+    match (Circuit.Gate.min_arity kind, Circuit.Gate.max_arity kind) with
+    | 0, _ -> [ 0 ]
+    | _, Some m -> List.init m (fun i -> i + 1)
+    | _, None -> [ 1; 2; 3; 4; 5 ]
+  in
+  let kinds = List.filter (fun k -> k <> Circuit.Gate.Input) Circuit.Gate.all_kinds in
+  List.iter
+    (fun kind ->
+      let name = Circuit.Gate.to_string kind in
+      List.iter
+        (fun k ->
+          let fanins = Array.init k Fun.id in
+          (* Each plane alone against the Boolean oracle, arities 1-5. *)
+          List.iter
+            (fun ins ->
+              let expected = exact_plane kind ins in
+              let on_good = Array.map (fun p -> L5.make ~good:p ~faulty:L5.plane_x) ins in
+              let on_faulty = Array.map (fun p -> L5.make ~good:L5.plane_x ~faulty:p) ins in
+              Alcotest.(check int) (name ^ " good plane") expected
+                (L5.good (L5.eval kind on_good fanins));
+              Alcotest.(check int) (name ^ " faulty plane") expected
+                (L5.faulty (L5.eval kind on_faulty fanins)))
+            (ternary_vectors k);
+          (* Both planes at once, every 9-valued assignment at arity <= 3:
+             the planes evaluate independently, and a branch-pin
+             injection is evaluation with that pin's faulty plane
+             replaced. *)
+          if k <= 3 then
+            List.iter
+              (fun goods ->
+                List.iter
+                  (fun faultys ->
+                    let values = Array.map2 (fun g f -> L5.make ~good:g ~faulty:f) goods faultys in
+                    let v = L5.eval kind values fanins in
+                    Alcotest.(check int) (name ^ " 9-valued good") (exact_plane kind goods) (L5.good v);
+                    Alcotest.(check int) (name ^ " 9-valued faulty") (exact_plane kind faultys)
+                      (L5.faulty v);
+                    for pin = 0 to k - 1 do
+                      List.iter
+                        (fun forced ->
+                          let replaced = Array.copy values in
+                          replaced.(pin) <- L5.with_faulty values.(pin) forced;
+                          Alcotest.(check int) (name ^ " pin injection")
+                            (L5.eval kind replaced fanins)
+                            (L5.eval_with_pin kind values fanins ~pin ~faulty:forced))
+                        [ L5.plane_0; L5.plane_1; L5.plane_x ]
+                    done)
+                  (ternary_vectors k))
+              (ternary_vectors k))
+        (arities kind))
+    kinds;
+  Alcotest.check_raises "Input has no logic function" (Invalid_argument "Logic5.eval: Input")
+    (fun () -> ignore (L5.eval Circuit.Gate.Input [||] [||]));
+  (* D-algebra checkpoints. *)
+  let eval kind vs = L5.eval kind (Array.of_list vs) (Array.init (List.length vs) Fun.id) in
+  let check name expected actual = Alcotest.(check int) name expected actual in
+  check "AND(D,1)=D" L5.d (eval Circuit.Gate.And [ L5.d; L5.one ]);
+  check "AND(D,0)=0" L5.zero (eval Circuit.Gate.And [ L5.d; L5.zero ]);
+  check "AND(D,D')=0" L5.zero (eval Circuit.Gate.And [ L5.d; L5.dbar ]);
+  check "XOR(D,D)=0" L5.zero (eval Circuit.Gate.Xor [ L5.d; L5.d ]);
+  check "XOR(D,D')=1" L5.one (eval Circuit.Gate.Xor [ L5.d; L5.dbar ]);
+  check "NOT(D)=D'" L5.dbar (eval Circuit.Gate.Not [ L5.d ]);
+  check "OR(D',1)=1" L5.one (eval Circuit.Gate.Or [ L5.dbar; L5.one ]);
+  (* The planes stay separate: NAND(D, X) is X on the good machine but
+     1 on the faulty one. *)
+  check "NAND(D,X)=X/1" (L5.make ~good:L5.plane_x ~faulty:L5.plane_1)
+    (eval Circuit.Gate.Nand [ L5.d; L5.x ]);
   Alcotest.(check bool) "D is effect" true (L5.is_fault_effect L5.d);
   Alcotest.(check bool) "D' is effect" true (L5.is_fault_effect L5.dbar);
   Alcotest.(check bool) "1 is not" false (L5.is_fault_effect L5.one);
-  Alcotest.(check bool) "X is x" true (L5.is_x L5.x);
-  Alcotest.(check bool) "D has no unknown" false (L5.has_unknown L5.d)
-
-let test_logic5_ternary_tables () =
-  Alcotest.(check bool) "F and U = F" true (L5.and3 L5.F L5.U = L5.F);
-  Alcotest.(check bool) "T and U = U" true (L5.and3 L5.T L5.U = L5.U);
-  Alcotest.(check bool) "T or U = T" true (L5.or3 L5.T L5.U = L5.T);
-  Alcotest.(check bool) "F or U = U" true (L5.or3 L5.F L5.U = L5.U);
-  Alcotest.(check bool) "not U = U" true (L5.not3 L5.U = L5.U);
-  Alcotest.(check bool) "T xor U = U" true (L5.xor3 L5.T L5.U = L5.U);
-  Alcotest.(check bool) "T xor T = F" true (L5.xor3 L5.T L5.T = L5.F)
-
-let test_logic5_d_algebra () =
-  (* AND(D, 1) = D, AND(D, 0) = 0, AND(D, D') = 0, XOR(D, D) = 0. *)
-  let eval kind vs = L5.eval_gate kind (Array.of_list vs) in
-  Alcotest.(check bool) "AND(D,1)=D" true (eval Circuit.Gate.And [ L5.d; L5.one ] = L5.d);
-  Alcotest.(check bool) "AND(D,0)=0" true (eval Circuit.Gate.And [ L5.d; L5.zero ] = L5.zero);
-  Alcotest.(check bool) "AND(D,D')=0" true
-    (eval Circuit.Gate.And [ L5.d; L5.dbar ] = L5.zero);
-  Alcotest.(check bool) "XOR(D,D)=0" true (eval Circuit.Gate.Xor [ L5.d; L5.d ] = L5.zero);
-  Alcotest.(check bool) "XOR(D,D')=1" true
-    (eval Circuit.Gate.Xor [ L5.d; L5.dbar ] = L5.one);
-  Alcotest.(check bool) "NOT(D)=D'" true (eval Circuit.Gate.Not [ L5.d ] = L5.dbar);
-  Alcotest.(check bool) "OR(D',1)=1" true (eval Circuit.Gate.Or [ L5.dbar; L5.one ] = L5.one)
-
-let test_logic5_consistent_with_bool () =
-  (* On fully-defined values, 5-valued evaluation = boolean evaluation
-     applied to each machine. *)
-  let kinds =
-    [ Circuit.Gate.And; Circuit.Gate.Nand; Circuit.Gate.Or; Circuit.Gate.Nor;
-      Circuit.Gate.Xor; Circuit.Gate.Xnor ]
-  in
-  List.iter
-    (fun kind ->
-      for a = 0 to 3 do
-        for b = 0 to 3 do
-          (* encode 0..3 as (good, faulty) bit pairs *)
-          let v code =
-            { L5.good = (if code land 1 = 1 then L5.T else L5.F);
-              faulty = (if code land 2 = 2 then L5.T else L5.F) }
-          in
-          let result = L5.eval_gate kind [| v a; v b |] in
-          let expected_good =
-            Circuit.Gate.eval kind [| a land 1 = 1; b land 1 = 1 |]
-          in
-          let expected_faulty =
-            Circuit.Gate.eval kind [| a land 2 = 2; b land 2 = 2 |]
-          in
-          Alcotest.(check bool) "good plane" true
-            (result.L5.good = if expected_good then L5.T else L5.F);
-          Alcotest.(check bool) "faulty plane" true
-            (result.L5.faulty = if expected_faulty then L5.T else L5.F)
-        done
-      done)
-    kinds
+  Alcotest.(check bool) "X has unknown" true (L5.has_unknown L5.x);
+  Alcotest.(check bool) "D has no unknown" false (L5.has_unknown L5.d);
+  Alcotest.(check bool) "good 1/faulty X has unknown" true
+    (L5.has_unknown (L5.make ~good:L5.plane_1 ~faulty:L5.plane_x))
 
 (* ------------------------------ podem ------------------------------ *)
 
@@ -542,10 +585,7 @@ let qcheck_props =
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "tpg.logic5",
-      [ tc "constants" test_logic5_constants;
-        tc "ternary tables" test_logic5_ternary_tables;
-        tc "D-algebra" test_logic5_d_algebra;
-        tc "consistent with boolean planes" test_logic5_consistent_with_bool ] );
+      [ tc "exhaustive oracle" test_logic5_exhaustive_oracle ] );
     ( "tpg.podem",
       [ tc "c17 sound and complete" test_podem_c17;
         tc "adder sound and complete" test_podem_adder;
