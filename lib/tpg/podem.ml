@@ -500,7 +500,8 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
         Obs.Trace.add_int "site" (Faults.Fault.site_node fault);
         Obs.Trace.add_int "pin" branch_pin;
         Obs.Trace.add_int "stuck" (if stuck = Logic5.plane_1 then 1 else 0);
-        Obs.Trace.add_int "aborted" (match verdict with Aborted -> 1 | Test _ | Untestable -> 0);
+        Obs.Trace.add_int "aborted"
+          (match verdict with Aborted -> 1 | Test _ | Untestable -> 0);
         Obs.Trace.add_int "untestable"
           (match verdict with Untestable -> 1 | Test _ | Aborted -> 0);
         if Option.is_some analysis then Obs.Trace.add_int "pruned" !pruned;

@@ -128,7 +128,8 @@ let test_podem_span_names_fault () =
     match Obs.Trace.spans () with
     | [ s ] when s.Obs.Trace.name = "podem.generate" ->
       (verdict, stats, s.Obs.Trace.counters)
-    | spans -> Alcotest.failf "expected one podem.generate span, got %d" (List.length spans)
+    | spans ->
+      Alcotest.failf "expected one podem.generate span, got %d" (List.length spans)
   in
   let check counters expected =
     List.iter
@@ -137,10 +138,14 @@ let test_podem_span_names_fault () =
       expected
   in
   (* Stem fault: G11 (node 6) stuck-at-0, which PODEM tests. *)
-  let stem = { Faults.Fault.site = Faults.Fault.Stem 6; polarity = Faults.Fault.Stuck_at_0 } in
+  let stem =
+    { Faults.Fault.site = Faults.Fault.Stem 6; polarity = Faults.Fault.Stuck_at_0 }
+  in
   let verdict, stats, counters = span_counters stem in
   Alcotest.(check bool) "stem fault tested" true
-    (match verdict with Tpg.Podem.Test _ -> true | Tpg.Podem.Untestable | Tpg.Podem.Aborted -> false);
+    (match verdict with
+    | Tpg.Podem.Test _ -> true
+    | Tpg.Podem.Untestable | Tpg.Podem.Aborted -> false);
   check counters
     [ ("backtracks", stats.Tpg.Podem.backtracks);
       ("implications", stats.Tpg.Podem.implications);

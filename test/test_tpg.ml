@@ -25,7 +25,9 @@ let ternary_vectors k =
    every Boolean completion of the unknown pins agrees under
    [Gate.eval], and then equal to it. *)
 let exact_plane kind ins =
-  let unknown = List.filter (fun i -> ins.(i) = L5.plane_x) (List.init (Array.length ins) Fun.id) in
+  let unknown =
+    List.filter (fun i -> ins.(i) = L5.plane_x) (List.init (Array.length ins) Fun.id)
+  in
   let completions =
     List.init (1 lsl List.length unknown) (fun bits ->
         let b = Array.map (fun p -> p = L5.plane_1) ins in
@@ -55,7 +57,9 @@ let test_logic5_exhaustive_oracle () =
             (fun ins ->
               let expected = exact_plane kind ins in
               let on_good = Array.map (fun p -> L5.make ~good:p ~faulty:L5.plane_x) ins in
-              let on_faulty = Array.map (fun p -> L5.make ~good:L5.plane_x ~faulty:p) ins in
+              let on_faulty =
+                Array.map (fun p -> L5.make ~good:L5.plane_x ~faulty:p) ins
+              in
               Alcotest.(check int) (name ^ " good plane") expected
                 (L5.good (L5.eval kind on_good fanins));
               Alcotest.(check int) (name ^ " faulty plane") expected
@@ -70,11 +74,14 @@ let test_logic5_exhaustive_oracle () =
               (fun goods ->
                 List.iter
                   (fun faultys ->
-                    let values = Array.map2 (fun g f -> L5.make ~good:g ~faulty:f) goods faultys in
+                    let values =
+                      Array.map2 (fun g f -> L5.make ~good:g ~faulty:f) goods faultys
+                    in
                     let v = L5.eval kind values fanins in
-                    Alcotest.(check int) (name ^ " 9-valued good") (exact_plane kind goods) (L5.good v);
-                    Alcotest.(check int) (name ^ " 9-valued faulty") (exact_plane kind faultys)
-                      (L5.faulty v);
+                    Alcotest.(check int) (name ^ " 9-valued good")
+                      (exact_plane kind goods) (L5.good v);
+                    Alcotest.(check int) (name ^ " 9-valued faulty")
+                      (exact_plane kind faultys) (L5.faulty v);
                     for pin = 0 to k - 1 do
                       List.iter
                         (fun forced ->
@@ -89,10 +96,13 @@ let test_logic5_exhaustive_oracle () =
               (ternary_vectors k))
         (arities kind))
     kinds;
-  Alcotest.check_raises "Input has no logic function" (Invalid_argument "Logic5.eval: Input")
-    (fun () -> ignore (L5.eval Circuit.Gate.Input [||] [||]));
+  Alcotest.check_raises "Input has no logic function"
+    (Invalid_argument "Logic5.eval: Input") (fun () ->
+      ignore (L5.eval Circuit.Gate.Input [||] [||]));
   (* D-algebra checkpoints. *)
-  let eval kind vs = L5.eval kind (Array.of_list vs) (Array.init (List.length vs) Fun.id) in
+  let eval kind vs =
+    L5.eval kind (Array.of_list vs) (Array.init (List.length vs) Fun.id)
+  in
   let check name expected actual = Alcotest.(check int) name expected actual in
   check "AND(D,1)=D" L5.d (eval Circuit.Gate.And [ L5.d; L5.one ]);
   check "AND(D,0)=0" L5.zero (eval Circuit.Gate.And [ L5.d; L5.zero ]);
