@@ -98,23 +98,13 @@ let test_logic5_exhaustive_oracle () =
     kinds;
   Alcotest.check_raises "Input has no logic function"
     (Invalid_argument "Logic5.eval: Input") (fun () ->
-      ignore (L5.eval Circuit.Gate.Input [||] [||]));
-  (* D-algebra checkpoints. *)
-  let eval kind vs =
-    L5.eval kind (Array.of_list vs) (Array.init (List.length vs) Fun.id)
-  in
-  let check name expected actual = Alcotest.(check int) name expected actual in
-  check "AND(D,1)=D" L5.d (eval Circuit.Gate.And [ L5.d; L5.one ]);
-  check "AND(D,0)=0" L5.zero (eval Circuit.Gate.And [ L5.d; L5.zero ]);
-  check "AND(D,D')=0" L5.zero (eval Circuit.Gate.And [ L5.d; L5.dbar ]);
-  check "XOR(D,D)=0" L5.zero (eval Circuit.Gate.Xor [ L5.d; L5.d ]);
-  check "XOR(D,D')=1" L5.one (eval Circuit.Gate.Xor [ L5.d; L5.dbar ]);
-  check "NOT(D)=D'" L5.dbar (eval Circuit.Gate.Not [ L5.d ]);
-  check "OR(D',1)=1" L5.one (eval Circuit.Gate.Or [ L5.dbar; L5.one ]);
-  (* The planes stay separate: NAND(D, X) is X on the good machine but
-     1 on the faulty one. *)
-  check "NAND(D,X)=X/1" (L5.make ~good:L5.plane_x ~faulty:L5.plane_1)
-    (eval Circuit.Gate.Nand [ L5.d; L5.x ]);
+      ignore (L5.eval Circuit.Gate.Input [||] [||]))
+
+(* A gate over a list of values, pin [i] reading value [i]. *)
+let eval_list kind vs =
+  L5.eval kind (Array.of_list vs) (Array.init (List.length vs) Fun.id)
+
+let test_logic5_constants () =
   Alcotest.(check bool) "D is effect" true (L5.is_fault_effect L5.d);
   Alcotest.(check bool) "D' is effect" true (L5.is_fault_effect L5.dbar);
   Alcotest.(check bool) "1 is not" false (L5.is_fault_effect L5.one);
@@ -122,6 +112,68 @@ let test_logic5_exhaustive_oracle () =
   Alcotest.(check bool) "D has no unknown" false (L5.has_unknown L5.d);
   Alcotest.(check bool) "good 1/faulty X has unknown" true
     (L5.has_unknown (L5.make ~good:L5.plane_1 ~faulty:L5.plane_x))
+
+let test_logic5_ternary_tables () =
+  (* One plane's ternary tables, read on both machines. *)
+  let check name kind ins expected =
+    let v = eval_list kind (List.map (fun p -> L5.make ~good:p ~faulty:p) ins) in
+    Alcotest.(check int) (name ^ " good") expected (L5.good v);
+    Alcotest.(check int) (name ^ " faulty") expected (L5.faulty v)
+  in
+  let f, t, u = (L5.plane_0, L5.plane_1, L5.plane_x) in
+  check "F and U = F" Circuit.Gate.And [ f; u ] f;
+  check "T and U = U" Circuit.Gate.And [ t; u ] u;
+  check "T or U = T" Circuit.Gate.Or [ t; u ] t;
+  check "F or U = U" Circuit.Gate.Or [ f; u ] u;
+  check "not U = U" Circuit.Gate.Not [ u ] u;
+  check "T xor U = U" Circuit.Gate.Xor [ t; u ] u;
+  check "T xor T = F" Circuit.Gate.Xor [ t; t ] f
+
+let test_logic5_d_algebra () =
+  let check name expected actual = Alcotest.(check int) name expected actual in
+  check "AND(D,1)=D" L5.d (eval_list Circuit.Gate.And [ L5.d; L5.one ]);
+  check "AND(D,0)=0" L5.zero (eval_list Circuit.Gate.And [ L5.d; L5.zero ]);
+  check "AND(D,D')=0" L5.zero (eval_list Circuit.Gate.And [ L5.d; L5.dbar ]);
+  check "XOR(D,D)=0" L5.zero (eval_list Circuit.Gate.Xor [ L5.d; L5.d ]);
+  check "XOR(D,D')=1" L5.one (eval_list Circuit.Gate.Xor [ L5.d; L5.dbar ]);
+  check "NOT(D)=D'" L5.dbar (eval_list Circuit.Gate.Not [ L5.d ]);
+  check "OR(D',1)=1" L5.one (eval_list Circuit.Gate.Or [ L5.dbar; L5.one ]);
+  (* The planes stay separate: NAND(D, X) is X on the good machine but
+     1 on the faulty one. *)
+  check "NAND(D,X)=X/1" (L5.make ~good:L5.plane_x ~faulty:L5.plane_1)
+    (eval_list Circuit.Gate.Nand [ L5.d; L5.x ])
+
+let test_logic5_consistent_with_bool () =
+  (* On fully-defined values, 5-valued evaluation = boolean evaluation
+     applied to each machine. *)
+  let kinds =
+    [ Circuit.Gate.And; Circuit.Gate.Nand; Circuit.Gate.Or; Circuit.Gate.Nor;
+      Circuit.Gate.Xor; Circuit.Gate.Xnor ]
+  in
+  List.iter
+    (fun kind ->
+      for a = 0 to 3 do
+        for b = 0 to 3 do
+          (* encode 0..3 as (good, faulty) bit pairs *)
+          let v code =
+            L5.make
+              ~good:(L5.plane_of_bool (code land 1 = 1))
+              ~faulty:(L5.plane_of_bool (code land 2 = 2))
+          in
+          let result = eval_list kind [ v a; v b ] in
+          let expected_good =
+            Circuit.Gate.eval kind [| a land 1 = 1; b land 1 = 1 |]
+          in
+          let expected_faulty =
+            Circuit.Gate.eval kind [| a land 2 = 2; b land 2 = 2 |]
+          in
+          Alcotest.(check int) "good plane" (L5.plane_of_bool expected_good)
+            (L5.good result);
+          Alcotest.(check int) "faulty plane" (L5.plane_of_bool expected_faulty)
+            (L5.faulty result)
+        done
+      done)
+    kinds
 
 (* ------------------------------ podem ------------------------------ *)
 
@@ -595,7 +647,11 @@ let qcheck_props =
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "tpg.logic5",
-      [ tc "exhaustive oracle" test_logic5_exhaustive_oracle ] );
+      [ tc "constants" test_logic5_constants;
+        tc "ternary tables" test_logic5_ternary_tables;
+        tc "D-algebra" test_logic5_d_algebra;
+        tc "consistent with boolean planes" test_logic5_consistent_with_bool;
+        tc "exhaustive oracle" test_logic5_exhaustive_oracle ] );
     ( "tpg.podem",
       [ tc "c17 sound and complete" test_podem_c17;
         tc "adder sound and complete" test_podem_adder;
