@@ -21,9 +21,12 @@ let engine_run ~engine ~faults ~patterns f =
 let progress_start ~engine ~patterns =
   Obs.Progress.start ~label:("fsim." ^ engine) ~total:patterns ()
 
-let count_fault_evals ~engine n =
+let count ~engine name n =
   if n > 0 then begin
-    Obs.Trace.add_int "fault_evals" n;
+    Obs.Trace.add_int name n;
     if Obs.Metrics.enabled () then
-      Obs.Metrics.incr ~by:(float_of_int n) ("fsim." ^ engine ^ ".fault_evals")
+      Obs.Metrics.incr ~by:(float_of_int n) ("fsim." ^ engine ^ "." ^ name)
   end
+
+let count_fault_evals ~engine n = count ~engine "fault_evals" n
+let count_root_flips ~engine n = count ~engine "root_flips" n

@@ -3,7 +3,8 @@
     All engines report through the same span/metric vocabulary so
     traces of different engines line up: a ["fsim.<engine>"] span with
     [faults]/[patterns] counters, and ["fsim.<engine>.runs"],
-    [".patterns"], [".patterns_per_sec"] and [".fault_evals"] metrics.
+    [".patterns"], [".patterns_per_sec"] and [".fault_evals"] metrics;
+    the engines built on {!Ppsfp.grade} also count [".root_flips"].
     Everything is a no-op (one atomic load) while both {!Obs.Trace}
     and {!Obs.Metrics} are disabled. *)
 
@@ -28,3 +29,9 @@ val count_fault_evals : engine:string -> int -> unit
     one pattern block, or one live fault carried through one pattern)
     onto the current span and the engine's metric counter.  Call at
     batch granularity, gated on {!observing}. *)
+
+val count_root_flips : engine:string -> int -> unit
+(** Record [n] root flips (one fanout-free-region root propagated
+    through its fanout cone against one pattern block) onto the current
+    span as [root_flips] and onto ["fsim.<engine>.root_flips"], the
+    same way as {!count_fault_evals}. *)

@@ -5,17 +5,13 @@
 
    Per-fault results are independent of every other fault (dropping
    only skips already-detected faults), so any deterministic sharding
-   merges to exactly the serial answer.  Shards are round-robin, fault
-   [f] to shard [f mod d]: a universe in node order puts one region of
-   the circuit in each contiguous range, and regions differ in cost (deep
-   random control logic against shallow datapath), so round-robin gives
-   every domain a share of every region.  Each worker writes only its
-   own faults' slots of the shared result arrays, and Domain.join
-   publishes the writes. *)
-
-(* The faults shard [i] of [d] owns, in increasing order. *)
-let owned ~faults ~domains i =
-  Array.init ((faults - i + domains - 1) / domains) (fun j -> i + (j * domains))
+   merges to exactly the serial answer.  Ppsfp.shards decides the
+   shards: it deals whole fanout-free regions round-robin, in
+   increasing root order, so each region's root is flipped on one
+   domain only, and neighbouring regions (deep random control logic
+   against shallow datapath) land on different domains.  Each worker
+   writes only its own faults' slots of the shared result arrays, and
+   Domain.join publishes the writes. *)
 
 (* Shared domain-spawning driver for both first-detection and
    n-detection grading: run Ppsfp's block loop with drop rule [n] over
@@ -79,11 +75,14 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
        as the result arrays). *)
     let shard_wall = Array.make domains 0.0 in
     let shard_detected = Array.make domains 0 in
+    (* Ppsfp.grade reorders and compacts its [alive] array, so every
+       attempt grades a fresh copy of its shard. *)
+    let shards = Ppsfp.shards c faults ~domains in
     let graded_shard ?on_block i () =
       Obs.Trace.with_span (Printf.sprintf "fsim.%s.shard[%d]" engine i)
         (fun () ->
           let t0 = if observing then Obs.Trace.now_s () else 0.0 in
-          let alive = owned ~faults:nf ~domains i in
+          let alive = Array.copy shards.(i) in
           let detected =
             Ppsfp.grade ~cancel ?on_block ~engine ~n ~progress c faults ~blocks
               ~good:(Array.get goods) ~alive ~detections ~nth
@@ -111,7 +110,7 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
         (fun f ->
           detections.(f) <- 0;
           nth.(f) <- None)
-        (owned ~faults:nf ~domains i)
+        shards.(i)
     in
     let failures = Array.make domains None in
     let captured i () =

@@ -68,17 +68,85 @@ let[@inline] record_detections ~n ~block_start ~detections ~nth mask fi =
     end
   end
 
+(* Fanout-free regions (FFRs).  A node's root is the node itself when
+   it is an output or does not have exactly one fanout, else its one
+   fanout's root; reverse topological order visits that fanout first.
+   A region has no reconvergence: a fault inside it reaches the rest of
+   the circuit only through its root, along the one path of single
+   fanouts from its site. *)
+let ffr_roots (c : Circuit.Netlist.t) =
+  let root = Array.make (Circuit.Netlist.num_nodes c) 0 in
+  let topo = c.topo_order in
+  for k = Array.length topo - 1 downto 0 do
+    let u = topo.(k) in
+    let outs = c.fanouts.(u) in
+    root.(u) <-
+      (if c.output_flags.(u) || Array.length outs <> 1 then u
+       else root.(outs.(0)))
+  done;
+  root
+
+let[@inline] root_of root fault = root.(Faults.Fault.site_node fault)
+
+(* Stable counting sort of the fault indices [alive] by region root, in
+   increasing root order: O(nodes + faults), so grading one pattern at
+   a time (as ATPG does) stays cheap. *)
+let group_by_root root faults alive =
+  let start = Array.make (Array.length root + 1) 0 in
+  Array.iter
+    (fun fi ->
+      let r = root_of root faults.(fi) in
+      start.(r + 1) <- start.(r + 1) + 1)
+    alive;
+  for r = 1 to Array.length root do
+    start.(r) <- start.(r) + start.(r - 1)
+  done;
+  let sorted = Array.make (Array.length alive) 0 in
+  Array.iter
+    (fun fi ->
+      let r = root_of root faults.(fi) in
+      sorted.(start.(r)) <- fi;
+      start.(r) <- start.(r) + 1)
+    alive;
+  Array.blit sorted 0 alive 0 (Array.length alive)
+
+let shards c faults ~domains =
+  let root = ffr_roots c in
+  let order = Array.init (Array.length faults) Fun.id in
+  group_by_root root faults order;
+  (* Deal the regions round-robin, in increasing root order. *)
+  let owner = Array.make (Array.length order) 0 in
+  let sizes = Array.make domains 0 in
+  let region = ref (-1) in
+  Array.iteri
+    (fun j fi ->
+      if j = 0 || root_of root faults.(fi) <> root_of root faults.(order.(j - 1))
+      then incr region;
+      owner.(j) <- !region mod domains;
+      sizes.(owner.(j)) <- sizes.(owner.(j)) + 1)
+    order;
+  let shards = Array.map (fun size -> Array.make size 0) sizes in
+  let fill = Array.make domains 0 in
+  Array.iteri
+    (fun j fi ->
+      let i = owner.(j) in
+      shards.(i).(fill.(i)) <- fi;
+      fill.(i) <- fill.(i) + 1)
+    order;
+  shards
+
 (* Per-domain scratch of the kernel.  A faulty word [faulty] at node
-   [u] is valid only while [stamp.(u) = generation]; every fault-block
-   starts a new generation, so nothing is ever cleared.  The event
-   queue is one flat array partitioned by level: level [l]'s pending
-   nodes are [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)],
-   and a node is queued at most once per generation
-   ([queued.(u) = generation]), so each level's segment is as long as
-   the number of nodes on that level. *)
+   [u] is valid only while [stamp.(u) = generation]; every local
+   evaluation and every root flip starts a new generation, so nothing
+   is ever cleared.  The event queue is one flat array partitioned by
+   level: level [l]'s pending nodes are
+   [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)], and a node
+   is queued at most once per generation ([queued.(u) = generation]),
+   so each level's segment is as long as the number of nodes on that
+   level. *)
 type kernel = {
   circuit : Circuit.Netlist.t;
-  is_output : bool array;
+  root : int array;
   faulty : Bytes.t;
   stamp : int array;
   queued : int array;
@@ -91,15 +159,13 @@ type kernel = {
 
 let kernel (c : Circuit.Netlist.t) =
   let nodes = Circuit.Netlist.num_nodes c in
-  let is_output = Array.make nodes false in
-  Array.iter (fun id -> is_output.(id) <- true) c.outputs;
   let depth = Circuit.Netlist.depth c in
   let first = Array.make (depth + 2) 0 in
   Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) c.levels;
   for l = 1 to depth + 1 do
     first.(l) <- first.(l) + first.(l - 1)
   done;
-  { circuit = c; is_output; faulty = Logicsim.Packed.words c;
+  { circuit = c; root = ffr_roots c; faulty = Logicsim.Packed.words c;
     stamp = Array.make nodes (-1); queued = Array.make nodes (-1);
     queue = Array.make nodes 0; first; fill = Array.make (depth + 1) 0;
     top = 0; generation = 0 }
@@ -117,12 +183,19 @@ let[@inline] schedule_fanouts k u =
     end
   done
 
-(* Propagate one fault through its cone over one block whose good
-   words are [good]; returns the mask of patterns (within [live]) on
-   which some primary output diverges.  A node's faulty word is written
-   into its slot, then stamped (and its fanouts queued) only when it
-   differs from the good word on a live pattern. *)
-let[@inline] propagate k good ~live fault =
+(* Patterns (within [live]) on which node [u]'s faulty word differs
+   from its good word. *)
+let[@inline] diverges k good ~live u =
+  Int64.logand
+    (Int64.logxor (Bytes.get_int64_ne k.faulty (u lsl 3))
+       (Bytes.get_int64_ne good (u lsl 3)))
+    live
+
+(* A fault's local mask over one block whose good words are [good]: the
+   patterns (within [live]) on which it flips its region's root.  The
+   fault is injected at its site and evaluated up the site's path of
+   single fanouts; the walk stops as soon as the effect dies. *)
+let[@inline] local k good ~live fault =
   k.generation <- k.generation + 1;
   let generation = k.generation in
   let c = k.circuit and faulty = k.faulty and stamp = k.stamp in
@@ -131,7 +204,7 @@ let[@inline] propagate k good ~live fault =
     | Faults.Fault.Stuck_at_0 -> 0L
     | Faults.Fault.Stuck_at_1 -> -1L
   in
-  let node =
+  let site =
     match fault.Faults.Fault.site with
     | Faults.Fault.Stem v ->
       Bytes.set_int64_ne faulty (v lsl 3) forced;
@@ -140,69 +213,108 @@ let[@inline] propagate k good ~live fault =
       Logicsim.Packed.eval_gate c ~good ~faulty ~stamp ~generation ~pin ~forced gate;
       gate
   in
-  let diff =
-    Int64.logand
-      (Int64.logxor (Bytes.get_int64_ne faulty (node lsl 3))
-         (Bytes.get_int64_ne good (node lsl 3)))
-      live
-  in
-  if diff = 0L then 0L
-  else begin
-    stamp.(node) <- generation;
-    let out = ref (if k.is_output.(node) then diff else 0L) in
-    k.top <- 0;
-    schedule_fanouts k node;
-    let level = ref (c.levels.(node) + 1) in
-    while !level <= k.top do
-      let l = !level in
-      let base = k.first.(l) in
-      for j = base to base + k.fill.(l) - 1 do
-        let u = k.queue.(j) in
-        Logicsim.Packed.eval_gate c ~good ~faulty ~stamp ~generation ~pin:(-1)
-          ~forced:0L u;
-        let d =
-          Int64.logand
-            (Int64.logxor (Bytes.get_int64_ne faulty (u lsl 3))
-               (Bytes.get_int64_ne good (u lsl 3)))
-            live
-        in
-        if d <> 0L then begin
-          stamp.(u) <- generation;
-          if k.is_output.(u) then out := Int64.logor !out d;
-          schedule_fanouts k u
-        end
-      done;
-      k.fill.(l) <- 0;
-      incr level
-    done;
-    !out
-  end
+  let root = k.root.(site) in
+  let node = ref site in
+  let d = ref (diverges k good ~live site) in
+  while !d <> 0L && !node <> root do
+    stamp.(!node) <- generation;
+    let v = c.fanouts.(!node).(0) in
+    Logicsim.Packed.eval_gate c ~good ~faulty ~stamp ~generation ~pin:(-1)
+      ~forced:0L v;
+    node := v;
+    d := diverges k good ~live v
+  done;
+  !d
 
+(* The observability mask of root [r]: flip [r] on the patterns [live]
+   and propagate the flip through its fanout cone, level by level;
+   returns the patterns on which some primary output diverges.  A
+   node's faulty word is written into its slot, then stamped (and its
+   fanouts queued) only when it differs from the good word on a live
+   pattern. *)
+let[@inline] observe k good ~live r =
+  k.generation <- k.generation + 1;
+  let generation = k.generation in
+  let c = k.circuit and stamp = k.stamp in
+  Bytes.set_int64_ne k.faulty (r lsl 3)
+    (Int64.lognot (Bytes.get_int64_ne good (r lsl 3)));
+  stamp.(r) <- generation;
+  let out = ref (if c.output_flags.(r) then live else 0L) in
+  k.top <- 0;
+  schedule_fanouts k r;
+  let level = ref (c.levels.(r) + 1) in
+  while !level <= k.top do
+    let l = !level in
+    let base = k.first.(l) in
+    for j = base to base + k.fill.(l) - 1 do
+      let u = k.queue.(j) in
+      Logicsim.Packed.eval_gate c ~good ~faulty:k.faulty ~stamp ~generation
+        ~pin:(-1) ~forced:0L u;
+      let d = diverges k good ~live u in
+      if d <> 0L then begin
+        stamp.(u) <- generation;
+        if c.output_flags.(u) then out := Int64.logor !out d;
+        schedule_fanouts k u
+      end
+    done;
+    k.fill.(l) <- 0;
+    incr level
+  done;
+  !out
+
+(* One block: the alive faults come in runs that share a region.  Each
+   run's local masks are kept in [locals] by position in [alive]; the
+   root is flipped once, on the patterns where some fault of the run
+   reaches it, and each fault's detection word is its local mask AND
+   the root's observability mask. *)
 let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
     ~progress c faults ~blocks ~good ~alive ~detections ~nth =
   let k = kernel c in
+  group_by_root k.root faults alive;
+  let locals = Bytes.create (8 * Array.length alive) in
   let alive_count = ref (Array.length alive) in
   let dropped = ref 0 in
   let block_start = ref 0 in
   for b = 0 to Array.length blocks - 1 do
     let block = blocks.(b) in
     if !alive_count > 0 && not (Robust.Cancel.stop_requested cancel) then begin
-      if Instrument.observing () then
-        Instrument.count_fault_evals ~engine !alive_count;
       let good = good b in
       let live = Logicsim.Packed.live_mask block in
-      let kept = ref 0 in
-      for j = 0 to !alive_count - 1 do
-        let fi = alive.(j) in
-        let mask = propagate k good ~live faults.(fi) in
-        if record_detections ~n ~block_start:!block_start ~detections ~nth mask fi
-        then begin
-          alive.(!kept) <- fi;
-          incr kept
-        end
-        else incr dropped
+      let count = !alive_count in
+      let kept = ref 0 and flips = ref 0 and first = ref 0 in
+      while !first < count do
+        let r = root_of k.root faults.(alive.(!first)) in
+        let stop = ref !first and reached = ref 0L in
+        while !stop < count && root_of k.root faults.(alive.(!stop)) = r do
+          let mask = local k good ~live faults.(alive.(!stop)) in
+          Bytes.set_int64_ne locals (!stop lsl 3) mask;
+          reached := Int64.logor !reached mask;
+          incr stop
+        done;
+        let observed =
+          if !reached = 0L then 0L
+          else begin
+            incr flips;
+            observe k good ~live:!reached r
+          end
+        in
+        for j = !first to !stop - 1 do
+          let fi = alive.(j) in
+          let mask = Int64.logand (Bytes.get_int64_ne locals (j lsl 3)) observed in
+          if record_detections ~n ~block_start:!block_start ~detections ~nth mask fi
+          then begin
+            alive.(!kept) <- fi;
+            incr kept
+          end
+          else incr dropped
+        done;
+        first := !stop
       done;
-      alive_count := !kept
+      alive_count := !kept;
+      if Instrument.observing () then begin
+        Instrument.count_fault_evals ~engine count;
+        Instrument.count_root_flips ~engine !flips
+      end
     end;
     block_start := !block_start + block.Logicsim.Packed.pattern_count;
     Obs.Progress.step progress block.Logicsim.Packed.pattern_count;

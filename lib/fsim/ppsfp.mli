@@ -1,21 +1,35 @@
 (** Parallel-pattern single-fault propagation (PPSFP) fault simulation.
 
     For each 64-pattern block the good machine is simulated once; each
-    live fault is then propagated only through its fanout cone, level by
-    level, with copy-on-write faulty words.  A fault whose effect dies
-    out is abandoned early, and faults are dropped once detected [n]
-    times.  Produces byte-identical results to {!Serial.run}
-    (differential-tested), at a fraction of the cost on large circuits.
+    live fault is then evaluated only along its path to the root of its
+    fanout-free region, and each region root is propagated once through
+    its fanout cone, level by level, with copy-on-write faulty words.
+    Faults are dropped once detected [n] times.  Produces
+    byte-identical results to {!Serial.run} (differential-tested), at a
+    fraction of the cost on large circuits.
 
     One allocation-free kernel does the work of {!run}, {!run_counts}
     and every {!Par} shard ({!grade}).  Its invariants:
-    words live unboxed in [Bytes] and are evaluated by
-    {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
-    while its stamp equals the current generation, and a new
-    generation starts with every fault-block; pending nodes sit in one
-    flat [int array] partitioned by level; the alive faults are an
-    [int array] compacted in place after every block.  Malformed faults
-    are rejected at entry by {!Faults.Fault.check}. *)
+    - a node's fanout-free-region (FFR) root is the node itself when it
+      is an output or does not have exactly one fanout, else its one
+      fanout's root.  An FFR has no reconvergence, so a fault in it
+      reaches the rest of the circuit only through the root, along one
+      path: its detection word is exactly its local mask (the patterns
+      on which it flips the root) AND the root's observability mask
+      (the patterns on which flipping the root reaches an output);
+    - per block, each alive fault is evaluated along its path to the
+      root, and the root is flipped once, on the patterns where some
+      alive fault of its region reaches it;
+    - words live unboxed in [Bytes] and are evaluated by
+      {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
+      while its stamp equals the current generation, and a new
+      generation starts with every local evaluation and every root
+      flip;
+    - pending nodes sit in one flat [int array] partitioned by level;
+    - the alive faults are an [int array] grouped by root with a
+      counting sort, and compacted in place after every block.
+
+    Malformed faults are rejected at entry by {!Faults.Fault.check}. *)
 
 val run :
   ?cancel:Robust.Cancel.t ->
@@ -70,6 +84,15 @@ val run_counts :
 
     Exposed so that {!Par} runs the identical loop on every domain. *)
 
+val shards :
+  Circuit.Netlist.t -> Faults.Fault.t array -> domains:int -> int array array
+(** [shards c faults ~domains] splits the indices of [faults] into
+    [domains] disjoint sets (some possibly empty) for {!grade} to run
+    independently: faults are grouped by fanout-free region and whole
+    regions are dealt round-robin, in increasing root order, so each
+    root is flipped by one set only.  The faults must already have
+    passed {!Faults.Fault.check}; [domains] must be >= 1. *)
+
 val grade :
   ?cancel:Robust.Cancel.t ->
   ?on_block:(unit -> unit) ->
@@ -90,9 +113,12 @@ val grade :
     returns how many of them it dropped.  [good b] returns the
     good-machine words ({!Logicsim.Packed.eval_words}) of block [b]; the
     loop only reads them, and asks only while some fault is alive and
-    [cancel] has not fired.  [alive] is compacted in place as faults
-    drop, and only its faults' slots of [detections]/[nth] are written.
-    After every block the loop steps [progress] by the block's pattern
-    count and calls [on_block]; while faults are alive it also adds
-    their number to ["fsim.<engine>.fault_evals"].  The faults must
-    already have passed {!Faults.Fault.check}. *)
+    [cancel] has not fired.  [alive] is reordered in place, grouped by
+    region root, and then compacted as faults drop, so on return its
+    contents are unspecified; only its faults' slots of
+    [detections]/[nth] are written.  After every block the loop steps
+    [progress] by the block's pattern count and calls [on_block]; while
+    faults are alive it also adds their number to
+    ["fsim.<engine>.fault_evals"] and the number of roots it flipped to
+    ["fsim.<engine>.root_flips"].  The faults must already have passed
+    {!Faults.Fault.check}. *)
