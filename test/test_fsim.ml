@@ -451,7 +451,33 @@ let every_kind_circuit () =
   List.iter (N.Builder.mark_output b) [ xor3; or4; xnor3; nor4; one ];
   N.Builder.build b
 
-let check_engines_agree name c universe patterns =
+(* Fanout-free-region corners the random generators never emit:
+   duplicated fanins ([Xor [a; a]], [And [b; b; c]]), a four-gate chain
+   of single fanouts ending in a stem, an output that also has exactly
+   one fanout, and two dangling gates, one of them at the end of a
+   single-fanout path. *)
+let ffr_corner_circuit () =
+  let b = N.Builder.create ~name:"ffr_corners" in
+  let i = Array.init 6 (fun k -> N.Builder.add_input b (Printf.sprintf "i%d" k)) in
+  let g kind fanins = N.Builder.add_gate b kind fanins in
+  let twin = g Circuit.Gate.Xor [ i.(0); i.(0) ] in
+  let triple = g Circuit.Gate.And [ i.(1); i.(1); i.(2) ] in
+  (* [triple] -> [c1] -> [c2] -> [c3] -> [c4]; [c4] feeds two gates. *)
+  let c1 = g Circuit.Gate.Nand [ triple; i.(3) ] in
+  let c2 = g Circuit.Gate.Not [ c1 ] in
+  let c3 = g Circuit.Gate.Or [ c2; i.(4) ] in
+  let c4 = g Circuit.Gate.Xnor [ c3; i.(5) ] in
+  (* [lone] is an output and feeds only [h2]. *)
+  let lone = g Circuit.Gate.Or [ twin; i.(1) ] in
+  let h1 = g Circuit.Gate.Xor [ c4; i.(0) ] in
+  let h2 = g Circuit.Gate.Nor [ lone; c4 ] in
+  let feed = g Circuit.Gate.Not [ i.(5) ] in
+  ignore (g Circuit.Gate.And [ feed; i.(2) ]);
+  ignore (g Circuit.Gate.Nand [ i.(3); i.(4) ]);
+  List.iter (N.Builder.mark_output b) [ lone; h1; h2 ];
+  N.Builder.build b
+
+let check_engines_agree ~domains ~ns name c universe patterns =
   let serial = Fsim.Serial.run c universe patterns in
   Alcotest.(check bool) (name ^ ": ppsfp = serial") true
     (Fsim.Ppsfp.run c universe patterns = serial);
@@ -461,7 +487,7 @@ let check_engines_agree name c universe patterns =
         (Printf.sprintf "%s: par(%d) = serial" name domains)
         true
         (Fsim.Par.run ~domains c universe patterns = serial))
-    [ 1; 2; 3; 5 ];
+    domains;
   List.iter
     (fun n ->
       let reference = Fsim.Serial.run_counts ~n c universe patterns in
@@ -475,17 +501,27 @@ let check_engines_agree name c universe patterns =
             (Printf.sprintf "%s: par(%d) counts = serial at n=%d" name domains n)
             true
             (Fsim.Par.run_counts ~domains ~n c universe patterns = reference))
-        [ 1; 2; 3; 5 ])
-    [ 1; 3; 64 ]
+        domains)
+    ns
 
 let test_kernel_every_gate_kind () =
+  let check = check_engines_agree ~domains:[ 1; 2; 3; 5 ] ~ns:[ 1; 3; 64 ] in
   let c = every_kind_circuit () in
   let universe = Faults.Universe.all c in
   let exhaustive = exhaustive_patterns 7 in
-  check_engines_agree "exhaustive" c universe exhaustive;
+  check "exhaustive" c universe exhaustive;
   (* 100 patterns: the last block is partial. *)
-  check_engines_agree "100 patterns" c universe
-    (Array.init 100 (fun k -> exhaustive.((k * 37) mod 128)))
+  check "100 patterns" c universe
+    (Array.init 100 (fun k -> exhaustive.((k * 37) mod 128)));
+  let c = ffr_corner_circuit () in
+  let exhaustive = exhaustive_patterns 6 in
+  List.iter
+    (fun (name, patterns) ->
+      check_engines_agree ~domains:[ 1; 2; 3; 8 ] ~ns:[ 1; 2; 3; 4 ] name c
+        (Faults.Universe.all c) patterns)
+    [ ("ffr corners exhaustive", exhaustive);
+      ("ffr corners 100 patterns",
+       Array.init 100 (fun k -> exhaustive.((k * 37) mod 64))) ]
 
 let test_kernel_lsi_chip_n64 () =
   let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:4 () in
@@ -860,15 +896,17 @@ let test_multifault_empty_set_passes () =
 let qcheck_props =
   let open QCheck in
   [ Test.make ~count:15 ~name:"ppsfp = serial on random circuits"
-      (pair (int_range 4 10) (int_range 20 120))
-      (fun (inputs, gates) ->
+      (triple (int_range 4 10) (int_range 20 120) (int_range 1 8))
+      (fun (inputs, gates, n) ->
         let c =
           Circuit.Generators.random_circuit ~inputs ~gates ~outputs:4
             ~seed:(inputs + (gates * 13))
         in
         let universe = Faults.Universe.all c in
         let patterns = random_patterns ~seed:(gates + 2) ~count:70 c in
-        Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns);
+        Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns
+        && Fsim.Serial.run_counts ~n c universe patterns
+           = Fsim.Ppsfp.run_counts ~n c universe patterns);
     Test.make ~count:15 ~name:"multi-fault first fail <= each member's (on chains it can differ)"
       (int_range 1 1000)
       (fun seed ->
@@ -883,8 +921,8 @@ let qcheck_props =
         single = multi);
     Test.make ~count:12
       ~name:"par = ppsfp for any circuit, pattern count and domain count"
-      (triple (int_range 4 10) (int_range 20 120) (int_range 1 8))
-      (fun (inputs, gates, domains) ->
+      (quad (int_range 4 10) (int_range 20 120) (int_range 1 8) (int_range 1 8))
+      (fun (inputs, gates, domains, n) ->
         let c =
           Circuit.Generators.random_circuit ~inputs ~gates ~outputs:4
             ~seed:((inputs * 7) + gates)
@@ -892,7 +930,9 @@ let qcheck_props =
         let universe = Faults.Universe.all c in
         let count = 1 + (gates * 5 mod 130) in
         let patterns = random_patterns ~seed:(gates + domains) ~count c in
-        Fsim.Par.run ~domains c universe patterns = Fsim.Ppsfp.run c universe patterns) ]
+        Fsim.Par.run ~domains c universe patterns = Fsim.Ppsfp.run c universe patterns
+        && Fsim.Par.run_counts ~domains ~n c universe patterns
+           = Fsim.Ppsfp.run_counts ~n c universe patterns) ]
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -510,6 +510,45 @@ let test_disabled_progress_allocates_nothing () =
     (Printf.sprintf "no per-step allocation (delta %.0f words)" delta)
     true (delta < 64.0)
 
+(* The packed kernel flips each fanout-free-region root once per block
+   for all of its alive faults: a run flips at least one root and never
+   more roots than it evaluates alive faults, in the metric and on
+   every span that counts both. *)
+let test_root_flips_counted () =
+  let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:4 () in
+  let universe =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let patterns = Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:4 ()) c ~count:256 in
+  with_obs @@ fun () ->
+  ignore (Fsim.Ppsfp.run c universe patterns);
+  ignore (Fsim.Par.run_counts ~domains:2 ~n:4 c universe patterns);
+  List.iter
+    (fun engine ->
+      let metric name =
+        Option.value ~default:0.0
+          (Obs.Metrics.value (Printf.sprintf "fsim.%s.%s" engine name))
+      in
+      let flips = metric "root_flips" and evals = metric "fault_evals" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 < root_flips (%g) <= fault_evals (%g)" engine flips
+           evals)
+        true
+        (0.0 < flips && flips <= evals))
+    [ "ppsfp"; "ndetect.par" ];
+  List.iter
+    (fun s ->
+      let counter name =
+        Option.value ~default:0.0 (List.assoc_opt name s.Obs.Trace.counters)
+      in
+      if List.mem_assoc "fault_evals" s.Obs.Trace.counters then
+        Alcotest.(check bool)
+          (s.Obs.Trace.name ^ ": root_flips <= fault_evals")
+          true
+          (counter "root_flips" <= counter "fault_evals"))
+    (Obs.Trace.spans ())
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "obs",
@@ -520,6 +559,7 @@ let suite =
         tc "metrics kinds" test_metrics_kinds;
         tc "metrics snapshot json" test_metrics_snapshot_json;
         tc "par trace has shard spans" test_par_trace_has_shard_spans;
+        tc "root flips counted" test_root_flips_counted;
         tc "exact trace has bdd spans" test_exact_trace_has_bdd_spans;
         tc "podem span names its fault" test_podem_span_names_fault;
         tc "tree shape deterministic" test_tree_shape_deterministic;
