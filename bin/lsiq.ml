@@ -287,27 +287,19 @@ let with_obs ?seed ?circuit ?(cancel = Robust.Cancel.none)
 
 (* --------------------------- reject-rate --------------------------- *)
 
-(* The paper's models raise Invalid_argument on a parameter outside
-   their domain, NaN included: a usage error, reported before any
-   answer is printed. *)
-let model_answers compute =
-  match compute () with
-  | answers -> answers
-  | exception Invalid_argument msg -> usage_error "%s" msg
-
 let reject_rate_cmd =
   let coverage =
     Arg.(required & opt (some float) None & info [ "f"; "coverage" ] ~docv:"F"
            ~doc:"Fault coverage of the test set, in [0,1].")
   in
+  (* Every answer is computed before any is printed: the models raise
+     Invalid_argument on a parameter outside their domain, NaN
+     included, which exits 2 at the error boundary with stdout empty. *)
   let action y n0 f =
-    let r, ybg, p, wadsack =
-      model_answers (fun () ->
-          let r = Quality.Reject.reject_rate ~yield_:y ~n0 f in
-          let ybg = Quality.Reject.ybg ~yield_:y ~n0 f in
-          let p = Quality.Reject.p_reject ~yield_:y ~n0 f in
-          (r, ybg, p, Quality.Wadsack.reject_rate ~yield_:y f))
-    in
+    let r = Quality.Reject.reject_rate ~yield_:y ~n0 f in
+    let ybg = Quality.Reject.ybg ~yield_:y ~n0 f in
+    let p = Quality.Reject.p_reject ~yield_:y ~n0 f in
+    let wadsack = Quality.Wadsack.reject_rate ~yield_:y f in
     Printf.printf "field reject rate  r(f) = %.6f\n" r;
     Printf.printf "bad-chips-passing  Ybg  = %.6f\n" ybg;
     Printf.printf "fraction rejected  P(f) = %.6f\n" p;
@@ -320,15 +312,12 @@ let reject_rate_cmd =
 (* ------------------------ required-coverage ------------------------ *)
 
 let required_coverage_cmd =
+  (* All three answers before any is printed, as in reject-rate. *)
   let action y n0 reject =
-    let ours, wadsack, williams_brown =
-      model_answers (fun () ->
-          let ours = Quality.Requirement.required_coverage ~yield_:y ~n0 ~reject in
-          let wadsack = Quality.Wadsack.required_coverage ~yield_:y ~reject in
-          ( ours,
-            wadsack,
-            Quality.Williams_brown.required_coverage ~yield_:y
-              ~defect_level:reject ))
+    let ours = Quality.Requirement.required_coverage ~yield_:y ~n0 ~reject in
+    let wadsack = Quality.Wadsack.required_coverage ~yield_:y ~reject in
+    let williams_brown =
+      Quality.Williams_brown.required_coverage ~yield_:y ~defect_level:reject
     in
     (match ours with
     | Some f -> Printf.printf "required coverage (this model): %.4f\n" f
@@ -1764,11 +1753,29 @@ let () =
   in
   let info = Cmd.info "lsiq" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
+  let cmd =
+    Cmd.group ~default info
+      [ reject_rate_cmd; required_coverage_cmd; estimate_cmd;
+        simulate_lot_cmd; fsim_cmd; atpg_cmd; convert_cmd; diagnose_cmd;
+        compact_cmd;
+        stafan_cmd; sample_cmd; lint_cmd; analyze_cmd; testability_cmd;
+        equiv_cmd; experiments_cmd; wafer_cmd; report_cmd ]
+  in
+  (* The one error boundary: the libraries reject an input they cannot
+     take (a model parameter off its domain, an empty lot, a fault index
+     out of range) with Invalid_argument or Failure, which is a usage
+     error — one lsiq: line, exit 2.  Any other exception, the
+     fault-injection drills' Robust.Inject.Injected among them, is an
+     internal error and exits 125 as cmdliner reports it. *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          [ reject_rate_cmd; required_coverage_cmd; estimate_cmd;
-            simulate_lot_cmd; fsim_cmd; atpg_cmd; convert_cmd; diagnose_cmd;
-            compact_cmd;
-            stafan_cmd; sample_cmd; lint_cmd; analyze_cmd; testability_cmd;
-            equiv_cmd; experiments_cmd; wafer_cmd; report_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Invalid_argument msg | Failure msg) ->
+      Printf.eprintf "lsiq: %s\n" msg;
+      2
+    | exception e ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      Printf.eprintf "lsiq: internal error, uncaught exception:\n  %s\n%s"
+        (Printexc.to_string e)
+        (Printexc.raw_backtrace_to_string backtrace);
+      Cmd.Exit.internal_error)
