@@ -115,25 +115,15 @@ let shards c faults ~domains =
   let order = Array.init (Array.length faults) Fun.id in
   group_by_root root faults order;
   (* Deal the regions round-robin, in increasing root order. *)
-  let owner = Array.make (Array.length order) 0 in
-  let sizes = Array.make domains 0 in
-  let region = ref (-1) in
+  let shards = Array.make domains [] and region = ref (-1) in
   Array.iteri
     (fun j fi ->
       if j = 0 || root_of root faults.(fi) <> root_of root faults.(order.(j - 1))
       then incr region;
-      owner.(j) <- !region mod domains;
-      sizes.(owner.(j)) <- sizes.(owner.(j)) + 1)
+      let i = !region mod domains in
+      shards.(i) <- fi :: shards.(i))
     order;
-  let shards = Array.map (fun size -> Array.make size 0) sizes in
-  let fill = Array.make domains 0 in
-  Array.iteri
-    (fun j fi ->
-      let i = owner.(j) in
-      shards.(i).(fill.(i)) <- fi;
-      fill.(i) <- fill.(i) + 1)
-    order;
-  shards
+  Array.map (fun faults -> Array.of_list (List.rev faults)) shards
 
 (* Per-domain scratch of the kernel.  A faulty word [faulty] at node
    [u] is valid only while [stamp.(u) = generation]; every local
