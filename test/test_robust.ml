@@ -262,19 +262,30 @@ let test_par_shard_retry_recovers () =
 
 (* The failpoint fires after the failed attempt has written its first
    block's counts, so only a reset of exactly the faults that shard
-   owns (every third one) reproduces the single-domain answer: a reset
-   that missed them would double-count, one that hit another shard's
-   faults would lose its counts. *)
+   owns (those of every third fanout-free region) reproduces the
+   single-domain answer: a reset that missed them would double-count,
+   one that hit another shard's faults would lose its counts.  At
+   n = 16 only some of a shard's faults drop in that block, so a failed
+   attempt leaves its alive array compacted; with every shard failing
+   once, each retry must grade, and reset, a fresh copy of its shard. *)
 let test_par_counts_shard_retry_resets_owned_faults () =
   with_inject @@ fun () ->
   with_metrics @@ fun () ->
   let c, universe, patterns = Lazy.force fsim_rig in
-  let baseline = Fsim.Ppsfp.run_counts ~n:4 c universe patterns in
-  Robust.Inject.set "fsim.par.shard" (Robust.Inject.At_nth 2);
-  let par = Fsim.Par.run_counts ~domains:3 ~n:4 c universe patterns in
-  Alcotest.(check bool) "retried shard's counts bit-identical" true (par = baseline);
-  Alcotest.(check (option (float 1e-9))) "one retry recorded" (Some 1.0)
-    (Obs.Metrics.value "fsim.ndetect.par.shard_retries")
+  List.iter
+    (fun (n, trigger, retries) ->
+      Obs.Metrics.reset ();
+      let baseline = Fsim.Ppsfp.run_counts ~n c universe patterns in
+      Robust.Inject.set "fsim.par.shard" trigger;
+      let par = Fsim.Par.run_counts ~domains:3 ~n c universe patterns in
+      Alcotest.(check bool)
+        (Printf.sprintf "retried shards' counts bit-identical at n=%d" n)
+        true (par = baseline);
+      Alcotest.(check (option (float 1e-9)))
+        (Printf.sprintf "%g retries recorded" retries)
+        (Some retries)
+        (Obs.Metrics.value "fsim.ndetect.par.shard_retries"))
+    [ (4, Robust.Inject.At_nth 2, 1.0); (16, Robust.Inject.First_n 3, 3.0) ]
 
 let test_par_shard_fallback_recovers () =
   with_inject @@ fun () ->
