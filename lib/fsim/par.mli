@@ -4,10 +4,11 @@
     {!Ppsfp.grade}, the same block loop as {!Ppsfp.run}, over its shard
     with a private kernel, against good-machine words evaluated once
     per block and shared read-only.  Sharding is deterministic and
-    round-robin: with [d] domains, shard [i] owns the faults whose
-    index is [i] mod [d], which spreads the costly cones of one region
-    of the circuit over every domain.  Per-fault results do not depend
-    on the other faults in a shard, so the merged output is
+    decided by {!Ppsfp.shards}: whole fanout-free regions are dealt
+    round-robin, in increasing root order, so each region's root is
+    flipped on one domain only and neighbouring regions of the circuit
+    spread over every domain.  Per-fault results do not depend on the
+    other faults in a shard, so the merged output is
     {e bit-identical} to {!Ppsfp.run} for every domain count.
     Malformed faults raise {!Faults.Fault.check}'s [Invalid_argument]
     before any domain is spawned. *)
