@@ -1624,66 +1624,93 @@ let equiv_cmd =
 
 (* --------------------------- experiments --------------------------- *)
 
+(* The analytic figure series as CSV files for external plotting. *)
+let write_csv directory =
+  if not (Sys.file_exists directory) then Sys.mkdir directory 0o755;
+  List.iter
+    (fun (name, series) ->
+      let path = Filename.concat directory (name ^ ".csv") in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Report.Csv.of_series series));
+      Printf.eprintf "wrote %s\n" path)
+    [ ("fig1", Experiments.Fig1.series ());
+      ("fig2", Experiments.Fig2_3_4.series ~reject:0.01);
+      ("fig3", Experiments.Fig2_3_4.series ~reject:0.005);
+      ("fig4", Experiments.Fig2_3_4.series ~reject:0.001);
+      ("fig6", Experiments.Fig6.series ());
+      ("fig5",
+       Experiments.Fig5.family ~yield_:0.07
+       @ [ Experiments.Fig5.paper_points () ]) ];
+  ""
+
+(* What a target reads besides its name: the pipeline's seed and domain
+   count, the csv target's directory. *)
+type experiment_args = { seed : int; domains : int option; dir : string option }
+
+(* Every target of `lsiq experiments`: the one list behind the dispatch,
+   the TARGET doc and the unknown-target error.  Each render returns the
+   target's stdout. *)
+let experiment_targets =
+  let figure name reject _ = Experiments.Fig2_3_4.render_figure ~name ~reject in
+  let default_run () =
+    Experiments.Pipeline.execute Experiments.Pipeline.default_config
+  in
+  [ ("fig1", fun _ -> Experiments.Fig1.render ());
+    ("fig2", figure "Fig.2" 0.01);
+    ("fig3", figure "Fig.3" 0.005);
+    ("fig4", figure "Fig.4" 0.001);
+    ("fig2-4", fun _ -> Experiments.Fig2_3_4.render ());
+    ("fig5", fun _ -> Experiments.Fig5.render ~run:(default_run ()) ());
+    ("fig6", fun _ -> Experiments.Fig6.render ());
+    ("table1", fun _ -> Experiments.Table1.render ~run:(default_run ()) ());
+    ("pipeline",
+     fun { seed; domains; _ } ->
+       (* The end-to-end simulate-lot pipeline with the multicore
+          fault-simulation engine, so a trace shows every stage
+          boundary and each Fsim.Par domain shard. *)
+       let config =
+         { Experiments.Pipeline.default_config with
+           Experiments.Pipeline.seed;
+           fsim_engine =
+             Fsim.Coverage.Par { domains = Option.value domains ~default:2 } }
+       in
+       let run = Experiments.Pipeline.execute config in
+       Experiments.Pipeline.summary run ^ "\n"
+       ^ Experiments.Table1.render ~run ());
+    ("comparison", fun _ -> Experiments.Comparison.render ());
+    ("fineline", fun _ -> Experiments.Fineline.render ());
+    ("ablation", fun _ -> Experiments.Ablation.render ());
+    ("economics", fun _ -> Experiments.Economics_study.render ());
+    ("drift", fun _ -> Experiments.Drift.render ());
+    ("signature", fun _ -> Experiments.Signature_study.render ());
+    ("csv", fun { dir; _ } -> write_csv (Option.get dir)) ]
+
 let experiments_cmd =
+  let names = String.concat " " (List.map fst experiment_targets) in
   let target =
     Arg.(value & pos 0 string "comparison" & info [] ~docv:"TARGET"
-           ~doc:"fig1 fig2 fig3 fig4 fig5 fig6 table1 pipeline comparison \
-                 fineline ablation economics drift.")
+           ~doc:(names ^ "."))
   in
-  let action target seed domains obs =
-    (* `exit 2` on an unknown target must not skip with_obs's finaliser. *)
-    let output =
-      with_obs ~seed obs @@ fun () ->
-      match target with
-      | "fig1" -> Some (Experiments.Fig1.render ())
-      | "fig2" ->
-        Some (Experiments.Fig2_3_4.render_figure ~name:"Fig.2" ~reject:0.01)
-      | "fig3" ->
-        Some (Experiments.Fig2_3_4.render_figure ~name:"Fig.3" ~reject:0.005)
-      | "fig4" ->
-        Some (Experiments.Fig2_3_4.render_figure ~name:"Fig.4" ~reject:0.001)
-      | "fig5" ->
-        let run = Experiments.Pipeline.execute Experiments.Pipeline.default_config in
-        Some (Experiments.Fig5.render ~run ())
-      | "fig6" -> Some (Experiments.Fig6.render ())
-      | "table1" ->
-        let run = Experiments.Pipeline.execute Experiments.Pipeline.default_config in
-        Some (Experiments.Table1.render ~run ())
-      | "pipeline" ->
-        (* The end-to-end simulate-lot pipeline with the multicore
-           fault-simulation engine, so a trace shows every stage
-           boundary and each Fsim.Par domain shard. *)
-        let config =
-          { Experiments.Pipeline.default_config with
-            Experiments.Pipeline.seed;
-            fsim_engine =
-              Fsim.Coverage.Par
-                { domains = (match domains with Some n -> n | None -> 2) } }
-        in
-        let run = Experiments.Pipeline.execute config in
-        Some
-          (Experiments.Pipeline.summary run ^ "\n"
-          ^ Experiments.Table1.render ~run ())
-      | "comparison" -> Some (Experiments.Comparison.render ())
-      | "fineline" -> Some (Experiments.Fineline.render ())
-      | "ablation" -> Some (Experiments.Ablation.render ())
-      | "economics" -> Some (Experiments.Economics_study.render ())
-      | "drift" -> Some (Experiments.Drift.render ())
-      | other ->
-        Printf.eprintf
-          "lsiq: unknown experiment %S\nvalid targets: fig1 fig2 fig3 fig4 \
-           fig5 fig6 table1 pipeline comparison fineline ablation economics \
-           drift\n"
-          other;
-        None
+  let dir =
+    Arg.(value & pos 1 (some string) None & info [] ~docv:"DIR"
+           ~doc:"Directory the $(b,csv) target writes its CSV files to.")
+  in
+  let action target dir seed domains obs =
+    let render =
+      match List.assoc_opt target experiment_targets with
+      | Some render -> render
+      | None ->
+        usage_error "unknown experiment %S\nvalid targets: %s" target names
     in
-    match output with
-    | Some text -> print_string text
-    | None -> exit 2
+    (match (target, dir) with
+    | "csv", None -> usage_error "the csv target needs a DIR"
+    | "csv", Some _ | _, None -> ()
+    | _, Some _ -> usage_error "only the csv target takes a DIR");
+    print_string (with_obs ~seed obs @@ fun () -> render { seed; domains; dir })
   in
   let doc = "Regenerate one of the paper's figures or tables." in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(const action $ target $ seed_arg $ domains_arg $ obs_term)
+    Term.(const action $ target $ dir $ seed_arg $ domains_arg $ obs_term)
 
 (* ------------------------------ report ----------------------------- *)
 
