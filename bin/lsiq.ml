@@ -59,6 +59,23 @@ let circuit_arg =
   Arg.(value & opt Circuit_arg.conv (Circuit.Generators.c17 ()) &
        info [ "c"; "circuit" ] ~docv:"CIRCUIT" ~doc)
 
+(* The --fail-on flag of lint, analyze, testability and equiv: each
+   passes its own default and doc. *)
+let fail_on_arg ~default doc =
+  Arg.(value
+       & opt (enum [ ("never", `Never); ("warning", `Warning); ("error", `Error) ])
+           default
+       & info [ "fail-on" ] ~docv:"LEVEL" ~doc)
+
+(* Exit 1 when a finding at the --fail-on level or worse is present.
+   Call it after [with_obs] returns: [exit] does not unwind the stack,
+   so inside it the trace file would never be written. *)
+let fail_on_exit level ~errors ~warnings =
+  match level with
+  | `Never -> ()
+  | `Error -> if errors then exit 1
+  | `Warning -> if errors || warnings then exit 1
+
 (* ------------------------- observability --------------------------- *)
 
 let trace_arg =
@@ -910,12 +927,9 @@ let lint_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
   let fail_on =
-    Arg.(value
-         & opt (enum [ ("never", `Never); ("warning", `Warning); ("error", `Error) ])
-             `Never
-         & info [ "fail-on" ] ~docv:"LEVEL"
-             ~doc:"Exit non-zero when diagnostics at severity $(docv) (never, \
-                   warning, error) or worse are present.")
+    fail_on_arg ~default:`Never
+      "Exit non-zero when diagnostics at severity $(docv) (never, warning, \
+       error) or worse are present."
   in
   let fanout_threshold =
     Arg.(value & opt int Lint.Driver.default_config.Lint.Driver.fanout_threshold
@@ -936,9 +950,7 @@ let lint_cmd =
   in
   let action circuit json fail_on fanout_threshold structural_only learn_depth
       exact obs =
-    (* [exit] must happen outside [with_obs]: it does not unwind the
-       stack, so the trace file would never be written. *)
-    let trip =
+    let report =
       with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let config =
         { Lint.Driver.default_config with
@@ -950,12 +962,10 @@ let lint_cmd =
         print_endline
           (Report.Json.to_string_pretty (Lint.Driver.render_json report))
       else print_string (Lint.Driver.render_text report);
-      match fail_on with
-      | `Never -> false
-      | `Error -> report.Lint.Driver.errors > 0
-      | `Warning -> report.Lint.Driver.errors > 0 || report.Lint.Driver.warnings > 0
+      report
     in
-    if trip then exit 1
+    fail_on_exit fail_on ~errors:(report.Lint.Driver.errors > 0)
+      ~warnings:(report.Lint.Driver.warnings > 0)
   in
   let doc =
     "Static analysis of a netlist: structural rules (constant nets, dead \
@@ -973,14 +983,10 @@ let analyze_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
   let fail_on =
-    Arg.(value
-         & opt (enum [ ("never", `Never); ("warning", `Warning); ("error", `Error) ])
-             `Never
-         & info [ "fail-on" ] ~docv:"LEVEL"
-             ~doc:"Exit non-zero at severity $(docv) (never, warning, error) \
-                   or worse: errors are implication-engine contradictions \
-                   (engine self-check), warnings are untestable faults and \
-                   unobservable stems.")
+    fail_on_arg ~default:`Never
+      "Exit non-zero at severity $(docv) (never, warning, error) or worse: \
+       errors are implication-engine contradictions (engine self-check), \
+       warnings are untestable faults and unobservable stems."
   in
   let learn_depth =
     Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"D"
@@ -996,7 +1002,7 @@ let analyze_cmd =
   in
   let action circuit json fail_on learn_depth show_dominators show_implications
       obs =
-    let trip =
+    let errors, warnings =
       with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let module N = Circuit.Netlist in
       let engine =
@@ -1203,12 +1209,9 @@ let analyze_cmd =
             untestable
         end
       end;
-      match fail_on with
-      | `Never -> false
-      | `Error -> errors > 0
-      | `Warning -> errors > 0 || warnings > 0
+      (errors, warnings)
     in
-    if trip then exit 1
+    fail_on_exit fail_on ~errors:(errors > 0) ~warnings:(warnings > 0)
   in
   let doc =
     "Static implication and dominator analysis: per-stem absolute dominators, \
@@ -1259,22 +1262,16 @@ let testability_cmd =
                  row.")
   in
   let fail_on =
-    Arg.(value
-         & opt (enum [ ("never", `Never); ("warning", `Warning); ("error", `Error) ])
-             `Never
-         & info [ "fail-on" ] ~docv:"LEVEL"
-             ~doc:"Exit non-zero at severity $(docv) (never, warning, error) \
-                   or worse: errors are detection-bound self-check violations \
-                   (an interval outside [0,1] or inverted, or an exact BDD \
-                   probability outside its interval band), warnings are \
-                   random-pattern-resistant faults and an exceeded \
-                   $(b,--exact) node budget.")
+    fail_on_arg ~default:`Never
+      "Exit non-zero at severity $(docv) (never, warning, error) or worse: \
+       errors are detection-bound self-check violations (an interval outside \
+       [0,1] or inverted, or an exact BDD probability outside its interval \
+       band), warnings are random-pattern-resistant faults and an exceeded \
+       $(b,--exact) node budget."
   in
   let action circuit json csv threshold predict_curve test_length max_patterns
       yield_opt n0 fail_on exact obs =
-    (* [exit] must happen outside [with_obs]: it does not unwind the
-       stack, so the trace file would never be written. *)
-    let trip =
+    let errors, warnings =
       with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let module N = Circuit.Netlist in
       let module SP = Analysis.Signal_prob in
@@ -1499,12 +1496,9 @@ let testability_cmd =
             violations
             (if violations = 1 then "" else "s")
       end;
-      match fail_on with
-      | `Never -> false
-      | `Error -> violations > 0
-      | `Warning -> violations > 0 || resistant <> [] || exact_incomplete
+      (violations > 0, resistant <> [] || exact_incomplete)
     in
-    if trip then exit 1
+    fail_on_exit fail_on ~errors ~warnings
   in
   let doc =
     "Static random-pattern testability: signal-probability bounds \
@@ -1540,20 +1534,14 @@ let equiv_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the verdict as JSON.")
   in
   let fail_on =
-    Arg.(value
-         & opt (enum [ ("never", `Never); ("warning", `Warning); ("error", `Error) ])
-             `Error
-         & info [ "fail-on" ] ~docv:"LEVEL"
-             ~doc:"Exit non-zero at severity $(docv) or worse: a mismatch is \
-                   an error, an exceeded node budget (no verdict) a warning.  \
-                   Default error — unlike lint, an inequivalence is the \
-                   finding the command exists to catch.  Interface \
-                   disagreements (different input or output names) are usage \
-                   errors: exit code 2 at any level.")
+    fail_on_arg ~default:`Error
+      "Exit non-zero at severity $(docv) or worse: a mismatch is an error, an \
+       exceeded node budget (no verdict) a warning.  Default error — unlike \
+       lint, an inequivalence is the finding the command exists to catch.  \
+       Interface disagreements (different input or output names) are usage \
+       errors: exit code 2 at any level."
   in
   let action a b budget json fail_on obs =
-    (* [exit] must happen outside [with_obs]: it does not unwind the
-       stack, so the trace file would never be written. *)
     let severity =
       with_obs obs @@ fun () ->
       match Bdd.Equiv.check ~budget a b with
@@ -1607,11 +1595,10 @@ let equiv_cmd =
               nodes;
           `Inconclusive)
     in
-    match (severity, fail_on) with
-    | `Usage, _ -> exit 2
-    | `Mismatch, (`Error | `Warning) -> exit 1
-    | `Inconclusive, `Warning -> exit 1
-    | (`Clean | `Mismatch | `Inconclusive), _ -> ()
+    match severity with
+    | `Usage -> exit 2
+    | (`Clean | `Mismatch | `Inconclusive) as s ->
+      fail_on_exit fail_on ~errors:(s = `Mismatch) ~warnings:(s = `Inconclusive)
   in
   let doc =
     "Combinational equivalence check of two circuits via a shared ROBDD: \
