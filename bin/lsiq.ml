@@ -480,10 +480,7 @@ let simulate_lot_cmd =
         | Some path ->
           Printf.sprintf "; progress durable in %s (--resume continues)" path
         | None -> "");
-      exit Robust.Signals.exit_interrupted
-    | Robust.Checkpoint.Mismatch msg ->
-      Printf.eprintf "lsiq: %s\n" msg;
-      exit 2);
+      exit Robust.Signals.exit_interrupted);
     robust_finish cancel
   in
   let doc = "Simulate a chip lot end-to-end and print its Table-1 analogue." in
@@ -531,104 +528,100 @@ let fsim_cmd =
     in
     let cancel = robust_setup robust in
     let note =
-      try
-        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
-        @@ fun () ->
-        let rng = Stats.Rng.create ~seed () in
-        let universe = Faults.Universe.all circuit in
-        let classes = Faults.Collapse.equivalence circuit universe in
-        let reps =
-          if collapse_dominance then Faults.Collapse.dominance circuit classes
-          else Faults.Collapse.representatives classes
-        in
-        let patterns = Tpg.Random_tpg.uniform rng circuit ~count in
-        let profile, note =
-          match checkpoint with
-          | None ->
-            (Fsim.Coverage.profile ~engine ~cancel circuit reps patterns, "")
-          | Some path ->
-            (match
-               Fsim.Restart.run ~engine ~cancel ~every ~resume ~checkpoint:path
-                 ~seed circuit reps patterns
-             with
-            | Error msg -> raise (Robust.Checkpoint.Mismatch msg)
-            | Ok o ->
-              let note =
-                if o.Fsim.Restart.completed then ""
-                else
-                  Printf.sprintf
-                    "; %d/%d patterns graded, durable in %s (--resume \
-                     continues)"
-                    o.Fsim.Restart.patterns_done count path
-              in
-              (o.Fsim.Restart.profile, note))
-        in
-        (* The n-detect pass shares the cancel token: its figures are
-           reported only when it ran to completion with the token
-           unfired, never as the zeros of a pass that stopped early. *)
-        let ndetect_counts =
-          Option.bind n_detect (fun n ->
-              let cs =
-                Fsim.Coverage.detection_counts ~engine ~cancel ~n circuit reps
-                  patterns
-              in
-              if Robust.Cancel.stop_requested cancel then None else Some cs)
-        in
-        let note =
-          if n_detect <> None && ndetect_counts = None then
-            note ^ "; n-detect pass not completed"
-          else note
-        in
-    (* Progress/status on stderr; only the results on stdout, so
-       `--csv` output pipes clean. *)
-    Format.eprintf "%a@." Circuit.Netlist.pp_summary circuit;
-    Printf.eprintf "universe: %d faults (%d after collapsing, ratio %.2f)\n"
-      (Array.length universe) (Array.length reps)
-      (Faults.Collapse.collapse_ratio classes);
-    Printf.eprintf "patterns: %d random\n%!" count;
-    let curve = Fsim.Coverage.curve profile in
-    if csv then begin
-      match ndetect_counts with
-      | None ->
-        print_string
-          (Report.Csv.of_rows
-             ([ "patterns"; "coverage" ]
-             :: (Array.to_list curve
-                |> List.map (fun (k, f) ->
-                       [ string_of_int k; Printf.sprintf "%.6f" f ]))))
-      | Some cs ->
-        let ncurve = Fsim.Coverage.curve (Fsim.Coverage.n_detect_profile cs) in
-        print_string
-          (Report.Csv.of_rows
-             ([ "patterns"; "coverage"; "ndetect_coverage" ]
-             :: (Array.to_list curve
-                |> List.mapi (fun i (k, f) ->
-                       [ string_of_int k;
-                         Printf.sprintf "%.6f" f;
-                         Printf.sprintf "%.6f" (snd ncurve.(i)) ]))))
-    end
-    else begin
-      Printf.printf "coverage: %.2f%% (%d detected, %d undetected)\n"
-        (100.0 *. Fsim.Coverage.final_coverage profile)
-        (Fsim.Coverage.detected_count profile)
-        (Array.length reps - Fsim.Coverage.detected_count profile);
-      (match ndetect_counts with
-      | None -> ()
-      | Some cs ->
-        Printf.printf "n-detect coverage (n=%d): %.2f%%\n"
-          cs.Fsim.Coverage.require
-          (100.0 *. Fsim.Coverage.n_detect_coverage cs));
-      let step = max 1 (Array.length curve / 16) in
-      Array.iteri
-        (fun i (k, f) ->
-          if i mod step = 0 || i = Array.length curve - 1 then
-            Printf.printf "  after %5d patterns: %.2f%%\n" k (100.0 *. f))
-        curve
-    end;
-        note
-      with Robust.Checkpoint.Mismatch msg ->
-        Printf.eprintf "lsiq: %s\n" msg;
-        exit 2
+      with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
+      @@ fun () ->
+      let rng = Stats.Rng.create ~seed () in
+      let universe = Faults.Universe.all circuit in
+      let classes = Faults.Collapse.equivalence circuit universe in
+      let reps =
+        if collapse_dominance then Faults.Collapse.dominance circuit classes
+        else Faults.Collapse.representatives classes
+      in
+      let patterns = Tpg.Random_tpg.uniform rng circuit ~count in
+      let profile, note =
+        match checkpoint with
+        | None ->
+          (Fsim.Coverage.profile ~engine ~cancel circuit reps patterns, "")
+        | Some path ->
+          (match
+             Fsim.Restart.run ~engine ~cancel ~every ~resume ~checkpoint:path
+               ~seed circuit reps patterns
+           with
+          | Error msg -> raise (Robust.Checkpoint.Mismatch msg)
+          | Ok o ->
+            let note =
+              if o.Fsim.Restart.completed then ""
+              else
+                Printf.sprintf
+                  "; %d/%d patterns graded, durable in %s (--resume \
+                   continues)"
+                  o.Fsim.Restart.patterns_done count path
+            in
+            (o.Fsim.Restart.profile, note))
+      in
+      (* The n-detect pass shares the cancel token: its figures are
+         reported only when it ran to completion with the token
+         unfired, never as the zeros of a pass that stopped early. *)
+      let ndetect_counts =
+        Option.bind n_detect (fun n ->
+            let cs =
+              Fsim.Coverage.detection_counts ~engine ~cancel ~n circuit reps
+                patterns
+            in
+            if Robust.Cancel.stop_requested cancel then None else Some cs)
+      in
+      let note =
+        if n_detect <> None && ndetect_counts = None then
+          note ^ "; n-detect pass not completed"
+        else note
+      in
+      (* Progress/status on stderr; only the results on stdout, so
+         `--csv` output pipes clean. *)
+      Format.eprintf "%a@." Circuit.Netlist.pp_summary circuit;
+      Printf.eprintf "universe: %d faults (%d after collapsing, ratio %.2f)\n"
+        (Array.length universe) (Array.length reps)
+        (Faults.Collapse.collapse_ratio classes);
+      Printf.eprintf "patterns: %d random\n%!" count;
+      let curve = Fsim.Coverage.curve profile in
+      if csv then begin
+        match ndetect_counts with
+        | None ->
+          print_string
+            (Report.Csv.of_rows
+               ([ "patterns"; "coverage" ]
+               :: (Array.to_list curve
+                  |> List.map (fun (k, f) ->
+                         [ string_of_int k; Printf.sprintf "%.6f" f ]))))
+        | Some cs ->
+          let ncurve = Fsim.Coverage.curve (Fsim.Coverage.n_detect_profile cs) in
+          print_string
+            (Report.Csv.of_rows
+               ([ "patterns"; "coverage"; "ndetect_coverage" ]
+               :: (Array.to_list curve
+                  |> List.mapi (fun i (k, f) ->
+                         [ string_of_int k;
+                           Printf.sprintf "%.6f" f;
+                           Printf.sprintf "%.6f" (snd ncurve.(i)) ]))))
+      end
+      else begin
+        Printf.printf "coverage: %.2f%% (%d detected, %d undetected)\n"
+          (100.0 *. Fsim.Coverage.final_coverage profile)
+          (Fsim.Coverage.detected_count profile)
+          (Array.length reps - Fsim.Coverage.detected_count profile);
+        (match ndetect_counts with
+        | None -> ()
+        | Some cs ->
+          Printf.printf "n-detect coverage (n=%d): %.2f%%\n"
+            cs.Fsim.Coverage.require
+            (100.0 *. Fsim.Coverage.n_detect_coverage cs));
+        let step = max 1 (Array.length curve / 16) in
+        Array.iteri
+          (fun i (k, f) ->
+            if i mod step = 0 || i = Array.length curve - 1 then
+              Printf.printf "  after %5d patterns: %.2f%%\n" k (100.0 *. f))
+          curve
+      end;
+      note
     in
     robust_finish ~note cancel
   in
@@ -678,59 +671,55 @@ let atpg_cmd =
     | _ -> ());
     let cancel = robust_setup robust in
     let note =
-      try
-        with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
-        @@ fun () ->
-        let universe = Faults.Universe.all circuit in
-        let classes = Faults.Collapse.equivalence circuit universe in
-        let reps = Faults.Collapse.representatives classes in
-        let config =
-          { Tpg.Atpg.default_config with
-            Tpg.Atpg.seed; use_analysis; learn_depth; exact_budget = exact;
-            backtrack_limit; podem_time_budget_s = podem_budget }
-        in
-        let checkpointing =
-          Option.map (fun path -> { Tpg.Atpg.path; every; resume }) checkpoint
-        in
-        let report =
-          Tpg.Atpg.run ~config ~cancel ?checkpoint:checkpointing circuit reps
-        in
-        Format.eprintf "%a@." Circuit.Netlist.pp_summary circuit;
-        Printf.printf "faults: %d collapsed\n" (Array.length reps);
-        Printf.printf "patterns: %d (%d random + %d deterministic)\n"
-          (Array.length report.Tpg.Atpg.patterns)
-          report.Tpg.Atpg.random_patterns
-          report.Tpg.Atpg.deterministic_patterns;
-        Printf.printf "coverage: %.2f%%\n" (100.0 *. Tpg.Atpg.coverage report);
-        Printf.printf "untestable (proved redundant): %d\n"
-          report.Tpg.Atpg.untestable;
-        Printf.printf "aborted: %d\n" report.Tpg.Atpg.aborted;
-        if report.Tpg.Atpg.unknown > 0 then
-          Printf.printf "unknown (no verdict before cancellation): %d\n"
-            report.Tpg.Atpg.unknown;
-        (match out with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          Array.iter
-            (fun pattern ->
-              Array.iter
-                (fun b -> output_char oc (if b then '1' else '0'))
-                pattern;
-              output_char oc '\n')
-            report.Tpg.Atpg.patterns;
-          close_out oc;
-          Printf.eprintf "patterns written to %s\n" path);
-        if report.Tpg.Atpg.unknown = 0 then ""
-        else
-          Printf.sprintf "; %d targets unresolved%s" report.Tpg.Atpg.unknown
-            (match checkpoint with
-            | Some path ->
-              Printf.sprintf ", durable in %s (--resume continues)" path
-            | None -> "")
-      with Robust.Checkpoint.Mismatch msg ->
-        Printf.eprintf "lsiq: %s\n" msg;
-        exit 2
+      with_obs ~seed ~circuit:circuit.Circuit.Netlist.name ~cancel obs
+      @@ fun () ->
+      let universe = Faults.Universe.all circuit in
+      let classes = Faults.Collapse.equivalence circuit universe in
+      let reps = Faults.Collapse.representatives classes in
+      let config =
+        { Tpg.Atpg.default_config with
+          Tpg.Atpg.seed; use_analysis; learn_depth; exact_budget = exact;
+          backtrack_limit; podem_time_budget_s = podem_budget }
+      in
+      let checkpointing =
+        Option.map (fun path -> { Tpg.Atpg.path; every; resume }) checkpoint
+      in
+      let report =
+        Tpg.Atpg.run ~config ~cancel ?checkpoint:checkpointing circuit reps
+      in
+      Format.eprintf "%a@." Circuit.Netlist.pp_summary circuit;
+      Printf.printf "faults: %d collapsed\n" (Array.length reps);
+      Printf.printf "patterns: %d (%d random + %d deterministic)\n"
+        (Array.length report.Tpg.Atpg.patterns)
+        report.Tpg.Atpg.random_patterns
+        report.Tpg.Atpg.deterministic_patterns;
+      Printf.printf "coverage: %.2f%%\n" (100.0 *. Tpg.Atpg.coverage report);
+      Printf.printf "untestable (proved redundant): %d\n"
+        report.Tpg.Atpg.untestable;
+      Printf.printf "aborted: %d\n" report.Tpg.Atpg.aborted;
+      if report.Tpg.Atpg.unknown > 0 then
+        Printf.printf "unknown (no verdict before cancellation): %d\n"
+          report.Tpg.Atpg.unknown;
+      (match out with
+      | None -> ()
+      | Some path ->
+        let oc = open_out path in
+        Array.iter
+          (fun pattern ->
+            Array.iter
+              (fun b -> output_char oc (if b then '1' else '0'))
+              pattern;
+            output_char oc '\n')
+          report.Tpg.Atpg.patterns;
+        close_out oc;
+        Printf.eprintf "patterns written to %s\n" path);
+      if report.Tpg.Atpg.unknown = 0 then ""
+      else
+        Printf.sprintf "; %d targets unresolved%s" report.Tpg.Atpg.unknown
+          (match checkpoint with
+          | Some path ->
+            Printf.sprintf ", durable in %s (--resume continues)" path
+          | None -> "")
     in
     robust_finish ~note cancel
   in
@@ -1777,14 +1766,17 @@ let () =
   in
   (* The one error boundary: the libraries reject an input they cannot
      take (a model parameter off its domain, an empty lot, a fault index
-     out of range) with Invalid_argument or Failure, which is a usage
-     error — one lsiq: line, exit 2.  Any other exception, the
+     out of range) with Invalid_argument or Failure, and a resume from a
+     checkpoint another run wrote with Robust.Checkpoint.Mismatch.  Each
+     is a usage error — one lsiq: line, exit 2.  Any other exception, the
      fault-injection drills' Robust.Inject.Injected among them, is an
      internal error and exits 125 as cmdliner reports it. *)
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
-    | exception (Invalid_argument msg | Failure msg) ->
+    | exception
+        (Invalid_argument msg | Failure msg | Robust.Checkpoint.Mismatch msg)
+      ->
       Printf.eprintf "lsiq: %s\n" msg;
       2
     | exception e ->
