@@ -1766,17 +1766,18 @@ let () =
   in
   (* The one error boundary: the libraries reject an input they cannot
      take (a model parameter off its domain, an empty lot, a fault index
-     out of range) with Invalid_argument or Failure, and a resume from a
-     checkpoint another run wrote with Robust.Checkpoint.Mismatch.  Each
-     is a usage error — one lsiq: line, exit 2.  Any other exception, the
-     fault-injection drills' Robust.Inject.Injected among them, is an
-     internal error and exits 125 as cmdliner reports it. *)
+     out of range) with Invalid_argument or Failure, a resume from a
+     checkpoint another run wrote with Robust.Checkpoint.Mismatch, and
+     the OS refuses a path with Sys_error.  Each is a usage error — one
+     lsiq: line, exit 2.  Any other exception, the fault-injection
+     drills' Robust.Inject.Injected among them, is an internal error and
+     exits 125 as cmdliner reports it. *)
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
     | exception
-        (Invalid_argument msg | Failure msg | Robust.Checkpoint.Mismatch msg)
-      ->
+        ( Invalid_argument msg | Failure msg | Sys_error msg
+        | Robust.Checkpoint.Mismatch msg ) ->
       Printf.eprintf "lsiq: %s\n" msg;
       2
     | exception e ->
