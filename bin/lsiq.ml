@@ -773,16 +773,19 @@ let diagnose_cmd =
     let classes = Faults.Collapse.equivalence circuit (Faults.Universe.all circuit) in
     let universe = Faults.Collapse.representatives classes in
     let patterns = Tpg.Random_tpg.uniform rng circuit ~count in
-    let dictionary = Fsim.Diagnosis.build circuit universe patterns in
-    let distinguishable, total = Fsim.Diagnosis.distinguishable_pairs dictionary in
-    Printf.printf "dictionary: %d faults x %d patterns; resolution %d/%d pairs\n"
-      (Array.length universe) count distinguishable total;
+    (* The culprit is chosen, and an out-of-range --inject rejected,
+       before anything is printed; building the dictionary draws nothing
+       from [rng]. *)
     let culprit =
       match fault_index with
       | Some i when i >= 0 && i < Array.length universe -> i
       | Some _ -> failwith "fault index out of range"
       | None -> Stats.Rng.int rng (Array.length universe)
     in
+    let dictionary = Fsim.Diagnosis.build circuit universe patterns in
+    let distinguishable, total = Fsim.Diagnosis.distinguishable_pairs dictionary in
+    Printf.printf "dictionary: %d faults x %d patterns; resolution %d/%d pairs\n"
+      (Array.length universe) count distinguishable total;
     Printf.printf "injected: %s\n"
       (Faults.Fault.to_string circuit universe.(culprit));
     let observation = Fsim.Diagnosis.observe circuit [| universe.(culprit) |] patterns in
