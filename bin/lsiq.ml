@@ -149,7 +149,7 @@ let deadline_arg =
   let doc =
     "Cooperative wall-clock deadline for the run, in seconds.  When it \
      expires the engines stop at their next safe point (a 64-pattern block, \
-     a PODEM backtrack, a die) and the command reports whatever partial \
+     a PODEM backtrack) and the command reports whatever partial \
      result is well-defined; a command with nothing printable exits 130 \
      after flushing its checkpoint."
   in
@@ -166,7 +166,8 @@ let checkpoint_arg =
 let checkpoint_every_arg =
   let doc =
     "Checkpoint cadence: snapshot after every $(docv) units of work \
-     (patterns for fsim, fault targets for atpg, dies for simulate-lot)."
+     (patterns for fsim, fault targets for atpg and for the ATPG stage of \
+     simulate-lot)."
   in
   Arg.(value & opt (positive_int ~what:"a checkpoint cadence") 1024
        & info [ "checkpoint-every" ] ~docv:"N" ~doc)
@@ -441,12 +442,10 @@ let simulate_lot_cmd =
              | Some n -> Fsim.Coverage.Par { domains = n }
              | None -> Experiments.Pipeline.default_config.fsim_engine) }
        in
-       let lot_checkpoint =
-         Option.map
-           (fun path -> { Experiments.Pipeline.path; every; resume })
-           checkpoint
+       let checkpoint =
+         Option.map (fun path -> { Tpg.Atpg.path; every; resume }) checkpoint
        in
-       let run = Experiments.Pipeline.execute ~cancel ?lot_checkpoint config in
+       let run = Experiments.Pipeline.execute ~cancel ?checkpoint config in
        print_string (Experiments.Pipeline.summary run);
        print_newline ();
        print_string (Experiments.Table1.render ~run ());
@@ -472,14 +471,15 @@ let simulate_lot_cmd =
      with
     | Experiments.Pipeline.Interrupted reason ->
       (* A lot run with no complete outcome has nothing printable: note
-         where the durable progress lives and exit 130 whatever the
-         cancel source (signal or deadline). *)
+         where the durable progress lives, if the run got as far as
+         writing it, and exit 130 whatever the cancel source (signal or
+         deadline). *)
       Printf.eprintf "lsiq: interrupted (%s)%s\n"
         (Robust.Cancel.reason_to_string reason)
         (match checkpoint with
-        | Some path ->
+        | Some path when Sys.file_exists path ->
           Printf.sprintf "; progress durable in %s (--resume continues)" path
-        | None -> "");
+        | Some _ | None -> "");
       exit Robust.Signals.exit_interrupted);
     robust_finish cancel
   in
@@ -543,21 +543,18 @@ let fsim_cmd =
         | None ->
           (Fsim.Coverage.profile ~engine ~cancel circuit reps patterns, "")
         | Some path ->
-          (match
-             Fsim.Restart.run ~engine ~cancel ~every ~resume ~checkpoint:path
-               ~seed circuit reps patterns
-           with
-          | Error msg -> raise (Robust.Checkpoint.Mismatch msg)
-          | Ok o ->
-            let note =
-              if o.Fsim.Restart.completed then ""
-              else
-                Printf.sprintf
-                  "; %d/%d patterns graded, durable in %s (--resume \
-                   continues)"
-                  o.Fsim.Restart.patterns_done count path
-            in
-            (o.Fsim.Restart.profile, note))
+          let o =
+            Fsim.Restart.run ~engine ~cancel ~every ~resume ~checkpoint:path
+              ~seed circuit reps patterns
+          in
+          let note =
+            if o.Fsim.Restart.completed then ""
+            else
+              Printf.sprintf
+                "; %d/%d patterns graded, durable in %s (--resume continues)"
+                o.Fsim.Restart.patterns_done count path
+          in
+          (o.Fsim.Restart.profile, note)
       in
       (* The n-detect pass shares the cancel token: its figures are
          reported only when it ran to completion with the token
@@ -945,8 +942,7 @@ let lint_cmd =
     let report =
       with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let config =
-        { Lint.Driver.default_config with
-          Lint.Driver.fanout_threshold; testability = not structural_only;
+        { Lint.Driver.fanout_threshold; testability = not structural_only;
           learn_depth; exact_budget = exact }
       in
       let report = Lint.Driver.run ~config circuit in

@@ -1,13 +1,5 @@
 open Signal_prob
 
-(* Local interval constructor with the [0 <= lo <= hi <= 1] invariant;
-   mirrors Signal_prob's internal one. *)
-let clamp01 v = if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
-
-let mk lo hi =
-  let lo = clamp01 lo and hi = clamp01 hi in
-  if lo > hi then { lo = hi; hi = lo } else { lo; hi }
-
 type t = {
   sp : Signal_prob.t;
   obs_stem : interval array;
@@ -30,10 +22,10 @@ let analyze ?dominators sp =
   in
   let n = Circuit.Netlist.num_nodes c in
   let none = Signal_prob.empty_support sp in
-  let obs_stem = Array.make n (mk 0.0 0.0) in
+  let obs_stem = Array.make n (make 0.0 0.0) in
   let obs_pin =
     Array.map
-      (fun fanins -> Array.make (Array.length fanins) (mk 0.0 0.0))
+      (fun fanins -> Array.make (Array.length fanins) (make 0.0 0.0))
       c.Circuit.Netlist.fanins
   in
   let obs_stem_support = Array.make n none in
@@ -57,10 +49,10 @@ let analyze ?dominators sp =
        downstream, so its pin observabilities are already final. *)
     let edges = Signal_prob.branches sp id in
     let stem, stem_supp =
-      if Circuit.Netlist.is_output c id then (mk 1.0 1.0, none)
+      if Circuit.Netlist.is_output c id then (make 1.0 1.0, none)
       else
         match Array.length edges with
-        | 0 -> (mk 0.0 0.0, none)
+        | 0 -> (make 0.0 0.0, none)
         | 1 ->
           let gate, pin = edges.(0) in
           (obs_pin.(gate).(pin), obs_pin_support.(gate).(pin))
@@ -83,7 +75,7 @@ let analyze ?dominators sp =
               | Some d -> obs_stem.(d).hi
               | None -> 1.0
             in
-            (mk 0.0 hi, supp)
+            (make 0.0 hi, supp)
           end
           else begin
             (* Non-reconvergent: the stem event is exactly the union of
@@ -111,7 +103,7 @@ let analyze ?dominators sp =
                      (fun acc (g, p) -> acc *. (1.0 -. obs_pin.(g).(p).hi))
                      1.0 edges
               in
-              (mk lo hi, supp)
+              (make lo hi, supp)
             else begin
               incr fallbacks;
               let lo =
@@ -123,7 +115,7 @@ let analyze ?dominators sp =
                   (fun acc (g, p) -> acc +. obs_pin.(g).(p).hi)
                   0.0 edges
               in
-              (mk lo (Float.min 1.0 hi), supp)
+              (make lo (Float.min 1.0 hi), supp)
             end
           end
     in
@@ -133,7 +125,7 @@ let analyze ?dominators sp =
       if Circuit.Netlist.is_output c id || Array.length edges = 0 then stem
       else
         match Dominators.idom dominators id with
-        | Some d -> mk stem.lo (Float.min stem.hi obs_stem.(d).hi)
+        | Some d -> make stem.lo (Float.min stem.hi obs_stem.(d).hi)
         | None -> stem
     in
     obs_stem.(id) <- stem;
@@ -142,7 +134,7 @@ let analyze ?dominators sp =
     let srcs = c.Circuit.Netlist.fanins.(id) in
     let local_sensitization pin =
       let side one =
-        let acc = ref (mk 1.0 1.0, none) in
+        let acc = ref (make 1.0 1.0, none) in
         Array.iteri
           (fun j src ->
             if j <> pin then begin
@@ -156,11 +148,11 @@ let analyze ?dominators sp =
       match c.Circuit.Netlist.kinds.(id) with
       | Circuit.Gate.Buf | Circuit.Gate.Not | Circuit.Gate.Xor
       | Circuit.Gate.Xnor ->
-        (mk 1.0 1.0, none)
+        (make 1.0 1.0, none)
       | Circuit.Gate.And | Circuit.Gate.Nand -> side true
       | Circuit.Gate.Or | Circuit.Gate.Nor -> side false
       | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1 ->
-        (mk 1.0 1.0, none)
+        (make 1.0 1.0, none)
     in
     Array.iteri
       (fun pin _src ->
@@ -196,34 +188,27 @@ let detection t fault =
   if Support.disjoint act_supp obs_supp then conj_indep act obs
   else conj_frechet act obs
 
-let coverage_of_band fold n =
-  (* mean over faults of 1 - (1-d)^n at one endpoint *)
-  let total, sum = fold n in
-  if total = 0 then mk 0.0 0.0 else mk (fst sum /. float_of_int total) (snd sum /. float_of_int total)
-
-let band_fold t universe ~transform n =
-  let nf = float_of_int n in
-  let total = Array.length universe in
-  let slo = ref 0.0 and shi = ref 0.0 in
-  Array.iter
-    (fun fault ->
-      let d = detection t fault in
-      let dlo = transform d.lo and dhi = transform d.hi in
-      slo := !slo +. (1.0 -. ((1.0 -. dlo) ** nf));
-      shi := !shi +. (1.0 -. ((1.0 -. dhi) ** nf)))
-    universe;
-  (total, (!slo, !shi))
-
-let effective_coverage_band t universe ~epsilon ~patterns =
+(* Mean over faults of 1 - (1 - d (1 - epsilon))^n at each endpoint of
+   the per-fault detection interval. *)
+let band detection universe ~epsilon ~patterns =
   if epsilon < 0.0 || epsilon > 1.0 then
     invalid_arg "Detectability: epsilon outside [0,1]";
   if patterns < 0 then invalid_arg "Detectability: negative pattern count";
-  coverage_of_band
-    (band_fold t universe ~transform:(fun d -> d *. (1.0 -. epsilon)))
-    patterns
+  let nf = float_of_int patterns in
+  let keep = 1.0 -. epsilon in
+  let slo = ref 0.0 and shi = ref 0.0 in
+  Array.iter
+    (fun fault ->
+      let d = detection fault in
+      slo := !slo +. (1.0 -. ((1.0 -. (d.lo *. keep)) ** nf));
+      shi := !shi +. (1.0 -. ((1.0 -. (d.hi *. keep)) ** nf)))
+    universe;
+  let total = float_of_int (Array.length universe) in
+  if total = 0.0 then make 0.0 0.0 else make (!slo /. total) (!shi /. total)
 
-let coverage_band t universe ~patterns =
-  effective_coverage_band t universe ~epsilon:0.0 ~patterns
+let effective_coverage_band t = band (detection t)
+
+let coverage_band t = effective_coverage_band t ~epsilon:0.0
 
 let predicted_curve t universe ~counts =
   Array.map (fun n -> (n, coverage_band t universe ~patterns:n)) counts

@@ -88,6 +88,13 @@ val predicted_curve :
 (** [(n, band)] rows, comparable with {!Fsim.Coverage.curve} and
     {!Fsim.Stafan.predicted_curve}. *)
 
+val band :
+  (Faults.Fault.t -> Signal_prob.interval) -> Faults.Fault.t array ->
+  epsilon:float -> patterns:int -> Signal_prob.interval
+(** The fold behind the bands above, over any per-fault detection
+    interval: [band (detection t)] is {!effective_coverage_band} [t],
+    and {!Exact} passes its refined intervals. *)
+
 val test_length :
   t -> Faults.Fault.t array -> target:float -> max_patterns:int ->
   int option * int option

@@ -11,16 +11,12 @@ type t = {
 
 let default_budget = Bdd.Robdd.default_budget
 
-let analyze ?(budget = default_budget) ?(sift = false) (c : Circuit.Netlist.t) =
+let analyze ?(budget = default_budget) (c : Circuit.Netlist.t) =
   let universe = Faults.Universe.all c in
   let verdicts = Hashtbl.create (Array.length universe) in
   let build =
     Obs.Trace.with_span "analysis.bdd.build" @@ fun () ->
-    match
-      let order = Bdd.Build.dfs_order c in
-      let order = if sift then Bdd.Build.sift_order ~budget c order else order in
-      Bdd.Build.build ~budget ~order c
-    with
+    match Bdd.Build.build ~budget ~order:(Bdd.Build.dfs_order c) c with
     | b ->
       Obs.Trace.add_int "nodes" (Bdd.Robdd.size b.Bdd.Build.man);
       Some b
@@ -107,32 +103,9 @@ let refine_detection t det fault =
   | Untestable -> Signal_prob.point 0.0
   | Unknown -> Detectability.detection det fault
 
-(* Same fold as Detectability.coverage_of_band/band_fold, over the
-   refined per-fault intervals — exact points collapse both endpoints. *)
-let effective_coverage_band t det universe ~epsilon ~patterns =
-  if epsilon < 0.0 || epsilon > 1.0 then
-    invalid_arg "Exact: epsilon outside [0,1]";
-  if patterns < 0 then invalid_arg "Exact: negative pattern count";
-  let nf = float_of_int patterns in
-  let total = Array.length universe in
-  let slo = ref 0.0 and shi = ref 0.0 in
-  Array.iter
-    (fun fault ->
-      let d = refine_detection t det fault in
-      let transform x = x *. (1.0 -. epsilon) in
-      let dlo = transform d.Signal_prob.lo and dhi = transform d.Signal_prob.hi in
-      slo := !slo +. (1.0 -. ((1.0 -. dlo) ** nf));
-      shi := !shi +. (1.0 -. ((1.0 -. dhi) ** nf)))
-    universe;
-  if total = 0 then Signal_prob.point 0.0
-  else
-    {
-      Signal_prob.lo = !slo /. float_of_int total;
-      hi = !shi /. float_of_int total;
-    }
+let effective_coverage_band t det = Detectability.band (refine_detection t det)
 
-let coverage_band t det universe ~patterns =
-  effective_coverage_band t det universe ~epsilon:0.0 ~patterns
+let coverage_band t det = effective_coverage_band t det ~epsilon:0.0
 
 let predicted_curve t det universe ~counts =
   Array.map (fun n -> (n, coverage_band t det universe ~patterns:n)) counts

@@ -37,12 +37,10 @@ type t
 val default_budget : int
 (** {!Bdd.Robdd.default_budget}. *)
 
-val analyze : ?budget:int -> ?sift:bool -> Circuit.Netlist.t -> t
-(** Classify the full stuck-at universe ({!Faults.Universe.all}).
-    [sift] (default false) runs one sifting pass over the DFS variable
-    order before building — an ablation knob, not a default.  Never
-    raises on budget exhaustion; affected faults come back
-    {!Unknown}. *)
+val analyze : ?budget:int -> Circuit.Netlist.t -> t
+(** Classify the full stuck-at universe ({!Faults.Universe.all}) under
+    the DFS variable order ({!Bdd.Build.dfs_order}).  Never raises on
+    budget exhaustion; affected faults come back {!Unknown}. *)
 
 val circuit : t -> Circuit.Netlist.t
 val node_budget : t -> int

@@ -31,6 +31,10 @@
 type interval = { lo : float; hi : float }
 (** A closed subinterval of [0,1]; invariant [0 <= lo <= hi <= 1]. *)
 
+val make : float -> float -> interval
+(** [make lo hi] clamps both endpoints to [0,1] and swaps them if
+    round-off inverted the pair. *)
+
 val point : float -> interval
 val width : interval -> float
 val complement : interval -> interval

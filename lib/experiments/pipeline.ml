@@ -47,8 +47,6 @@ type run = {
   outcome : Tester.Wafer_test.result;
 }
 
-type lot_checkpoint = { path : string; every : int; resume : bool }
-
 exception Interrupted of Robust.Cancel.reason
 
 let calibrated_multiplicity config ~lambda =
@@ -64,7 +62,7 @@ let stage index name f =
   Obs.Progress.stage ~label:"pipeline" ~stage:name ~index ~total:stage_total;
   Obs.Trace.with_span ("pipeline." ^ name) f
 
-let execute ?(cancel = Robust.Cancel.none) ?lot_checkpoint config =
+let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
   (* Every stage boundary is a span plus a progress tick, so a trace of
      [execute] shows exactly where a simulate-lot run spends its time;
      the GC delta of the whole run accumulates in the [pipeline.*]
@@ -73,8 +71,8 @@ let execute ?(cancel = Robust.Cancel.none) ?lot_checkpoint config =
   Obs.Trace.with_span "pipeline.execute" @@ fun () ->
   (* A run that cannot finish has no [run] value to return: cancellation
      is surfaced as the typed [Interrupted] exception, checked at every
-     stage boundary (the lot-test stage additionally stops between dies
-     and flushes its checkpoint first). *)
+     stage boundary (ATPG additionally stops between targets and
+     flushes its checkpoint first). *)
   let guard () =
     if Robust.Cancel.stop_requested cancel then
       raise
@@ -121,7 +119,7 @@ let execute ?(cancel = Robust.Cancel.none) ?lot_checkpoint config =
     stage 4 "atpg" (fun () ->
         Tpg.Atpg.run
           ~config:{ config.atpg with seed = config.seed + 1 }
-          ~cancel circuit universe)
+          ~cancel ?checkpoint circuit universe)
   in
   (* A cancelled ATPG returns a partial report; the boundary guard in
      the next [stage] call turns it into [Interrupted] rather than
@@ -178,24 +176,8 @@ let execute ?(cancel = Robust.Cancel.none) ?lot_checkpoint config =
   Obs.Trace.add_int "chips" (Fab.Lot.size lot);
   let outcome =
     stage 9 "test" (fun () ->
-        match lot_checkpoint with
-        | None ->
-          Tester.Wafer_test.test_lot ~mode:config.tester_mode circuit universe
-            program lot
-        | Some { path; every; resume } ->
-          (match
-             Tester.Wafer_test.test_lot_restart ~mode:config.tester_mode
-               ~cancel ~every ~resume ~checkpoint:path circuit universe
-               program lot
-           with
-          | Error msg -> raise (Robust.Checkpoint.Mismatch msg)
-          | Ok lot_run ->
-            if not lot_run.Tester.Wafer_test.completed then
-              raise
-                (Interrupted
-                   (Option.value ~default:Robust.Cancel.Requested
-                      (Robust.Cancel.reason cancel)));
-            Tester.Wafer_test.result_of_run program lot lot_run))
+        Tester.Wafer_test.test_lot ~mode:config.tester_mode circuit universe
+          program lot)
   in
   if Obs.Journal.enabled () then begin
     Obs.Journal.headline "circuit"

@@ -82,28 +82,23 @@ type run = {
   outcome : Tester.Wafer_test.result;
 }
 
-type lot_checkpoint = {
-  path : string;   (** {!Robust.Checkpoint} file for the lot-test stage. *)
-  every : int;     (** Save after this many dies (>= 1). *)
-  resume : bool;   (** Restore [path] before testing. *)
-}
-
 exception Interrupted of Robust.Cancel.reason
 (** Raised by {!execute} when its cancel token fires: a run that cannot
     finish has no [run] value to return.  By the time it is raised, the
-    lot checkpoint (when configured) holds the last durable state. *)
+    ATPG checkpoint (when configured and ATPG was reached) holds the
+    last durable state. *)
 
 val execute :
-  ?cancel:Robust.Cancel.t -> ?lot_checkpoint:lot_checkpoint -> config -> run
-(** [cancel] is polled at every stage boundary, inside ATPG (see
-    {!Tpg.Atpg.run}) and between dies of the lot-test stage.
-    [lot_checkpoint] runs stage 9 through
-    {!Tester.Wafer_test.test_lot_restart}: per-die outcomes are
-    snapshotted every [every] dies and a resumed run is bit-identical
-    to an uninterrupted one (all earlier stages are deterministic
-    functions of the config and are simply re-executed).  Raises
-    {!Interrupted} on cancellation and {!Robust.Checkpoint.Mismatch}
-    when a resume checkpoint is unreadable or from different inputs. *)
+  ?cancel:Robust.Cancel.t -> ?checkpoint:Tpg.Atpg.checkpointing -> config -> run
+(** [cancel] is polled at every stage boundary and inside ATPG (see
+    {!Tpg.Atpg.run}).  [checkpoint] is handed to the ATPG stage, the
+    one that costs the time: its deterministic phase is snapshotted
+    every [every] fault targets, and on [resume] it continues from the
+    last snapshot.  Every other stage is a deterministic function of
+    the config and is simply re-executed, so a resumed run is
+    bit-identical to an uninterrupted one.  Raises {!Interrupted} on
+    cancellation and {!Robust.Checkpoint.Mismatch} when a resume
+    checkpoint is unreadable or from different inputs. *)
 
 val calibrated_multiplicity : config -> lambda:float -> float
 (** Faults-per-defect mean needed so [expected_n0 = target_n0] given

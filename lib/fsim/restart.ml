@@ -36,44 +36,21 @@ let meta_fields ~engine ~seed c faults patterns =
     ("faults", Report.Json.Int (Array.length faults));
     ("patterns", Report.Json.Int (Array.length patterns)) ]
 
-let detection_to_json = function
-  | Some i -> Report.Json.Int i
-  | None -> Report.Json.Int (-1)
-
 let payload_of ~patterns_done first_detection =
   [ Report.Json.Obj
       [ ("patterns_done", Report.Json.Int patterns_done);
-        ("first_detection",
-         Report.Json.List
-           (Array.to_list (Array.map detection_to_json first_detection))) ] ]
+        ("first_detection", Robust.Checkpoint.detections_to_json first_detection)
+      ] ]
 
-let restore_payload ~nf payload =
-  match payload with
-  | [ (Report.Json.Obj _ as state) ] ->
-    let field name =
-      match state with
-      | Report.Json.Obj kvs -> List.assoc_opt name kvs
-      | _ -> None
-    in
-    (match (field "patterns_done", field "first_detection") with
-    | Some (Report.Json.Int patterns_done), Some (Report.Json.List dets) ->
-      if List.length dets <> nf then
-        Error "checkpoint first_detection length does not match fault count"
-      else begin
-        let first_detection = Array.make nf None in
-        let ok = ref true in
-        List.iteri
-          (fun i d ->
-            match d with
-            | Report.Json.Int v when v >= 0 -> first_detection.(i) <- Some v
-            | Report.Json.Int _ -> ()
-            | _ -> ok := false)
-          dets;
-        if not !ok then Error "checkpoint first_detection has non-int entries"
-        else Ok (patterns_done, first_detection)
-      end
-    | _ -> Error "checkpoint payload is missing patterns_done/first_detection")
-  | _ -> Error "checkpoint payload must be exactly one state line"
+let restore ~nf state =
+  match
+    (List.assoc_opt "patterns_done" state, List.assoc_opt "first_detection" state)
+  with
+  | Some (Report.Json.Int patterns_done), Some (Report.Json.List _ as dets) ->
+    Result.map
+      (fun first_detection -> (patterns_done, first_detection))
+      (Robust.Checkpoint.detections_of_json ~n:nf dets)
+  | _ -> Error "checkpoint payload is missing patterns_done/first_detection"
 
 let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
     ?(every = 1024) ?(resume = false) ~checkpoint ~seed c faults patterns =
@@ -83,67 +60,53 @@ let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
   let every = 64 * ((every + 63) / 64) in
   let nf = Array.length faults in
   let np = Array.length patterns in
-  let meta =
-    Robust.Checkpoint.meta ~kind
-      ~fields:(meta_fields ~engine ~seed c faults patterns)
+  let fields = meta_fields ~engine ~seed c faults patterns in
+  let resumed_from, first_detection =
+    if resume then
+      Robust.Checkpoint.resume ~path:checkpoint ~kind ~expect:fields
+        (restore ~nf)
+    else (0, Array.make nf None)
   in
-  let start_state =
-    if not resume then Ok (0, Array.make nf None)
-    else
-      match Robust.Checkpoint.load ~path:checkpoint with
-      | Error msg -> Error (Printf.sprintf "cannot resume: %s" msg)
-      | Ok (file_meta, payload) ->
-        (match
-           Robust.Checkpoint.validate ~kind
-             ~expect:(meta_fields ~engine ~seed c faults patterns)
-             file_meta
-         with
-        | Error msg -> Error msg
-        | Ok () -> restore_payload ~nf payload)
+  Obs.Trace.with_span "fsim.restart" @@ fun () ->
+  Obs.Trace.add_int "resumed_from" resumed_from;
+  let meta = Robust.Checkpoint.meta ~kind ~fields in
+  let save patterns_done =
+    Robust.Checkpoint.save ~path:checkpoint ~meta
+      ~payload:(payload_of ~patterns_done first_detection)
   in
-  match start_state with
-  | Error _ as e -> e
-  | Ok (resumed_from, first_detection) ->
-    Obs.Trace.with_span "fsim.restart" @@ fun () ->
-    Obs.Trace.add_int "resumed_from" resumed_from;
-    let save patterns_done =
-      Robust.Checkpoint.save ~path:checkpoint ~meta
-        ~payload:(payload_of ~patterns_done first_detection)
-    in
-    let pos = ref resumed_from in
-    let segments = ref 0 in
-    if resumed_from = 0 then save 0;
-    while !pos < np && not (Robust.Cancel.stop_requested cancel) do
-      let len = min every (np - !pos) in
-      let segment = Array.sub patterns !pos len in
-      let alive = ref [] in
-      for i = nf - 1 downto 0 do
-        if first_detection.(i) = None then alive := i :: !alive
-      done;
-      let alive = Array.of_list !alive in
-      let segment_profile =
-        Coverage.profile ~engine c
-          (Array.map (fun i -> faults.(i)) alive)
-          segment
-      in
-      Array.iteri
-        (fun k d ->
-          match d with
-          | Some local -> first_detection.(alive.(k)) <- Some (!pos + local)
-          | None -> ())
-        segment_profile.Coverage.first_detection;
-      pos := !pos + len;
-      incr segments;
-      save !pos;
-      (* The crash drill kills here: state for [0, pos) is durable. *)
-      Robust.Inject.hit segment_failpoint
+  let pos = ref resumed_from in
+  let segments = ref 0 in
+  if resumed_from = 0 then save 0;
+  while !pos < np && not (Robust.Cancel.stop_requested cancel) do
+    let len = min every (np - !pos) in
+    let segment = Array.sub patterns !pos len in
+    let alive = ref [] in
+    for i = nf - 1 downto 0 do
+      if first_detection.(i) = None then alive := i :: !alive
     done;
-    Obs.Trace.add_int "segments" !segments;
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.incr ~by:(float_of_int !segments) "fsim.restart.segments";
-    Ok
-      { profile = { Coverage.universe_size = nf; pattern_count = np;
-                    first_detection };
-        patterns_done = !pos;
-        resumed_from;
-        completed = !pos >= np }
+    let alive = Array.of_list !alive in
+    let segment_profile =
+      Coverage.profile ~engine c
+        (Array.map (fun i -> faults.(i)) alive)
+        segment
+    in
+    Array.iteri
+      (fun k d ->
+        match d with
+        | Some local -> first_detection.(alive.(k)) <- Some (!pos + local)
+        | None -> ())
+      segment_profile.Coverage.first_detection;
+    pos := !pos + len;
+    incr segments;
+    save !pos;
+    (* The crash drill kills here: state for [0, pos) is durable. *)
+    Robust.Inject.hit segment_failpoint
+  done;
+  Obs.Trace.add_int "segments" !segments;
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.incr ~by:(float_of_int !segments) "fsim.restart.segments";
+  { profile = { Coverage.universe_size = nf; pattern_count = np;
+                first_detection };
+    patterns_done = !pos;
+    resumed_from;
+    completed = !pos >= np }

@@ -33,8 +33,9 @@ val run :
   Circuit.Netlist.t ->
   Faults.Fault.t array ->
   bool array array ->
-  (outcome, string) result
-(** [Error] carries an unreadable/mismatched-checkpoint message (the
+  outcome
+(** Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
+    checkpoint is unreadable or was written by another computation (the
     meta header records circuit, engine family, seed and sizes; all
     must match the resuming invocation — except the {!Coverage.Par}
     domain count, which never affects results).  Raises

@@ -4,25 +4,24 @@ module F = Faults.Fault
 type config = {
   fanout_threshold : int;
   testability : bool;
-  crosscheck : bool;
-  hard_fault_count : int;
-  hard_fault_threshold : int;
   learn_depth : int option;
   exact_budget : int option;
-  resistant_threshold : float;
-  resistant_count : int;
 }
 
 let default_config =
-  { fanout_threshold = 16;
-    testability = true;
-    crosscheck = true;
-    hard_fault_count = 10;
-    hard_fault_threshold = 100;
-    learn_depth = None;
-    exact_budget = None;
-    resistant_threshold = 0.01;
-    resistant_count = 10 }
+  { fanout_threshold = 16; testability = true; learn_depth = None;
+    exact_budget = None }
+
+(* At most this many [hard-fault] findings, each with a SCOAP difficulty
+   of at least [hard_fault_threshold]. *)
+let hard_fault_count = 10
+let hard_fault_threshold = 100
+
+(* At most this many [resistant-fault] findings: faults whose detection
+   probability is provably below [resistant_threshold] per uniform
+   pattern — an expected hundred-plus patterns apiece. *)
+let resistant_count = 10
+let resistant_threshold = 0.01
 
 type report = {
   circuit : N.t;
@@ -47,10 +46,7 @@ let run ?(config = default_config) (c : N.t) =
     if not config.testability then ([||], [])
     else
       Obs.Trace.with_span "lint.testability" @@ fun () ->
-      let classes =
-        if config.crosscheck then Some (Faults.Collapse.equivalence c universe)
-        else None
-      in
+      let classes = Faults.Collapse.equivalence c universe in
       let analysis =
         match config.learn_depth with
         | None -> None
@@ -67,22 +63,18 @@ let run ?(config = default_config) (c : N.t) =
             (Obs.Trace.with_span "lint.exact" (fun () ->
                  Analysis.Exact.analyze ~budget c))
       in
-      let untestable = Testability.untestable ?classes ?analysis ?exact c universe in
+      let untestable = Testability.untestable ~classes ?analysis ?exact c universe in
       (* SCOAP hard-to-detect warnings over collapsed representatives,
          skipping faults already proven untestable (those are not hard,
          they are impossible). *)
       let flagged = Hashtbl.create (Array.length untestable) in
       Array.iter (fun (fault, _) -> Hashtbl.replace flagged fault ()) untestable;
-      let reps =
-        match classes with
-        | Some classes -> Faults.Collapse.representatives classes
-        | None -> universe
-      in
+      let reps = Faults.Collapse.representatives classes in
       let scoap = Tpg.Scoap.analyze c in
       let hard =
-        Tpg.Scoap.hardest_faults scoap c reps ~count:config.hard_fault_count
+        Tpg.Scoap.hardest_faults scoap c reps ~count:hard_fault_count
         |> List.filter (fun (fault, difficulty) ->
-               difficulty >= config.hard_fault_threshold
+               difficulty >= hard_fault_threshold
                && difficulty < Tpg.Scoap.infinite
                && not (Hashtbl.mem flagged fault))
         |> List.map (fun (fault, difficulty) ->
@@ -97,27 +89,23 @@ let run ?(config = default_config) (c : N.t) =
          bound, not a heuristic cost; d_hi = 0 faults are excluded
          here (they are untestable, not resistant). *)
       let resistant =
-        if config.resistant_count = 0 then []
-        else begin
-          let det =
-            match analysis with
-            | Some a -> Analysis.Engine.detectability a
-            | None ->
-              Analysis.Detectability.analyze (Analysis.Signal_prob.analyze c)
-          in
-          Analysis.Detectability.resistant det reps
-            ~threshold:config.resistant_threshold
-          |> List.filter (fun (fault, _) -> not (Hashtbl.mem flagged fault))
-          |> List.filteri (fun i _ -> i < config.resistant_count)
-          |> List.map (fun (fault, d) ->
-                 Diagnostic.make ~node:(F.site_node fault) c
-                   ~rule:"resistant-fault" ~severity:Diagnostic.Warning
-                   (Printf.sprintf
-                      "fault %s is random-pattern-resistant (detection \
-                       probability < %g per uniform pattern)"
-                      (F.to_string c fault)
-                      d.Analysis.Signal_prob.hi))
-        end
+        let det =
+          match analysis with
+          | Some a -> Analysis.Engine.detectability a
+          | None ->
+            Analysis.Detectability.analyze (Analysis.Signal_prob.analyze c)
+        in
+        Analysis.Detectability.resistant det reps ~threshold:resistant_threshold
+        |> List.filter (fun (fault, _) -> not (Hashtbl.mem flagged fault))
+        |> List.filteri (fun i _ -> i < resistant_count)
+        |> List.map (fun (fault, d) ->
+               Diagnostic.make ~node:(F.site_node fault) c
+                 ~rule:"resistant-fault" ~severity:Diagnostic.Warning
+                 (Printf.sprintf
+                    "fault %s is random-pattern-resistant (detection \
+                     probability < %g per uniform pattern)"
+                    (F.to_string c fault)
+                    d.Analysis.Signal_prob.hi))
       in
       (* Exact-analysis coverage: wherever the BDD node budget held,
          the untestable list above is complete.  A blown budget is

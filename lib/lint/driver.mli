@@ -7,13 +7,12 @@
 
 type config = {
   fanout_threshold : int;   (** [excessive-fanout] bound (default 16). *)
-  testability : bool;       (** Run the untestable-fault proofs (default true). *)
-  crosscheck : bool;        (** Expand proofs through {!Faults.Collapse}
-                                equivalence classes (default true). *)
-  hard_fault_count : int;   (** Max [hard-fault] findings (default 10). *)
-  hard_fault_threshold : int;
-      (** Minimum SCOAP difficulty for a [hard-fault] warning
-          (default 100). *)
+  testability : bool;
+      (** Run the untestable-fault proofs, expanded through
+          {!Faults.Collapse} equivalence classes, and the [hard-fault]
+          (SCOAP difficulty >= 100, at most 10) and [resistant-fault]
+          (detection probability < 0.01 per uniform pattern, at most
+          10) warnings (default true). *)
   learn_depth : int option;
       (** When [Some d], build the static analysis engine (dominators +
           implication learning at depth [d]) and enable the
@@ -27,14 +26,6 @@ type config = {
           [bdd-budget] warning when it does not.  Default [None] —
           BDDs can be exponential, so exactness is opt-in
           ([lsiq lint --exact]). *)
-  resistant_threshold : float;
-      (** Detection-probability bound below which
-          {!Analysis.Detectability} flags a fault as
-          random-pattern-resistant (default 0.01 — an expected
-          hundred-plus uniform patterns per fault). *)
-  resistant_count : int;
-      (** Max [resistant-fault] findings (default 10); [0] disables
-          the rule. *)
 }
 
 val default_config : config

@@ -1,9 +1,9 @@
 (** Cooperative cancellation tokens with optional deadlines.
 
     A token is an atomic stop flag plus an optional absolute deadline;
-    the long-running engines ({!Fsim}, PODEM, the lot tester) poll it
-    at their natural grain — a 64-pattern block, a backtrack, a die —
-    and wind down to a well-defined partial result instead of raising.
+    the long-running engines ({!Fsim}, PODEM, the ATPG driver) poll it
+    at their natural grain — a 64-pattern block, a backtrack, a fault
+    target — and wind down to a well-defined partial result instead of raising.
     Tokens are domain-safe (plain atomics) and async-signal-safe to
     cancel, so one token can be shared by a deadline, a SIGINT handler
     and the shard workers of a multicore run. *)

@@ -92,3 +92,40 @@ let validate ~kind ~expect json =
         | kv :: rest -> (match check kv with Ok () -> all rest | Error _ as e -> e)
       in
       all expect)
+
+(* ---- resume --------------------------------------------------------- *)
+
+let resume ~path ~kind ~expect decode =
+  let fail msg = raise (Mismatch msg) in
+  match load ~path with
+  | Error msg -> fail (Printf.sprintf "cannot resume: %s" msg)
+  | Ok (file_meta, payload) ->
+    (match validate ~kind ~expect file_meta with
+    | Error msg -> fail msg
+    | Ok () ->
+      (match payload with
+      | [ Report.Json.Obj state ] ->
+        (match decode state with Ok v -> v | Error msg -> fail msg)
+      | _ -> fail "checkpoint payload must be exactly one state line"))
+
+let detections_to_json detections =
+  Report.Json.List
+    (Array.to_list
+       (Array.map
+          (fun d -> Report.Json.Int (Option.value ~default:(-1) d))
+          detections))
+
+let detections_of_json ~n = function
+  | Report.Json.List l when List.length l = n ->
+    let detections = Array.make n None in
+    let rec fill i = function
+      | [] -> Ok detections
+      | Report.Json.Int v :: rest ->
+        if v >= 0 then detections.(i) <- Some v;
+        fill (i + 1) rest
+      | _ :: _ -> Error "checkpoint first_detection has non-int entries"
+    in
+    fill 0 l
+  | Report.Json.List _ ->
+    Error "checkpoint first_detection length does not match fault count"
+  | _ -> Error "checkpoint is missing first_detection"

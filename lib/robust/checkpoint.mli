@@ -5,12 +5,14 @@
     by payload lines, all JSON objects in the journal's encoding.
     {!save} is atomic: a crash at any instant leaves either the
     previous complete checkpoint or the new one on disk, never a torn
-    file.  Clients ({!Fsim.Restart}, ATPG, the lot tester) own their
-    payload schema; this module owns durability and identity checking. *)
+    file.  Its two clients, {!Fsim.Restart} and ATPG (which also serves
+    [simulate-lot]), own their payload schema; this module owns
+    durability, identity checking and the resume protocol. *)
 
 exception Mismatch of string
-(** Raised by clients when a checkpoint's identity does not match the
-    resuming invocation (different circuit, seed, engine, ...). *)
+(** Raised by {!resume} when a checkpoint is unreadable, malformed, or
+    its identity does not match the resuming invocation (different
+    circuit, seed, engine, ...). *)
 
 val save :
   path:string -> meta:Report.Json.t -> payload:Report.Json.t list -> unit
@@ -34,3 +36,23 @@ val validate :
 (** Check a loaded meta header against this invocation's identity:
     magic, [kind], then each [expect] field structurally.  The error
     message names the first mismatching key and both values. *)
+
+val resume :
+  path:string ->
+  kind:string ->
+  expect:(string * Report.Json.t) list ->
+  ((string * Report.Json.t) list -> ('a, string) result) ->
+  'a
+(** The one resume protocol: {!load} [path], {!validate} its header
+    against [kind] and [expect], then [decode] the fields of the single
+    JSON-object state line.  Raises {!Mismatch} with the message of
+    whichever step failed ([load] errors are prefixed
+    ["cannot resume: "]). *)
+
+val detections_to_json : int option array -> Report.Json.t
+(** Per-fault first-detection pattern indices as a JSON int list,
+    [None] stored as -1. *)
+
+val detections_of_json : n:int -> Report.Json.t -> (int option array, string) result
+(** Inverse of {!detections_to_json}; [Error] unless the value is a
+    list of exactly [n] ints. *)

@@ -26,149 +26,6 @@ let test_lot ?(mode = Table_lookup) c universe program (lot : Fab.Lot.t) =
     pattern_count = Pattern_set.pattern_count program;
     lot_size = Array.length lot.Fab.Lot.chips }
 
-(* ---- checkpointed lot testing -------------------------------------- *)
-
-type lot_run = {
-  tested : outcome array;
-  dies_done : int;
-  resumed_from : int;
-  completed : bool;
-}
-
-let lot_kind = "lot"
-let segment_failpoint = "tester.lot.segment"
-
-let mode_tag = function Table_lookup -> "table" | Exact_multifault -> "exact"
-
-(* The lot itself is re-derived from its seed by the caller, so the
-   meta header fingerprints it with sizes plus the total injected
-   fault-instance count — cheap, and any seed/scale drift changes it. *)
-let lot_meta_fields ~mode c universe program (lot : Fab.Lot.t) =
-  let lot_faults =
-    Array.fold_left
-      (fun acc ch -> acc + Array.length ch.Fab.Lot.fault_indices)
-      0 lot.Fab.Lot.chips
-  in
-  [ ("circuit", Report.Json.String c.Circuit.Netlist.name);
-    ("universe", Report.Json.Int (Array.length universe));
-    ("patterns", Report.Json.Int (Pattern_set.pattern_count program));
-    ("lot_size", Report.Json.Int (Array.length lot.Fab.Lot.chips));
-    ("lot_faults", Report.Json.Int lot_faults);
-    ("mode", Report.Json.String (mode_tag mode)) ]
-
-let outcome_to_json o =
-  Report.Json.List
-    [ Report.Json.Int o.chip_id;
-      Report.Json.Int o.fault_count;
-      Report.Json.Int (match o.first_fail with Some i -> i | None -> -1) ]
-
-let outcome_of_json = function
-  | Report.Json.List
-      [ Report.Json.Int chip_id;
-        Report.Json.Int fault_count;
-        Report.Json.Int ff ] ->
-    Ok { chip_id; fault_count; first_fail = (if ff >= 0 then Some ff else None) }
-  | _ -> Error "checkpoint outcomes must be [chip_id; faults; first_fail] ints"
-
-let lot_payload ~dies_done tested_rev =
-  [ Report.Json.Obj
-      [ ("dies_done", Report.Json.Int dies_done);
-        ("outcomes", Report.Json.List (List.rev_map outcome_to_json tested_rev))
-      ] ]
-
-(* Returns (dies_done, outcomes newest-first). *)
-let lot_restore payload =
-  match payload with
-  | [ Report.Json.Obj kvs ] ->
-    (match
-       (List.assoc_opt "dies_done" kvs, List.assoc_opt "outcomes" kvs)
-     with
-    | Some (Report.Json.Int dies_done), Some (Report.Json.List outs)
-      when List.length outs = dies_done ->
-      List.fold_left
-        (fun acc o ->
-          match acc with
-          | Error _ as e -> e
-          | Ok rev ->
-            (match outcome_of_json o with
-            | Ok o -> Ok (o :: rev)
-            | Error _ as e -> e))
-        (Ok []) outs
-      |> Result.map (fun rev -> (dies_done, rev))
-    | Some (Report.Json.Int _), Some (Report.Json.List _) ->
-      Error "checkpoint outcome count does not match dies_done"
-    | _ -> Error "checkpoint payload is missing dies_done/outcomes")
-  | _ -> Error "checkpoint payload must be exactly one state line"
-
-let test_lot_restart ?(mode = Table_lookup) ?(cancel = Robust.Cancel.none)
-    ?(every = 64) ?(resume = false) ~checkpoint c universe program
-    (lot : Fab.Lot.t) =
-  if every < 1 then invalid_arg "Wafer_test.test_lot_restart: every must be >= 1";
-  if lot.Fab.Lot.universe_size <> Array.length universe then
-    invalid_arg
-      "Wafer_test.test_lot_restart: lot was manufactured against a different \
-       universe";
-  if Array.length lot.Fab.Lot.chips = 0 then
-    invalid_arg "Wafer_test.test_lot_restart: empty lot";
-  let n = Array.length lot.Fab.Lot.chips in
-  let fields = lot_meta_fields ~mode c universe program lot in
-  let start =
-    if not resume then Ok (0, [])
-    else
-      match Robust.Checkpoint.load ~path:checkpoint with
-      | Error msg -> Error (Printf.sprintf "cannot resume: %s" msg)
-      | Ok (file_meta, payload) ->
-        (match
-           Robust.Checkpoint.validate ~kind:lot_kind ~expect:fields file_meta
-         with
-        | Error _ as e -> e
-        | Ok () -> lot_restore payload)
-  in
-  match start with
-  | Error _ as e -> e
-  | Ok (resumed_from, tested_rev0) ->
-    Obs.Trace.with_span "tester.lot.restart" @@ fun () ->
-    Obs.Trace.add_int "resumed_from" resumed_from;
-    let tested_rev = ref tested_rev0 in
-    let pos = ref resumed_from in
-    let save () =
-      Robust.Checkpoint.save ~path:checkpoint
-        ~meta:(Robust.Checkpoint.meta ~kind:lot_kind ~fields)
-        ~payload:(lot_payload ~dies_done:!pos !tested_rev)
-    in
-    if resumed_from = 0 then save ();
-    let since = ref 0 in
-    while !pos < n && not (Robust.Cancel.stop_requested cancel) do
-      tested_rev :=
-        test_chip mode c universe program lot.Fab.Lot.chips.(!pos) :: !tested_rev;
-      incr pos;
-      incr since;
-      if !since >= every then begin
-        since := 0;
-        save ();
-        (* The crash drill kills here: the first [pos] dies are durable. *)
-        Robust.Inject.hit segment_failpoint
-      end
-    done;
-    if !since > 0 then save ();
-    Obs.Trace.add_int "dies_done" !pos;
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.incr
-        ~by:(float_of_int (!pos - resumed_from))
-        "tester.lot.dies";
-    Ok
-      { tested = Array.of_list (List.rev !tested_rev);
-        dies_done = !pos;
-        resumed_from;
-        completed = !pos >= n }
-
-let result_of_run program (lot : Fab.Lot.t) run =
-  if not run.completed then
-    invalid_arg "Wafer_test.result_of_run: lot run is incomplete";
-  { outcomes = run.tested;
-    pattern_count = Pattern_set.pattern_count program;
-    lot_size = Array.length lot.Fab.Lot.chips }
-
 let failed_by result k =
   Array.fold_left
     (fun acc o ->

@@ -40,40 +40,6 @@ val test_lot :
     fraction below divides by the lot size, and an empty lot would
     silently turn them all into NaN. *)
 
-type lot_run = {
-  tested : outcome array;  (** Prefix of the lot, length [dies_done]. *)
-  dies_done : int;
-  resumed_from : int;      (** 0 on a fresh run. *)
-  completed : bool;
-}
-
-val test_lot_restart :
-  ?mode:mode ->
-  ?cancel:Robust.Cancel.t ->
-  ?every:int ->
-  ?resume:bool ->
-  checkpoint:string ->
-  Circuit.Netlist.t ->
-  Faults.Fault.t array ->
-  Pattern_set.t ->
-  Fab.Lot.t ->
-  (lot_run, string) Stdlib.result
-(** {!test_lot} with a die-granular checkpoint: per-die outcomes are
-    snapshotted crash-safely every [every] dies (default 64) and once
-    more at exit, and [cancel] stops between dies with the tested
-    prefix durable.  Dies are independent, so a resumed run is
-    bit-identical to an uninterrupted one.  The ["tester.lot.segment"]
-    failpoint fires after each periodic save — the crash-recovery smoke
-    kills there.  [Error] carries an unreadable/mismatched-checkpoint
-    message (the meta header fingerprints circuit, universe and lot
-    sizes, total injected faults, pattern count and tester mode).
-    Raises [Invalid_argument] as {!test_lot}, or when [every < 1]. *)
-
-val result_of_run : Pattern_set.t -> Fab.Lot.t -> lot_run -> result
-(** Package a {e completed} run for the reduction helpers below.
-    Raises [Invalid_argument] when [completed] is false — partial
-    outcomes would silently skew every fraction. *)
-
 val failed_by : result -> int -> int
 (** Chips failed within the first [k] patterns.  [first_fail] indices
     are 0-based, so this counts outcomes with [first_fail < k]: a chip

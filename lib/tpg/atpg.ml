@@ -81,67 +81,40 @@ let ckpt_payload ~processed ~untestable ~aborted ~first_detection ~extra_rev =
       [ ("processed", Report.Json.Int processed);
         ("untestable", Report.Json.Int untestable);
         ("aborted", Report.Json.Int aborted);
-        ("first_detection",
-         Report.Json.List
-           (Array.to_list
-              (Array.map
-                 (function
-                   | Some i -> Report.Json.Int i
-                   | None -> Report.Json.Int (-1))
-                 first_detection)));
+        ("first_detection", Robust.Checkpoint.detections_to_json first_detection);
         ("extra", Report.Json.List (List.rev_map pattern_to_json extra_rev)) ]
   ]
 
-let ckpt_restore ~nf payload =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  match payload with
-  | [ Report.Json.Obj kvs ] ->
-    let field name = List.assoc_opt name kvs in
-    let int name =
-      match field name with
-      | Some (Report.Json.Int n) -> Ok n
-      | _ -> Error (Printf.sprintf "checkpoint is missing int field %S" name)
-    in
-    let* ck_processed = int "processed" in
-    let* ck_untestable = int "untestable" in
-    let* ck_aborted = int "aborted" in
-    let* dets =
-      match field "first_detection" with
-      | Some (Report.Json.List l) when List.length l = nf -> Ok l
-      | Some (Report.Json.List _) ->
-        Error "checkpoint first_detection length does not match fault count"
-      | _ -> Error "checkpoint is missing first_detection"
-    in
-    let ck_first_detection = Array.make nf None in
-    let* () =
+let ckpt_restore ~nf state =
+  let ( let* ) = Result.bind in
+  let field name = List.assoc_opt name state in
+  let int name =
+    match field name with
+    | Some (Report.Json.Int n) -> Ok n
+    | _ -> Error (Printf.sprintf "checkpoint is missing int field %S" name)
+  in
+  let* ck_processed = int "processed" in
+  let* ck_untestable = int "untestable" in
+  let* ck_aborted = int "aborted" in
+  let* ck_first_detection =
+    Robust.Checkpoint.detections_of_json ~n:nf
+      (Option.value ~default:Report.Json.Null (field "first_detection"))
+  in
+  let* extra =
+    match field "extra" with
+    | Some (Report.Json.List l) ->
       List.fold_left
-        (fun acc (i, d) ->
-          let* () = acc in
-          match d with
-          | Report.Json.Int v when v >= 0 ->
-            ck_first_detection.(i) <- Some v;
-            Ok ()
-          | Report.Json.Int _ -> Ok ()
-          | _ -> Error "checkpoint first_detection has non-int entries")
-        (Ok ())
-        (List.mapi (fun i d -> (i, d)) dets)
-    in
-    let* extra =
-      match field "extra" with
-      | Some (Report.Json.List l) ->
-        List.fold_left
-          (fun acc p ->
-            let* ps = acc in
-            let* p = pattern_of_json p in
-            Ok (p :: ps))
-          (Ok []) l
-        |> Result.map (fun rev -> Array.of_list (List.rev rev))
-      | _ -> Error "checkpoint is missing extra patterns"
-    in
-    Ok
-      { ck_processed; ck_untestable; ck_aborted; ck_first_detection;
-        ck_extra = extra }
-  | _ -> Error "checkpoint payload must be exactly one state line"
+        (fun acc p ->
+          let* ps = acc in
+          let* p = pattern_of_json p in
+          Ok (p :: ps))
+        (Ok []) l
+      |> Result.map (fun rev -> Array.of_list (List.rev rev))
+    | _ -> Error "checkpoint is missing extra patterns"
+  in
+  Ok
+    { ck_processed; ck_untestable; ck_aborted; ck_first_detection;
+      ck_extra = extra }
 
 let rec drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
@@ -232,28 +205,18 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   | Some { path; every; resume } ->
     if every < 1 then invalid_arg "Atpg.run: checkpoint every must be >= 1";
     if resume then begin
-      let state =
-        match Robust.Checkpoint.load ~path with
-        | Error msg -> Error (Printf.sprintf "cannot resume: %s" msg)
-        | Ok (file_meta, payload) ->
-          (match
-             Robust.Checkpoint.validate ~kind:ckpt_kind
-               ~expect:(ckpt_fields config c faults)
-               file_meta
-           with
-          | Error _ as e -> e
-          | Ok () -> ckpt_restore ~nf:total payload)
+      let st =
+        Robust.Checkpoint.resume ~path ~kind:ckpt_kind
+          ~expect:(ckpt_fields config c faults)
+          (ckpt_restore ~nf:total)
       in
-      match state with
-      | Error msg -> raise (Robust.Checkpoint.Mismatch msg)
-      | Ok st ->
-        Array.blit st.ck_first_detection 0 first_detection 0 total;
-        extra := Array.fold_left (fun acc p -> p :: acc) [] st.ck_extra;
-        extra_count := Array.length st.ck_extra;
-        untestable := st.ck_untestable;
-        aborted := st.ck_aborted;
-        processed := st.ck_processed;
-        remaining := drop st.ck_processed remaining_order
+      Array.blit st.ck_first_detection 0 first_detection 0 total;
+      extra := Array.fold_left (fun acc p -> p :: acc) [] st.ck_extra;
+      extra_count := Array.length st.ck_extra;
+      untestable := st.ck_untestable;
+      aborted := st.ck_aborted;
+      processed := st.ck_processed;
+      remaining := drop st.ck_processed remaining_order
     end
   | None -> ());
   (* One progress item per fault target popped; already-detected

@@ -1,8 +1,9 @@
 (* Tests for the resilient execution layer (lib/robust) and its
    integration points: cancellation tokens, fault injection, crash-safe
    checkpoints, bit-identical resume for the fault simulators, ATPG and
-   the lot tester, shard supervision in the multicore engine, and the
-   journal's run_end invariant under injected sink failures. *)
+   the lot pipeline (through its ATPG stage), shard supervision in the
+   multicore engine, and the journal's run_end invariant under injected
+   sink failures. *)
 
 module F = Faults.Fault
 
@@ -211,18 +212,16 @@ let check_restart_bit_identical name engine =
      with Robust.Inject.Injected _ -> true);
   Robust.Inject.clear "fsim.restart.segment";
   (* ...then resume and demand the uninterrupted answer, bit for bit. *)
-  match
+  let out =
     Fsim.Restart.run ~engine ~every:64 ~resume:true ~checkpoint:path ~seed:42 c
       universe patterns
-  with
-  | Error msg -> Alcotest.failf "%s: resume failed: %s" name msg
-  | Ok out ->
-    Alcotest.(check bool) (name ^ ": resumed mid-run") true
-      (out.Fsim.Restart.resumed_from > 0
-      && out.Fsim.Restart.resumed_from < Array.length patterns);
-    Alcotest.(check bool) (name ^ ": completed") true out.Fsim.Restart.completed;
-    Alcotest.(check bool) (name ^ ": bit-identical profile") true
-      (out.Fsim.Restart.profile = baseline)
+  in
+  Alcotest.(check bool) (name ^ ": resumed mid-run") true
+    (out.Fsim.Restart.resumed_from > 0
+    && out.Fsim.Restart.resumed_from < Array.length patterns);
+  Alcotest.(check bool) (name ^ ": completed") true out.Fsim.Restart.completed;
+  Alcotest.(check bool) (name ^ ": bit-identical profile") true
+    (out.Fsim.Restart.profile = baseline)
 
 let test_restart_serial () = check_restart_bit_identical "serial" Fsim.Coverage.Serial
 let test_restart_ppsfp () = check_restart_bit_identical "ppsfp" Fsim.Coverage.Parallel
@@ -230,20 +229,20 @@ let test_restart_ppsfp () = check_restart_bit_identical "ppsfp" Fsim.Coverage.Pa
 let test_restart_par () =
   check_restart_bit_identical "par" (Fsim.Coverage.Par { domains = 2 })
 
-let test_restart_mismatch_is_error () =
+let test_restart_mismatch_raises () =
   with_inject @@ fun () ->
   with_tmp @@ fun path ->
   let c, universe, patterns = Lazy.force fsim_rig in
-  (match Fsim.Restart.run ~every:64 ~checkpoint:path ~seed:42 c universe patterns with
-  | Ok out -> Alcotest.(check bool) "fresh run completes" true out.Fsim.Restart.completed
-  | Error msg -> Alcotest.failf "fresh run failed: %s" msg);
+  let out = Fsim.Restart.run ~every:64 ~checkpoint:path ~seed:42 c universe patterns in
+  Alcotest.(check bool) "fresh run completes" true out.Fsim.Restart.completed;
   let fewer = Array.sub patterns 0 128 in
-  match
-    Fsim.Restart.run ~every:64 ~resume:true ~checkpoint:path ~seed:42 c universe
-      fewer
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "resume with a different pattern count must be rejected"
+  Alcotest.(check bool) "different pattern count rejected" true
+    (try
+       ignore
+         (Fsim.Restart.run ~every:64 ~resume:true ~checkpoint:path ~seed:42 c
+            universe fewer);
+       false
+     with Robust.Checkpoint.Mismatch _ -> true)
 
 let test_par_shard_retry_recovers () =
   with_inject @@ fun () ->
@@ -383,76 +382,64 @@ let test_atpg_precancelled_counts_unknown () =
 (* ------------------------------------------------------------------ *)
 (* Lot-simulation crash + resume                                       *)
 
-let lot_rig =
-  lazy
-    (let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
-     let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
-     let universe = Faults.Collapse.representatives classes in
-     let rng = Stats.Rng.create ~seed:55 () in
-     let patterns = Tpg.Random_tpg.uniform rng c ~count:96 in
-     let program = Tester.Pattern_set.of_simulation c universe patterns in
-     let lot_rng = Stats.Rng.create ~seed:123 () in
-     let lot =
-       Fab.Lot.manufacture_ideal ~yield_:0.2 ~n0:4.0
-         ~universe_size:(Array.length universe) lot_rng ~count:200
-     in
-     (c, universe, program, lot))
+module Pipeline = Experiments.Pipeline
+
+(* simulate-lot --scale 4 --chips 60: its ATPG stage is where the time
+   goes, so it is the stage the lot checkpoint covers. *)
+let lot_config = { Pipeline.default_config with scale = 4; lot_size = 60 }
+
+let lot_baseline = lazy (Pipeline.execute lot_config)
+
+let check_same_lot name (resumed : Pipeline.run) =
+  let baseline = Lazy.force lot_baseline in
+  Alcotest.(check bool) (name ^ ": same ATPG report") true
+    (resumed.atpg_report = baseline.atpg_report);
+  Alcotest.(check bool) (name ^ ": same program") true
+    (resumed.program = baseline.program);
+  Alcotest.(check bool) (name ^ ": same lot outcome") true
+    (resumed.outcome = baseline.outcome)
+
+let lot_ckpt path resume = { Tpg.Atpg.path; every = 16; resume }
 
 let test_lot_crash_resume_bit_identical () =
   with_inject @@ fun () ->
   with_tmp @@ fun path ->
-  let c, universe, program, lot = Lazy.force lot_rig in
-  let baseline = Tester.Wafer_test.test_lot c universe program lot in
-  Robust.Inject.set "tester.lot.segment" (Robust.Inject.At_nth 1);
+  ignore (Lazy.force lot_baseline);
+  (* Crash on the third snapshot: the upfront save and the one after 16
+     targets are durable, a strict prefix of the deterministic phase. *)
+  Robust.Inject.set "checkpoint.save" (Robust.Inject.At_nth 3);
   Alcotest.(check bool) "injected crash propagates" true
     (try
-       ignore
-         (Tester.Wafer_test.test_lot_restart ~every:64 ~checkpoint:path c
-            universe program lot);
+       ignore (Pipeline.execute ~checkpoint:(lot_ckpt path false) lot_config);
        false
      with Robust.Inject.Injected _ -> true);
-  Robust.Inject.clear "tester.lot.segment";
-  match
-    Tester.Wafer_test.test_lot_restart ~every:64 ~resume:true ~checkpoint:path c
-      universe program lot
-  with
-  | Error msg -> Alcotest.failf "resume failed: %s" msg
-  | Ok run ->
-    Alcotest.(check bool) "resumed mid-lot" true
-      (run.Tester.Wafer_test.resumed_from > 0
-      && run.Tester.Wafer_test.resumed_from < 200);
-    Alcotest.(check bool) "completed" true run.Tester.Wafer_test.completed;
-    Alcotest.(check bool) "bit-identical lot result" true
-      (Tester.Wafer_test.result_of_run program lot run = baseline)
+  Robust.Inject.clear "checkpoint.save";
+  Alcotest.(check bool) "checkpoint holds 16 targets" true
+    (match Robust.Checkpoint.load ~path with
+    | Ok (_, [ Report.Json.Obj state ]) ->
+      List.assoc_opt "processed" state = Some (Report.Json.Int 16)
+    | Ok _ | Error _ -> false);
+  check_same_lot "crash+resume"
+    (Pipeline.execute ~checkpoint:(lot_ckpt path true) lot_config)
 
 let test_lot_cancelled_prefix_durable () =
   with_tmp @@ fun path ->
-  let c, universe, program, lot = Lazy.force lot_rig in
+  let baseline = Lazy.force lot_baseline in
+  (* The ATPG of the same run (the pipeline seeds it with seed + 1), cut
+     by a token that has already fired: no target gets a verdict, and
+     the empty deterministic prefix is what the checkpoint holds. *)
   let t = Robust.Cancel.create () in
   Robust.Cancel.cancel t;
-  (match
-     Tester.Wafer_test.test_lot_restart ~cancel:t ~every:16 ~checkpoint:path c
-       universe program lot
-   with
-  | Error msg -> Alcotest.failf "cancelled run errored: %s" msg
-  | Ok run ->
-    Alcotest.(check bool) "incomplete" false run.Tester.Wafer_test.completed;
-    Alcotest.(check int) "no dies tested" 0 run.Tester.Wafer_test.dies_done;
-    Alcotest.(check bool) "incomplete run has no result" true
-      (try
-         ignore (Tester.Wafer_test.result_of_run program lot run);
-         false
-       with Invalid_argument _ -> true));
-  (* The empty prefix is durable and resumable to the full answer. *)
-  let baseline = Tester.Wafer_test.test_lot c universe program lot in
-  match
-    Tester.Wafer_test.test_lot_restart ~every:16 ~resume:true ~checkpoint:path c
-      universe program lot
-  with
-  | Error msg -> Alcotest.failf "resume failed: %s" msg
-  | Ok run ->
-    Alcotest.(check bool) "resume of cancelled run is bit-identical" true
-      (Tester.Wafer_test.result_of_run program lot run = baseline)
+  let cut =
+    Tpg.Atpg.run
+      ~config:{ lot_config.atpg with seed = lot_config.seed + 1 }
+      ~cancel:t ~checkpoint:(lot_ckpt path false) baseline.circuit
+      baseline.universe
+  in
+  Alcotest.(check bool) "cut before any verdict" true
+    (cut.Tpg.Atpg.unknown > 0 && cut.Tpg.Atpg.deterministic_patterns = 0);
+  check_same_lot "cancelled+resume"
+    (Pipeline.execute ~checkpoint:(lot_ckpt path true) lot_config)
 
 (* ------------------------------------------------------------------ *)
 (* Journal under failure                                               *)
@@ -591,7 +578,7 @@ let suite =
       [ tc "serial crash+resume bit-identical" test_restart_serial;
         tc "ppsfp crash+resume bit-identical" test_restart_ppsfp;
         tc "par crash+resume bit-identical" test_restart_par;
-        tc "mismatched resume rejected" test_restart_mismatch_is_error;
+        tc "mismatched resume rejected" test_restart_mismatch_raises;
         tc "par shard retry recovers" test_par_shard_retry_recovers;
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
         tc "par counts retry resets owned faults"
