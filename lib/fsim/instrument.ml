@@ -30,3 +30,4 @@ let count ~engine name n =
 
 let count_fault_evals ~engine n = count ~engine "fault_evals" n
 let count_root_flips ~engine n = count ~engine "root_flips" n
+let count_flip_evals ~engine n = count ~engine "flip_evals" n

@@ -4,7 +4,8 @@
     traces of different engines line up: a ["fsim.<engine>"] span with
     [faults]/[patterns] counters, and ["fsim.<engine>.runs"],
     [".patterns"], [".patterns_per_sec"] and [".fault_evals"] metrics;
-    the engines built on {!Ppsfp.grade} also count [".root_flips"].
+    the engines built on {!Ppsfp.grade} also count [".root_flips"] and
+    [".flip_evals"].
     Everything is a no-op (one atomic load) while both {!Obs.Trace}
     and {!Obs.Metrics} are disabled. *)
 
@@ -31,7 +32,15 @@ val count_fault_evals : engine:string -> int -> unit
     batch granularity, gated on {!observing}. *)
 
 val count_root_flips : engine:string -> int -> unit
-(** Record [n] root flips (one fanout-free-region root propagated
-    through its fanout cone against one pattern block) onto the current
+(** Record [n] root flips (one fanout-free-region root flipped against
+    one pattern block and propagated into its fanout cone until every
+    flipped pattern has reached an output or died) onto the current
     span as [root_flips] and onto ["fsim.<engine>.root_flips"], the
     same way as {!count_fault_evals}. *)
+
+val count_flip_evals : engine:string -> int -> unit
+(** Record [n] gate evaluations made while propagating root flips onto
+    the current span as [flip_evals] and onto
+    ["fsim.<engine>.flip_evals"], the same way as
+    {!count_fault_evals}.  Divided by [root_flips] it is the cost of
+    one flip in gates. *)

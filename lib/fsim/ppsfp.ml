@@ -145,6 +145,7 @@ type kernel = {
   fill : int array;
   mutable top : int;  (* highest level queued in this generation *)
   mutable generation : int;
+  mutable flip_evals : int;  (* gates evaluated by root flips, per block *)
 }
 
 let kernel (c : Circuit.Netlist.t) =
@@ -158,7 +159,7 @@ let kernel (c : Circuit.Netlist.t) =
   { circuit = c; root = ffr_roots c; faulty = Logicsim.Packed.words c;
     stamp = Array.make nodes (-1); queued = Array.make nodes (-1);
     queue = Array.make nodes 0; first; fill = Array.make (depth + 1) 0;
-    top = 0; generation = 0 }
+    top = 0; generation = 0; flip_evals = 0 }
 
 let[@inline] schedule_fanouts k u =
   let outs = k.circuit.fanouts.(u) in
@@ -217,40 +218,53 @@ let[@inline] local k good ~live fault =
   !d
 
 (* The observability mask of root [r]: flip [r] on the patterns [live]
-   and propagate the flip through its fanout cone, level by level;
-   returns the patterns on which some primary output diverges.  A
-   node's faulty word is written into its slot, then stamped (and its
-   fanouts queued) only when it differs from the good word on a live
-   pattern. *)
+   and propagate the flip through its fanout cone, level by level, until
+   every flipped pattern has reached an output or died; returns the
+   patterns on which some primary output diverges.  [pending] holds the
+   flipped patterns on which no output has diverged yet.  A node's
+   faulty word is written into its slot, then stamped only when it
+   differs from the good word on a pending pattern; a diverging output
+   retires those patterns from [pending] and queues nothing, any other
+   diverging node queues its fanouts.  Once [pending] is empty nothing
+   more is evaluated, but every remaining level's [fill] is still
+   zeroed.  A root that is itself an output is observed on all of
+   [live] at once. *)
 let[@inline] observe k good ~live r =
-  k.generation <- k.generation + 1;
-  let generation = k.generation in
-  let c = k.circuit and stamp = k.stamp in
-  Bytes.set_int64_ne k.faulty (r lsl 3)
-    (Int64.lognot (Bytes.get_int64_ne good (r lsl 3)));
-  stamp.(r) <- generation;
-  let out = ref (if c.output_flags.(r) then live else 0L) in
-  k.top <- 0;
-  schedule_fanouts k r;
-  let level = ref (c.levels.(r) + 1) in
-  while !level <= k.top do
-    let l = !level in
-    let base = k.first.(l) in
-    for j = base to base + k.fill.(l) - 1 do
-      let u = k.queue.(j) in
-      Logicsim.Packed.eval_gate c ~good ~faulty:k.faulty ~stamp ~generation
-        ~pin:(-1) ~forced:0L u;
-      let d = diverges k good ~live u in
-      if d <> 0L then begin
-        stamp.(u) <- generation;
-        if c.output_flags.(u) then out := Int64.logor !out d;
-        schedule_fanouts k u
-      end
+  let c = k.circuit in
+  if c.output_flags.(r) then live
+  else begin
+    k.generation <- k.generation + 1;
+    let generation = k.generation and stamp = k.stamp in
+    Bytes.set_int64_ne k.faulty (r lsl 3)
+      (Int64.lognot (Bytes.get_int64_ne good (r lsl 3)));
+    stamp.(r) <- generation;
+    let pending = ref live and evals = ref 0 in
+    k.top <- 0;
+    schedule_fanouts k r;
+    let level = ref (c.levels.(r) + 1) in
+    while !level <= k.top do
+      let l = !level in
+      let j = ref k.first.(l) and stop = k.first.(l) + k.fill.(l) in
+      while !j < stop && !pending <> 0L do
+        let u = k.queue.(!j) in
+        Logicsim.Packed.eval_gate c ~good ~faulty:k.faulty ~stamp ~generation
+          ~pin:(-1) ~forced:0L u;
+        incr evals;
+        let d = diverges k good ~live:!pending u in
+        if d <> 0L then begin
+          stamp.(u) <- generation;
+          if c.output_flags.(u) then
+            pending := Int64.logand !pending (Int64.lognot d)
+          else schedule_fanouts k u
+        end;
+        incr j
+      done;
+      k.fill.(l) <- 0;
+      incr level
     done;
-    k.fill.(l) <- 0;
-    incr level
-  done;
-  !out
+    k.flip_evals <- k.flip_evals + !evals;
+    Int64.logand live (Int64.lognot !pending)
+  end
 
 (* One block: the alive faults come in runs that share a region.  Each
    run's local masks are kept in [locals] by position in [alive]; the
@@ -272,6 +286,7 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
       let live = Logicsim.Packed.live_mask block in
       let count = !alive_count in
       let kept = ref 0 and flips = ref 0 and first = ref 0 in
+      k.flip_evals <- 0;
       while !first < count do
         let r = root_of k.root faults.(alive.(!first)) in
         let stop = ref !first and reached = ref 0L in
@@ -303,7 +318,8 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
       alive_count := !kept;
       if Instrument.observing () then begin
         Instrument.count_fault_evals ~engine count;
-        Instrument.count_root_flips ~engine !flips
+        Instrument.count_root_flips ~engine !flips;
+        Instrument.count_flip_evals ~engine k.flip_evals
       end
     end;
     block_start := !block_start + block.Logicsim.Packed.pattern_count;

@@ -20,6 +20,11 @@
     - per block, each alive fault is evaluated along its path to the
       root, and the root is flipped once, on the patterns where some
       alive fault of its region reaches it;
+    - a flip is propagated only until every flipped pattern has reached
+      an output or died: a diverging output retires its patterns and
+      queues no fanouts, the walk evaluates nothing once no pattern is
+      left, and a root that is itself an output is observed on every
+      flipped pattern without evaluating a gate;
     - words live unboxed in [Bytes] and are evaluated by
       {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
       while its stamp equals the current generation, and a new
@@ -119,6 +124,7 @@ val grade :
     [detections]/[nth] are written.  After every block the loop steps
     [progress] by the block's pattern count and calls [on_block]; while
     faults are alive it also adds their number to
-    ["fsim.<engine>.fault_evals"] and the number of roots it flipped to
-    ["fsim.<engine>.root_flips"].  The faults must already have passed
+    ["fsim.<engine>.fault_evals"], the number of roots it flipped to
+    ["fsim.<engine>.root_flips"] and the gates those flips evaluated to
+    ["fsim.<engine>.flip_evals"].  The faults must already have passed
     {!Faults.Fault.check}. *)

@@ -513,7 +513,9 @@ let test_disabled_progress_allocates_nothing () =
 (* The packed kernel flips each fanout-free-region root once per block
    for all of its alive faults: a run flips at least one root and never
    more roots than it evaluates alive faults, in the metric and on
-   every span that counts both. *)
+   every span that counts both, and the flips evaluate some gates.  A
+   flip stops at the first output that sees it: when every root is an
+   output, no flip evaluates a gate. *)
 let test_root_flips_counted () =
   let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:4 () in
   let universe =
@@ -535,7 +537,11 @@ let test_root_flips_counted () =
         (Printf.sprintf "%s: 0 < root_flips (%g) <= fault_evals (%g)" engine flips
            evals)
         true
-        (0.0 < flips && flips <= evals))
+        (0.0 < flips && flips <= evals);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 < flip_evals (%g)" engine (metric "flip_evals"))
+        true
+        (0.0 < metric "flip_evals"))
     [ "ppsfp"; "ndetect.par" ];
   List.iter
     (fun s ->
@@ -547,7 +553,29 @@ let test_root_flips_counted () =
           (s.Obs.Trace.name ^ ": root_flips <= fault_evals")
           true
           (counter "root_flips" <= counter "fault_evals"))
-    (Obs.Trace.spans ())
+    (Obs.Trace.spans ());
+  (* [g1 = AND(a, b)] is an output and feeds [g2 = OR(g1, c)], also an
+     output: both roots are outputs. *)
+  let b = Circuit.Netlist.Builder.create ~name:"output_roots" in
+  let input = Circuit.Netlist.Builder.add_input b in
+  let x = input "a" and y = input "b" and z = input "c" in
+  let g1 = Circuit.Netlist.Builder.add_gate b Circuit.Gate.And [ x; y ] in
+  let g2 = Circuit.Netlist.Builder.add_gate b Circuit.Gate.Or [ g1; z ] in
+  List.iter (Circuit.Netlist.Builder.mark_output b) [ g1; g2 ];
+  let c = Circuit.Netlist.Builder.build b in
+  let exhaustive =
+    Array.init 8 (fun v -> Array.init 3 (fun i -> (v lsr i) land 1 = 1))
+  in
+  with_obs @@ fun () ->
+  ignore (Fsim.Ppsfp.run c (Faults.Universe.all c) exhaustive);
+  let metric name =
+    Option.value ~default:0.0 (Obs.Metrics.value ("fsim.ppsfp." ^ name))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "output roots: 0 < root_flips (%g)" (metric "root_flips"))
+    true
+    (0.0 < metric "root_flips");
+  Alcotest.(check (float 0.0)) "output roots: flip_evals" 0.0 (metric "flip_evals")
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
