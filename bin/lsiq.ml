@@ -1766,7 +1766,8 @@ let () =
   (* The one error boundary: the libraries reject an input they cannot
      take (a model parameter off its domain, an empty lot, a fault index
      out of range) with Invalid_argument or Failure, a resume from a
-     checkpoint another run wrote with Robust.Checkpoint.Mismatch, and
+     checkpoint another run wrote, or whose state no run could reach,
+     with Robust.Checkpoint.Mismatch, and
      the OS refuses a path with Sys_error.  Each is a usage error — one
      lsiq: line, exit 2.  Any other exception, the fault-injection
      drills' Robust.Inject.Injected among them, is an internal error and

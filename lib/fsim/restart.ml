@@ -42,14 +42,21 @@ let payload_of ~patterns_done first_detection =
         ("first_detection", Robust.Checkpoint.detections_to_json first_detection)
       ] ]
 
-let restore ~nf state =
+(* The state must describe a prefix of this run: at most [np] patterns
+   graded, and every detection among them. *)
+let restore ~nf ~np state =
   match
     (List.assoc_opt "patterns_done" state, List.assoc_opt "first_detection" state)
   with
   | Some (Report.Json.Int patterns_done), Some (Report.Json.List _ as dets) ->
-    Result.map
-      (fun first_detection -> (patterns_done, first_detection))
-      (Robust.Checkpoint.detections_of_json ~n:nf dets)
+    if patterns_done < 0 || patterns_done > np then
+      Error
+        (Printf.sprintf "checkpoint patterns_done %d is outside [0, %d]"
+           patterns_done np)
+    else
+      Result.map
+        (fun first_detection -> (patterns_done, first_detection))
+        (Robust.Checkpoint.detections_of_json ~n:nf ~bound:patterns_done dets)
   | _ -> Error "checkpoint payload is missing patterns_done/first_detection"
 
 let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
@@ -64,7 +71,7 @@ let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
   let resumed_from, first_detection =
     if resume then
       Robust.Checkpoint.resume ~path:checkpoint ~kind ~expect:fields
-        (restore ~nf)
+        (restore ~nf ~np)
     else (0, Array.make nf None)
   in
   Obs.Trace.with_span "fsim.restart" @@ fun () ->

@@ -38,5 +38,7 @@ val run :
     checkpoint is unreadable or was written by another computation (the
     meta header records circuit, engine family, seed and sizes; all
     must match the resuming invocation — except the {!Coverage.Par}
-    domain count, which never affects results).  Raises
-    [Invalid_argument] when [every < 1]. *)
+    domain count, which never affects results), or when its state is
+    not a prefix of this run: [patterns_done] outside [\[0, patterns\]],
+    or a detection index that is neither -1 nor below [patterns_done].
+    Raises [Invalid_argument] when [every < 1]. *)

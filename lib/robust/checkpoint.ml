@@ -115,14 +115,21 @@ let detections_to_json detections =
           (fun d -> Report.Json.Int (Option.value ~default:(-1) d))
           detections))
 
-let detections_of_json ~n = function
+let detections_of_json ~n ~bound = function
   | Report.Json.List l when List.length l = n ->
     let detections = Array.make n None in
     let rec fill i = function
       | [] -> Ok detections
-      | Report.Json.Int v :: rest ->
-        if v >= 0 then detections.(i) <- Some v;
+      | Report.Json.Int -1 :: rest -> fill (i + 1) rest
+      | Report.Json.Int v :: rest when 0 <= v && v < bound ->
+        detections.(i) <- Some v;
         fill (i + 1) rest
+      | Report.Json.Int v :: _ ->
+        Error
+          (Printf.sprintf
+             "checkpoint first_detection of fault %d is %d, neither -1 nor \
+              a pattern index below %d"
+             i v bound)
       | _ :: _ -> Error "checkpoint first_detection has non-int entries"
     in
     fill 0 l

@@ -53,6 +53,8 @@ val detections_to_json : int option array -> Report.Json.t
 (** Per-fault first-detection pattern indices as a JSON int list,
     [None] stored as -1. *)
 
-val detections_of_json : n:int -> Report.Json.t -> (int option array, string) result
+val detections_of_json :
+  n:int -> bound:int -> Report.Json.t -> (int option array, string) result
 (** Inverse of {!detections_to_json}; [Error] unless the value is a
-    list of exactly [n] ints. *)
+    list of exactly [n] ints, each -1 or a pattern index in
+    [\[0, bound)]. *)

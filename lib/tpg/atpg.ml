@@ -63,9 +63,14 @@ let pattern_to_json pattern =
     (String.init (Array.length pattern) (fun i ->
          if pattern.(i) then '1' else '0'))
 
-let pattern_of_json = function
+let pattern_of_json ~inputs = function
+  | Report.Json.String s
+    when String.length s = inputs && String.for_all (fun b -> b = '0' || b = '1') s
+    ->
+    Ok (Array.init inputs (fun i -> s.[i] = '1'))
   | Report.Json.String s ->
-    Ok (Array.init (String.length s) (fun i -> s.[i] = '1'))
+    Error
+      (Printf.sprintf "checkpoint extra pattern %S is not %d bits of 0/1" s inputs)
   | _ -> Error "extra pattern is not a string"
 
 type ckpt_state = {
@@ -85,7 +90,11 @@ let ckpt_payload ~processed ~untestable ~aborted ~first_detection ~extra_rev =
         ("extra", Report.Json.List (List.rev_map pattern_to_json extra_rev)) ]
   ]
 
-let ckpt_restore ~nf state =
+(* The state must be one this run could have reached: [inputs]-bit
+   extra patterns, detections by one of the [base] random or the extra
+   patterns, and at most one verdict (untestable, aborted or a new
+   pattern) per processed target, out of [targets]. *)
+let ckpt_restore ~nf ~inputs ~base ~targets state =
   let ( let* ) = Result.bind in
   let field name = List.assoc_opt name state in
   let int name =
@@ -96,21 +105,33 @@ let ckpt_restore ~nf state =
   let* ck_processed = int "processed" in
   let* ck_untestable = int "untestable" in
   let* ck_aborted = int "aborted" in
-  let* ck_first_detection =
-    Robust.Checkpoint.detections_of_json ~n:nf
-      (Option.value ~default:Report.Json.Null (field "first_detection"))
-  in
   let* extra =
     match field "extra" with
     | Some (Report.Json.List l) ->
       List.fold_left
         (fun acc p ->
           let* ps = acc in
-          let* p = pattern_of_json p in
+          let* p = pattern_of_json ~inputs p in
           Ok (p :: ps))
         (Ok []) l
       |> Result.map (fun rev -> Array.of_list (List.rev rev))
     | _ -> Error "checkpoint is missing extra patterns"
+  in
+  let* () =
+    if ck_untestable < 0 || ck_aborted < 0
+       || ck_untestable + ck_aborted + Array.length extra > ck_processed
+       || ck_processed > targets
+    then
+      Error
+        (Printf.sprintf
+           "checkpoint counts are impossible: %d untestable, %d aborted and \
+            %d patterns from %d of %d targets processed"
+           ck_untestable ck_aborted (Array.length extra) ck_processed targets)
+    else Ok ()
+  in
+  let* ck_first_detection =
+    Robust.Checkpoint.detections_of_json ~n:nf ~bound:(base + Array.length extra)
+      (Option.value ~default:Report.Json.Null (field "first_detection"))
   in
   Ok
     { ck_processed; ck_untestable; ck_aborted; ck_first_detection;
@@ -208,7 +229,8 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
       let st =
         Robust.Checkpoint.resume ~path ~kind:ckpt_kind
           ~expect:(ckpt_fields config c faults)
-          (ckpt_restore ~nf:total)
+          (ckpt_restore ~nf:total ~inputs:(Circuit.Netlist.num_inputs c) ~base
+             ~targets:(List.length remaining_order))
       in
       Array.blit st.ck_first_detection 0 first_detection 0 total;
       extra := Array.fold_left (fun acc p -> p :: acc) [] st.ck_extra;

@@ -85,8 +85,14 @@ val run :
     run continues from the last snapshot and produces a report
     bit-identical to an uninterrupted one (given no time budget).
     Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
-    file is unreadable or was written by a run with different inputs;
-    raises [Invalid_argument] when [every < 1]. *)
+    file is unreadable, was written by a run with different inputs, or
+    holds a state this run cannot reach: an extra pattern that is not
+    one 0/1 character per circuit input, a detection index that is
+    neither -1 nor below the random plus extra pattern count, a negative
+    untestable or aborted count, more verdicts (untestable, aborted and
+    extra patterns together) than processed targets, or more processed
+    targets than there are.  Raises [Invalid_argument] when
+    [every < 1]. *)
 
 val coverage : report -> float
 (** Final fault coverage of the generated set. *)

@@ -189,6 +189,46 @@ let test_checkpoint_crash_keeps_previous () =
 (* ------------------------------------------------------------------ *)
 (* Fault-simulation crash + resume                                     *)
 
+(* Checkpoint state edits, applied to a real checkpoint's state line one
+   at a time: [resume ()] must accept the state as saved and raise
+   [Mismatch] on every edit. *)
+let set_field key value state = (key, value) :: List.remove_assoc key state
+
+let set_detection fault index state =
+  match List.assoc_opt "first_detection" state with
+  | Some (Report.Json.List l) ->
+    set_field "first_detection"
+      (Report.Json.List
+         (List.mapi (fun i d -> if i = fault then Report.Json.Int index else d) l))
+      state
+  | _ -> Alcotest.fail "checkpoint has no first_detection"
+
+let state_int key state =
+  match List.assoc_opt key state with
+  | Some (Report.Json.Int n) -> n
+  | _ -> Alcotest.failf "checkpoint has no int field %S" key
+
+let check_impossible_states_rejected ~path ~resume edits =
+  let meta, state =
+    match Robust.Checkpoint.load ~path with
+    | Ok (meta, [ Report.Json.Obj state ]) -> (meta, state)
+    | _ -> Alcotest.fail "checkpoint unreadable"
+  in
+  let rewrite state =
+    Robust.Checkpoint.save ~path ~meta ~payload:[ Report.Json.Obj state ]
+  in
+  List.iter
+    (fun (name, edit) ->
+      rewrite (edit state);
+      Alcotest.(check bool) (name ^ " rejected") true
+        (try
+           resume ();
+           false
+         with Robust.Checkpoint.Mismatch _ -> true))
+    edits;
+  rewrite state;
+  resume ()
+
 let fsim_rig =
   lazy
     (let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
@@ -243,6 +283,29 @@ let test_restart_mismatch_raises () =
             universe fewer);
        false
      with Robust.Checkpoint.Mismatch _ -> true)
+
+(* A checkpoint cut after the first 64-pattern segment: no detection
+   may lie at or past pattern 64, and at most the run's 192 patterns can
+   be done. *)
+let test_restart_impossible_state_rejected () =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c, universe, patterns = Lazy.force fsim_rig in
+  let run resume =
+    Fsim.Restart.run ~every:64 ~resume ~checkpoint:path ~seed:42 c universe
+      patterns
+  in
+  Robust.Inject.set "fsim.restart.segment" (Robust.Inject.At_nth 1);
+  (try ignore (run false) with Robust.Inject.Injected _ -> ());
+  Robust.Inject.clear "fsim.restart.segment";
+  check_impossible_states_rejected ~path
+    ~resume:(fun () -> ignore (run true))
+    [ ("patterns_done past the pattern count",
+       set_field "patterns_done" (Report.Json.Int 193));
+      ("negative patterns_done", set_field "patterns_done" (Report.Json.Int (-64)));
+      ("detection at patterns_done", set_detection 0 64);
+      ("detection past every pattern", set_detection 0 999_999);
+      ("detection below -1", set_detection 0 (-2)) ]
 
 let test_par_shard_retry_recovers () =
   with_inject @@ fun () ->
@@ -367,6 +430,49 @@ let test_atpg_checkpoint_mismatch_raises () =
        ignore (Tpg.Atpg.run ~config:other ~checkpoint:(ckpt true) c universe);
        false
      with Robust.Checkpoint.Mismatch _ -> true)
+
+(* A complete checkpoint of the deterministic phase (no random
+   patterns): every count, pattern width and detection index it holds is
+   bounded by the run that wrote it. *)
+let test_atpg_impossible_state_raises () =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
+  let universe = Faults.Universe.all c in
+  let ckpt resume = { Tpg.Atpg.path; every = 4; resume } in
+  let report = Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe in
+  let patterns = Array.length report.Tpg.Atpg.patterns in
+  let processed =
+    match Robust.Checkpoint.load ~path with
+    | Ok (_, [ Report.Json.Obj state ]) -> state_int "processed" state
+    | _ -> Alcotest.fail "checkpoint unreadable"
+  in
+  let map_extra f state =
+    match List.assoc_opt "extra" state with
+    | Some (Report.Json.List l) ->
+      set_field "extra"
+        (Report.Json.List
+           (List.map
+              (function Report.Json.String p -> Report.Json.String (f p) | j -> j)
+              l))
+        state
+    | _ -> Alcotest.fail "checkpoint has no extra patterns"
+  in
+  check_impossible_states_rejected ~path
+    ~resume:(fun () ->
+      ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe))
+    [ ("detection at the pattern count", set_detection 0 patterns);
+      ("detection past every pattern", set_detection 0 999_999);
+      ("detection below -1", set_detection 0 (-2));
+      ("extra patterns one bit short",
+       map_extra (fun p -> String.sub p 0 (String.length p - 1)));
+      ("extra pattern not binary", map_extra (fun p -> "2" ^ String.sub p 1 (String.length p - 1)));
+      ("negative untestable", set_field "untestable" (Report.Json.Int (-1)));
+      ("negative aborted", set_field "aborted" (Report.Json.Int (-5)));
+      ("more verdicts than processed targets",
+       set_field "untestable" (Report.Json.Int (processed + 1)));
+      ("processed past the target count",
+       set_field "processed" (Report.Json.Int (Array.length universe + 1))) ]
 
 let test_atpg_precancelled_counts_unknown () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
@@ -579,6 +685,8 @@ let suite =
         tc "ppsfp crash+resume bit-identical" test_restart_ppsfp;
         tc "par crash+resume bit-identical" test_restart_par;
         tc "mismatched resume rejected" test_restart_mismatch_raises;
+        tc "impossible checkpoint state rejected"
+          test_restart_impossible_state_rejected;
         tc "par shard retry recovers" test_par_shard_retry_recovers;
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
         tc "par counts retry resets owned faults"
@@ -588,6 +696,7 @@ let suite =
       [ tc "pre-cancelled podem aborts" test_podem_precancelled_aborts;
         tc "checkpoint resume bit-identical" test_atpg_checkpoint_resume_bit_identical;
         tc "mismatched resume raises" test_atpg_checkpoint_mismatch_raises;
+        tc "impossible checkpoint state raises" test_atpg_impossible_state_raises;
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
