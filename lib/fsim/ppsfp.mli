@@ -29,7 +29,7 @@
       {!Logicsim.Packed.eval_gate}; a node's faulty word is valid only
       while its stamp equals the current generation, and a new
       generation starts with every local evaluation and every root
-      flip;
+      flip that propagates;
     - pending nodes sit in one flat [int array] partitioned by level;
     - the alive faults are an [int array] grouped by root with a
       counting sort, and compacted in place after every block.

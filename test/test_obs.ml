@@ -556,13 +556,15 @@ let test_root_flips_counted () =
     (Obs.Trace.spans ());
   (* [g1 = AND(a, b)] is an output and feeds [g2 = OR(g1, c)], also an
      output: both roots are outputs. *)
-  let b = Circuit.Netlist.Builder.create ~name:"output_roots" in
-  let input = Circuit.Netlist.Builder.add_input b in
-  let x = input "a" and y = input "b" and z = input "c" in
-  let g1 = Circuit.Netlist.Builder.add_gate b Circuit.Gate.And [ x; y ] in
-  let g2 = Circuit.Netlist.Builder.add_gate b Circuit.Gate.Or [ g1; z ] in
-  List.iter (Circuit.Netlist.Builder.mark_output b) [ g1; g2 ];
-  let c = Circuit.Netlist.Builder.build b in
+  let module B = Circuit.Netlist.Builder in
+  let b = B.create ~name:"output_roots" in
+  let a = B.add_input b "a" in
+  let b_in = B.add_input b "b" in
+  let c_in = B.add_input b "c" in
+  let g1 = B.add_gate b Circuit.Gate.And [ a; b_in ] in
+  let g2 = B.add_gate b Circuit.Gate.Or [ g1; c_in ] in
+  List.iter (B.mark_output b) [ g1; g2 ];
+  let c = B.build b in
   let exhaustive =
     Array.init 8 (fun v -> Array.init 3 (fun i -> (v lsr i) land 1 = 1))
   in
