@@ -128,8 +128,8 @@ let shards c faults ~domains =
 (* Per-domain scratch of the kernel.  A faulty word [faulty] at node
    [u] is valid only while [stamp.(u) = generation]; every local
    evaluation and every root flip that propagates starts a new
-   generation, so nothing is ever cleared.  The event queue is one flat array partitioned by
-   level: level [l]'s pending nodes are
+   generation, so nothing is ever cleared.  The event queue is one flat
+   array partitioned by level: level [l]'s pending nodes are
    [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)], and a node
    is queued at most once per generation ([queued.(u) = generation]),
    so each level's segment is as long as the number of nodes on that
