@@ -137,6 +137,55 @@ let test_collapse_class_of_unknown () =
         (Faults.Collapse.class_of classes
            { F.site = F.Stem 9999; polarity = F.Stuck_at_0 }))
 
+(* No golden shows the collapse directly, so pin it: for each design,
+   the hex digest of the representatives, the dominance survivors, the
+   dominance drops with their dominators, and the class sizes. *)
+let collapse_digests c =
+  let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
+  let faults fs = String.concat " " (List.map (F.to_string c) fs) in
+  let hex s = Digest.to_hex (Digest.string s) in
+  [ hex (faults (Array.to_list (Faults.Collapse.representatives classes)));
+    hex (faults (Array.to_list (Faults.Collapse.dominance c classes)));
+    hex
+      (String.concat "\n"
+         (List.map
+            (fun (dropped, dominators) -> faults (dropped :: dominators))
+            (Faults.Collapse.dominance_drops c classes)));
+    hex
+      (String.concat " "
+         (List.init (Faults.Collapse.class_count classes) (fun cls ->
+              string_of_int
+                (List.length (Faults.Collapse.class_members classes cls))))) ]
+
+let pinned_collapse_digests =
+  [ ( "lsi_chip 1981 x12",
+      [ "93b6e929247cd7d0f75e7e631de59311"; "40048e8e581bde884fd36defe7d2f43b";
+        "61776e69e861f841029b1684fef31699"; "b25166b83eb684204e894cd77aef8e87" ] );
+    ( "lsi_chip 1982 x12",
+      [ "5b8550095dd0dd072cae998ed0972bda"; "f6b9ae584cdf21bcc0c7e007b01b9dba";
+        "00112a2e71ff60f6468dc20968ba0b98"; "1a5a15f104e0de1373823185faf42a9a" ] );
+    ( "lsi_chip 1983 x12",
+      [ "c78dd9b3cd2ca4de7b0199041de5afa6"; "033c550946c562d0e18aff878267f29e";
+        "f19f38001b04debb6177f6ad024b2890"; "d769643d26b2826e7fa0ffdf8b6bf1b2" ] );
+    ( "lsi_chip 1984 x12",
+      [ "33a4012fdf96c946d00a967018f93b3e"; "f9b4a9ea2179e3a9bbae89c9cff048af";
+        "96b7691d958afff9c1b270245e8669d0"; "40cdda68b35f41e8de7c3bd28f6f48ad" ] );
+    ( "lsi:6",
+      [ "b888da1624c6d3d27868aa599f8c8a3f"; "353f724c00bbfca68abd2980f2057027";
+        "a0de2b98d2dab7865b8739c74a2dff3c"; "19f4fe08df6d53e0091be539d31173dc" ] ) ]
+
+let test_collapse_pinned () =
+  let designs =
+    List.map
+      (fun seed -> Circuit.Generators.lsi_chip ~seed ~scale:12 ())
+      [ 1981; 1982; 1983; 1984 ]
+    @ [ Circuit.Generators.lsi_chip ~scale:6 () ]
+  in
+  List.iter2
+    (fun c (name, expected) ->
+      Alcotest.(check (list string)) name expected (collapse_digests c))
+    designs pinned_collapse_digests
+
 (* Soundness: all members of a class have identical detection sets
    under exhaustive patterns. *)
 let detection_signature c fault patterns =
@@ -262,6 +311,7 @@ let suite =
         tc "ratio in sane band" test_collapse_ratio_bounds;
         tc "classes partition universe" test_collapse_members_partition;
         tc "unknown fault raises" test_collapse_class_of_unknown;
+        tc "pinned digests (lsi_chip 1981-1984 x12, lsi:6)" test_collapse_pinned;
         tc "soundness (exhaustive detection sets)" test_collapse_soundness_exhaustive ] );
     ( "faults.dominance",
       [ tc "reduces below equivalence" test_dominance_reduces;
