@@ -9,6 +9,7 @@ type t = {
   output_flags : bool array;
   topo_order : int array;
   levels : int array;
+  line_offsets : int array;
 }
 
 exception Cycle of string
@@ -89,10 +90,13 @@ module Builder = struct
     let node_names = Array.of_list (List.rev b.names) in
     let inputs = Array.of_list (List.rev b.input_ids) in
     let outputs = Array.of_list (List.rev b.output_ids) in
-    (* Fanouts. *)
+    (* Fanouts, and the prefix sum of [1 + arity] over the nodes. *)
     let fanout_counts = Array.make n 0 in
-    Array.iter
-      (Array.iter (fun src -> fanout_counts.(src) <- fanout_counts.(src) + 1))
+    let line_offsets = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun id srcs ->
+        line_offsets.(id + 1) <- line_offsets.(id) + 1 + Array.length srcs;
+        Array.iter (fun src -> fanout_counts.(src) <- fanout_counts.(src) + 1) srcs)
       fanins;
     let fanouts = Array.map (fun c -> Array.make c (-1)) fanout_counts in
     let cursor = Array.make n 0 in
@@ -173,7 +177,7 @@ module Builder = struct
     let output_flags = Array.make n false in
     Array.iter (fun id -> output_flags.(id) <- true) outputs;
     { name = b.circuit_name; kinds; fanins; fanouts; node_names; inputs;
-      outputs; output_flags; topo_order = topo; levels }
+      outputs; output_flags; topo_order = topo; levels; line_offsets }
 end
 
 let num_nodes t = Array.length t.kinds
@@ -210,9 +214,7 @@ let find_node t name =
 
 let is_output t id = t.output_flags.(id)
 
-(* One stem per node plus one line per gate input pin. *)
-let line_count t =
-  Array.fold_left (fun acc fanins -> acc + 1 + Array.length fanins) 0 t.fanins
+let line_count t = t.line_offsets.(Array.length t.kinds)
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %d inputs, %d outputs, %d gates, depth %d"

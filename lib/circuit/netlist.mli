@@ -17,6 +17,10 @@ type t = private {
   output_flags : bool array;      (** [output_flags.(id)] iff [id] is an output. *)
   topo_order : int array;         (** Every node, fanins before fanouts. *)
   levels : int array;             (** Logic level (inputs at 0). *)
+  line_offsets : int array;
+      (** [line_offsets.(id)] is the number of lines (one stem per node
+          plus one per input pin) on the nodes before [id]: a prefix sum
+          of [1 + arity] with [num_nodes + 1] entries. *)
 }
 
 exception Cycle of string
@@ -70,9 +74,10 @@ val is_output : t -> int -> bool
 (** O(1): a lookup in [output_flags]. *)
 
 val line_count : t -> int
-(** Total number of circuit lines: one output stem per non-input node
-    plus every gate input pin.  This is the classical site count [N] for
-    the stuck-at fault universe (before collapsing). *)
+(** Total number of circuit lines: one output stem per node plus every
+    gate input pin.  This is the classical site count [N] for the
+    stuck-at fault universe (before collapsing).  O(1): the last entry
+    of [line_offsets]. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line summary: name, #inputs, #outputs, #gates, depth. *)

@@ -1,11 +1,15 @@
 type t = {
+  circuit : Circuit.Netlist.t;
   universe : Fault.t array;
-  class_index : (Fault.t, int) Hashtbl.t;  (* fault -> class id *)
-  reps : Fault.t array;                    (* class id -> representative *)
-  members : Fault.t list array;            (* class id -> members *)
+  class_by_id : int array;   (* fault id -> class, -1 outside the universe *)
+  reps : Fault.t array;      (* class -> representative *)
+  member_start : int array;  (* class -> first slot in [members]; one extra *)
+  members : int array;       (* universe positions, grouped by class *)
 }
 
-(* Union-find with path compression. *)
+(* Union-find with path compression.  A root is linked under the
+   smaller one, so every parent is at most its child and the root of a
+   set is its smallest member. *)
 let find parent i =
   let rec chase i =
     if parent.(i) = i then i
@@ -21,15 +25,23 @@ let union parent a b =
   if ra <> rb then parent.(max ra rb) <- min ra rb
 
 let equivalence (c : Circuit.Netlist.t) universe =
-  let index = Hashtbl.create (Array.length universe) in
-  Array.iteri (fun i fault -> Hashtbl.replace index fault i) universe;
-  let parent = Array.init (Array.length universe) (fun i -> i) in
-  let merge fa fb =
-    match (Hashtbl.find_opt index fa, Hashtbl.find_opt index fb) with
-    | Some a, Some b -> union parent a b
-    | None, _ | _, None -> ()
+  let size = Array.length universe in
+  let parent = Array.init size Fun.id in
+  (* Universe position of each fault id ([Universe.count c] of them),
+     -1 when the universe leaves the fault out.  A repeated fault joins
+     the class of its first copy. *)
+  let position = Array.make (2 * Circuit.Netlist.line_count c) (-1) in
+  Array.iteri
+    (fun i fault ->
+      let id = Fault.id c fault in
+      if position.(id) < 0 then position.(id) <- i
+      else union parent position.(id) i)
+    universe;
+  let merge a b =
+    let pa = position.(a) and pb = position.(b) in
     (* A reduced universe (e.g. checkpoint) may omit one side; the rule
        then simply does not apply. *)
+    if pa >= 0 && pb >= 0 then union parent pa pb
   in
   let n = Circuit.Netlist.num_nodes c in
   for gate = 0 to n - 1 do
@@ -42,20 +54,18 @@ let equivalence (c : Circuit.Netlist.t) universe =
         if Array.length c.fanouts.(src) = 1 && not (Circuit.Netlist.is_output c src)
         then begin
           merge
-            { Fault.site = Branch { gate; pin }; polarity = Stuck_at_0 }
-            { Fault.site = Stem src; polarity = Stuck_at_0 };
+            (Fault.branch_id c ~gate ~pin Fault.Stuck_at_0)
+            (Fault.stem_id c src Fault.Stuck_at_0);
           merge
-            { Fault.site = Branch { gate; pin }; polarity = Stuck_at_1 }
-            { Fault.site = Stem src; polarity = Stuck_at_1 }
+            (Fault.branch_id c ~gate ~pin Fault.Stuck_at_1)
+            (Fault.stem_id c src Fault.Stuck_at_1)
         end)
       fanins;
     (* Gate-local controlling-value equivalences. *)
     let merge_all_pins input_polarity output_polarity =
+      let output = Fault.stem_id c gate output_polarity in
       Array.iteri
-        (fun pin _src ->
-          merge
-            { Fault.site = Branch { gate; pin }; polarity = input_polarity }
-            { Fault.site = Stem gate; polarity = output_polarity })
+        (fun pin _src -> merge (Fault.branch_id c ~gate ~pin input_polarity) output)
         fanins
     in
     (match c.kinds.(gate) with
@@ -72,46 +82,56 @@ let equivalence (c : Circuit.Netlist.t) universe =
     | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1
     | Circuit.Gate.Xor | Circuit.Gate.Xnor -> ())
   done;
-  (* Number the classes in first-member order. *)
-  let class_of_root = Hashtbl.create 64 in
-  let class_index = Hashtbl.create (Array.length universe) in
-  let reps = ref [] in
-  let count = ref 0 in
-  Array.iteri
-    (fun i fault ->
-      let root = find parent i in
-      let cls =
-        match Hashtbl.find_opt class_of_root root with
-        | Some cls -> cls
-        | None ->
-          let cls = !count in
-          incr count;
-          Hashtbl.add class_of_root root cls;
-          reps := fault :: !reps;
-          cls
-      in
-      Hashtbl.replace class_index fault cls)
-    universe;
-  let reps = Array.of_list (List.rev !reps) in
-  let members = Array.make (Array.length reps) [] in
-  (* Collect members in reverse universe order, then restore order. *)
-  for i = Array.length universe - 1 downto 0 do
-    let fault = universe.(i) in
-    let cls = Hashtbl.find class_index fault in
-    members.(cls) <- fault :: members.(cls)
+  (* Number the classes in first-member order: a class's first member
+     is its root, and every later member finds the root numbered. *)
+  let class_of_position = Array.make size 0 in
+  let rep_position = Array.make size 0 in
+  let classes = ref 0 in
+  for i = 0 to size - 1 do
+    let root = find parent i in
+    if root = i then begin
+      class_of_position.(i) <- !classes;
+      rep_position.(!classes) <- i;
+      incr classes
+    end
+    else class_of_position.(i) <- class_of_position.(root)
   done;
-  { universe; class_index; reps; members }
+  let classes = !classes in
+  let reps = Array.init classes (fun cls -> universe.(rep_position.(cls))) in
+  (* Counting sort of the positions by class keeps universe order
+     within each class. *)
+  let member_start = Array.make (classes + 1) 0 in
+  Array.iter
+    (fun cls -> member_start.(cls + 1) <- member_start.(cls + 1) + 1)
+    class_of_position;
+  for cls = 1 to classes do
+    member_start.(cls) <- member_start.(cls) + member_start.(cls - 1)
+  done;
+  let cursor = Array.sub member_start 0 classes in
+  let members = Array.make size 0 in
+  Array.iteri
+    (fun i cls ->
+      members.(cursor.(cls)) <- i;
+      cursor.(cls) <- cursor.(cls) + 1)
+    class_of_position;
+  let class_by_id =
+    Array.map (fun i -> if i < 0 then -1 else class_of_position.(i)) position
+  in
+  { circuit = c; universe; class_by_id; reps; member_start; members }
 
 let representatives t = t.reps
 
 let class_count t = Array.length t.reps
 
 let class_of t fault =
-  match Hashtbl.find_opt t.class_index fault with
-  | Some cls -> cls
-  | None -> raise Not_found
+  if not (Fault.is_line t.circuit fault) then raise Not_found;
+  let cls = t.class_by_id.(Fault.id t.circuit fault) in
+  if cls < 0 then raise Not_found else cls
 
-let class_members t cls = t.members.(cls)
+let class_members t cls =
+  List.init
+    (t.member_start.(cls + 1) - t.member_start.(cls))
+    (fun k -> t.universe.(t.members.(t.member_start.(cls) + k)))
 
 let collapse_ratio t =
   float_of_int (Array.length t.reps) /. float_of_int (Array.length t.universe)
@@ -131,28 +151,18 @@ let iter_dominated (c : Circuit.Netlist.t) t f =
       | Some controlling ->
         let forced_output = controlling <> Circuit.Gate.inverts c.kinds.(gate) in
         let dominated =
-          { Fault.site = Fault.Stem gate;
-            polarity =
-              (if forced_output then Fault.Stuck_at_0 else Fault.Stuck_at_1) }
+          Fault.stem_id c gate
+            (if forced_output then Fault.Stuck_at_0 else Fault.Stuck_at_1)
         in
-        (match Hashtbl.find_opt t.class_index dominated with
-        | Some cls ->
-          let dominators =
-            Array.to_list c.fanins.(gate)
-            |> List.mapi (fun pin _src ->
-                   { Fault.site = Fault.Branch { gate; pin };
-                     polarity =
-                       (if controlling then Fault.Stuck_at_0
-                        else Fault.Stuck_at_1) })
-          in
-          f cls dominators
-        | None -> ())
+        let cls = t.class_by_id.(dominated) in
+        if cls >= 0 then
+          f cls gate (if controlling then Fault.Stuck_at_0 else Fault.Stuck_at_1)
     end
   done
 
 let dominance (c : Circuit.Netlist.t) t =
   let dropped = Array.make (Array.length t.reps) false in
-  iter_dominated c t (fun cls _dominators -> dropped.(cls) <- true);
+  iter_dominated c t (fun cls _gate _polarity -> dropped.(cls) <- true);
   Array.to_list t.reps
   |> List.filteri (fun cls _ -> not dropped.(cls))
   |> Array.of_list
@@ -160,9 +170,13 @@ let dominance (c : Circuit.Netlist.t) t =
 let dominance_drops (c : Circuit.Netlist.t) t =
   let acc = ref [] in
   let seen = Array.make (Array.length t.reps) false in
-  iter_dominated c t (fun cls dominators ->
+  iter_dominated c t (fun cls gate polarity ->
       if not seen.(cls) then begin
         seen.(cls) <- true;
+        let dominators =
+          List.init (Array.length c.fanins.(gate)) (fun pin ->
+              { Fault.site = Fault.Branch { gate; pin }; polarity })
+        in
         acc := (t.reps.(cls), dominators) :: !acc
       end);
   List.rev !acc

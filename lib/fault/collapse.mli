@@ -11,12 +11,16 @@
       as the driver's stem, so branch faults merge with stem faults.
 
     Equivalences compose transitively; the implementation is a
-    union-find over the fault universe. *)
+    union-find over the universe positions, with every table an int
+    array indexed by the dense fault id ({!Fault.id}). *)
 
 type t
 
 val equivalence : Circuit.Netlist.t -> Fault.t array -> t
-(** Compute equivalence classes of the given universe. *)
+(** Compute equivalence classes of the given universe.  A rule whose
+    other side the universe leaves out (e.g. {!Universe.checkpoint})
+    does not apply.  Raises [Invalid_argument] as {!Fault.check} does
+    for a universe fault that is not a line of the circuit. *)
 
 val representatives : t -> Fault.t array
 (** One canonical fault per class (the first member in universe order). *)
@@ -25,7 +29,7 @@ val class_count : t -> int
 
 val class_of : t -> Fault.t -> int
 (** Class index of a fault.  Raises [Not_found] for a fault outside the
-    universe that was collapsed. *)
+    circuit or the universe that was collapsed. *)
 
 val class_members : t -> int -> Fault.t list
 (** All faults of one class. *)

@@ -25,23 +25,48 @@ let to_string c { site; polarity } =
   | Branch { gate; pin } ->
     Printf.sprintf "%s.in%d/%s" (node_name c gate) pin (polarity_string polarity)
 
-let check (c : Circuit.Netlist.t) fault =
+(* Why [fault] is not a line of [c], or [None] when it is one. *)
+let defect (c : Circuit.Netlist.t) fault =
   let nodes = Circuit.Netlist.num_nodes c in
-  let fail reason =
-    invalid_arg (Printf.sprintf "malformed fault %s: %s" (to_string c fault) reason)
-  in
-  let node_in_range id =
-    if id < 0 || id >= nodes then
-      fail (Printf.sprintf "node %d outside [0, %d)" id nodes)
-  in
+  let outside id = id < 0 || id >= nodes in
   match fault.site with
-  | Stem id -> node_in_range id
+  | Stem id when outside id ->
+    Some (Printf.sprintf "node %d outside [0, %d)" id nodes)
+  | Stem _ -> None
+  | Branch { gate; _ } when outside gate ->
+    Some (Printf.sprintf "node %d outside [0, %d)" gate nodes)
   | Branch { gate; pin } ->
-    node_in_range gate;
     let arity = Array.length c.fanins.(gate) in
-    if arity = 0 then fail "node has no input pins"
+    if arity = 0 then Some "node has no input pins"
     else if pin < 0 || pin >= arity then
-      fail (Printf.sprintf "pin %d outside [0, %d)" pin arity)
+      Some (Printf.sprintf "pin %d outside [0, %d)" pin arity)
+    else None
+
+let is_line c fault = Option.is_none (defect c fault)
+
+let check c fault =
+  match defect c fault with
+  | None -> ()
+  | Some reason ->
+    invalid_arg (Printf.sprintf "malformed fault %s: %s" (to_string c fault) reason)
+
+(* The layout of [Universe.all]: node by node, the stem and then the
+   input pins in descending pin order, sa0 before sa1.  The node's
+   lines start at [line_offsets.(node)], so its last pin sits just
+   before the next node's stem. *)
+let polarity_index = function Stuck_at_0 -> 0 | Stuck_at_1 -> 1
+
+let stem_id (c : Circuit.Netlist.t) node polarity =
+  (2 * c.line_offsets.(node)) + polarity_index polarity
+
+let branch_id (c : Circuit.Netlist.t) ~gate ~pin polarity =
+  (2 * (c.line_offsets.(gate + 1) - 1 - pin)) + polarity_index polarity
+
+let id c fault =
+  check c fault;
+  match fault.site with
+  | Stem node -> stem_id c node fault.polarity
+  | Branch { gate; pin } -> branch_id c ~gate ~pin fault.polarity
 
 let site_node { site; _ } =
   match site with Stem id -> id | Branch { gate; _ } -> gate

@@ -33,5 +33,29 @@ val check : Circuit.Netlist.t -> t -> unit
     on input pin [\[0, arity)] of a node that has input pins.  Every
     fault-simulation engine checks its faults with this at entry. *)
 
+val is_line : Circuit.Netlist.t -> t -> bool
+(** Whether {!check} accepts the fault. *)
+
+(** {2 Dense ids}
+
+    Every fault on a line of a circuit has an integer id in
+    [\[0, Universe.count c)]: its position in {!Universe.all}.  The
+    layout walks the nodes in id order and gives each node its stem,
+    then its input pins in descending pin order, sa0 before sa1; it is
+    computed in O(1) from [Netlist.line_offsets].  Tables over faults
+    are arrays indexed by this id. *)
+
+val id : Circuit.Netlist.t -> t -> int
+(** The fault's dense id.  Raises [Invalid_argument] as {!check} does
+    for a fault that is not a line of the circuit. *)
+
+val stem_id : Circuit.Netlist.t -> int -> polarity -> int
+(** [id] of the stem fault on a node, for a node id the caller knows to
+    be in the circuit: no check and no record. *)
+
+val branch_id : Circuit.Netlist.t -> gate:int -> pin:int -> polarity -> int
+(** [id] of the branch fault on an input pin the caller knows to exist:
+    no check and no record. *)
+
 val site_node : t -> int
 (** The node the fault is attached to (the gate, for a branch fault). *)

@@ -2,17 +2,23 @@ let both_polarities site =
   [ { Fault.site; polarity = Fault.Stuck_at_0 };
     { Fault.site; polarity = Fault.Stuck_at_1 } ]
 
+let count c = 2 * Circuit.Netlist.line_count c
+
+(* Each fault goes to its dense id, so the array is in id order. *)
 let all (c : Circuit.Netlist.t) =
-  let faults = ref [] in
-  let n = Circuit.Netlist.num_nodes c in
-  for id = n - 1 downto 0 do
-    Array.iteri
-      (fun pin _src ->
-        faults := both_polarities (Fault.Branch { gate = id; pin }) @ !faults)
-      c.fanins.(id);
-    faults := both_polarities (Fault.Stem id) @ !faults
+  let stem0 = { Fault.site = Fault.Stem 0; polarity = Fault.Stuck_at_0 } in
+  let faults = Array.make (count c) stem0 in
+  let place site =
+    let sa0 = { Fault.site; polarity = Fault.Stuck_at_0 } in
+    let sa1 = { Fault.site; polarity = Fault.Stuck_at_1 } in
+    faults.(Fault.id c sa0) <- sa0;
+    faults.(Fault.id c sa1) <- sa1
+  in
+  for id = 0 to Circuit.Netlist.num_nodes c - 1 do
+    place (Fault.Stem id);
+    Array.iteri (fun pin _src -> place (Fault.Branch { gate = id; pin })) c.fanins.(id)
   done;
-  Array.of_list !faults
+  faults
 
 let checkpoint (c : Circuit.Netlist.t) =
   let faults = ref [] in
@@ -35,8 +41,6 @@ let stems_only (c : Circuit.Netlist.t) =
     faults := both_polarities (Fault.Stem id) @ !faults
   done;
   Array.of_list !faults
-
-let count c = 2 * Circuit.Netlist.line_count c
 
 let collapse_dominance (c : Circuit.Netlist.t) universe =
   Collapse.dominance c (Collapse.equivalence c universe)
