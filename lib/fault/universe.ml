@@ -43,7 +43,12 @@ let stems_only (c : Circuit.Netlist.t) =
   Array.of_list !faults
 
 let collapse_dominance (c : Circuit.Netlist.t) universe =
-  Collapse.dominance c (Collapse.equivalence c universe)
+  let given = Array.make (count c) false in
+  Array.iter (fun fault -> given.(Fault.id c fault) <- true) universe;
+  Collapse.dominance c (Collapse.equivalence c (all c))
+  |> Array.to_list
+  |> List.filter (fun fault -> given.(Fault.id c fault))
+  |> Array.of_list
 
 let exclude_untestable universe ~untestable =
   if Array.length untestable = 0 then universe

@@ -23,7 +23,13 @@ val count : Circuit.Netlist.t -> int
 
 val collapse_dominance : Circuit.Netlist.t -> Fault.t array -> Fault.t array
 (** Equivalence then dominance collapsing in one step: the surviving
-    class representatives of [Collapse.dominance].  This is the
+    class representatives of [Collapse.dominance] over the {e full}
+    universe that lie in the given one, in [all] order.  The full
+    universe and its equivalence representatives therefore give the
+    same answer; re-collapsing the representatives alone would miss
+    the drops whose dominated fault is not its class's
+    representative.  Raises [Invalid_argument] as {!Fault.check} does
+    for a fault that is not a line of the circuit.  This is the
     smallest universe the simulator needs to target for full detection
     credit on irredundant circuits; like [exclude_untestable] it
     shrinks the Eq. 4 denominator, but by provable detection

@@ -294,6 +294,32 @@ let test_dominance_detection_complete () =
         full_exhaustive)
     [ 11; 12; 13 ]
 
+(* Dominance over the equivalence representatives drops what it drops
+   over the full universe, even where the dominated gate output is not
+   its class's representative and so is absent from the reduced one. *)
+let test_dominance_reduced_universe () =
+  let designs =
+    ("lsi:12", Circuit.Generators.lsi_chip ~scale:12 ())
+    :: List.map
+         (fun seed ->
+           ( Printf.sprintf "random seed %d" seed,
+             Circuit.Generators.random_circuit ~inputs:8 ~gates:80 ~outputs:4 ~seed ))
+         [ 21; 22; 23; 24; 25; 26 ]
+  in
+  List.iter
+    (fun (name, c) ->
+      let names faults = Array.to_list (Array.map (F.to_string c) faults) in
+      let universe = Faults.Universe.all c in
+      let classes = Faults.Collapse.equivalence c universe in
+      let full = Faults.Universe.collapse_dominance c universe in
+      Alcotest.(check (list string)) (name ^ ": full universe")
+        (names (Faults.Collapse.dominance c classes)) (names full);
+      Alcotest.(check (list string)) (name ^ ": representatives") (names full)
+        (names
+           (Faults.Universe.collapse_dominance c
+              (Faults.Collapse.representatives classes))))
+    designs
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "faults.universe",
@@ -316,4 +342,5 @@ let suite =
     ( "faults.dominance",
       [ tc "reduces below equivalence" test_dominance_reduces;
         tc "AND2 drops out/sa1" test_dominance_and2;
-        tc "detection-complete on irredundant circuits" test_dominance_detection_complete ] ) ]
+        tc "detection-complete on irredundant circuits" test_dominance_detection_complete;
+        tc "reduced universe drops as the full one" test_dominance_reduced_universe ] ) ]
