@@ -7,8 +7,12 @@
     suffice for fanout-free-region coverage in irredundant circuits). *)
 
 val all : Circuit.Netlist.t -> Fault.t array
-(** Every line, both polarities.  Order is deterministic: stems in node
-    order, then branches in (gate, pin) order; sa0 before sa1. *)
+(** Every line, both polarities, in dense-id order ({!Fault.id}): node
+    by node, the node's stem and then its input pins in {e descending}
+    pin order, sa0 before sa1 — e.g. [n151/sa0, n151/sa1,
+    n151.in1/sa0, n151.in1/sa1, n151.in0/sa0, n151.in0/sa1].  The order
+    fixes which member represents each equivalence class
+    ({!Collapse.representatives}), and so ATPG's targets. *)
 
 val checkpoint : Circuit.Netlist.t -> Fault.t array
 (** Faults on primary-input stems and on fanout branches (input pins

@@ -55,6 +55,32 @@ let test_fault_to_string () =
   Alcotest.(check string) "branch" "G10.in1/sa1"
     (F.to_string c { F.site = F.Branch { gate = g10; pin = 1 }; polarity = F.Stuck_at_1 })
 
+(* The dense id is the position in [Universe.all], in the documented
+   order: c17's first gate G10 follows the five input stems. *)
+let test_fault_dense_id () =
+  let c17 = Circuit.Generators.c17 () in
+  let g10 = Array.sub (Faults.Universe.all c17) 10 6 in
+  Alcotest.(check (list string)) "c17 order"
+    [ "G10/sa0"; "G10/sa1"; "G10.in1/sa0"; "G10.in1/sa1"; "G10.in0/sa0";
+      "G10.in0/sa1" ]
+    (Array.to_list (Array.map (F.to_string c17) g10));
+  List.iter
+    (fun c ->
+      Array.iteri
+        (fun i fault ->
+          Alcotest.(check int) (F.to_string c fault) i (F.id c fault))
+        (Faults.Universe.all c))
+    (c17
+    :: List.map
+         (fun seed ->
+           Circuit.Generators.random_circuit ~inputs:6 ~gates:40 ~outputs:3 ~seed)
+         [ 1; 2; 3 ]);
+  let bad = { F.site = F.Branch { gate = 0; pin = 0 }; polarity = F.Stuck_at_1 } in
+  Alcotest.(check bool) "an input has no pins" false (F.is_line c17 bad);
+  Alcotest.check_raises "id of a malformed fault"
+    (Invalid_argument "malformed fault G1.in0/sa1: node has no input pins")
+    (fun () -> ignore (F.id c17 bad))
+
 let test_polarity_helpers () =
   Alcotest.(check bool) "sa0 bit" false (F.polarity_bit F.Stuck_at_0);
   Alcotest.(check bool) "sa1 bit" true (F.polarity_bit F.Stuck_at_1);
@@ -113,21 +139,48 @@ let test_collapse_ratio_bounds () =
   let ratio = Faults.Collapse.collapse_ratio classes in
   Alcotest.(check bool) "meaningful reduction" true (ratio > 0.3 && ratio < 0.9)
 
+(* On the full and on reduced universes: the members partition the
+   given universe, each fault's class holds it, each representative is
+   in its own class, and a fault of the circuit left out of the
+   universe has no class. *)
 let test_collapse_members_partition () =
-  let c = Circuit.Generators.c17 () in
-  let universe = Faults.Universe.all c in
-  let classes = Faults.Collapse.equivalence c universe in
-  let total =
-    List.init (Faults.Collapse.class_count classes) (fun i ->
-        List.length (Faults.Collapse.class_members classes i))
-    |> List.fold_left ( + ) 0
+  let check_partition name c universe =
+    let classes = Faults.Collapse.equivalence c universe in
+    let sorted faults = List.map (F.to_string c) (List.sort F.compare faults) in
+    let members =
+      List.init (Faults.Collapse.class_count classes) (fun cls ->
+          let members = Faults.Collapse.class_members classes cls in
+          List.iter
+            (fun fault ->
+              Alcotest.(check int) (name ^ ": member in its class") cls
+                (Faults.Collapse.class_of classes fault))
+            members;
+          members)
+    in
+    Alcotest.(check (list string)) (name ^ ": members partition the universe")
+      (sorted (Array.to_list universe)) (sorted (List.concat members));
+    Array.iteri
+      (fun i rep ->
+        Alcotest.(check int) (name ^ ": rep in own class") i
+          (Faults.Collapse.class_of classes rep))
+      (Faults.Collapse.representatives classes);
+    Array.iter
+      (fun fault ->
+        if not (Array.mem fault universe) then
+          Alcotest.check_raises
+            (Printf.sprintf "%s: %s left out" name (F.to_string c fault))
+            Not_found
+            (fun () -> ignore (Faults.Collapse.class_of classes fault)))
+      (Faults.Universe.all c)
   in
-  Alcotest.(check int) "members partition the universe" (Array.length universe) total;
-  (* Representatives belong to their own class. *)
-  Array.iteri
-    (fun i rep ->
-      Alcotest.(check int) "rep in own class" i (Faults.Collapse.class_of classes rep))
-    (Faults.Collapse.representatives classes)
+  List.iter
+    (fun (name, c) ->
+      check_partition (name ^ " all") c (Faults.Universe.all c);
+      check_partition (name ^ " checkpoint") c (Faults.Universe.checkpoint c);
+      check_partition (name ^ " stems only") c (Faults.Universe.stems_only c))
+    [ ("c17", Circuit.Generators.c17 ());
+      ( "random",
+        Circuit.Generators.random_circuit ~inputs:6 ~gates:40 ~outputs:3 ~seed:4 ) ]
 
 let test_collapse_class_of_unknown () =
   let c = Circuit.Generators.c17 () in
@@ -136,6 +189,16 @@ let test_collapse_class_of_unknown () =
       ignore
         (Faults.Collapse.class_of classes
            { F.site = F.Stem 9999; polarity = F.Stuck_at_0 }))
+
+let test_collapse_malformed_universe () =
+  let c = Circuit.Generators.c17 () in
+  let universe =
+    Array.append (Faults.Universe.all c)
+      [| { F.site = F.Stem 999; polarity = F.Stuck_at_0 } |]
+  in
+  Alcotest.check_raises "stem outside the circuit"
+    (Invalid_argument "malformed fault #999/sa0: node 999 outside [0, 11)")
+    (fun () -> ignore (Faults.Collapse.equivalence c universe))
 
 (* No golden shows the collapse directly, so pin it: for each design,
    the hex digest of the representatives, the dominance survivors, the
@@ -329,6 +392,7 @@ let suite =
         tc "stems-only size" test_stems_only_size;
         tc "checkpoint subset" test_checkpoint_subset;
         tc "to_string" test_fault_to_string;
+        tc "dense id = position in all" test_fault_dense_id;
         tc "polarity helpers" test_polarity_helpers ] );
     ( "faults.collapse",
       [ tc "AND2 classes" test_collapse_counts_single_and2;
@@ -337,6 +401,7 @@ let suite =
         tc "ratio in sane band" test_collapse_ratio_bounds;
         tc "classes partition universe" test_collapse_members_partition;
         tc "unknown fault raises" test_collapse_class_of_unknown;
+        tc "malformed universe raises" test_collapse_malformed_universe;
         tc "pinned digests (lsi_chip 1981-1984 x12, lsi:6)" test_collapse_pinned;
         tc "soundness (exhaustive detection sets)" test_collapse_soundness_exhaustive ] );
     ( "faults.dominance",
