@@ -59,7 +59,7 @@ let () =
         Array.init width (fun i -> (v lsr i) land 1 = 1))
   in
   let profile = Fsim.Coverage.profile c universe patterns in
-  let on subset = Fsim.Coverage.restrict profile ~universe ~keep:subset in
+  let on subset = Fsim.Coverage.restrict c profile ~universe ~keep:subset in
   Printf.printf
     "\nexhaustive test (%d patterns):\n\
     \  full universe        %2d faults  coverage %.4f\n\

@@ -24,7 +24,7 @@ let () =
     (Array.length universe)
     (Fsim.Coverage.final_coverage profile);
   let untestable = Lint.Driver.untestable_faults report in
-  let corrected = Fsim.Coverage.excluding profile ~universe ~untestable in
+  let corrected = Fsim.Coverage.excluding c profile ~universe ~untestable in
   Printf.printf "  corrected universe (%d faults): coverage %.4f\n"
     corrected.Fsim.Coverage.universe_size
     (Fsim.Coverage.final_coverage corrected)

@@ -4,8 +4,7 @@ type t = {
   circuit : Circuit.Netlist.t;
   node_budget : int;
   build : Bdd.Build.t option;  (* None when the good machine blew the budget *)
-  universe : Faults.Fault.t array;
-  verdicts : (Faults.Fault.t, verdict) Hashtbl.t;
+  verdicts : verdict array;  (* by fault id: Universe.all order *)
   unknown_count : int;
 }
 
@@ -13,7 +12,6 @@ let default_budget = Bdd.Robdd.default_budget
 
 let analyze ?(budget = default_budget) (c : Circuit.Netlist.t) =
   let universe = Faults.Universe.all c in
-  let verdicts = Hashtbl.create (Array.length universe) in
   let build =
     Obs.Trace.with_span "analysis.bdd.build" @@ fun () ->
     match Bdd.Build.build ~budget ~order:(Bdd.Build.dfs_order c) c with
@@ -23,31 +21,28 @@ let analyze ?(budget = default_budget) (c : Circuit.Netlist.t) =
     | exception Bdd.Robdd.Exceeded -> None
   in
   let fallbacks = ref (if build = None then 1 else 0) in
-  let unknown_count =
+  let verdicts, unknown_count =
     match build with
-    | None ->
-      Array.iter (fun f -> Hashtbl.replace verdicts f Unknown) universe;
-      Array.length universe
+    | None -> (Array.make (Array.length universe) Unknown, Array.length universe)
     | Some b ->
       Obs.Trace.with_span "analysis.bdd.redundancy" @@ fun () ->
       let unknown = ref 0 in
-      Array.iter
-        (fun fault ->
-          match Bdd.Build.detection_function b fault with
-          | d ->
-            let v =
+      let verdicts =
+        Array.map
+          (fun fault ->
+            match Bdd.Build.detection_function b fault with
+            | d ->
               if d = Bdd.Robdd.zero then Untestable
               else Testable (Bdd.Robdd.probability b.Bdd.Build.man d)
-            in
-            Hashtbl.replace verdicts fault v
-          | exception Bdd.Robdd.Exceeded ->
-            incr unknown;
-            incr fallbacks;
-            Hashtbl.replace verdicts fault Unknown)
-        universe;
+            | exception Bdd.Robdd.Exceeded ->
+              incr unknown;
+              incr fallbacks;
+              Unknown)
+          universe
+      in
       Obs.Trace.add_int "faults" (Array.length universe);
       Obs.Trace.add_int "unknown" !unknown;
-      !unknown
+      (verdicts, !unknown)
   in
   (match build with
   | Some b ->
@@ -62,17 +57,19 @@ let analyze ?(budget = default_budget) (c : Circuit.Netlist.t) =
     Obs.Metrics.set "analysis.bdd.cache_hit_rate" (Bdd.Robdd.cache_hit_rate man)
   | None -> ());
   Obs.Metrics.incr ~by:(float_of_int !fallbacks) "analysis.bdd.budget_fallbacks";
-  { circuit = c; node_budget = budget; build; universe; verdicts; unknown_count }
+  { circuit = c; node_budget = budget; build; verdicts; unknown_count }
 
 let circuit t = t.circuit
 let node_budget t = t.node_budget
 let built t = t.build <> None
-let universe_size t = Array.length t.universe
+let universe_size t = Array.length t.verdicts
 let unknown_count t = t.unknown_count
 let complete t = t.build <> None && t.unknown_count = 0
 
 let verdict t fault =
-  match Hashtbl.find_opt t.verdicts fault with Some v -> v | None -> Unknown
+  if Faults.Fault.is_line t.circuit fault then
+    t.verdicts.(Faults.Fault.id t.circuit fault)
+  else Unknown
 
 let untestable t universe =
   Array.to_list universe

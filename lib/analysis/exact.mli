@@ -56,7 +56,8 @@ val complete : t -> bool
 (** No {!Unknown} verdicts: the whole universe is exactly classified. *)
 
 val verdict : t -> Faults.Fault.t -> verdict
-(** {!Unknown} for faults outside the analyzed universe. *)
+(** O(1), by the fault's dense id ({!Faults.Fault.id}); {!Unknown} for
+    a fault that is not a line of the circuit. *)
 
 val untestable : t -> Faults.Fault.t array -> Faults.Fault.t list
 (** The provably redundant subset, in the given order. *)

@@ -108,12 +108,13 @@ let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
           let proven =
             Lint.Testability.untestable_faults ~classes circuit full_universe
           in
-          let set = Hashtbl.create (max 1 (Array.length proven)) in
-          Array.iter (fun fault -> Hashtbl.replace set fault ()) proven;
+          let proven = Faults.Universe.mark circuit proven in
           Array.of_list
-            (List.filter (Hashtbl.mem set) (Array.to_list universe)))
+            (List.filter
+               (fun fault -> proven.(Faults.Fault.id circuit fault))
+               (Array.to_list universe)))
   in
-  let universe = Faults.Universe.exclude_untestable universe ~untestable in
+  let universe = Faults.Universe.exclude_untestable circuit universe ~untestable in
   Obs.Trace.add_int "faults" (Array.length universe);
   let atpg_report =
     stage 4 "atpg" (fun () ->

@@ -42,22 +42,21 @@ let stems_only (c : Circuit.Netlist.t) =
   done;
   Array.of_list !faults
 
-let collapse_dominance (c : Circuit.Netlist.t) universe =
-  let given = Array.make (count c) false in
-  Array.iter (fun fault -> given.(Fault.id c fault) <- true) universe;
-  Collapse.dominance c (Collapse.equivalence c (all c))
-  |> Array.to_list
-  |> List.filter (fun fault -> given.(Fault.id c fault))
+let mark c faults =
+  let marks = Array.make (count c) false in
+  Array.iter (fun fault -> marks.(Fault.id c fault) <- true) faults;
+  marks
+
+(* The faults, in order, whose mark equals [keep]. *)
+let filter c marks ~keep faults =
+  Array.to_list faults
+  |> List.filter (fun fault -> marks.(Fault.id c fault) = keep)
   |> Array.of_list
 
-let exclude_untestable universe ~untestable =
+let collapse_dominance c universe =
+  Collapse.dominance c (Collapse.equivalence c (all c))
+  |> filter c (mark c universe) ~keep:true
+
+let exclude_untestable c universe ~untestable =
   if Array.length untestable = 0 then universe
-  else begin
-    let dropped = Hashtbl.create (Array.length untestable) in
-    Array.iter (fun fault -> Hashtbl.replace dropped fault ()) untestable;
-    let kept =
-      Array.to_list universe
-      |> List.filter (fun fault -> not (Hashtbl.mem dropped fault))
-    in
-    Array.of_list kept
-  end
+  else filter c (mark c untestable) ~keep:false universe

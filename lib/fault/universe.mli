@@ -25,6 +25,12 @@ val stems_only : Circuit.Netlist.t -> Fault.t array
 val count : Circuit.Netlist.t -> int
 (** [Array.length (all c)], without allocating the array. *)
 
+val mark : Circuit.Netlist.t -> Fault.t array -> bool array
+(** The faults as a set over the dense ids: [(mark c faults).(id)] is
+    [true] iff a fault with {!Fault.id} [id] is in [faults].  Raises
+    [Invalid_argument] as {!Fault.check} does for a fault that is not a
+    line of the circuit. *)
+
 val collapse_dominance : Circuit.Netlist.t -> Fault.t array -> Fault.t array
 (** Equivalence then dominance collapsing in one step: the surviving
     class representatives of [Collapse.dominance] over the {e full}
@@ -40,11 +46,15 @@ val collapse_dominance : Circuit.Netlist.t -> Fault.t array -> Fault.t array
     containment rather than by untestability proofs — the two knobs
     compose. *)
 
-val exclude_untestable : Fault.t array -> untestable:Fault.t array -> Fault.t array
-(** Remove the (statically proven untestable) faults from a universe,
-    preserving order.  Redundant faults cap measured coverage below 1
+val exclude_untestable :
+  Circuit.Netlist.t -> Fault.t array -> untestable:Fault.t array -> Fault.t array
+(** Remove the (statically proven untestable) faults from a universe of
+    the circuit, preserving order; an empty [untestable] returns the
+    universe itself.  Redundant faults cap measured coverage below 1
     and inflate the denominator of the paper's [f = m/N] (Eq. 4);
     excluding them yields the corrected universe that coverage,
     sampling and the reject-rate/[n0] fits should run on.  Faults in
     [untestable] absent from [universe] are ignored, so the same
-    untestable set works for the full and the collapsed universe. *)
+    untestable set works for the full and the collapsed universe.
+    Raises [Invalid_argument] as {!Fault.check} does for a fault that
+    is not a line of the circuit. *)

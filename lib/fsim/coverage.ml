@@ -77,38 +77,28 @@ let n_detect_coverage cs = final_coverage cs.nth_profile
 
 let n_detect_coverage_after cs k = coverage_after cs.nth_profile k
 
-let excluding p ~universe ~untestable =
+(* The entries of [p] whose fault is in [faults] exactly when [member]
+   holds. *)
+let select op c p ~universe ~faults ~member =
   if Array.length universe <> p.universe_size then
-    invalid_arg "Coverage.excluding: universe does not match profile";
-  if Array.length untestable = 0 then p
-  else begin
-    let dropped = Hashtbl.create (Array.length untestable) in
-    Array.iter (fun fault -> Hashtbl.replace dropped fault ()) untestable;
-    let kept = ref [] in
-    Array.iteri
-      (fun i fault ->
-        if not (Hashtbl.mem dropped fault) then kept := p.first_detection.(i) :: !kept)
-      universe;
-    let first_detection = Array.of_list (List.rev !kept) in
-    { universe_size = Array.length first_detection;
-      pattern_count = p.pattern_count;
-      first_detection }
-  end
-
-let restrict p ~universe ~keep =
-  if Array.length universe <> p.universe_size then
-    invalid_arg "Coverage.restrict: universe does not match profile";
-  let kept_set = Hashtbl.create (Array.length keep) in
-  Array.iter (fun fault -> Hashtbl.replace kept_set fault ()) keep;
+    invalid_arg (Printf.sprintf "Coverage.%s: universe does not match profile" op);
+  let marks = Faults.Universe.mark c faults in
   let kept = ref [] in
   Array.iteri
     (fun i fault ->
-      if Hashtbl.mem kept_set fault then kept := p.first_detection.(i) :: !kept)
+      if marks.(Faults.Fault.id c fault) = member then
+        kept := p.first_detection.(i) :: !kept)
     universe;
   let first_detection = Array.of_list (List.rev !kept) in
   { universe_size = Array.length first_detection;
     pattern_count = p.pattern_count;
     first_detection }
+
+let excluding c p ~universe ~untestable =
+  select "excluding" c p ~universe ~faults:untestable ~member:false
+
+let restrict c p ~universe ~keep =
+  select "restrict" c p ~universe ~faults:keep ~member:true
 
 let undetected p faults =
   let misses = ref [] in

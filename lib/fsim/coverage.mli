@@ -86,6 +86,7 @@ val curve : profile -> (int * float) array
     exactly the simulator-supplied curve of the paper's Fig. 5 x-axis. *)
 
 val excluding :
+  Circuit.Netlist.t ->
   profile ->
   universe:Faults.Fault.t array ->
   untestable:Faults.Fault.t array ->
@@ -93,14 +94,17 @@ val excluding :
 (** Redundancy-corrected profile: drop the [untestable] faults (as
     proven by the lint subsystem) from both the detection array and the
     denominator.  [universe] must be the fault array the profile was
-    computed over — it supplies the index-to-fault mapping.  On a
-    complete test set, the corrected {!final_coverage} reaches 1.0
-    where the raw figure saturates at
+    computed over on the given circuit — it supplies the index-to-fault
+    mapping.  On a complete test set, the corrected {!final_coverage}
+    reaches 1.0 where the raw figure saturates at
     [1 - untestable/universe_size]; feeding corrected curves to the
     [n0] estimators removes the bias the redundant faults introduce.
-    Raises [Invalid_argument] when lengths disagree. *)
+    Raises [Invalid_argument] when lengths disagree or, as
+    {!Faults.Fault.check} does, on a fault that is not a line of the
+    circuit. *)
 
 val restrict :
+  Circuit.Netlist.t ->
   profile ->
   universe:Faults.Fault.t array ->
   keep:Faults.Fault.t array ->
@@ -110,7 +114,7 @@ val restrict :
     [Faults.Universe.collapse_dominance]) in both the detection array
     and the denominator.  [universe] must be the fault array the
     profile was computed over.  Faults of [keep] absent from [universe]
-    are ignored.  Raises [Invalid_argument] when lengths disagree. *)
+    are ignored.  Raises [Invalid_argument] as {!excluding} does. *)
 
 val undetected : profile -> Faults.Fault.t array -> Faults.Fault.t list
 (** Faults never detected by the pattern set (redundant or hard). *)

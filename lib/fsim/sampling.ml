@@ -31,7 +31,7 @@ let estimate_coverage ?(engine = Coverage.Parallel) ?(exclude = [||])
     if collapse_dominance then Faults.Universe.collapse_dominance c universe
     else universe
   in
-  let universe = Faults.Universe.exclude_untestable universe ~untestable:exclude in
+  let universe = Faults.Universe.exclude_untestable c universe ~untestable:exclude in
   let universe_size = Array.length universe in
   if universe_size = 0 then invalid_arg "Sampling.estimate_coverage: empty universe";
   if sample_size <= 0 then invalid_arg "Sampling.estimate_coverage: nonpositive sample";

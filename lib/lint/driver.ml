@@ -67,8 +67,8 @@ let run ?(config = default_config) (c : N.t) =
       (* SCOAP hard-to-detect warnings over collapsed representatives,
          skipping faults already proven untestable (those are not hard,
          they are impossible). *)
-      let flagged = Hashtbl.create (Array.length untestable) in
-      Array.iter (fun (fault, _) -> Hashtbl.replace flagged fault ()) untestable;
+      let flagged = Faults.Universe.mark c (Array.map fst untestable) in
+      let flagged fault = flagged.(F.id c fault) in
       let reps = Faults.Collapse.representatives classes in
       let scoap = Tpg.Scoap.analyze c in
       let hard =
@@ -76,7 +76,7 @@ let run ?(config = default_config) (c : N.t) =
         |> List.filter (fun (fault, difficulty) ->
                difficulty >= hard_fault_threshold
                && difficulty < Tpg.Scoap.infinite
-               && not (Hashtbl.mem flagged fault))
+               && not (flagged fault))
         |> List.map (fun (fault, difficulty) ->
                Diagnostic.make ~node:(F.site_node fault) c ~rule:"hard-fault"
                  ~severity:Diagnostic.Warning
@@ -96,7 +96,7 @@ let run ?(config = default_config) (c : N.t) =
             Analysis.Detectability.analyze (Analysis.Signal_prob.analyze c)
         in
         Analysis.Detectability.resistant det reps ~threshold:resistant_threshold
-        |> List.filter (fun (fault, _) -> not (Hashtbl.mem flagged fault))
+        |> List.filter (fun (fault, _) -> not (flagged fault))
         |> List.filteri (fun i _ -> i < resistant_count)
         |> List.map (fun (fault, d) ->
                Diagnostic.make ~node:(F.site_node fault) c

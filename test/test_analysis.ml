@@ -333,7 +333,7 @@ let test_dominance_collapsed_coverage_one () =
   let patterns = exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   let collapsed =
-    Fsim.Coverage.restrict profile ~universe ~keep:dominance
+    Fsim.Coverage.restrict c profile ~universe ~keep:dominance
   in
   Alcotest.(check int) "restricted universe" 16
     collapsed.Fsim.Coverage.universe_size;
@@ -349,12 +349,12 @@ let test_dominance_collapsed_coverage_one () =
   Alcotest.(check bool) "raw saturates below 1" true
     (Fsim.Coverage.final_coverage profile < 1.0);
   let dominance = Faults.Universe.collapse_dominance c universe in
-  let restricted = Fsim.Coverage.restrict profile ~universe ~keep:dominance in
+  let restricted = Fsim.Coverage.restrict c profile ~universe ~keep:dominance in
   Alcotest.(check bool) "dominance alone keeps the redundancy" true
     (Fsim.Coverage.final_coverage restricted < 1.0);
   let untestable = Lint.Testability.untestable_faults c universe in
-  let kept = Faults.Universe.exclude_untestable dominance ~untestable in
-  let corrected = Fsim.Coverage.restrict profile ~universe ~keep:kept in
+  let kept = Faults.Universe.exclude_untestable c dominance ~untestable in
+  let corrected = Fsim.Coverage.restrict c profile ~universe ~keep:kept in
   Alcotest.(check (float 1e-9)) "dominance + exclusion reaches 1.0" 1.0
     (Fsim.Coverage.final_coverage corrected)
 
@@ -366,7 +366,7 @@ let test_restrict_validates () =
     (Invalid_argument "Coverage.restrict: universe does not match profile")
     (fun () ->
       ignore
-        (Fsim.Coverage.restrict profile
+        (Fsim.Coverage.restrict c profile
            ~universe:(Array.sub universe 0 10)
            ~keep:universe))
 

@@ -149,6 +149,19 @@ let test_verdicts_match_exhaustive () =
         universe)
     (workloads ())
 
+(* Verdicts are read by dense fault id; a fault that is not a line of
+   the circuit has none. *)
+let test_verdict_outside_circuit () =
+  let c = Circuit.Generators.c17 () in
+  let exact = E.analyze c in
+  List.iter
+    (fun site ->
+      let fault = { Faults.Fault.site; polarity = Faults.Fault.Stuck_at_1 } in
+      Alcotest.(check bool) (Faults.Fault.to_string c fault) true
+        (E.verdict exact fault = E.Unknown))
+    [ Faults.Fault.Stem 999; Faults.Fault.Branch { gate = 0; pin = 0 };
+      Faults.Fault.Branch { gate = N.num_nodes c - 1; pin = 2 } ]
+
 let test_signal_probabilities_match_exhaustive () =
   List.iter
     (fun (name, c) ->
@@ -448,6 +461,8 @@ let suite =
           test_robdd_core;
         Alcotest.test_case "verdicts match exhaustive simulation" `Quick
           test_verdicts_match_exhaustive;
+        Alcotest.test_case "verdict outside the circuit is Unknown" `Quick
+          test_verdict_outside_circuit;
         Alcotest.test_case "signal probabilities match exhaustive truth" `Quick
           test_signal_probabilities_match_exhaustive;
         Alcotest.test_case "BDD redundancies contain the lint proofs" `Quick

@@ -91,13 +91,13 @@ let test_corrected_coverage_reaches_one () =
   let raw = Fsim.Coverage.final_coverage profile in
   Alcotest.(check bool) "raw coverage < 1" true (raw < 1.0);
   Alcotest.(check (float 1e-9)) "raw = 36/54" (36.0 /. 54.0) raw;
-  let corrected = Fsim.Coverage.excluding profile ~universe ~untestable in
+  let corrected = Fsim.Coverage.excluding c profile ~universe ~untestable in
   Alcotest.(check int) "corrected universe" 36
     corrected.Fsim.Coverage.universe_size;
   Alcotest.(check (float 1e-9)) "corrected coverage = 1" 1.0
     (Fsim.Coverage.final_coverage corrected);
   (* Same answer when the universe is filtered before simulation. *)
-  let kept = Faults.Universe.exclude_untestable universe ~untestable in
+  let kept = Faults.Universe.exclude_untestable c universe ~untestable in
   let profile2 = Fsim.Coverage.profile c kept patterns in
   Alcotest.(check (float 1e-9)) "pre-filtered coverage = 1" 1.0
     (Fsim.Coverage.final_coverage profile2)
@@ -110,7 +110,7 @@ let test_coverage_excluding_validates () =
     (Invalid_argument "Coverage.excluding: universe does not match profile")
     (fun () ->
       ignore
-        (Fsim.Coverage.excluding profile
+        (Fsim.Coverage.excluding c profile
            ~universe:(Array.sub universe 0 10)
            ~untestable:[||]))
 
@@ -118,7 +118,7 @@ let test_exclude_untestable_semantics () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
   let sa0 = universe.(0) and sa1 = universe.(1) in
-  let kept = Faults.Universe.exclude_untestable universe ~untestable:[| sa1 |] in
+  let kept = Faults.Universe.exclude_untestable c universe ~untestable:[| sa1 |] in
   Alcotest.(check int) "one removed" (Array.length universe - 1)
     (Array.length kept);
   Alcotest.(check bool) "order preserved, head intact" true (kept.(0) = sa0);
@@ -133,12 +133,12 @@ let test_exclude_untestable_semantics () =
     |> List.find (fun f -> not (Array.exists (( = ) f) collapsed))
   in
   let kept2 =
-    Faults.Universe.exclude_untestable collapsed ~untestable:[| absent |]
+    Faults.Universe.exclude_untestable c collapsed ~untestable:[| absent |]
   in
   Alcotest.(check int) "absent faults ignored" (Array.length collapsed)
     (Array.length kept2);
   Alcotest.(check bool) "empty exclusion is identity" true
-    (Faults.Universe.exclude_untestable universe ~untestable:[||] == universe)
+    (Faults.Universe.exclude_untestable c universe ~untestable:[||] == universe)
 
 let test_sampling_exclude () =
   let c = Circuit.Generators.redundant_demo () in
