@@ -108,8 +108,10 @@ module Builder = struct
             cursor.(src) <- cursor.(src) + 1)
           srcs)
       fanins;
-    (* Kahn topological sort; ids are already fanin-before-fanout for
-       builder-constructed circuits, but parsed netlists may not be. *)
+    (* Kahn topological sort.  [add_node] only accepts fanins that
+       already exist, so ids are fanin-before-fanout and the sort places
+       every node; its order, not the id order, is the one
+       [Bench_format.to_string] prints. *)
     let indegree = Array.map Array.length fanins in
     let queue = Queue.create () in
     Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indegree;
@@ -125,47 +127,6 @@ module Builder = struct
           if indegree.(v) = 0 then Queue.add v queue)
         fanouts.(u)
     done;
-    if !filled <> n then begin
-      (* Nodes with positive residual indegree still have an unsorted
-         fanin, so following such fanins from any of them must loop.
-         Walk until a node repeats and report the whole cycle in signal
-         flow order, not just one node on it. *)
-      let remaining i = indegree.(i) > 0 in
-      let start =
-        let found = ref (-1) in
-        Array.iteri (fun i d -> if d > 0 && !found < 0 then found := i) indegree;
-        !found
-      in
-      let visited_at = Hashtbl.create 16 in
-      let trail = ref [] in
-      let rec walk node steps =
-        match Hashtbl.find_opt visited_at node with
-        | Some _ ->
-          (* Keep the trail back to the first visit of [node]: that
-             suffix, reversed, is the cycle in fanin->fanout order. *)
-          let cycle = ref [] in
-          (try
-             List.iter
-               (fun v ->
-                 cycle := v :: !cycle;
-                 if v = node then raise Exit)
-               !trail
-           with Exit -> ());
-          !cycle @ [ node ]
-        | None ->
-          Hashtbl.add visited_at node steps;
-          trail := node :: !trail;
-          let next =
-            Array.fold_left
-              (fun acc src -> if acc >= 0 || not (remaining src) then acc else src)
-              (-1) fanins.(node)
-          in
-          walk next (steps + 1)
-      in
-      let path = walk start 0 in
-      raise
-        (Cycle (String.concat " -> " (List.map (fun i -> node_names.(i)) path)))
-    end;
     let levels = Array.make n 0 in
     Array.iter
       (fun u ->

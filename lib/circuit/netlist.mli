@@ -1,10 +1,11 @@
 (** Gate-level netlist: an immutable DAG of {!Gate.kind} nodes.
 
     Nodes are dense integer ids.  A netlist is constructed through the
-    {!Builder} sub-module, which checks arities, detects combinational
-    cycles, and precomputes fanouts, a topological order and logic
-    levels.  All simulators and the fault machinery work off this one
-    representation. *)
+    {!Builder} sub-module, which checks arities and that every fanin
+    already exists — so ids are topological and no cycle can form — and
+    precomputes fanouts, a topological order, logic levels and the line
+    offsets behind the dense fault ids.  All simulators and the fault
+    machinery work off this one representation. *)
 
 type t = private {
   name : string;
@@ -24,9 +25,9 @@ type t = private {
 }
 
 exception Cycle of string
-(** Raised by {!Builder.build} when the gate graph is cyclic; the
-    payload spells out a full loop in signal-flow order, e.g.
-    ["a -> b -> c -> a"]. *)
+(** Raised by [Bench_format.parse_string] when the gate graph of a
+    netlist text is cyclic; the payload spells out a full loop in
+    signal-flow order, e.g. ["a -> b -> c -> a"]. *)
 
 module Builder : sig
   type netlist := t
@@ -49,9 +50,9 @@ module Builder : sig
       output pin; marking is idempotent). *)
 
   val build : t -> netlist
-  (** Freeze the builder: validates, computes fanouts/topological
-      order/levels.  Raises {!Cycle} on combinational loops and
-      [Invalid_argument] on dangling structure. *)
+  (** Freeze the builder: computes fanouts, the topological order, the
+      levels and [line_offsets].  Never raises: [add_gate] has already
+      rejected every fanin that does not exist. *)
 end
 
 val num_nodes : t -> int

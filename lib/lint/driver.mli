@@ -2,8 +2,8 @@
     findings for the CLI, the test suite and the experiment pipeline.
 
     Cyclic netlists never reach this layer — {!Circuit.Netlist.Builder}
-    and the .bench parser reject them at construction time, reporting
-    the full loop path through {!Circuit.Netlist.Cycle}. *)
+    cannot build one, and the .bench parser rejects them, reporting the
+    full loop path through {!Circuit.Netlist.Cycle}. *)
 
 type config = {
   fanout_threshold : int;   (** [excessive-fanout] bound (default 16). *)
