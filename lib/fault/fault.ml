@@ -25,22 +25,24 @@ let to_string c { site; polarity } =
   | Branch { gate; pin } ->
     Printf.sprintf "%s.in%d/%s" (node_name c gate) pin (polarity_string polarity)
 
+let site_node { site; _ } =
+  match site with Stem id -> id | Branch { gate; _ } -> gate
+
 (* Why [fault] is not a line of [c], or [None] when it is one. *)
 let defect (c : Circuit.Netlist.t) fault =
   let nodes = Circuit.Netlist.num_nodes c in
-  let outside id = id < 0 || id >= nodes in
-  match fault.site with
-  | Stem id when outside id ->
-    Some (Printf.sprintf "node %d outside [0, %d)" id nodes)
-  | Stem _ -> None
-  | Branch { gate; _ } when outside gate ->
-    Some (Printf.sprintf "node %d outside [0, %d)" gate nodes)
-  | Branch { gate; pin } ->
-    let arity = Array.length c.fanins.(gate) in
-    if arity = 0 then Some "node has no input pins"
-    else if pin < 0 || pin >= arity then
-      Some (Printf.sprintf "pin %d outside [0, %d)" pin arity)
-    else None
+  let node = site_node fault in
+  if node < 0 || node >= nodes then
+    Some (Printf.sprintf "node %d outside [0, %d)" node nodes)
+  else
+    match fault.site with
+    | Stem _ -> None
+    | Branch { pin; _ } ->
+      let arity = Array.length c.fanins.(node) in
+      if arity = 0 then Some "node has no input pins"
+      else if pin < 0 || pin >= arity then
+        Some (Printf.sprintf "pin %d outside [0, %d)" pin arity)
+      else None
 
 let is_line c fault = Option.is_none (defect c fault)
 
@@ -67,6 +69,3 @@ let id c fault =
   match fault.site with
   | Stem node -> stem_id c node fault.polarity
   | Branch { gate; pin } -> branch_id c ~gate ~pin fault.polarity
-
-let site_node { site; _ } =
-  match site with Stem id -> id | Branch { gate; _ } -> gate

@@ -4,15 +4,13 @@ let both_polarities site =
 
 let count c = 2 * Circuit.Netlist.line_count c
 
-(* Each fault goes to its dense id, so the array is in id order. *)
+(* Each fault goes to its dense id, so the array is in id order and
+   every placeholder is overwritten. *)
 let all (c : Circuit.Netlist.t) =
-  let stem0 = { Fault.site = Fault.Stem 0; polarity = Fault.Stuck_at_0 } in
-  let faults = Array.make (count c) stem0 in
+  let placeholder = { Fault.site = Fault.Stem 0; polarity = Fault.Stuck_at_0 } in
+  let faults = Array.make (count c) placeholder in
   let place site =
-    let sa0 = { Fault.site; polarity = Fault.Stuck_at_0 } in
-    let sa1 = { Fault.site; polarity = Fault.Stuck_at_1 } in
-    faults.(Fault.id c sa0) <- sa0;
-    faults.(Fault.id c sa1) <- sa1
+    List.iter (fun fault -> faults.(Fault.id c fault) <- fault) (both_polarities site)
   in
   for id = 0 to Circuit.Netlist.num_nodes c - 1 do
     place (Fault.Stem id);
