@@ -82,42 +82,41 @@ let equivalence (c : Circuit.Netlist.t) universe =
     | Circuit.Gate.Input | Circuit.Gate.Const0 | Circuit.Gate.Const1
     | Circuit.Gate.Xor | Circuit.Gate.Xnor -> ())
   done;
-  (* Number the classes in first-member order: a class's first member
-     is its root, and every later member finds the root numbered. *)
-  let class_of_position = Array.make size 0 in
-  let rep_position = Array.make size 0 in
+  (* Number the classes in first-member order, over [parent] in place.
+     Every parent precedes its child, so in one ascending pass a root
+     (its class's first member) opens the next class and any other
+     position copies the class already written over its parent. *)
   let classes = ref 0 in
   for i = 0 to size - 1 do
-    let root = find parent i in
-    if root = i then begin
-      class_of_position.(i) <- !classes;
-      rep_position.(!classes) <- i;
-      incr classes
-    end
-    else class_of_position.(i) <- class_of_position.(root)
+    let p = parent.(i) in
+    parent.(i) <-
+      (if p = i then begin
+         incr classes;
+         !classes - 1
+       end
+       else parent.(p))
   done;
-  let classes = !classes in
-  let reps = Array.init classes (fun cls -> universe.(rep_position.(cls))) in
-  (* Counting sort of the positions by class keeps universe order
-     within each class. *)
+  let class_of_position = parent and classes = !classes in
+  (* Counting sort of the positions by class: [member_start.(cls)]
+     counts, then ends, then — filled from the back, so that each class
+     stays in universe order — starts the class's run. *)
   let member_start = Array.make (classes + 1) 0 in
-  Array.iter
-    (fun cls -> member_start.(cls + 1) <- member_start.(cls + 1) + 1)
-    class_of_position;
+  Array.iter (fun cls -> member_start.(cls) <- member_start.(cls) + 1) class_of_position;
   for cls = 1 to classes do
     member_start.(cls) <- member_start.(cls) + member_start.(cls - 1)
   done;
-  let cursor = Array.sub member_start 0 classes in
   let members = Array.make size 0 in
+  for i = size - 1 downto 0 do
+    let cls = class_of_position.(i) in
+    member_start.(cls) <- member_start.(cls) - 1;
+    members.(member_start.(cls)) <- i
+  done;
+  let reps = Array.init classes (fun cls -> universe.(members.(member_start.(cls)))) in
+  (* Each id's position gives way to its class. *)
   Array.iteri
-    (fun i cls ->
-      members.(cursor.(cls)) <- i;
-      cursor.(cls) <- cursor.(cls) + 1)
-    class_of_position;
-  let class_by_id =
-    Array.map (fun i -> if i < 0 then -1 else class_of_position.(i)) position
-  in
-  { circuit = c; universe; class_by_id; reps; member_start; members }
+    (fun id i -> if i >= 0 then position.(id) <- class_of_position.(i))
+    position;
+  { circuit = c; universe; class_by_id = position; reps; member_start; members }
 
 let representatives t = t.reps
 
