@@ -67,8 +67,8 @@ let run ?(config = default_config) (c : N.t) =
       (* SCOAP hard-to-detect warnings over collapsed representatives,
          skipping faults already proven untestable (those are not hard,
          they are impossible). *)
-      let flagged = Faults.Universe.mark c (Array.map fst untestable) in
-      let flagged fault = flagged.(F.id c fault) in
+      let flagged_ids = Faults.Universe.mark c (Array.map fst untestable) in
+      let flagged fault = flagged_ids.(F.id c fault) in
       let reps = Faults.Collapse.representatives classes in
       let scoap = Tpg.Scoap.analyze c in
       let hard =
