@@ -638,9 +638,11 @@ let atpg_cmd =
   let use_analysis =
     Arg.(value & flag & info [ "use-analysis" ]
            ~doc:"Build the static implication & dominator engine once and \
-                 let PODEM use it: sound pre-search untestability \
-                 verdicts, unique sensitization, learned-implication \
-                 pruning.  Verdicts are unchanged; search effort shrinks.")
+                 let PODEM use it: untestability proofs before search, \
+                 unique sensitization, learned-implication pruning.  A \
+                 test or untestable verdict never flips, but an abort may \
+                 be proved untestable, and the search order, and with it \
+                 the deterministic patterns, may differ.")
   in
   let learn_depth =
     Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"N"
@@ -1012,7 +1014,8 @@ let analyze_cmd =
       let equivalence_reps = Faults.Collapse.representatives classes in
       let dominance_reps = Faults.Collapse.dominance circuit classes in
       let untestable =
-        Lint.Testability.untestable ~classes ~analysis:engine circuit universe
+        Analysis.Untestable.untestable ~classes
+          (Analysis.Engine.untestable engine) universe
       in
       let with_idom =
         let count = ref 0 in
@@ -1038,7 +1041,7 @@ let analyze_cmd =
           Report.Json.Obj
             [ ("fault", Report.Json.String (Faults.Fault.to_string circuit fault));
               ("reason",
-               Report.Json.String (Lint.Testability.reason_to_string reason)) ]
+               Report.Json.String (Analysis.Untestable.reason_to_string reason)) ]
         in
         let dominator_rows () =
           List.filter_map
@@ -1193,7 +1196,7 @@ let analyze_cmd =
             (fun (fault, reason) ->
               Printf.printf "  %-20s %s\n"
                 (Faults.Fault.to_string circuit fault)
-                (Lint.Testability.reason_to_string reason))
+                (Analysis.Untestable.reason_to_string reason))
             untestable
         end
       end;

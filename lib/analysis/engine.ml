@@ -5,6 +5,7 @@ type t = {
   prob : Signal_prob.t;
   detectability : Detectability.t;
   exact : Exact.t option;
+  untestable : Untestable.t;
 }
 
 let build ?(learn_depth = Some 1) ?exact_budget (c : Circuit.Netlist.t) =
@@ -22,10 +23,13 @@ let build ?(learn_depth = Some 1) ?exact_budget (c : Circuit.Netlist.t) =
     | None -> None
     | Some budget -> Some (Exact.analyze ~budget c)
   in
-  { circuit = c; dominators; implication; prob; detectability; exact }
+  let untestable = Untestable.prepare ?implication ~dominators ?exact c in
+  { circuit = c; dominators; implication; prob; detectability; exact;
+    untestable }
 
 let exact t = t.exact
 let implication t = t.implication
 let dominators t = t.dominators
 let prob t = t.prob
 let detectability t = t.detectability
+let untestable t = t.untestable

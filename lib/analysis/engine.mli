@@ -2,9 +2,10 @@
 
     [build] runs the dominator pass always (it is a single linear
     sweep) and the implication engine when a learning depth is given,
-    under one ["analysis.build"] span.  Consumers — PODEM, lint,
-    dominance collapsing, the [lsiq analyze] command — take this
-    bundle instead of wiring the passes individually. *)
+    under one ["analysis.build"] span, and prepares the untestability
+    prover over them.  Consumers — PODEM, lint, the [lsiq analyze]
+    command — take this bundle instead of wiring the passes
+    individually. *)
 
 type t = {
   circuit : Circuit.Netlist.t;
@@ -13,6 +14,10 @@ type t = {
   prob : Signal_prob.t;                (** Static signal-probability bounds. *)
   detectability : Detectability.t;     (** Per-fault detection-probability bounds. *)
   exact : Exact.t option;              (** [None] unless an exact budget was given. *)
+  untestable : Untestable.t;
+      (** The untestability prover over this bundle's implication,
+          dominators and BDDs: PODEM's pre-search verdicts, and
+          lint's and [lsiq analyze]'s proofs when they build one. *)
 }
 
 val build :
@@ -30,3 +35,4 @@ val implication : t -> Implication.t option
 val dominators : t -> Dominators.t
 val prob : t -> Signal_prob.t
 val detectability : t -> Detectability.t
+val untestable : t -> Untestable.t

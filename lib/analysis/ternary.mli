@@ -32,7 +32,7 @@ val analyze_with_cut : Circuit.Netlist.t -> Faults.Fault.site -> t
     valid regardless of the value carried by that line — in particular
     it is valid in both the fault-free machine and any machine with a
     stuck-at fault on the cut line.  This is what makes the
-    unobservability proofs in {!Testability} sound under reconvergent
+    unobservability proofs in {!Untestable} sound under reconvergent
     fanout. *)
 
 val value : t -> int -> value

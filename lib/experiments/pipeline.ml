@@ -106,7 +106,8 @@ let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
              [universe + untestable] is exactly the raw representative
              count. *)
           let proven =
-            Lint.Testability.untestable_faults ~classes circuit full_universe
+            Analysis.Untestable.untestable_faults ~classes
+              (Analysis.Untestable.prepare circuit) full_universe
           in
           let proven = Faults.Universe.mark circuit proven in
           Array.of_list

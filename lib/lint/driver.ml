@@ -26,7 +26,7 @@ let resistant_threshold = 0.01
 type report = {
   circuit : N.t;
   diagnostics : Diagnostic.t list;
-  untestable : (F.t * Testability.reason) array;
+  untestable : (F.t * Analysis.Untestable.reason) array;
   universe_size : int;
   errors : int;
   warnings : int;
@@ -36,7 +36,9 @@ type report = {
 let run ?(config = default_config) (c : N.t) =
   Obs.Trace.with_span "lint.run" @@ fun () ->
   Obs.Trace.add_int "gates" (N.num_gates c);
-  let ternary = Obs.Trace.with_span "lint.ternary" (fun () -> Ternary.analyze c) in
+  let ternary =
+    Obs.Trace.with_span "lint.ternary" (fun () -> Analysis.Ternary.analyze c)
+  in
   let structural =
     Obs.Trace.with_span "lint.structural" (fun () ->
         Structure.diagnostics ~fanout_threshold:config.fanout_threshold c ternary)
@@ -53,17 +55,24 @@ let run ?(config = default_config) (c : N.t) =
         | Some depth ->
           Some
             (Obs.Trace.with_span "lint.analysis" (fun () ->
-                 Analysis.Engine.build ~learn_depth:(Some depth) c))
+                 Analysis.Engine.build ~learn_depth:(Some depth)
+                   ?exact_budget:config.exact_budget c))
       in
-      let exact =
-        match config.exact_budget with
-        | None -> None
-        | Some budget ->
-          Some
-            (Obs.Trace.with_span "lint.exact" (fun () ->
-                 Analysis.Exact.analyze ~budget c))
+      let exact, prover =
+        match analysis with
+        | Some a -> (Analysis.Engine.exact a, Analysis.Engine.untestable a)
+        | None ->
+          let exact =
+            match config.exact_budget with
+            | None -> None
+            | Some budget ->
+              Some
+                (Obs.Trace.with_span "lint.exact" (fun () ->
+                     Analysis.Exact.analyze ~budget c))
+          in
+          (exact, Analysis.Untestable.prepare ?exact c)
       in
-      let untestable = Testability.untestable ~classes ?analysis ?exact c universe in
+      let untestable = Analysis.Untestable.untestable ~classes prover universe in
       (* SCOAP hard-to-detect warnings over collapsed representatives,
          skipping faults already proven untestable (those are not hard,
          they are impossible). *)
@@ -132,7 +141,7 @@ let run ?(config = default_config) (c : N.t) =
              ~severity:Diagnostic.Warning
              (Printf.sprintf "stuck-at fault %s is statically untestable (%s)"
                 (F.to_string c fault)
-                (Testability.reason_to_string reason)))
+                (Analysis.Untestable.reason_to_string reason)))
   in
   let diagnostics =
     List.sort Diagnostic.compare (structural @ untestable_diags @ hard_diags)
@@ -187,7 +196,7 @@ let fault_json (c : N.t) (fault, reason) =
     ([ ("fault", Report.Json.String (F.to_string c fault)) ]
     @ site_fields
     @ [ ("polarity", Report.Json.Int (if F.polarity_bit fault.F.polarity then 1 else 0));
-        ("reason", Report.Json.String (Testability.reason_to_string reason)) ])
+        ("reason", Report.Json.String (Analysis.Untestable.reason_to_string reason)) ])
 
 let render_json report =
   let c = report.circuit in

@@ -8,7 +8,7 @@
 type config = {
   fanout_threshold : int;   (** [excessive-fanout] bound (default 16). *)
   testability : bool;
-      (** Run the untestable-fault proofs, expanded through
+      (** Run the {!Analysis.Untestable} proofs, expanded through
           {!Faults.Collapse} equivalence classes, and the [hard-fault]
           (SCOAP difficulty >= 100, at most 10) and [resistant-fault]
           (detection probability < 0.01 per uniform pattern, at most
@@ -33,7 +33,7 @@ val default_config : config
 type report = {
   circuit : Circuit.Netlist.t;
   diagnostics : Diagnostic.t list;  (** Sorted: severity, rule, node. *)
-  untestable : (Faults.Fault.t * Testability.reason) array;
+  untestable : (Faults.Fault.t * Analysis.Untestable.reason) array;
       (** Statically proven untestable faults of {!Faults.Universe.all},
           in universe order. *)
   universe_size : int;              (** [|Universe.all|] for context. *)

@@ -83,7 +83,7 @@ let diagnostics ?(fanout_threshold = 16) (c : N.t) ternary =
     | Circuit.Gate.Input | Circuit.Gate.Buf | Circuit.Gate.Not
     | Circuit.Gate.And | Circuit.Gate.Nand | Circuit.Gate.Or
     | Circuit.Gate.Nor | Circuit.Gate.Xor | Circuit.Gate.Xnor ->
-      (match Ternary.const_value ternary id with
+      (match Analysis.Ternary.const_value ternary id with
       | Some bit ->
         let value = if bit then 1 else 0 in
         if N.is_output c id then

@@ -3,8 +3,8 @@
     Pure graph/valuation checks, no fault machinery: constant nets (and
     the worse case of constant primary outputs), logic that reaches no
     output, floating inputs, duplicated fanins, fanout extremes and
-    reconvergence statistics.  {!Testability} builds on the same
-    reachability pass for its unobservability proofs. *)
+    reconvergence statistics.  The untestable-fault proofs are
+    {!Analysis.Untestable}'s. *)
 
 val reachable_to_output : Circuit.Netlist.t -> bool array
 (** Per node: does some primary output lie in its fanout cone?  (An
@@ -19,7 +19,7 @@ val reconvergent_stems : Circuit.Netlist.t -> ?budget_bits:int -> unit -> int li
 
 val diagnostics :
   ?fanout_threshold:int ->
-  Circuit.Netlist.t -> Ternary.t -> Diagnostic.t list
+  Circuit.Netlist.t -> Analysis.Ternary.t -> Diagnostic.t list
 (** Run every structural rule.  [fanout_threshold] (default 16) bounds
     the [excessive-fanout] rule.  Rules emitted: [constant-net]
     (Warning), [constant-output] (Error), [dead-logic] (Warning),

@@ -13,17 +13,18 @@ type config = {
   use_analysis : bool;
       (** Build a static {!Analysis.Engine.t} (dominators + learned
           implications) once per run and hand it to every
-          {!Podem.generate} call — unique sensitization, objective
-          pruning and pre-search untestability verdicts.  Verdicts are
-          unchanged; only the search effort shrinks.  Default off. *)
+          {!Podem.generate} call — untestability proofs before search,
+          unique sensitization and objective pruning.  A test or
+          untestable verdict never flips, but an abort may be proved
+          untestable, and the search order, and with it the
+          deterministic patterns, may differ.  Default off. *)
   learn_depth : int;
       (** Implication learning depth when [use_analysis] is set. *)
   exact_budget : int option;
       (** When [Some budget], build the {!Analysis.Exact} ROBDD bundle
-          and let PODEM settle fault verdicts before search: exact
-          Untestable proofs skip the search outright, exact Testable
-          skips the (then provably fruitless) static untestability
-          checks.  Default [None]. *)
+          into the engine, so that the untestability proofs PODEM asks
+          for before search include the BDD's exact redundancies.
+          Default [None]. *)
   hybrid : bool;
       (** Principled random/deterministic cutover: cap the random
           phase at {!Analysis.Detectability.cutover} — the statically

@@ -452,45 +452,19 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     Test (Array.map (fun id -> Logic5.good values.(id) = Logic5.plane_1) c.inputs)
   in
 
-  (* Sound pre-search verdicts from the static analyses: a fault on a
-     stem with no path to any output is unobservable, and a fault whose
-     activation value is infeasible (the line is a learned constant at
-     the stuck value) is unexcitable. *)
-  let static_verdict =
-    match analysis with
-    | None -> None
-    | Some a -> (
-      (* An exact ROBDD bundle settles the question outright: its
-         Untestable is a complete proof, and its Testable means the
-         other static untestability checks (all sound) can never fire,
-         so skip them.  Unknown falls through to the usual checks. *)
-      match Option.map (fun e -> Analysis.Exact.verdict e fault) (Analysis.Engine.exact a) with
-      | Some Analysis.Exact.Untestable -> Some Untestable
-      | Some (Analysis.Exact.Testable _) -> None
-      | Some Analysis.Exact.Unknown | None ->
-      if
-        not
-          (Analysis.Dominators.observable
-             (Analysis.Engine.dominators a)
-             (Faults.Fault.site_node fault))
-      then Some Untestable
-      else begin
-        match implication_graph with
-        | None -> None
-        | Some imp ->
-          if Analysis.Implication.infeasible imp line (stuck = Logic5.plane_0) then
-            Some Untestable
-          else None
-      end)
-  in
   let verdict =
     Obs.Trace.with_span "podem.generate" (fun () ->
+        (* A fault the untestability prover settles needs no search. *)
+        let proof =
+          Option.bind analysis (fun a ->
+              Analysis.Untestable.verdict (Analysis.Engine.untestable a) fault)
+        in
         let verdict =
-          match static_verdict with
-          | Some verdict ->
+          match proof with
+          | Some _ ->
             if Obs.Metrics.enabled () then
               Obs.Metrics.incr "atpg.podem.static_untestable";
-            verdict
+            Untestable
           | None -> (
             sweep ();
             try attempt () with Abort_search -> Aborted)

@@ -44,13 +44,13 @@ val generate :
     depend on the guidance, only the search effort does.
 
     [analysis] (built over the {e same} netlist) adds three
-    accelerations: sound pre-search [Untestable] verdicts for
-    structurally unobservable sites and infeasible activation values;
-    {e unique sensitization} — when the D-frontier shares absolute
-    dominators, their out-of-cone side inputs are scheduled toward
-    non-controlling values first; and learned-implication filtering of
-    objective candidates whose consequences contradict the current
-    state.  All three only reorder or shortcut the search — the
-    verdict for any fault is unchanged (verified against exhaustive
-    simulation), and the backtrack count can only shrink on faults
-    where the heuristics bite. *)
+    accelerations: [Untestable] with 0 backtracks and 0 implications,
+    before any search, for every fault its {!Analysis.Untestable}
+    prover settles; {e unique sensitization} — when the D-frontier
+    shares absolute dominators, their out-of-cone side inputs are
+    scheduled toward non-controlling values first; and
+    learned-implication filtering of objective candidates whose
+    consequences contradict the current state.  A test or untestable
+    verdict never flips (verified against exhaustive simulation), but
+    an abort may be proved untestable, and the changed search order
+    may find another pattern and spend more or fewer backtracks. *)

@@ -190,7 +190,8 @@ let test_redundancy_superset_of_lint () =
       let classes = Faults.Collapse.equivalence c universe in
       let engine = Analysis.Engine.build c in
       let structural =
-        Lint.Testability.untestable_faults ~classes ~analysis:engine c universe
+        Analysis.Untestable.untestable_faults ~classes (Analysis.Engine.untestable engine)
+          universe
       in
       Array.iter
         (fun f ->
@@ -218,8 +219,8 @@ let test_redundant_demo_fully_classified () =
   Alcotest.(check int) "no unknowns" 0 (E.unknown_count exact);
   (* The BDD pass through the lint front end adds the Redundant reason
      on top of the structural proofs and never loses one. *)
-  let with_exact = Lint.Testability.untestable_faults ~exact c universe in
-  let without = Lint.Testability.untestable_faults c universe in
+  let with_exact = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare ~exact c) universe in
+  let without = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
   Alcotest.(check bool) "exact proves at least as much" true
     (Array.length with_exact >= Array.length without);
   Alcotest.(check int) "exact front end matches BDD set"

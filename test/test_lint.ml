@@ -38,12 +38,12 @@ let check_sound name c =
           Alcotest.(check bool)
             (Printf.sprintf "%s (%s): %s flagged %s must be undetectable" name
                variant (F.to_string c fault)
-               (Lint.Testability.reason_to_string reason))
+               (Analysis.Untestable.reason_to_string reason))
             true
             (Hashtbl.mem truth fault))
         flagged)
-    [ ("plain", Lint.Testability.untestable c universe);
-      ("crosschecked", Lint.Testability.untestable ~classes c universe) ]
+    [ ("plain", Analysis.Untestable.untestable (Analysis.Untestable.prepare c) universe);
+      ("crosschecked", Analysis.Untestable.untestable ~classes (Analysis.Untestable.prepare c) universe) ]
 
 let test_soundness_generators () =
   check_sound "c17" (Circuit.Generators.c17 ());
@@ -67,7 +67,7 @@ let test_redundant_demo_complete () =
   let universe = Faults.Universe.all c in
   let truth = undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
-  let flagged = Lint.Testability.untestable_faults ~classes c universe in
+  let flagged = Analysis.Untestable.untestable_faults ~classes (Analysis.Untestable.prepare c) universe in
   let flagged_set = Hashtbl.create 16 in
   Array.iter (fun f -> Hashtbl.replace flagged_set f ()) flagged;
   Alcotest.(check int) "18 untestable of 54" 18 (Array.length flagged);
@@ -85,7 +85,7 @@ let test_corrected_coverage_reaches_one () =
      redundancy-corrected figure reaches exactly 1.0. *)
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let untestable = Lint.Testability.untestable_faults c universe in
+  let untestable = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
   let patterns = exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   let raw = Fsim.Coverage.final_coverage profile in
@@ -143,7 +143,7 @@ let test_exclude_untestable_semantics () =
 let test_sampling_exclude () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let untestable = Lint.Testability.untestable_faults c universe in
+  let untestable = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
   let patterns = exhaustive_patterns (N.num_inputs c) in
   let rng = Stats.Rng.create ~seed:7 () in
   let est =
@@ -167,22 +167,22 @@ let test_ternary_identities () =
   List.iter (N.Builder.mark_output b)
     [ xor_xx; and_xnx; or_xnx; or_xx; xnor_xx ];
   let c = N.Builder.build b in
-  let t = Lint.Ternary.analyze c in
-  let const id = Lint.Ternary.const_value t id in
+  let t = Analysis.Ternary.analyze c in
+  let const id = Analysis.Ternary.const_value t id in
   Alcotest.(check (option bool)) "XOR(x,x) = 0" (Some false) (const xor_xx);
   Alcotest.(check (option bool)) "AND(x,~x) = 0" (Some false) (const and_xnx);
   Alcotest.(check (option bool)) "OR(x,~x) = 1" (Some true) (const or_xnx);
   Alcotest.(check (option bool)) "XNOR(x,x) = 1" (Some true) (const xnor_xx);
-  (match Lint.Ternary.value t or_xx with
-  | Lint.Ternary.Lit { src; inv } ->
+  (match Analysis.Ternary.value t or_xx with
+  | Analysis.Ternary.Lit { src; inv } ->
     Alcotest.(check int) "OR(x,x) = x" x src;
     Alcotest.(check bool) "OR(x,x) not inverted" false inv
-  | Lint.Ternary.Const _ -> Alcotest.fail "OR(x,x) is not constant");
-  (match Lint.Ternary.value t nx with
-  | Lint.Ternary.Lit { src; inv } ->
+  | Analysis.Ternary.Const _ -> Alcotest.fail "OR(x,x) is not constant");
+  (match Analysis.Ternary.value t nx with
+  | Analysis.Ternary.Lit { src; inv } ->
     Alcotest.(check int) "NOT x tracks x" x src;
     Alcotest.(check bool) "NOT x inverted" true inv
-  | Lint.Ternary.Const _ -> Alcotest.fail "NOT x is not constant")
+  | Analysis.Ternary.Const _ -> Alcotest.fail "NOT x is not constant")
 
 let test_structural_rules_fire () =
   let c = Circuit.Generators.redundant_demo () in
