@@ -217,6 +217,7 @@ type t = {
 }
 
 let learn ?(depth = 1) (c : N.t) =
+  if depth < 0 then invalid_arg "Implication.learn: negative depth";
   Obs.Trace.with_span "analysis.implications" @@ fun () ->
   let n = N.num_nodes c in
   let st =

@@ -17,7 +17,7 @@
     of some line) can never hold: its line is provably constant at the
     opposite value.  These learned constants join the base state of
     later sweeps, so learning is monotone — exactly the
-    unexcitability evidence the lint layer consumes, and strictly
+    unexcitability evidence {!Untestable} consumes, and strictly
     stronger than plain ternary constant propagation because backward
     justification and learned edges participate. *)
 
@@ -26,7 +26,8 @@ type t
 val learn : ?depth:int -> Circuit.Netlist.t -> t
 (** Build the implication graph with at most [depth] (default 1)
     learning sweeps after the initial direct sweep; stops early at the
-    fixpoint.  Instrumented as the ["analysis.implications"] span. *)
+    fixpoint.  Instrumented as the ["analysis.implications"] span.
+    Raises [Invalid_argument] when [depth < 0]. *)
 
 val circuit : t -> Circuit.Netlist.t
 
