@@ -306,6 +306,40 @@ let test_podem_search_record_pinned () =
   Alcotest.(check int) "one line per call" (List.length expected) (List.length actual);
   List.iter2 (fun e a -> Alcotest.(check string) "search record" e a) expected actual
 
+(* With an analysis engine, PODEM settles before search exactly the
+   faults the engine's untestability prover flags: [Untestable] with 0
+   backtracks and 0 implications (a search always counts at least one
+   implication) iff the prover's verdict is [Some _]. *)
+let test_podem_settles_prover_verdicts () =
+  let random seed =
+    ( Printf.sprintf "rand seed %d" seed,
+      Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed )
+  in
+  List.iter
+    (fun (name, c) ->
+      let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
+      let prover = Analysis.Engine.untestable analysis in
+      let reps =
+        Faults.Collapse.representatives
+          (Faults.Collapse.equivalence c (Faults.Universe.all c))
+      in
+      Array.iter
+        (fun fault ->
+          let verdict, stats =
+            Tpg.Podem.generate ~backtrack_limit:100 ~analysis c fault
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s settled before search iff proved" name
+               (F.to_string c fault))
+            (Analysis.Untestable.verdict prover fault <> None)
+            (verdict = Tpg.Podem.Untestable
+            && stats.Tpg.Podem.backtracks = 0
+            && stats.Tpg.Podem.implications = 0))
+        reps)
+    ([ ("lsi:5", Circuit.Generators.lsi_chip ~scale:5 ());
+       ("lsi:6", Circuit.Generators.lsi_chip ~scale:6 ()) ]
+    @ List.map random [ 1; 2; 3; 4 ])
+
 (* ------------------------------ scoap ------------------------------- *)
 
 let test_scoap_inverter_chain () =
@@ -661,7 +695,9 @@ let suite =
         tc "proves absorption redundancy" test_podem_finds_redundancy;
         tc "respects backtrack limit" test_podem_respects_backtrack_limit;
         tc "stats populated" test_podem_stats_populated;
-        tc "per-fault search record pinned" test_podem_search_record_pinned ] );
+        tc "per-fault search record pinned" test_podem_search_record_pinned;
+        tc "settles before search what the prover flags"
+          test_podem_settles_prover_verdicts ] );
     ( "tpg.scoap",
       [ tc "inverter chain" test_scoap_inverter_chain;
         tc "and gate rules" test_scoap_and_gate;
