@@ -639,10 +639,9 @@ let atpg_cmd =
     Arg.(value & flag & info [ "use-analysis" ]
            ~doc:"Build the static implication & dominator engine once and \
                  let PODEM use it: untestability proofs before search, \
-                 unique sensitization, learned-implication pruning.  A \
-                 test or untestable verdict never flips, but an abort may \
-                 be proved untestable, and the search order, and with it \
-                 the deterministic patterns, may differ.")
+                 unique sensitization, learned-implication pruning.  No \
+                 test or untestable verdict flips; an abort may be proved \
+                 untestable, and the patterns may differ.")
   in
   let learn_depth =
     Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"N"

@@ -14,10 +14,7 @@ type t = {
   prob : Signal_prob.t;                (** Static signal-probability bounds. *)
   detectability : Detectability.t;     (** Per-fault detection-probability bounds. *)
   exact : Exact.t option;              (** [None] unless an exact budget was given. *)
-  untestable : Untestable.t;
-      (** The untestability prover over this bundle's implication,
-          dominators and BDDs: PODEM's pre-search verdicts, and
-          lint's and [lsiq analyze]'s proofs when they build one. *)
+  untestable : Untestable.t;           (** The prover over this bundle's passes. *)
 }
 
 val build :

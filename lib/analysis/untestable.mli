@@ -1,4 +1,4 @@
-(** Static untestability proofs for stuck-at faults — the one prover
+(** Static untestability proofs for stuck-at faults: the one prover
     that lint, [lsiq analyze], the pipeline's lint stage and PODEM's
     pre-search check share.
 
@@ -9,8 +9,7 @@
     [f = 1] on a universe containing them, which biases the escape
     model [(1-f)^n] (Eq. 5) and every reject-rate figure and [n0] fit
     built on it.  This module proves faults untestable {e before}
-    simulation so the universe can be corrected, and before search so
-    ATPG spends no backtracks on them.
+    simulation and search, so the universe can be corrected.
 
     Everything flagged is a {e proof}, not a heuristic:
 
@@ -24,8 +23,7 @@
       differs and the net is not provably constant under the cut.
       The cut is what keeps the proof sound under reconvergent fanout —
       a constant whose derivation passes through the fault site is
-      never used to block the fault's own propagation.  A site with no
-      path to any output always fails here.
+      never used to block the fault's own propagation.
     - {b Equivalent}: the fault shares a {!Faults.Collapse} equivalence
       class (identical detection sets by construction) with a fault
       proved untestable above.
@@ -36,15 +34,14 @@
       value infeasible on the fault-free line — backward justification
       and contrapositive learning find constants plain forward ternary
       propagation cannot.
-    - {b Unobservable} (blocked dominators, with the dominator tree
-      too): some absolute dominator of the site has a side input held
-      at its controlling value by a learned constant whose node lies
-      {e outside} the fault's fanout cone.  Out-of-cone constants hold
-      identically in the faulty machine, so the dominator's output
-      never differs and no propagation path survives (every path
-      crosses every dominator).
+    - {b Unobservable} (blocked dominators): some absolute dominator of
+      the site has a side input held at its controlling value by a
+      learned constant whose node lies {e outside} the fault's fanout
+      cone.  Out-of-cone constants hold identically in the faulty
+      machine, so the dominator's output never differs and no
+      propagation path survives (every path crosses every dominator).
 
-    With an {!Exact} bundle, {b Redundant}: the per-fault
+    With an {!Exact} bundle, {b Redundant}: the fault's
     Boolean-difference BDD is the constant-zero function, a complete
     proof wherever the node budget held.
 
@@ -60,20 +57,15 @@ val reason_to_string : reason -> string
     ["redundant"]. *)
 
 type t
-(** What every fault's proof shares, prepared once per circuit: the
-    intact circuit's ternary pass, the global observability filter
-    (stems with no all-nonconstant path to an output) and the optional
-    implication, dominator and BDD inputs.  {!Engine.build} prepares
-    one from its own passes. *)
+(** What every fault's proof shares: the intact circuit's ternary
+    pass, the global observability filter and the optional inputs. *)
 
 val prepare :
-  ?implication:Implication.t ->
-  ?dominators:Dominators.t ->
-  ?exact:Exact.t ->
+  ?implication:Implication.t -> ?dominators:Dominators.t -> ?exact:Exact.t ->
   Circuit.Netlist.t -> t
-(** Every input must be built over the same netlist.  [implication]
-    enables the learned proofs, which for blocked dominators also need
-    [dominators]; [exact] adds the [Redundant] verdict. *)
+(** Once per circuit; every input must be built over the same netlist.
+    The blocked-dominator proof needs both [implication] and
+    [dominators].  {!Engine.build} prepares one from its passes. *)
 
 val verdict : t -> Faults.Fault.t -> reason option
 (** One fault's proof, never [Equivalent].  The structural proofs run
@@ -82,10 +74,10 @@ val verdict : t -> Faults.Fault.t -> reason option
 val untestable :
   ?classes:Faults.Collapse.t ->
   t -> Faults.Fault.t array -> (Faults.Fault.t * reason) array
-(** The flagged subset of the universe, in universe order.  When
-    [classes] (equivalence classes over the {e same} universe) is
-    supplied, every class containing a proven-untestable fault has its
-    remaining members flagged [Equivalent]. *)
+(** The flagged subset of the universe, in universe order.  With
+    [classes] (equivalence classes over the {e same} universe), every
+    class containing a proven-untestable fault has its remaining
+    members flagged [Equivalent]. *)
 
 val untestable_faults :
   ?classes:Faults.Collapse.t ->

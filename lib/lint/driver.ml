@@ -50,25 +50,22 @@ let run ?(config = default_config) (c : N.t) =
       Obs.Trace.with_span "lint.testability" @@ fun () ->
       let classes = Faults.Collapse.equivalence c universe in
       let analysis =
-        match config.learn_depth with
-        | None -> None
-        | Some depth ->
-          Some
-            (Obs.Trace.with_span "lint.analysis" (fun () ->
-                 Analysis.Engine.build ~learn_depth:(Some depth)
-                   ?exact_budget:config.exact_budget c))
+        Option.map
+          (fun depth ->
+            Obs.Trace.with_span "lint.analysis" (fun () ->
+                Analysis.Engine.build ~learn_depth:(Some depth)
+                  ?exact_budget:config.exact_budget c))
+          config.learn_depth
       in
       let exact, prover =
         match analysis with
         | Some a -> (Analysis.Engine.exact a, Analysis.Engine.untestable a)
         | None ->
           let exact =
-            match config.exact_budget with
-            | None -> None
-            | Some budget ->
-              Some
-                (Obs.Trace.with_span "lint.exact" (fun () ->
-                     Analysis.Exact.analyze ~budget c))
+            Option.map
+              (fun budget ->
+                Obs.Trace.with_span "lint.exact" (fun () -> Analysis.Exact.analyze ~budget c))
+              config.exact_budget
           in
           (exact, Analysis.Untestable.prepare ?exact c)
       in

@@ -16,6 +16,7 @@
 
 module F = Faults.Fault
 module N = Circuit.Netlist
+module U = Analysis.Untestable
 module ISet = Set.Make (Int)
 
 let exhaustive_patterns width =
@@ -241,18 +242,18 @@ let check_analysis_lint_sound name c =
   let truth = undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
   let analysis = Analysis.Engine.build ~learn_depth:(Some 2) c in
-  let flagged = Analysis.Untestable.untestable ~classes (Analysis.Engine.untestable analysis) universe in
+  let flagged = U.untestable ~classes (Analysis.Engine.untestable analysis) universe in
   Array.iter
     (fun (fault, reason) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s flagged %s must be undetectable" name
            (F.to_string c fault)
-           (Analysis.Untestable.reason_to_string reason))
+           (U.reason_to_string reason))
         true
         (Hashtbl.mem truth fault))
     flagged;
   (* Attaching the engine must never lose a proof the plain linter has. *)
-  let plain = Analysis.Untestable.untestable ~classes (Analysis.Untestable.prepare c) universe in
+  let plain = U.untestable ~classes (U.prepare c) universe in
   Alcotest.(check bool)
     (Printf.sprintf "%s: analysis proofs superset of plain" name)
     true
@@ -352,7 +353,7 @@ let test_dominance_collapsed_coverage_one () =
   let restricted = Fsim.Coverage.restrict c profile ~universe ~keep:dominance in
   Alcotest.(check bool) "dominance alone keeps the redundancy" true
     (Fsim.Coverage.final_coverage restricted < 1.0);
-  let untestable = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
+  let untestable = U.untestable_faults (U.prepare c) universe in
   let kept = Faults.Universe.exclude_untestable c dominance ~untestable in
   let corrected = Fsim.Coverage.restrict c profile ~universe ~keep:kept in
   Alcotest.(check (float 1e-9)) "dominance + exclusion reaches 1.0" 1.0

@@ -14,6 +14,7 @@ module G = Circuit.Generators
 module SP = Analysis.Signal_prob
 module D = Analysis.Detectability
 module E = Analysis.Exact
+module U = Analysis.Untestable
 module R = Bdd.Robdd
 
 let exhaustive_patterns width =
@@ -190,8 +191,7 @@ let test_redundancy_superset_of_lint () =
       let classes = Faults.Collapse.equivalence c universe in
       let engine = Analysis.Engine.build c in
       let structural =
-        Analysis.Untestable.untestable_faults ~classes (Analysis.Engine.untestable engine)
-          universe
+        U.untestable_faults ~classes (Analysis.Engine.untestable engine) universe
       in
       Array.iter
         (fun f ->
@@ -219,8 +219,8 @@ let test_redundant_demo_fully_classified () =
   Alcotest.(check int) "no unknowns" 0 (E.unknown_count exact);
   (* The BDD pass through the lint front end adds the Redundant reason
      on top of the structural proofs and never loses one. *)
-  let with_exact = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare ~exact c) universe in
-  let without = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
+  let with_exact = U.untestable_faults (U.prepare ~exact c) universe in
+  let without = U.untestable_faults (U.prepare c) universe in
   Alcotest.(check bool) "exact proves at least as much" true
     (Array.length with_exact >= Array.length without);
   Alcotest.(check int) "exact front end matches BDD set"

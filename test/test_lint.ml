@@ -9,6 +9,7 @@
 
 module F = Faults.Fault
 module N = Circuit.Netlist
+module U = Analysis.Untestable
 
 let exhaustive_patterns width =
   Array.init (1 lsl width) (fun v ->
@@ -38,12 +39,12 @@ let check_sound name c =
           Alcotest.(check bool)
             (Printf.sprintf "%s (%s): %s flagged %s must be undetectable" name
                variant (F.to_string c fault)
-               (Analysis.Untestable.reason_to_string reason))
+               (U.reason_to_string reason))
             true
             (Hashtbl.mem truth fault))
         flagged)
-    [ ("plain", Analysis.Untestable.untestable (Analysis.Untestable.prepare c) universe);
-      ("crosschecked", Analysis.Untestable.untestable ~classes (Analysis.Untestable.prepare c) universe) ]
+    [ ("plain", U.untestable (U.prepare c) universe);
+      ("crosschecked", U.untestable ~classes (U.prepare c) universe) ]
 
 let test_soundness_generators () =
   check_sound "c17" (Circuit.Generators.c17 ());
@@ -67,7 +68,7 @@ let test_redundant_demo_complete () =
   let universe = Faults.Universe.all c in
   let truth = undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
-  let flagged = Analysis.Untestable.untestable_faults ~classes (Analysis.Untestable.prepare c) universe in
+  let flagged = U.untestable_faults ~classes (U.prepare c) universe in
   let flagged_set = Hashtbl.create 16 in
   Array.iter (fun f -> Hashtbl.replace flagged_set f ()) flagged;
   Alcotest.(check int) "18 untestable of 54" 18 (Array.length flagged);
@@ -85,7 +86,7 @@ let test_corrected_coverage_reaches_one () =
      redundancy-corrected figure reaches exactly 1.0. *)
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let untestable = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
+  let untestable = U.untestable_faults (U.prepare c) universe in
   let patterns = exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   let raw = Fsim.Coverage.final_coverage profile in
@@ -143,7 +144,7 @@ let test_exclude_untestable_semantics () =
 let test_sampling_exclude () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let untestable = Analysis.Untestable.untestable_faults (Analysis.Untestable.prepare c) universe in
+  let untestable = U.untestable_faults (U.prepare c) universe in
   let patterns = exhaustive_patterns (N.num_inputs c) in
   let rng = Stats.Rng.create ~seed:7 () in
   let est =
