@@ -1261,6 +1261,8 @@ let testability_cmd =
   in
   let action circuit json csv threshold predict_curve test_length max_patterns
       yield_opt n0 fail_on exact obs =
+    if not (0.0 < threshold && threshold <= 1.0) then
+      usage_error "--threshold must be in (0, 1] (got %g)" threshold;
     let errors, warnings =
       with_obs ~circuit:circuit.Circuit.Netlist.name obs @@ fun () ->
       let module N = Circuit.Netlist in

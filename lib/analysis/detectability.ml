@@ -9,9 +9,7 @@ type t = {
   all_indep : bool;
 }
 
-let signal_prob t = t.sp
 let observability t id = t.obs_stem.(id)
-let pin_observability t ~gate ~pin = t.obs_pin.(gate).(pin)
 let exact t = Signal_prob.exact t.sp && t.all_indep
 
 let analyze ?dominators sp =
@@ -188,27 +186,22 @@ let detection t fault =
   if Support.disjoint act_supp obs_supp then conj_indep act obs
   else conj_frechet act obs
 
-(* Mean over faults of 1 - (1 - d (1 - epsilon))^n at each endpoint of
-   the per-fault detection interval. *)
-let band detection universe ~epsilon ~patterns =
-  if epsilon < 0.0 || epsilon > 1.0 then
-    invalid_arg "Detectability: epsilon outside [0,1]";
+(* Mean over faults of 1 - (1 - d)^n at each endpoint of the per-fault
+   detection interval. *)
+let band detection universe ~patterns =
   if patterns < 0 then invalid_arg "Detectability: negative pattern count";
   let nf = float_of_int patterns in
-  let keep = 1.0 -. epsilon in
   let slo = ref 0.0 and shi = ref 0.0 in
   Array.iter
     (fun fault ->
       let d = detection fault in
-      slo := !slo +. (1.0 -. ((1.0 -. (d.lo *. keep)) ** nf));
-      shi := !shi +. (1.0 -. ((1.0 -. (d.hi *. keep)) ** nf)))
+      slo := !slo +. (1.0 -. ((1.0 -. d.lo) ** nf));
+      shi := !shi +. (1.0 -. ((1.0 -. d.hi) ** nf)))
     universe;
   let total = float_of_int (Array.length universe) in
   if total = 0.0 then make 0.0 0.0 else make (!slo /. total) (!shi /. total)
 
-let effective_coverage_band t = band (detection t)
-
-let coverage_band t = effective_coverage_band t ~epsilon:0.0
+let coverage_band t = band (detection t)
 
 let predicted_curve t universe ~counts =
   Array.map (fun n -> (n, coverage_band t universe ~patterns:n)) counts
@@ -240,30 +233,3 @@ let resistant t universe ~threshold =
 let untestable t universe =
   Array.to_list universe
   |> List.filter (fun fault -> (detection t fault).hi <= 0.0)
-
-let cutover t universe ?(block = 64) ?(min_gain = 0.5) ~max_patterns () =
-  if block < 1 then invalid_arg "Detectability.cutover: block < 1";
-  let d_mid =
-    Array.map
-      (fun fault ->
-        let d = detection t fault in
-        0.5 *. (d.lo +. d.hi))
-      universe
-  in
-  (* Expected newly-detected faults in patterns (n, n+block], using the
-     band midpoint as the point estimate: sum of (1-d)^n - (1-d)^(n+block).
-     The optimistic edge saturates at 1 under reconvergence and the
-     guaranteed edge at 0, so neither flattens at a useful point. *)
-  let gain n =
-    Array.fold_left
-      (fun acc d ->
-        let q = 1.0 -. d in
-        acc +. ((q ** float_of_int n) -. (q ** float_of_int (n + block))))
-      0.0 d_mid
-  in
-  let rec loop n =
-    if n >= max_patterns then max_patterns
-    else if gain n < min_gain then n
-    else loop (n + block)
-  in
-  loop 0

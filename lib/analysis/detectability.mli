@@ -33,12 +33,8 @@
     From the per-fault intervals [\[d_lo, d_hi\]] follow, with no
     simulation: a predicted coverage band for [n] random patterns
     (mean over faults of [1 - (1-d)^n] at each endpoint — the exact
-    expectation band for i.i.d. uniform patterns), its n-detection
-    variant with residual escape [eps] per detection
-    ({!Quality.Ndetect}: [d] is replaced by [d·(1-eps)]), a
-    test-length calculator, the random-pattern-resistant fault list,
-    and the predicted random/deterministic cutover used by
-    {!Atpg}'s hybrid mode. *)
+    expectation band for i.i.d. uniform patterns), a test-length
+    calculator and the random-pattern-resistant fault list. *)
 
 type t
 
@@ -47,15 +43,10 @@ val analyze : ?dominators:Dominators.t -> Signal_prob.t -> t
     {!Dominators.compute}.  Runs under the
     ["analysis.prob.observability"] span. *)
 
-val signal_prob : t -> Signal_prob.t
-
 val observability : t -> int -> Signal_prob.interval
 (** Bounds on the probability that a value change on node [id]'s stem
     reaches a primary output ([\[1,1\]] on primary outputs, [\[0,0\]]
     on dead non-output nodes). *)
-
-val pin_observability : t -> gate:int -> pin:int -> Signal_prob.interval
-(** Same for one fanout-branch line. *)
 
 val detection : t -> Faults.Fault.t -> Signal_prob.interval
 (** Bounds on the per-pattern detection probability of a stuck-at
@@ -72,16 +63,6 @@ val coverage_band :
 (** Band containing the {e expected} fault coverage of [patterns]
     i.i.d. uniform random patterns over the universe. *)
 
-val effective_coverage_band :
-  t -> Faults.Fault.t array -> epsilon:float -> patterns:int ->
-  Signal_prob.interval
-(** n-detection escape model: each detection is nullified
-    independently with probability [epsilon], so a fault with
-    per-pattern detection probability [d] contributes
-    [1 - (1 - d·(1-eps))^n] — {!Quality.Ndetect}'s effective coverage,
-    predicted statically.  [epsilon = 0] collapses to
-    {!coverage_band}. *)
-
 val predicted_curve :
   t -> Faults.Fault.t array -> counts:int array ->
   (int * Signal_prob.interval) array
@@ -90,10 +71,10 @@ val predicted_curve :
 
 val band :
   (Faults.Fault.t -> Signal_prob.interval) -> Faults.Fault.t array ->
-  epsilon:float -> patterns:int -> Signal_prob.interval
-(** The fold behind the bands above, over any per-fault detection
-    interval: [band (detection t)] is {!effective_coverage_band} [t],
-    and {!Exact} passes its refined intervals. *)
+  patterns:int -> Signal_prob.interval
+(** The fold behind {!coverage_band}, over any per-fault detection
+    interval: [band (detection t)] is {!coverage_band} [t], and
+    {!Exact} passes its refined intervals. *)
 
 val test_length :
   t -> Faults.Fault.t array -> target:float -> max_patterns:int ->
@@ -118,14 +99,3 @@ val resistant :
 val untestable :
   t -> Faults.Fault.t array -> Faults.Fault.t list
 (** Faults with [d_hi = 0] — no detecting input pattern exists. *)
-
-val cutover :
-  t -> Faults.Fault.t array -> ?block:int -> ?min_gain:float ->
-  max_patterns:int -> unit -> int
-(** Predicted point of diminishing returns for random patterns: the
-    smallest multiple of [block] (default 64) at which the predicted
-    marginal gain over the next block — expected newly-detected
-    faults, using each band's midpoint as the point estimate — drops
-    below [min_gain] (default 0.5), capped at [max_patterns].
-    {!Atpg}'s hybrid mode stops random generation here and hands the
-    remainder to PODEM. *)

@@ -100,9 +100,7 @@ let refine_detection t det fault =
   | Untestable -> Signal_prob.point 0.0
   | Unknown -> Detectability.detection det fault
 
-let effective_coverage_band t det = Detectability.band (refine_detection t det)
-
-let coverage_band t det = effective_coverage_band t det ~epsilon:0.0
+let coverage_band t det = Detectability.band (refine_detection t det)
 
 let predicted_curve t det universe ~counts =
   Array.map (fun n -> (n, coverage_band t det universe ~patterns:n)) counts

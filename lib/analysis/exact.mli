@@ -16,7 +16,7 @@
     Budget exhaustion is a per-fault event, not a global failure: a
     fault whose difference BDD blows the budget gets verdict
     {!Unknown} and downstream consumers fall back to the interval
-    analyses for that fault alone ({!refine_detection}).  This is why
+    analyses for that fault alone ({!coverage_band}).  This is why
     intervals remain in the codebase: they are the always-available
     sound fallback; the BDD pass is the sharpener.
 
@@ -85,16 +85,9 @@ val cache_hit_rate : t -> float
     always contained in the corresponding interval band, and equals it
     when nothing was classified. *)
 
-val refine_detection :
-  t -> Detectability.t -> Faults.Fault.t -> Signal_prob.interval
-
 val coverage_band :
   t -> Detectability.t -> Faults.Fault.t array -> patterns:int ->
   Signal_prob.interval
-
-val effective_coverage_band :
-  t -> Detectability.t -> Faults.Fault.t array -> epsilon:float ->
-  patterns:int -> Signal_prob.interval
 
 val predicted_curve :
   t -> Detectability.t -> Faults.Fault.t array -> counts:int array ->

@@ -172,8 +172,3 @@ let detection_function t (fault : Faults.Fault.t) =
         Robdd.or_ t.man acc (Robdd.xor t.man t.stems.(o) faulty.(o))
       else acc)
     Robdd.zero c.outputs
-
-let pattern_of_sat t sat =
-  let pattern = Array.make (Netlist.num_inputs t.circuit) false in
-  List.iter (fun (lvl, v) -> pattern.(t.order.(lvl)) <- v) sat;
-  pattern

@@ -64,17 +64,9 @@ val build : ?budget:int -> ?order:int array -> Circuit.Netlist.t -> t
     [Invalid_argument] if [order] is not a permutation of the input
     positions. *)
 
-val output_nodes : t -> Robdd.node array
-(** Per primary output, in output order. *)
-
 val total_nodes : t -> int
 (** Shared node count of the primary-output functions. *)
 
 val detection_function : t -> Faults.Fault.t -> Robdd.node
 (** The Boolean difference [D_f] described above.  May raise
     {!Robdd.Exceeded}. *)
-
-val pattern_of_sat : t -> (int * bool) list -> bool array
-(** Expand a satisfying path ({!Robdd.any_sat}) into a full input
-    pattern in primary-input position order; don't-care positions
-    default to 0. *)

@@ -44,7 +44,6 @@ let create ?(budget = default_budget) ~num_vars () =
   t.level.(one) <- num_vars;
   t
 
-let num_vars t = t.num_vars
 let budget t = t.budget
 let size t = t.next
 let cache_lookups t = t.lookups

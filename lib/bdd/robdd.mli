@@ -11,7 +11,7 @@
     checking is [=], tautology/unsatisfiability is comparison against
     a terminal.
 
-    All connectives are derived from a single memoized {!ite}
+    All connectives are derived from a single memoized [ite]
     (if-then-else) operator with the classic computed table; repeated
     subproblems cost one hash lookup.  Complement edges are
     deliberately {e not} used — they buy a constant factor at the cost
@@ -56,7 +56,6 @@ val create : ?budget:int -> num_vars:int -> unit -> t
     node count including terminals; raises [Invalid_argument] when
     [num_vars < 0] or [budget < 2]. *)
 
-val num_vars : t -> int
 val budget : t -> int
 
 val size : t -> int
@@ -74,10 +73,6 @@ val and_ : t -> node -> node -> node
 val or_ : t -> node -> node -> node
 val xor : t -> node -> node -> node
 val xnor : t -> node -> node -> node
-
-val ite : t -> node -> node -> node -> node
-(** [ite t f g h] is the function [if f then g else h]; all other
-    connectives are instances of it. *)
 
 val eval : t -> node -> bool array -> bool
 (** [eval t n assignment] — the function's value under [assignment]

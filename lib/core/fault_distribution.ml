@@ -15,12 +15,6 @@ let p t n =
 
 let average_faults t = (1.0 -. t.yield_) *. t.n0
 
-let mean_conditional t = t.n0
-
-let cdf t n =
-  if n < 0 then 0.0
-  else t.yield_ +. ((1.0 -. t.yield_) *. Stats.Dist.Shifted_poisson.cdf (conditional t) n)
-
 let sample t rng =
   if Stats.Rng.uniform rng < t.yield_ then 0
   else Stats.Dist.Shifted_poisson.sample (conditional t) rng

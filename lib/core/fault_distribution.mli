@@ -21,12 +21,6 @@ val p : t -> int -> float
 val average_faults : t -> float
 (** Eq. 2: [nav = (1 - y) n0] — mean faults over {e all} chips. *)
 
-val mean_conditional : t -> float
-(** Mean faults given the chip is defective: [n0] itself. *)
-
-val cdf : t -> int -> float
-(** P(faults <= n). *)
-
 val sample : t -> Stats.Rng.t -> int
 (** Number of faults on one simulated chip (0 with probability y). *)
 

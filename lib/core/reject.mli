@@ -26,10 +26,9 @@ val reject_band : yield_:float -> n0:float -> float * float -> float * float
 (** [reject_band ~yield_ ~n0 (f_lo, f_hi)] maps a fault-coverage band
     to the implied field-reject-rate band [(r_lo, r_hi)].  [r(f)] is
     decreasing in [f], so [r_lo = r(f_hi)] and [r_hi = r(f_lo)].  Used
-    with the static coverage bands of {!Analysis.Detectability} (and
-    their n-detection effective-coverage variant) to predict a reject
-    band before any pattern exists.  Raises [Invalid_argument] on an
-    inverted band. *)
+    with the static coverage bands of {!Analysis.Detectability} and
+    {!Analysis.Exact} to predict a reject band before any pattern
+    exists.  Raises [Invalid_argument] on an inverted band. *)
 
 val p_reject : yield_:float -> n0:float -> float -> float
 (** Eq. 9: probability that a chip fails a test program of coverage

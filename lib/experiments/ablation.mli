@@ -20,22 +20,12 @@ type line_model_row = {
   empirical_yield : float;
 }
 
-val line_model_bias : ?scale:int -> ?lot_size:int -> unit -> line_model_row list
-(** Fit quality on the ideal (Eq. 1) line versus the clustered physical
-    line: quantifies how defect clustering biases the estimators the
-    paper proposes. *)
-
 type tester_row = {
   mode : string;
   escapes : int;
   failed_total : int;
   mean_first_fail : float;
 }
-
-val tester_fidelity : ?scale:int -> ?lot_size:int -> unit -> tester_row list
-(** Single-fault first-detection lookup versus exact multiple-fault
-    simulation of each defective chip: measures how much fault masking
-    (ignored by the paper's urn model) shifts the observed curve. *)
 
 type dispersion_row = {
   dispersion : float;
@@ -54,11 +44,6 @@ type atpg_engine_row = {
   total_implications : int;
   aborted_faults : int;
 }
-
-val atpg_engines : ?bits:int -> ?hardest:int -> unit -> atpg_engine_row list
-(** Search effort of PODEM under its two backtrace guidances —
-    level-guided and SCOAP-guided — on the [hardest] faults (by SCOAP
-    difficulty) of a [bits]-wide array multiplier. *)
 
 val render : unit -> string
 (** All studies (runs two small pipelines; a few seconds). *)

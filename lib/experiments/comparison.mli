@@ -17,8 +17,4 @@ val rows : ?yield_:float -> ?n0:float -> unit -> row list
 (** Defaults: the paper's example (y = 0.07, n0 = 8) at
     r = 0.01, 0.005, 0.001. *)
 
-val pessimism_series : yield_:float -> n0:float -> Report.Series.t
-(** Wadsack-to-ours reject-rate ratio across coverage — how many times
-    the old model over-predicts escapes. *)
-
 val render : unit -> string

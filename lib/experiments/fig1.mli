@@ -1,9 +1,6 @@
 (** Fig. 1 — field reject rate versus fault coverage for yields 0.80
     and 0.20, each at n0 = 2 and n0 = 10 (semi-log, Eq. 8). *)
 
-val cases : (float * float) list
-(** The paper's four (yield, n0) combinations. *)
-
 val series : unit -> Report.Series.t list
 (** One r(f) curve per case, f swept over [0, 1]. *)
 

@@ -90,8 +90,9 @@ let render ?run () =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "slope estimate from first paper point: P'(0) = %.2f (paper 8.2), n0 = %.2f (paper 8.8)\n"
-       slope_raw slope_corrected);
+       "slope estimate from first paper point: P'(0) = %.2f (paper %.1f), n0 = %.2f (paper %.1f)\n"
+       slope_raw Paper_data.slope_n0_raw slope_corrected
+       Paper_data.slope_n0_corrected);
   (match run with
   | None -> ()
   | Some r ->

@@ -6,8 +6,6 @@
     {!Paper_data.table1}), and the reproduction's simulated wafer lot
     from a {!Pipeline.run}. *)
 
-val n0_family : float list
-
 val family : yield_:float -> Report.Series.t list
 (** P(f) curves for each n0 in the family. *)
 
@@ -15,11 +13,8 @@ val paper_points : unit -> Report.Series.t
 (** The paper's ten Table-1 points. *)
 
 val simulated_rows : Pipeline.run -> Tester.Wafer_test.row list
-(** The raw checkpoint rows behind {!simulated_points}. *)
-
-val simulated_points : Pipeline.run -> Report.Series.t
-(** Checkpoints of the simulated lot at doubling pattern prefixes
-    (coverage-deduplicated). *)
+(** The simulated lot's checkpoints at doubling pattern prefixes
+    (coverage-deduplicated), as {!render} plots them. *)
 
 val simulated_estimate_points : Pipeline.run -> Quality.Estimate.point list
 (** The same checkpoints in estimator form. *)

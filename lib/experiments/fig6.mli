@@ -2,12 +2,6 @@
     exact (A.1), second-order (A.2) and simple [(1-f)^n] (A.3) versus
     coverage, for N = 1000 and a range of fault counts n. *)
 
-val total_sites : int
-(** N = 1000 as in the paper's figure. *)
-
-val fault_counts : int list
-(** n ∈ {1, 2, 4, 8, 16, 32}. *)
-
 val series : unit -> Report.Series.t list
 (** Exact curves for each n, plus the A.3 approximation for the largest
     n where its error is visible. *)

@@ -206,12 +206,6 @@ let raw_coverage run =
   let raw_size = Array.length run.universe + Array.length run.untestable in
   if raw_size = 0 then 0.0 else float_of_int detected /. float_of_int raw_size
 
-let estimation_points run ~at_coverages =
-  Tester.Wafer_test.rows_at_coverages run.outcome run.program ~coverages:at_coverages
-  |> List.map (fun row ->
-         { Quality.Estimate.coverage = row.Tester.Wafer_test.coverage;
-           fraction_failed = row.Tester.Wafer_test.fraction_failed })
-
 let true_n0 run = Fab.Lot.mean_faults_on_defective run.lot
 
 let true_yield run = Fab.Lot.empirical_yield run.lot

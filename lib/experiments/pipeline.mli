@@ -104,10 +104,6 @@ val calibrated_multiplicity : config -> lambda:float -> float
 (** Faults-per-defect mean needed so [expected_n0 = target_n0] given
     the mean defect count [lambda]. *)
 
-val estimation_points :
-  run -> at_coverages:float list -> Quality.Estimate.point list
-(** Table-1-style checkpoints for the estimators. *)
-
 val true_n0 : run -> float
 (** The lot's actual mean fault count on defective chips — the value
     the estimators are trying to recover. *)

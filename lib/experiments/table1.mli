@@ -1,13 +1,6 @@
 (** Table 1 — result of chip test: cumulative chips failed versus fault
     coverage, paper data side by side with the simulated lot. *)
 
-val paper_side : unit -> string list list
-(** The paper's rows, formatted. *)
-
-val simulated_side : Pipeline.run -> string list list
-(** The reproduction's rows at the same coverage checkpoints where the
-    simulated program reaches them. *)
-
 type estimates = {
   fit_n0 : float;
   slope_nav : float;

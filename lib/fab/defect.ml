@@ -7,7 +7,7 @@ type t = {
 }
 
 let create ~yield_model ~fault_multiplicity ~universe_size ?(locality_window = 16) () =
-  if fault_multiplicity < 1.0 then
+  if not (1.0 <= fault_multiplicity) then
     invalid_arg "Defect.create: multiplicity must be >= 1 (a defect causes at least one fault)";
   if universe_size <= 0 then invalid_arg "Defect.create: empty fault universe";
   if locality_window < 1 then invalid_arg "Defect.create: locality window must be >= 1";
@@ -55,7 +55,7 @@ let sample_chip t rng =
   end
 
 let shrink t ~area_factor ~multiplicity_factor =
-  if area_factor <= 0.0 || multiplicity_factor <= 0.0 then
+  if not (0.0 < area_factor && 0.0 < multiplicity_factor) then
     invalid_arg "Defect.shrink: factors must be positive";
   let ym = t.yield_model in
   let yield_model =

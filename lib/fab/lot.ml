@@ -31,9 +31,9 @@ let manufacture defect rng ~count =
 
 let manufacture_ideal ~yield_ ~n0 ~universe_size rng ~count =
   if count <= 0 then invalid_arg "Lot.manufacture_ideal: nonpositive lot size";
-  if yield_ < 0.0 || yield_ > 1.0 then
+  if not (0.0 <= yield_ && yield_ <= 1.0) then
     invalid_arg "Lot.manufacture_ideal: yield outside [0,1]";
-  if n0 < 1.0 then invalid_arg "Lot.manufacture_ideal: n0 must be >= 1";
+  if not (1.0 <= n0) then invalid_arg "Lot.manufacture_ideal: n0 must be >= 1";
   if universe_size <= 0 then invalid_arg "Lot.manufacture_ideal: empty universe";
   Obs.Trace.with_span "fab.lot.manufacture_ideal" @@ fun () ->
   let progress = Obs.Progress.start ~label:"fab.lot" ~total:count () in

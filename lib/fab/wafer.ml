@@ -17,7 +17,8 @@ let die_positions diameter =
 
 let fabricate defect rng ~diameter ?(edge_factor = 3.0) () =
   if diameter < 3 then invalid_arg "Wafer.fabricate: diameter too small";
-  if edge_factor < 1.0 then invalid_arg "Wafer.fabricate: edge_factor must be >= 1";
+  if not (1.0 <= edge_factor) then
+    invalid_arg "Wafer.fabricate: edge_factor must be >= 1";
   let base = Defect.yield_model defect in
   (* Normalize so the disc-averaged density equals the model's D0:
      mean over the disc of (1 + (e-1) r^2) with area weighting is

@@ -1,9 +1,9 @@
 type t = { defect_density : float; area : float; variance_ratio : float }
 
 let create ~defect_density ~area ~variance_ratio =
-  if defect_density < 0.0 then invalid_arg "Yield_model.create: negative D0";
-  if area <= 0.0 then invalid_arg "Yield_model.create: nonpositive area";
-  if variance_ratio < 0.0 then invalid_arg "Yield_model.create: negative X";
+  if not (0.0 <= defect_density) then invalid_arg "Yield_model.create: negative D0";
+  if not (0.0 < area) then invalid_arg "Yield_model.create: nonpositive area";
+  if not (0.0 <= variance_ratio) then invalid_arg "Yield_model.create: negative X";
   { defect_density; area; variance_ratio }
 
 let lambda t = t.defect_density *. t.area
@@ -33,7 +33,7 @@ let defect_count_distribution t =
   else Dist_kind.Neg_binomial { mean = lambda t; alpha = clustering_alpha t }
 
 let solve_defect_density ~target_yield ~area ~variance_ratio =
-  if target_yield <= 0.0 || target_yield >= 1.0 then
+  if not (0.0 < target_yield && target_yield < 1.0) then
     invalid_arg "Yield_model.solve_defect_density: yield outside (0,1)";
   (* Closed forms exist for both branches of Eq. 3. *)
   if variance_ratio = 0.0 then -.log target_yield /. area

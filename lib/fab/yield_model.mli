@@ -33,9 +33,6 @@ val murphy_yield : t -> float
 val seeds_yield : t -> float
 (** Seeds' exponential-distribution model [1 / (1 + D0 A)]. *)
 
-val clustering_alpha : t -> float
-(** α = 1/X, the negative-binomial shape parameter; [infinity] at X=0. *)
-
 val defect_count_distribution : t -> Dist_kind.t
 (** The per-chip physical-defect count law implied by the model:
     NegBinomial(mean = D0·A, α = 1/X), degenerating to Poisson at X=0. *)

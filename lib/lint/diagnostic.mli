@@ -22,12 +22,6 @@ val make :
   string -> t
 (** Build a diagnostic, resolving [node]'s name from the netlist. *)
 
-val severity_to_string : severity -> string
-(** ["error"], ["warning"] or ["info"]. *)
-
-val severity_rank : severity -> int
-(** Error = 0, Warning = 1, Info = 2 — ascending = decreasing urgency. *)
-
 val compare : t -> t -> int
 (** Severity first, then rule id, then node id — the rendering order. *)
 

@@ -6,17 +6,6 @@
     reconvergence statistics.  The untestable-fault proofs are
     {!Analysis.Untestable}'s. *)
 
-val reachable_to_output : Circuit.Netlist.t -> bool array
-(** Per node: does some primary output lie in its fanout cone?  (An
-    output node is trivially reachable to itself.) *)
-
-val reconvergent_stems : Circuit.Netlist.t -> ?budget_bits:int -> unit -> int list option
-(** Fanout stems (fanout > 1) some two branches of which meet again at
-    a later gate — the structures that break fanout-free-region
-    arguments and make fault effects mask each other.  Computed with
-    per-node stem bitsets; [None] when [nodes * stems] exceeds
-    [budget_bits] (default 64M) and the analysis is skipped. *)
-
 val diagnostics :
   ?fanout_threshold:int ->
   Circuit.Netlist.t -> Analysis.Ternary.t -> Diagnostic.t list

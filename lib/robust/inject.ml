@@ -45,8 +45,6 @@ let clear name =
   if Hashtbl.length points = 0 then Atomic.set armed false;
   Mutex.unlock mutex
 
-let active () = Atomic.get armed
-
 (* Numerical Recipes LCG on the odd-initialised 64-bit state; the top
    53 bits give a uniform float in [0, 1). *)
 let next_uniform pt =

@@ -35,9 +35,6 @@ val hit : string -> unit
 val hits : string -> int
 (** How many times the named (armed) failpoint has been hit. *)
 
-val active : unit -> bool
-(** Whether any failpoint is armed. *)
-
 val parse_spec : string -> ((string * trigger) list, string) result
 (** Parse a failpoint spec: entries separated by [','] or [';'], each
     [name=nth:N], [name=first:N] or [name=prob:P[:SEED]]. *)

@@ -2,7 +2,7 @@ module Poisson = struct
   type t = { lambda : float }
 
   let create lambda =
-    if lambda < 0.0 then invalid_arg "Poisson.create: negative mean";
+    if not (0.0 <= lambda) then invalid_arg "Poisson.create: negative mean";
     { lambda }
 
   let log_pmf { lambda } k =
@@ -26,7 +26,7 @@ module Shifted_poisson = struct
   type t = { n0 : float }
 
   let create n0 =
-    if n0 < 1.0 then invalid_arg "Shifted_poisson.create: n0 must be >= 1";
+    if not (1.0 <= n0) then invalid_arg "Shifted_poisson.create: n0 must be >= 1";
     { n0 }
 
   let pmf { n0 } n =
@@ -45,7 +45,7 @@ module Binomial = struct
 
   let create ~n ~p =
     if n < 0 then invalid_arg "Binomial.create: negative n";
-    if p < 0.0 || p > 1.0 then invalid_arg "Binomial.create: p outside [0,1]";
+    if not (0.0 <= p && p <= 1.0) then invalid_arg "Binomial.create: p outside [0,1]";
     { n; p }
 
   let log_pmf { n; p } k =
@@ -134,7 +134,7 @@ module Geometric = struct
   type t = { p : float }
 
   let create p =
-    if p <= 0.0 || p > 1.0 then invalid_arg "Geometric.create: p outside (0,1]";
+    if not (0.0 < p && p <= 1.0) then invalid_arg "Geometric.create: p outside (0,1]";
     { p }
 
   let pmf { p } k = if k < 0 then 0.0 else p *. ((1.0 -. p) ** float_of_int k)
@@ -151,8 +151,8 @@ module Neg_binomial = struct
   type t = { mean : float; alpha : float }
 
   let create ~mean ~alpha =
-    if mean < 0.0 then invalid_arg "Neg_binomial.create: negative mean";
-    if alpha <= 0.0 then invalid_arg "Neg_binomial.create: nonpositive alpha";
+    if not (0.0 <= mean) then invalid_arg "Neg_binomial.create: negative mean";
+    if not (0.0 < alpha) then invalid_arg "Neg_binomial.create: nonpositive alpha";
     { mean; alpha }
 
   let log_pmf { mean; alpha } k =
@@ -185,7 +185,7 @@ module Exponential = struct
   type t = { mean : float }
 
   let create mean =
-    if mean <= 0.0 then invalid_arg "Exponential.create: nonpositive mean";
+    if not (0.0 < mean) then invalid_arg "Exponential.create: nonpositive mean";
     { mean }
 
   let pdf { mean } x = if x < 0.0 then 0.0 else exp (-.x /. mean) /. mean
@@ -199,7 +199,7 @@ module Gamma_dist = struct
   type t = { shape : float; scale : float }
 
   let create ~shape ~scale =
-    if shape <= 0.0 || scale <= 0.0 then
+    if not (0.0 < shape && 0.0 < scale) then
       invalid_arg "Gamma_dist.create: nonpositive parameter";
     { shape; scale }
 
@@ -223,7 +223,7 @@ module Normal = struct
   type t = { mu : float; sigma : float }
 
   let create ~mu ~sigma =
-    if sigma <= 0.0 then invalid_arg "Normal.create: nonpositive sigma";
+    if not (0.0 < sigma) then invalid_arg "Normal.create: nonpositive sigma";
     { mu; sigma }
 
   let pdf { mu; sigma } x =
@@ -236,7 +236,7 @@ module Normal = struct
 
   (* Acklam's rational approximation refined with one Newton step. *)
   let quantile t p =
-    if p <= 0.0 || p >= 1.0 then invalid_arg "Normal.quantile: p outside (0,1)";
+    if not (0.0 < p && p < 1.0) then invalid_arg "Normal.quantile: p outside (0,1)";
     let a =
       [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
          1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]

@@ -36,7 +36,7 @@ let sum_squared_error ~model points =
 
 let fit_scalar ?(grid = 64) ~loss ~lo ~hi () =
   if grid < 2 then invalid_arg "Fit.fit_scalar: grid too small";
-  if hi <= lo then invalid_arg "Fit.fit_scalar: empty interval";
+  if not (lo < hi) then invalid_arg "Fit.fit_scalar: empty interval";
   let step = (hi -. lo) /. float_of_int (grid - 1) in
   let best_index = ref 0 and best_loss = ref infinity in
   for i = 0 to grid - 1 do
@@ -70,7 +70,7 @@ let bootstrap ~resamples rng ~statistic samples =
   Array.of_list (List.rev !values)
 
 let percentile_interval distribution ~level =
-  if level <= 0.0 || level >= 1.0 then
+  if not (0.0 < level && level < 1.0) then
     invalid_arg "Fit.percentile_interval: level outside (0,1)";
   let tail = (1.0 -. level) /. 2.0 in
   (Summary.quantile distribution tail, Summary.quantile distribution (1.0 -. tail))

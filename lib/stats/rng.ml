@@ -57,7 +57,7 @@ let float rng x = uniform rng *. x
 let bernoulli rng p = uniform rng < p
 
 let exponential rng mean =
-  if mean < 0.0 then invalid_arg "Rng.exponential: negative mean";
+  if not (0.0 <= mean) then invalid_arg "Rng.exponential: negative mean";
   -.mean *. log (uniform_pos rng)
 
 let normal rng ~mu ~sigma =
@@ -80,7 +80,8 @@ let normal rng ~mu ~sigma =
     mu +. (sigma *. polar ())
 
 let rec gamma rng ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.gamma: nonpositive parameter";
+  if not (0.0 < shape && 0.0 < scale) then
+    invalid_arg "Rng.gamma: nonpositive parameter";
   if shape < 1.0 then begin
     (* Boost: Gamma(a) = Gamma(a+1) * U^{1/a}. *)
     let g = gamma rng ~shape:(shape +. 1.0) ~scale:1.0 in
@@ -105,25 +106,31 @@ let rec gamma rng ~shape ~scale =
     scale *. loop ()
   end
 
-let rec poisson rng lambda =
+let poisson rng lambda =
+  (* The halving below ends only for a finite mean: NaN and infinity
+     never drop below 30. *)
+  if not (Float.is_finite lambda) then invalid_arg "Rng.poisson: mean not finite";
   if lambda < 0.0 then invalid_arg "Rng.poisson: negative mean";
-  if lambda = 0.0 then 0
-  else if lambda < 30.0 then begin
-    (* Knuth: multiply uniforms until the product drops below e^{-lambda}. *)
-    let threshold = exp (-.lambda) in
-    let rec loop k p =
-      let p = p *. uniform rng in
-      if p <= threshold then k else loop (k + 1) p
-    in
-    loop 0 1.0
-  end
-  else
-    (* Poisson additivity keeps the Knuth loop short without approximation. *)
-    poisson rng (lambda /. 2.0) + poisson rng (lambda /. 2.0)
+  let rec draw lambda =
+    if lambda = 0.0 then 0
+    else if lambda < 30.0 then begin
+      (* Knuth: multiply uniforms until the product drops below e^{-lambda}. *)
+      let threshold = exp (-.lambda) in
+      let rec loop k p =
+        let p = p *. uniform rng in
+        if p <= threshold then k else loop (k + 1) p
+      in
+      loop 0 1.0
+    end
+    else
+      (* Poisson additivity keeps the Knuth loop short without approximation. *)
+      draw (lambda /. 2.0) + draw (lambda /. 2.0)
+  in
+  draw lambda
 
 let binomial rng ~n ~p =
   if n < 0 then invalid_arg "Rng.binomial: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Rng.binomial: p outside [0,1]";
+  if not (0.0 <= p && p <= 1.0) then invalid_arg "Rng.binomial: p outside [0,1]";
   if p = 0.0 || n = 0 then 0
   else if p = 1.0 then n
   else begin
@@ -143,8 +150,8 @@ let binomial rng ~n ~p =
   end
 
 let neg_binomial rng ~mean ~alpha =
-  if mean < 0.0 then invalid_arg "Rng.neg_binomial: negative mean";
-  if alpha <= 0.0 then invalid_arg "Rng.neg_binomial: nonpositive alpha";
+  if not (0.0 <= mean) then invalid_arg "Rng.neg_binomial: negative mean";
+  if not (0.0 < alpha) then invalid_arg "Rng.neg_binomial: nonpositive alpha";
   if mean = 0.0 then 0
   else begin
     let rate = gamma rng ~shape:alpha ~scale:(mean /. alpha) in

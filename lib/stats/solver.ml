@@ -79,7 +79,7 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
   end
 
 let find_bracket ?(grow = 1.6) ?(max_iter = 60) ~f ~lo ~hi () =
-  if lo >= hi then invalid_arg "Solver.find_bracket: empty interval";
+  if not (lo < hi) then invalid_arg "Solver.find_bracket: empty interval";
   let rec loop lo hi flo fhi iter =
     if not (same_sign flo fhi) then Some (lo, hi)
     else if iter = 0 then None

@@ -5,7 +5,7 @@ let lanczos_coefficients =
      -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
 
 let rec log_gamma x =
-  if x <= 0.0 then invalid_arg "Special.log_gamma: nonpositive argument";
+  if not (0.0 < x) then invalid_arg "Special.log_gamma: nonpositive argument";
   if x < 0.5 then
     (* Reflection keeps the Lanczos series in its accurate region. *)
     log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1.0 -. x)
@@ -73,23 +73,21 @@ let gamma_q_continued_fraction a x =
   !h *. exp ((-.x) +. (a *. log x) -. log_gamma a)
 
 let gamma_p a x =
-  if a <= 0.0 then invalid_arg "Special.gamma_p: nonpositive a";
-  if x < 0.0 then invalid_arg "Special.gamma_p: negative x";
+  if not (0.0 < a) then invalid_arg "Special.gamma_p: nonpositive a";
+  if not (0.0 <= x) then invalid_arg "Special.gamma_p: negative x";
   if x = 0.0 then 0.0
   else if x < a +. 1.0 then gamma_p_series a x
   else 1.0 -. gamma_q_continued_fraction a x
 
 let gamma_q a x =
-  if a <= 0.0 then invalid_arg "Special.gamma_q: nonpositive a";
-  if x < 0.0 then invalid_arg "Special.gamma_q: negative x";
+  if not (0.0 < a) then invalid_arg "Special.gamma_q: nonpositive a";
+  if not (0.0 <= x) then invalid_arg "Special.gamma_q: negative x";
   if x = 0.0 then 1.0
   else if x < a +. 1.0 then 1.0 -. gamma_p_series a x
   else gamma_q_continued_fraction a x
 
 let erf x =
   if x < 0.0 then -.gamma_p 0.5 (x *. x) else gamma_p 0.5 (x *. x)
-
-let erfc x = 1.0 -. erf x
 
 (* Continued fraction for the incomplete beta (Numerical Recipes betacf). *)
 let betacf a b x =
@@ -126,8 +124,9 @@ let betacf a b x =
   !h
 
 let beta_inc a b x =
-  if a <= 0.0 || b <= 0.0 then invalid_arg "Special.beta_inc: nonpositive parameter";
-  if x < 0.0 || x > 1.0 then invalid_arg "Special.beta_inc: x outside [0,1]";
+  if not (0.0 < a && 0.0 < b) then
+    invalid_arg "Special.beta_inc: nonpositive parameter";
+  if not (0.0 <= x && x <= 1.0) then invalid_arg "Special.beta_inc: x outside [0,1]";
   if x = 0.0 then 0.0
   else if x = 1.0 then 1.0
   else begin

@@ -25,9 +25,6 @@ val gamma_q : float -> float -> float
 val erf : float -> float
 (** Error function. *)
 
-val erfc : float -> float
-(** Complementary error function. *)
-
 val beta_inc : float -> float -> float -> float
 (** [beta_inc a b x] is the regularized incomplete beta I_x(a, b),
     computed with the Lentz continued fraction. *)

@@ -20,8 +20,6 @@ let variance xs =
     !s /. float_of_int (n - 1)
   end
 
-let std_dev xs = sqrt (variance xs)
-
 let minimum xs =
   require_nonempty "Summary.minimum" xs;
   Array.fold_left min xs.(0) xs
@@ -32,7 +30,7 @@ let maximum xs =
 
 let quantile xs q =
   require_nonempty "Summary.quantile" xs;
-  if q < 0.0 || q > 1.0 then invalid_arg "Summary.quantile: q outside [0,1]";
+  if not (0.0 <= q && q <= 1.0) then invalid_arg "Summary.quantile: q outside [0,1]";
   let sorted = Array.copy xs in
   Array.sort compare sorted;
   let n = Array.length sorted in

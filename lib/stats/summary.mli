@@ -6,9 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased (n-1) sample variance; 0 for arrays of length < 2. *)
 
-val std_dev : float array -> float
-(** Square root of {!variance}. *)
-
 val minimum : float array -> float
 val maximum : float array -> float
 

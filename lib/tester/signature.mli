@@ -21,13 +21,6 @@ val create : width:int -> t
 (** A register with a standard primitive feedback polynomial for widths
     4, 8, 16, 24, 32; other widths (2..63) get x^w + x + 1. *)
 
-val step : t -> int64 -> int64 -> int64
-(** [step t state inputs] clocks the MISR once with the (already
-    width-masked) parallel input word. *)
-
-val fold_outputs : t -> bool array -> int64
-(** XOR-fold a per-output response vector into the register width. *)
-
 val good_signature : t -> Circuit.Netlist.t -> bool array array -> int64
 (** Signature of the fault-free machine over the pattern stream. *)
 

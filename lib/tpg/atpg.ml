@@ -6,15 +6,12 @@ type config = {
   use_analysis : bool;
   learn_depth : int;
   exact_budget : int option;
-  hybrid : bool;
-  resistant_threshold : float;
   podem_time_budget_s : float option;
 }
 
 let default_config =
   { random_budget = 512; random_target = 0.90; backtrack_limit = 2000; seed = 7;
-    use_analysis = false; learn_depth = 1;
-    exact_budget = None; hybrid = false; resistant_threshold = 0.01;
+    use_analysis = false; learn_depth = 1; exact_budget = None;
     podem_time_budget_s = None }
 
 type report = {
@@ -25,7 +22,6 @@ type report = {
   untestable : int;
   aborted : int;
   unknown : int;
-  predicted_cutover : int option;
 }
 
 type checkpointing = { path : string; every : int; resume : bool }
@@ -37,8 +33,10 @@ let ckpt_kind = "atpg"
 (* Everything that shapes the deterministic computation is part of the
    checkpoint identity: the random phase and the target order are
    re-derived on resume, so they must be re-derived from the same
-   inputs.  ["engine"] is always ["podem"]; it stays in the identity so
-   existing checkpoint files still validate. *)
+   inputs.  ["engine"] is always ["podem"], ["hybrid"] always [false]
+   and ["resistant_threshold"] always [0.01]: they stay in the identity
+   so existing checkpoint files still validate, and one written with
+   the old hybrid mode on is still refused. *)
 let ckpt_fields config c faults =
   let opt_int = function
     | Some n -> Report.Json.Int n
@@ -55,8 +53,8 @@ let ckpt_fields config c faults =
     ("use_analysis", Report.Json.Bool config.use_analysis);
     ("learn_depth", Report.Json.Int config.learn_depth);
     ("exact_budget", opt_int config.exact_budget);
-    ("hybrid", Report.Json.Bool config.hybrid);
-    ("resistant_threshold", Report.Json.Float config.resistant_threshold) ]
+    ("hybrid", Report.Json.Bool false);
+    ("resistant_threshold", Report.Json.Float 0.01) ]
 
 let pattern_to_json pattern =
   Report.Json.String
@@ -142,10 +140,10 @@ let rec drop n l =
 
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
+  if config.learn_depth < 0 then invalid_arg "Atpg.run: negative learn_depth";
   Obs.Trace.with_span "atpg.run" @@ fun () ->
-  let want_exact = config.exact_budget <> None in
   let analysis =
-    if config.use_analysis || config.hybrid || want_exact then
+    if config.use_analysis || config.exact_budget <> None then
       Some
         (Analysis.Engine.build
            ~learn_depth:
@@ -154,41 +152,11 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
            c)
     else None
   in
-  let podem_analysis =
-    if config.use_analysis || want_exact then analysis else None
-  in
-  let detectability =
-    match analysis with
-    | Some a when config.hybrid -> Some (Analysis.Engine.detectability a)
-    | _ -> None
-  in
-  (* Hybrid cutover: stop random generation where the statically
-     predicted marginal gain of the next block flattens, instead of
-     burning the whole budget; PODEM picks up the resistant tail. *)
-  let predicted_cutover =
-    match detectability with
-    | Some det ->
-      Some
-        (Analysis.Detectability.cutover det faults
-           ~max_patterns:config.random_budget ())
-    | None -> None
-  in
-  let random_cap =
-    match predicted_cutover with
-    | Some n -> n
-    | None -> config.random_budget
-  in
   let rng = Stats.Rng.create ~seed:config.seed () in
   let random_patterns, random_profile =
     Obs.Trace.with_span "atpg.random" (fun () ->
-        if random_cap = 0 then
-          ( [||],
-            { Fsim.Coverage.universe_size = Array.length faults;
-              pattern_count = 0;
-              first_detection = Array.make (Array.length faults) None } )
-        else
-          Random_tpg.until_coverage rng c faults ~target:config.random_target
-            ~max_patterns:random_cap)
+        Random_tpg.until_coverage rng c faults ~target:config.random_target
+          ~max_patterns:config.random_budget)
   in
   let total = Array.length faults in
   let first_detection = Array.copy random_profile.Fsim.Coverage.first_detection in
@@ -196,22 +164,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   Array.iteri
     (fun i d -> if d = None then remaining := i :: !remaining)
     first_detection;
-  let remaining_order =
-    let order = List.rev !remaining in
-    match detectability with
-    | Some det ->
-      (* Target the provably random-pattern-resistant faults first:
-         their patterns also mop up the merely-unlucky ones. *)
-      let resistant, rest =
-        List.partition
-          (fun i ->
-            (Analysis.Detectability.detection det faults.(i))
-              .Analysis.Signal_prob.hi < config.resistant_threshold)
-          order
-      in
-      resistant @ rest
-    | None -> order
-  in
+  let remaining_order = List.rev !remaining in
   let remaining = ref remaining_order in
   let extra = ref [] in
   let extra_count = ref 0 in
@@ -288,7 +241,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
         let verdict, _ =
           Podem.generate ~backtrack_limit:config.backtrack_limit
             ?time_budget_s:config.podem_time_budget_s ~cancel
-            ?analysis:podem_analysis c faults.(target)
+            ?analysis c faults.(target)
         in
         match verdict with
         | Podem.Aborted when Robust.Cancel.stop_requested cancel ->
@@ -335,9 +288,6 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   let unknown =
     List.length (List.filter (fun i -> first_detection.(i) = None) !remaining)
   in
-  (match predicted_cutover with
-  | Some n -> Obs.Trace.add_int "predicted_cutover" n
-  | None -> ());
   Obs.Trace.add_int "random_patterns" (Array.length random_patterns);
   Obs.Trace.add_int "deterministic_patterns" !extra_count;
   Obs.Trace.add_int "untestable" !untestable;
@@ -359,6 +309,6 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   in
   { patterns; profile; random_patterns = Array.length random_patterns;
     deterministic_patterns = !extra_count; untestable = !untestable;
-    aborted = !aborted; unknown; predicted_cutover }
+    aborted = !aborted; unknown }
 
 let coverage report = Fsim.Coverage.final_coverage report.profile

@@ -19,26 +19,13 @@ type config = {
           untestable, and the search order, and with it the
           deterministic patterns, may differ.  Default off. *)
   learn_depth : int;
-      (** Implication learning depth when [use_analysis] is set. *)
+      (** Implication learning depth when [use_analysis] is set.  Must
+          be >= 0 whether or not an engine is built. *)
   exact_budget : int option;
       (** When [Some budget], build the {!Analysis.Exact} ROBDD bundle
           into the engine, so that the untestability proofs PODEM asks
           for before search include the BDD's exact redundancies.
           Default [None]. *)
-  hybrid : bool;
-      (** Principled random/deterministic cutover: cap the random
-          phase at {!Analysis.Detectability.cutover} — the statically
-          predicted pattern count where the marginal gain of another
-          64-pattern block flattens — instead of the full
-          [random_budget], and order the deterministic phase so the
-          provably random-pattern-resistant faults
-          ([d_hi < resistant_threshold]) are targeted first.  On
-          random-pattern-resistant circuits this reaches at least the
-          pure-random coverage with fewer total patterns (checked on
-          a 5-to-32 decoder by the [tpg] tests).  Default off. *)
-  resistant_threshold : float;
-      (** Detection-probability bound below which a fault counts as
-          random-pattern-resistant in hybrid mode (default 0.01). *)
   podem_time_budget_s : float option;
       (** Per-fault wall-clock budget for each {!Podem.generate} call;
           a fault whose search exceeds it counts as [aborted].  Makes
@@ -59,9 +46,6 @@ type report = {
       (** Targets never reached (or interrupted mid-search) because the
           cancel token fired: no verdict at all, retried on resume.
           Always 0 on an uncancelled run. *)
-  predicted_cutover : int option;
-      (** Static random-phase cap used by hybrid mode; [None] when
-          [hybrid] was off. *)
 }
 
 type checkpointing = {
@@ -93,7 +77,7 @@ val run :
     untestable or aborted count, more verdicts (untestable, aborted and
     extra patterns together) than processed targets, or more processed
     targets than there are.  Raises [Invalid_argument] when
-    [every < 1]. *)
+    [every < 1] or [config.learn_depth < 0]. *)
 
 val coverage : report -> float
 (** Final fault coverage of the generated set. *)

@@ -136,7 +136,42 @@ let test_defect_validation () =
     (try
        ignore (make_defect ~multiplicity:0.5 ());
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* Each range check is written so that NaN fails it; an infinite n0
+     reaches the Poisson sampler, which refuses a non-finite mean. *)
+  let nan = Float.nan and inf = Float.infinity in
+  let rng = Stats.Rng.create ~seed:5 () in
+  let ideal ~yield_ ~n0 () =
+    Fab.Lot.manufacture_ideal ~yield_ ~n0 ~universe_size:100 rng ~count:10
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) name true
+        (try
+           f ();
+           false
+         with Invalid_argument _ -> true))
+    [ ("target yield nan", fun () -> ignore (make_defect ~target:nan ()));
+      ("D0 nan", fun () -> ignore (model ~d0:nan ~area:1.0 ~x:0.25));
+      ("area nan", fun () -> ignore (model ~d0:1.0 ~area:nan ~x:0.25));
+      ("X nan", fun () -> ignore (model ~d0:1.0 ~area:1.0 ~x:nan));
+      ("multiplicity nan", fun () -> ignore (make_defect ~multiplicity:nan ()));
+      ("multiplicity inf", fun () ->
+          (* At 7% yield one of 50 chips is defective but for 1e-58. *)
+          let d = make_defect ~multiplicity:inf () in
+          for _ = 1 to 50 do
+            ignore (Fab.Defect.sample_chip d rng)
+          done);
+      ("shrink nan", fun () ->
+          ignore
+            (Fab.Defect.shrink (make_defect ()) ~area_factor:nan
+               ~multiplicity_factor:1.0));
+      ("ideal yield nan", fun () -> ignore (ideal ~yield_:nan ~n0:8.0 ()));
+      ("ideal n0 nan", fun () -> ignore (ideal ~yield_:0.5 ~n0:nan ()));
+      ("ideal n0 inf", fun () -> ignore (ideal ~yield_:0.0 ~n0:inf ()));
+      ("edge factor nan", fun () ->
+          ignore (Fab.Wafer.fabricate (make_defect ()) rng ~diameter:5
+                    ~edge_factor:nan ())) ]
 
 (* ------------------------------- lots ------------------------------- *)
 

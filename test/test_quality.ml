@@ -746,66 +746,6 @@ let test_p_reject_matches_monte_carlo () =
   Alcotest.(check bool) "P(f) matches" true
     (abs_float (empirical_p -. Quality.Reject.p_reject ~yield_ ~n0 coverage) < 0.005)
 
-(* ------------------------------ ndetect ------------------------------ *)
-
-let test_ndetect_epsilon_zero_collapses () =
-  (* epsilon = 0 is the paper: one detection screens perfectly, so every
-     function must equal its Eq. 5/7/8 counterpart at the plain 1-detect
-     coverage. *)
-  let counts = [| 0; 1; 2; 5; 1; 0; 3 |] in
-  let covered = 5.0 /. 7.0 in
-  Alcotest.(check (float 1e-12)) "effective coverage = 1-detect coverage" covered
-    (Quality.Ndetect.effective_coverage ~epsilon:0.0 counts);
-  Alcotest.(check (float 1e-12)) "q0 = Escape.q0_simple"
-    (Quality.Escape.q0_simple ~faulty:4 ~coverage:covered)
-    (Quality.Ndetect.q0 ~epsilon:0.0 ~faulty:4 counts);
-  Alcotest.(check (float 1e-12)) "ybg = Reject.ybg"
-    (Quality.Reject.ybg ~yield_:0.07 ~n0:8.0 covered)
-    (Quality.Ndetect.ybg ~epsilon:0.0 ~yield_:0.07 ~n0:8.0 counts);
-  Alcotest.(check (float 1e-12)) "reject rate = Reject.reject_rate"
-    (Quality.Reject.reject_rate ~yield_:0.07 ~n0:8.0 covered)
-    (Quality.Ndetect.reject_rate ~epsilon:0.0 ~yield_:0.07 ~n0:8.0 counts)
-
-let test_ndetect_fault_escape () =
-  Alcotest.(check (float 1e-12)) "undetected always escapes" 1.0
-    (Quality.Ndetect.fault_escape ~epsilon:0.3 0);
-  Alcotest.(check (float 1e-12)) "undetected escapes even at eps = 0" 1.0
-    (Quality.Ndetect.fault_escape ~epsilon:0.0 0);
-  Alcotest.(check (float 1e-12)) "one detection leaves eps" 0.3
-    (Quality.Ndetect.fault_escape ~epsilon:0.3 1);
-  Alcotest.(check (float 1e-12)) "three detections leave eps^3" 0.027
-    (Quality.Ndetect.fault_escape ~epsilon:0.3 3);
-  let rejects f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "negative count rejected" true
-    (rejects (fun () -> Quality.Ndetect.fault_escape ~epsilon:0.5 (-1)));
-  Alcotest.(check bool) "epsilon > 1 rejected" true
-    (rejects (fun () -> Quality.Ndetect.fault_escape ~epsilon:1.5 1));
-  Alcotest.(check bool) "negative epsilon rejected" true
-    (rejects (fun () -> Quality.Ndetect.effective_coverage ~epsilon:(-0.1) [| 1 |]))
-
-let test_ndetect_monotone () =
-  (* Deeper detection raises the effective coverage and so lowers the
-     predicted reject rate; at equal 1-detect coverage, any positive
-     epsilon predicts a worse reject rate than the paper. *)
-  let base = [| 1; 1; 1; 1 |] and deep = [| 4; 4; 4; 4 |] in
-  let f_base = Quality.Ndetect.effective_coverage ~epsilon:0.4 base in
-  let f_deep = Quality.Ndetect.effective_coverage ~epsilon:0.4 deep in
-  Alcotest.(check bool) "deeper detection raises f_eff" true (f_deep > f_base);
-  Alcotest.(check bool) "and lowers the reject rate" true
-    (Quality.Ndetect.reject_rate ~epsilon:0.4 ~yield_:0.07 ~n0:8.0 deep
-    < Quality.Ndetect.reject_rate ~epsilon:0.4 ~yield_:0.07 ~n0:8.0 base);
-  let partial = [| 1; 1; 1; 0 |] in
-  Alcotest.(check bool) "positive epsilon is pessimistic vs the paper" true
-    (Quality.Ndetect.reject_rate ~epsilon:0.4 ~yield_:0.07 ~n0:8.0 partial
-    > Quality.Reject.reject_rate ~yield_:0.07 ~n0:8.0 0.75);
-  Alcotest.(check (float 1e-12)) "empty universe" 0.0
-    (Quality.Ndetect.effective_coverage ~epsilon:0.4 [||])
-
 let qcheck_props =
   let open QCheck in
   [ Test.make ~count:300 ~name:"r(f) in [0, 1-y] and decreasing"
@@ -906,9 +846,5 @@ let suite =
     ( "quality.monte_carlo",
       [ tc "Eq.7/Eq.8 vs 200k-chip simulation" test_eq7_eq8_match_monte_carlo;
         tc "Eq.9 vs simulation" test_p_reject_matches_monte_carlo ] );
-    ( "quality.ndetect",
-      [ tc "epsilon = 0 collapses to Eq.5/7/8" test_ndetect_epsilon_zero_collapses;
-        tc "fault escape decays as eps^k" test_ndetect_fault_escape;
-        tc "monotone in detection depth" test_ndetect_monotone ] );
     ( "quality.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props ) ]

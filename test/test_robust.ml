@@ -420,11 +420,22 @@ let test_atpg_checkpoint_mismatch_raises () =
   let ckpt resume = { Tpg.Atpg.path; every = 4; resume } in
   ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe);
   let other = { atpg_config with seed = atpg_config.Tpg.Atpg.seed + 1 } in
-  Alcotest.(check bool) "different seed rejected" true
-    (try
-       ignore (Tpg.Atpg.run ~config:other ~checkpoint:(ckpt true) c universe);
-       false
-     with Robust.Checkpoint.Mismatch _ -> true)
+  let rejected config =
+    try
+      ignore (Tpg.Atpg.run ~config ~checkpoint:(ckpt true) c universe);
+      false
+    with Robust.Checkpoint.Mismatch _ -> true
+  in
+  Alcotest.(check bool) "different seed rejected" true (rejected other);
+  (* The identity still names the hybrid mode that is gone, so a file a
+     hybrid run wrote stays refused. *)
+  (match Robust.Checkpoint.load ~path with
+  | Ok (Report.Json.Obj meta, payload) ->
+    Robust.Checkpoint.save ~path
+      ~meta:(Report.Json.Obj (set_field "hybrid" (Report.Json.Bool true) meta))
+      ~payload
+  | _ -> Alcotest.fail "checkpoint unreadable");
+  Alcotest.(check bool) "hybrid checkpoint rejected" true (rejected atpg_config)
 
 (* A complete checkpoint of the deterministic phase (no random
    patterns): every count, pattern width and detection index it holds is

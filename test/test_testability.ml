@@ -228,20 +228,6 @@ let test_test_length_calculator () =
   Alcotest.(check bool) "reconvergent guarantee saturates" true
     (unreachable = None)
 
-let test_cutover () =
-  let c = G.comparator ~bits:8 in
-  let det = D.analyze (SP.analyze c) in
-  let universe = Faults.Universe.all c in
-  let n = D.cutover det universe ~block:64 ~max_patterns:512 () in
-  Alcotest.(check bool) "within budget" true (n >= 0 && n <= 512);
-  Alcotest.(check int) "block multiple" 0 (n mod 64);
-  Alcotest.(check int) "huge gain requirement stops immediately" 0
-    (D.cutover det universe ~block:64
-       ~min_gain:(float_of_int (Array.length universe))
-       ~max_patterns:512 ());
-  Alcotest.(check int) "zero gain requirement runs to budget" 512
-    (D.cutover det universe ~block:64 ~min_gain:0.0 ~max_patterns:512 ())
-
 let test_engine_bundle () =
   let c = G.c17 () in
   let engine = Analysis.Engine.build ~learn_depth:None c in
@@ -271,6 +257,5 @@ let suite =
           test_resistant_identification;
         Alcotest.test_case "test-length calculator" `Quick
           test_test_length_calculator;
-        Alcotest.test_case "hybrid cutover prediction" `Quick test_cutover;
         Alcotest.test_case "engine bundles prob + detectability" `Quick
           test_engine_bundle ] ) ]

@@ -624,43 +624,20 @@ let test_atpg_deterministic () =
   let b = Tpg.Atpg.run c universe in
   Alcotest.(check bool) "same patterns" true (a.Tpg.Atpg.patterns = b.Tpg.Atpg.patterns)
 
-let test_atpg_hybrid_cutover () =
-  (* A 5-to-32 decoder is the canonical random-pattern-resistant
-     circuit: most faults need one specific minterm on the select
-     lines.  The hybrid flow must cut the random phase short at the
-     statically predicted knee and still reach at least the coverage
-     of a pure-random run over the full budget, with fewer patterns. *)
-  let c = Circuit.Generators.decoder ~bits:5 in
-  let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
-  let reps = Faults.Collapse.representatives classes in
-  let budget = 1024 in
-  let config =
-    { Tpg.Atpg.default_config with
-      random_budget = budget;
-      random_target = 1.0;
-      hybrid = true;
-      resistant_threshold = 0.02 }
-  in
-  let report = Tpg.Atpg.run ~config c reps in
-  (match report.Tpg.Atpg.predicted_cutover with
-  | Some n ->
-    Alcotest.(check bool) "cutover within budget" true (n >= 0 && n <= budget);
-    Alcotest.(check bool) "cutover on a block boundary" true (n mod 64 = 0);
-    Alcotest.(check bool) "random phase capped" true
-      (report.Tpg.Atpg.random_patterns <= n)
-  | None -> Alcotest.fail "hybrid mode must predict a cutover");
-  (* Pure-random baseline: same seed family, full budget. *)
-  let rng = Stats.Rng.create ~seed:config.Tpg.Atpg.seed () in
-  let pure = Tpg.Random_tpg.uniform rng c ~count:budget in
-  let pure_profile = Fsim.Coverage.profile c reps pure in
-  Alcotest.(check bool) "hybrid coverage >= pure random" true
-    (Tpg.Atpg.coverage report >= Fsim.Coverage.final_coverage pure_profile);
-  Alcotest.(check bool) "hybrid uses fewer patterns" true
-    (Array.length report.Tpg.Atpg.patterns < budget);
-  (* Off by default: no cutover is predicted, behaviour unchanged. *)
-  let plain = Tpg.Atpg.run c reps in
-  Alcotest.(check bool) "predicted_cutover off by default" true
-    (plain.Tpg.Atpg.predicted_cutover = None)
+let test_atpg_negative_learn_depth () =
+  (* The depth is a config field whether or not an engine is built. *)
+  let c = Circuit.Generators.c17 () in
+  let universe = Faults.Universe.all c in
+  List.iter
+    (fun (name, config) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Atpg.run: negative learn_depth") (fun () ->
+          ignore
+            (Tpg.Atpg.run ~config:{ config with Tpg.Atpg.learn_depth = -3 } c
+               universe)))
+    [ ("no engine", Tpg.Atpg.default_config);
+      ("use_analysis", { Tpg.Atpg.default_config with use_analysis = true });
+      ("exact", { Tpg.Atpg.default_config with exact_budget = Some 10_000 }) ]
 
 let qcheck_props =
   let open QCheck in
@@ -717,6 +694,6 @@ let suite =
         tc "multiplier accounted" test_atpg_multiplier;
         tc "profile consistent" test_atpg_profile_consistent;
         tc "deterministic" test_atpg_deterministic;
-        tc "hybrid cutover" test_atpg_hybrid_cutover ] );
+        tc "negative learn_depth rejected" test_atpg_negative_learn_depth ] );
     ( "tpg.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props ) ]
