@@ -465,8 +465,10 @@ let simulate_lot_cmd =
                row.Tester.Wafer_test.patterns_applied
                row.Tester.Wafer_test.cumulative_failed
                row.Tester.Wafer_test.fraction_failed)
-           (Tester.Wafer_test.rows_at_n_detect_coverages
-              run.Experiments.Pipeline.outcome run.Experiments.Pipeline.program
+           (Tester.Wafer_test.rows_at_coverages run.Experiments.Pipeline.outcome
+              (Tester.Pattern_set.make
+                 run.Experiments.Pipeline.program.Tester.Pattern_set.patterns
+                 (Fsim.Coverage.n_detect_profile cs))
               ~coverages:[ 0.25; 0.5; 0.75; 0.9; 0.95 ])
      with
     | Experiments.Pipeline.Interrupted reason ->

@@ -11,8 +11,6 @@ type t = {
   circuit : Circuit.Netlist.t;
   dominators : Dominators.t;
   implication : Implication.t option;  (** [None] when learning was off *)
-  prob : Signal_prob.t;                (** Static signal-probability bounds. *)
-  detectability : Detectability.t;     (** Per-fault detection-probability bounds. *)
   exact : Exact.t option;              (** [None] unless an exact budget was given. *)
   untestable : Untestable.t;           (** The prover over this bundle's passes. *)
 }
@@ -20,16 +18,15 @@ type t = {
 val build :
   ?learn_depth:int option -> ?exact_budget:int -> Circuit.Netlist.t -> t
 (** [build ?learn_depth ?exact_budget c] — [learn_depth] defaults to
-    [Some 1]; [None] skips the implication engine entirely
-    (dominators, signal-probability and detectability passes always
-    run; all three are linear sweeps plus one [O(N^2/w)] reconvergence
-    pass).  [exact_budget] (absent by default, since BDDs can be
-    exponential) additionally runs the {!Exact} ROBDD pass under that
-    node budget. *)
+    [Some 1]; [None] skips the implication engine entirely (the
+    dominator pass, a linear sweep, always runs).  [exact_budget]
+    (absent by default, since BDDs can be exponential) additionally
+    runs the {!Exact} ROBDD pass under that node budget.  The
+    signal-probability and detectability passes are not part of the
+    bundle: their one reader, lint's resistant-fault warnings, builds
+    them itself. *)
 
 val exact : t -> Exact.t option
 val implication : t -> Implication.t option
 val dominators : t -> Dominators.t
-val prob : t -> Signal_prob.t
-val detectability : t -> Detectability.t
 val untestable : t -> Untestable.t

@@ -62,7 +62,29 @@ let stage index name f =
   Obs.Progress.stage ~label:"pipeline" ~stage:name ~index ~total:stage_total;
   Obs.Trace.with_span ("pipeline." ^ name) f
 
+(* The lot parameters, checked before any stage runs: the fab stages
+   that would reject them come after ATPG.  Each check is written so that
+   NaN fails it. *)
+let validate config =
+  let require ok field range value =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Pipeline.execute: %s must be %s (got %s)" field range
+           value)
+  in
+  let lot = config.lot_size
+  and y = config.target_yield
+  and n0 = config.target_n0
+  and x = config.variance_ratio in
+  require (lot >= 1) "lot_size" ">= 1" (string_of_int lot);
+  require (0.0 < y && y < 1.0) "target_yield" "in (0, 1)" (Printf.sprintf "%g" y);
+  require (1.0 <= n0 && n0 <= Float.max_float) "target_n0" "finite and >= 1"
+    (Printf.sprintf "%g" n0);
+  require (0.0 <= x && x <= Float.max_float) "variance_ratio" "finite and >= 0"
+    (Printf.sprintf "%g" x)
+
 let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
+  validate config;
   (* Every stage boundary is a span plus a progress tick, so a trace of
      [execute] shows exactly where a simulate-lot run spends its time;
      the GC delta of the whole run accumulates in the [pipeline.*]

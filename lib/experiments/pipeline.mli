@@ -98,7 +98,11 @@ val execute :
     the config and is simply re-executed, so a resumed run is
     bit-identical to an uninterrupted one.  Raises {!Interrupted} on
     cancellation and {!Robust.Checkpoint.Mismatch} when a resume
-    checkpoint is unreadable or from different inputs. *)
+    checkpoint is unreadable or from different inputs.  Raises
+    [Invalid_argument] naming the field, before any stage runs, unless
+    [lot_size >= 1], [0 < target_yield < 1], [target_n0] is finite and
+    [>= 1] and [variance_ratio] is finite and [>= 0] (NaN fails every
+    check). *)
 
 val calibrated_multiplicity : config -> lambda:float -> float
 (** Faults-per-defect mean needed so [expected_n0 = target_n0] given

@@ -39,6 +39,30 @@ let detection_counts ?(engine = Parallel) ?cancel ~n c faults patterns =
 
 let n_detect_profile cs = cs.nth_profile
 
+let extend ?engine c faults ~first_detection ~offset patterns =
+  let alive = ref [] in
+  for i = Array.length faults - 1 downto 0 do
+    if first_detection.(i) = None then alive := i :: !alive
+  done;
+  let alive = Array.of_list !alive in
+  if Array.length alive = 0 then 0
+  else begin
+    let graded =
+      (profile ?engine c (Array.map (Array.get faults) alive) patterns)
+        .first_detection
+    in
+    let found = ref 0 in
+    Array.iteri
+      (fun k d ->
+        match d with
+        | Some j ->
+          first_detection.(alive.(k)) <- Some (offset + j);
+          incr found
+        | None -> ())
+      graded;
+    !found
+  end
+
 let detected_count p =
   Array.fold_left
     (fun acc d -> match d with Some _ -> acc + 1 | None -> acc)

@@ -71,6 +71,23 @@ val n_detect_coverage_after : counts -> int -> float
 (** [n_detect_coverage_after cs k]: fraction of faults whose
     [require]-th detection happens within the first [k] patterns. *)
 
+val extend :
+  ?engine:engine ->
+  Circuit.Netlist.t ->
+  Faults.Fault.t array ->
+  first_detection:int option array ->
+  offset:int ->
+  bool array array ->
+  int
+(** [extend c faults ~first_detection ~offset patterns] grades
+    [patterns], numbered from [offset], against the faults whose
+    [first_detection] entry is [None], records their first detections
+    in place and returns how many it found.  Per-fault results do not
+    depend on the other faults, so grading a pattern set slice by
+    slice records exactly what one {!profile} of the whole set does.
+    Random test generation, ATPG's drop after each PODEM pattern,
+    static compaction and checkpointed fault simulation call it. *)
+
 val detected_count : profile -> int
 (** Number of detected faults. *)
 

@@ -86,23 +86,9 @@ let run ?(engine = Coverage.Parallel) ?(cancel = Robust.Cancel.none)
   if resumed_from = 0 then save 0;
   while !pos < np && not (Robust.Cancel.stop_requested cancel) do
     let len = min every (np - !pos) in
-    let segment = Array.sub patterns !pos len in
-    let alive = ref [] in
-    for i = nf - 1 downto 0 do
-      if first_detection.(i) = None then alive := i :: !alive
-    done;
-    let alive = Array.of_list !alive in
-    let segment_profile =
-      Coverage.profile ~engine c
-        (Array.map (fun i -> faults.(i)) alive)
-        segment
-    in
-    Array.iteri
-      (fun k d ->
-        match d with
-        | Some local -> first_detection.(alive.(k)) <- Some (!pos + local)
-        | None -> ())
-      segment_profile.Coverage.first_detection;
+    ignore
+      (Coverage.extend ~engine c faults ~first_detection ~offset:!pos
+         (Array.sub patterns !pos len));
     pos := !pos + len;
     incr segments;
     save !pos;

@@ -1,12 +1,54 @@
-let forced_word polarity =
-  match polarity with Faults.Fault.Stuck_at_0 -> 0L | Faults.Fault.Stuck_at_1 -> -1L
+(* Fault injection: per-line AND/OR masks, numbered as
+   [Netlist.line_offsets] numbers the lines (a node's stem, then its
+   input pins from the last down to pin 0), which is a fault's dense id
+   halved.  A stuck-at-0 clears the line's word (AND mask 0), a
+   stuck-at-1 sets it (OR mask -1); applying AND first then OR makes
+   stuck-at-1 win on a (physically impossible) polarity clash.
+   [masked_node] flags the nodes with a faulty line, so every other node
+   is read without its masks.  The serial run keeps one mask set and
+   injects each fault before a block is evaluated and removes it
+   after. *)
+type masks = {
+  and_mask : int64 array;
+  or_mask : int64 array;
+  masked_node : bool array;
+}
+
+(* Inject ([on = true]) or remove the faults of [faults]. *)
+let inject c m ~on faults =
+  Array.iter
+    (fun fault ->
+      let line = Faults.Fault.id c fault lsr 1 in
+      m.masked_node.(Faults.Fault.site_node fault) <- on;
+      match fault.Faults.Fault.polarity with
+      | Faults.Fault.Stuck_at_0 -> m.and_mask.(line) <- (if on then 0L else -1L)
+      | Faults.Fault.Stuck_at_1 -> m.or_mask.(line) <- (if on then -1L else 0L))
+    faults
+
+(* Masks with the faults of [faults] injected. *)
+let masks (c : Circuit.Netlist.t) faults =
+  let nodes = Circuit.Netlist.num_nodes c in
+  let lines = c.line_offsets.(nodes) in
+  let m =
+    { and_mask = Array.make lines (-1L); or_mask = Array.make lines 0L;
+      masked_node = Array.make nodes false }
+  in
+  inject c m ~on:true faults;
+  m
+
+let[@inline] masked m line w =
+  Int64.logor (Int64.logand w m.and_mask.(line)) m.or_mask.(line)
 
 (* The oracle's own gate evaluator, independent of the packed kernel:
-   recompute node [id] from the fanin words in [values], with input pin
-   [pin] (-1 for none) forced to [word]. *)
-let eval_node (c : Circuit.Netlist.t) id ~pin ~word values =
+   recompute node [id] from the fanin words in [values], each read
+   through its pin's masks when the node is flagged. *)
+let eval_node (c : Circuit.Netlist.t) m values id =
   let srcs = c.fanins.(id) in
-  let value_of i = if i = pin then word else values.(srcs.(i)) in
+  let last_pin = c.line_offsets.(id + 1) - 1 in
+  let value_of =
+    if m.masked_node.(id) then fun i -> masked m (last_pin - i) values.(srcs.(i))
+    else fun i -> values.(srcs.(i))
+  in
   let fold op =
     let acc = ref (value_of 0) in
     for i = 1 to Array.length srcs - 1 do
@@ -27,96 +69,55 @@ let eval_node (c : Circuit.Netlist.t) id ~pin ~word values =
   | Circuit.Gate.Xor -> fold Int64.logxor
   | Circuit.Gate.Xnor -> Int64.lognot (fold Int64.logxor)
 
-let eval_with_fault (c : Circuit.Netlist.t) fault block =
+(* The whole faulty machine over one block. *)
+let eval_masked (c : Circuit.Netlist.t) m block =
   let values = Array.make (Circuit.Netlist.num_nodes c) 0L in
   Array.iteri
     (fun i id -> values.(id) <- block.Logicsim.Packed.input_words.(i))
     c.inputs;
-  (match fault.Faults.Fault.site with
-  | Faults.Fault.Stem v ->
-    Array.iter
-      (fun id ->
-        if id = v then values.(id) <- forced_word fault.Faults.Fault.polarity
-        else
-          match c.kinds.(id) with
-          | Circuit.Gate.Input -> ()
-          | _ -> values.(id) <- eval_node c id ~pin:(-1) ~word:0L values)
-      c.topo_order
-  | Faults.Fault.Branch { gate; pin } ->
-    let word = forced_word fault.Faults.Fault.polarity in
-    Array.iter
-      (fun id ->
-        if id = gate then
-          values.(id) <- eval_node c id ~pin ~word values
-        else
-          match c.kinds.(id) with
-          | Circuit.Gate.Input -> ()
-          | _ -> values.(id) <- eval_node c id ~pin:(-1) ~word:0L values)
-      c.topo_order);
+  Array.iter
+    (fun id ->
+      let w = eval_node c m values id in
+      values.(id) <-
+        (if m.masked_node.(id) then masked m c.line_offsets.(id) w else w))
+    c.topo_order;
   values
 
-let detect_word c ~good_outputs fault block =
-  let faulty = eval_with_fault c fault block in
-  let mask = Logicsim.Packed.live_mask block in
+(* Patterns (within the block's live mask) on which some primary output
+   of the masked machine differs from [good_outputs]. *)
+let detect_masked c m ~good_outputs block =
+  let faulty = eval_masked c m block in
   let diff = ref 0L in
   Array.iteri
     (fun i id ->
       diff := Int64.logor !diff (Int64.logxor good_outputs.(i) faulty.(id)))
     c.Circuit.Netlist.outputs;
-  Int64.logand !diff mask
+  Int64.logand !diff (Logicsim.Packed.live_mask block)
 
-let lowest_set_bit w =
-  if w = 0L then invalid_arg "lowest_set_bit: zero word";
-  let rec loop i = if Logicsim.Packed.bit w i then i else loop (i + 1) in
-  loop 0
+let eval_with_fault_set c faults block = eval_masked c (masks c faults) block
 
-let run ?(cancel = Robust.Cancel.none) c faults patterns =
+let eval_with_fault c fault block = eval_with_fault_set c [| fault |] block
+
+let detect_word c ~good_outputs fault block =
+  detect_masked c (masks c [| fault |]) ~good_outputs block
+
+let good_outputs c block =
+  Logicsim.Packed.output_words c (Logicsim.Packed.eval_block c block)
+
+(* The one block loop: every fault is injected alone into the shared
+   masks, block by block, and dropped after its [n]-th detection. *)
+let run_general ?(cancel = Robust.Cancel.none) ?(annotate = ignore) ~engine ~n
+    c faults patterns =
   Array.iter (Faults.Fault.check c) faults;
-  Instrument.engine_run ~engine:"serial" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"serial" ~patterns:(Array.length patterns)
-  in
-  let results = Array.make (Array.length faults) None in
-  let alive = ref (List.init (Array.length faults) (fun i -> i)) in
-  let block_start = ref 0 in
-  List.iter
-    (fun block ->
-      if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
-        if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"serial" (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let good_outputs = Logicsim.Packed.output_words c good in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = detect_word c ~good_outputs faults.(fi) block in
-            if mask = 0L then survivors := fi :: !survivors
-            else results.(fi) <- Some (!block_start + lowest_set_bit mask))
-          !alive;
-        alive := List.rev !survivors
-      end;
-      block_start := !block_start + block.Logicsim.Packed.pattern_count;
-      Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
-    blocks;
-  Obs.Progress.finish progress;
-  results
-
-let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
-  if n < 1 then invalid_arg "Serial.run_counts: n must be >= 1";
-  Array.iter (Faults.Fault.check c) faults;
-  Instrument.engine_run ~engine:"ndetect.serial" ~faults:(Array.length faults)
-    ~patterns:(Array.length patterns)
-  @@ fun () ->
-  Obs.Trace.add_int "n" n;
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine:"ndetect.serial"
-      ~patterns:(Array.length patterns)
-  in
   let nf = Array.length faults in
+  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
+  @@ fun () ->
+  annotate ();
+  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
+  let progress =
+    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
+  in
+  let m = masks c [||] in
   let detections = Array.make nf 0 in
   let nth = Array.make nf None in
   let alive = ref (List.init nf Fun.id) in
@@ -125,19 +126,18 @@ let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
     (fun block ->
       if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
         if Instrument.observing () then
-          Instrument.count_fault_evals ~engine:"ndetect.serial"
-            (List.length !alive);
-        let good = Logicsim.Packed.eval_block c block in
-        let good_outputs = Logicsim.Packed.output_words c good in
-        let survivors = ref [] in
-        List.iter
-          (fun fi ->
-            let mask = detect_word c ~good_outputs faults.(fi) block in
-            if Ppsfp.record_detections ~n ~block_start:!block_start ~detections
-                 ~nth mask fi
-            then survivors := fi :: !survivors)
-          !alive;
-        alive := List.rev !survivors
+          Instrument.count_fault_evals ~engine (List.length !alive);
+        let good_outputs = good_outputs c block in
+        alive :=
+          List.filter
+            (fun fi ->
+              let fault = [| faults.(fi) |] in
+              inject c m ~on:true fault;
+              let mask = detect_masked c m ~good_outputs block in
+              inject c m ~on:false fault;
+              Ppsfp.record_detections ~n ~block_start:!block_start ~detections
+                ~nth mask fi)
+            !alive
       end;
       block_start := !block_start + block.Logicsim.Packed.pattern_count;
       Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
@@ -145,102 +145,23 @@ let run_counts ?(cancel = Robust.Cancel.none) ~n c faults patterns =
   Obs.Progress.finish progress;
   (detections, nth)
 
-(* Multiple-fault injection: per-line AND/OR masks.  A stuck-at-0 clears
-   the line's word (and_mask = 0), a stuck-at-1 sets it (or_mask = -1);
-   applying AND first then OR makes sa1 win on a (physically impossible)
-   polarity clash. *)
-type fault_set_masks = {
-  stem_and : (int, int64) Hashtbl.t;
-  stem_or : (int, int64) Hashtbl.t;
-  branch_and : (int * int, int64) Hashtbl.t;
-  branch_or : (int * int, int64) Hashtbl.t;
-}
+let run ?cancel c faults patterns =
+  snd (run_general ?cancel ~engine:"serial" ~n:1 c faults patterns)
 
-let masks_of_fault_set faults =
-  let m =
-    { stem_and = Hashtbl.create 8; stem_or = Hashtbl.create 8;
-      branch_and = Hashtbl.create 8; branch_or = Hashtbl.create 8 }
-  in
-  Array.iter
-    (fun fault ->
-      match (fault.Faults.Fault.site, fault.Faults.Fault.polarity) with
-      | Faults.Fault.Stem v, Faults.Fault.Stuck_at_0 -> Hashtbl.replace m.stem_and v 0L
-      | Faults.Fault.Stem v, Faults.Fault.Stuck_at_1 -> Hashtbl.replace m.stem_or v (-1L)
-      | Faults.Fault.Branch { gate; pin }, Faults.Fault.Stuck_at_0 ->
-        Hashtbl.replace m.branch_and (gate, pin) 0L
-      | Faults.Fault.Branch { gate; pin }, Faults.Fault.Stuck_at_1 ->
-        Hashtbl.replace m.branch_or (gate, pin) (-1L))
-    faults;
-  m
-
-let apply_masks ~and_mask ~or_mask w =
-  let w = match and_mask with Some a -> Int64.logand w a | None -> w in
-  match or_mask with Some o -> Int64.logor w o | None -> w
-
-let eval_gate_with_branch_masks (c : Circuit.Netlist.t) m id values =
-  let srcs = c.fanins.(id) in
-  let value_of i =
-    apply_masks
-      ~and_mask:(Hashtbl.find_opt m.branch_and (id, i))
-      ~or_mask:(Hashtbl.find_opt m.branch_or (id, i))
-      values.(srcs.(i))
-  in
-  let fold op =
-    let acc = ref (value_of 0) in
-    for i = 1 to Array.length srcs - 1 do
-      acc := op !acc (value_of i)
-    done;
-    !acc
-  in
-  match c.kinds.(id) with
-  | Circuit.Gate.Input -> values.(id)
-  | Circuit.Gate.Const0 -> 0L
-  | Circuit.Gate.Const1 -> -1L
-  | Circuit.Gate.Buf -> value_of 0
-  | Circuit.Gate.Not -> Int64.lognot (value_of 0)
-  | Circuit.Gate.And -> fold Int64.logand
-  | Circuit.Gate.Nand -> Int64.lognot (fold Int64.logand)
-  | Circuit.Gate.Or -> fold Int64.logor
-  | Circuit.Gate.Nor -> Int64.lognot (fold Int64.logor)
-  | Circuit.Gate.Xor -> fold Int64.logxor
-  | Circuit.Gate.Xnor -> Int64.lognot (fold Int64.logxor)
-
-let eval_with_fault_set (c : Circuit.Netlist.t) faults block =
-  let m = masks_of_fault_set faults in
-  let values = Array.make (Circuit.Netlist.num_nodes c) 0L in
-  Array.iteri
-    (fun i id -> values.(id) <- block.Logicsim.Packed.input_words.(i))
-    c.inputs;
-  Array.iter
-    (fun id ->
-      let w =
-        match c.kinds.(id) with
-        | Circuit.Gate.Input -> values.(id)
-        | _ -> eval_gate_with_branch_masks c m id values
-      in
-      values.(id) <-
-        apply_masks ~and_mask:(Hashtbl.find_opt m.stem_and id)
-          ~or_mask:(Hashtbl.find_opt m.stem_or id) w)
-    c.topo_order;
-  values
+let run_counts ?cancel ~n c faults patterns =
+  if n < 1 then invalid_arg "Serial.run_counts: n must be >= 1";
+  run_general ?cancel
+    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
+    ~engine:"ndetect.serial" ~n c faults patterns
 
 let first_fail_with_fault_set c faults patterns =
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
+  let m = masks c faults in
   let rec scan block_start = function
     | [] -> None
     | block :: rest ->
-      let good = Logicsim.Packed.eval_block c block in
-      let good_outputs = Logicsim.Packed.output_words c good in
-      let faulty = eval_with_fault_set c faults block in
-      let mask = Logicsim.Packed.live_mask block in
-      let diff = ref 0L in
-      Array.iteri
-        (fun i id ->
-          diff := Int64.logor !diff (Int64.logxor good_outputs.(i) faulty.(id)))
-        c.Circuit.Netlist.outputs;
-      let diff = Int64.logand !diff mask in
-      if diff = 0L then
+      let mask = detect_masked c m ~good_outputs:(good_outputs c block) block in
+      if mask = 0L then
         scan (block_start + block.Logicsim.Packed.pattern_count) rest
-      else Some (block_start + lowest_set_bit diff)
+      else Some (block_start + Ppsfp.lowest_set_bit mask)
   in
-  scan 0 blocks
+  scan 0 (Logicsim.Packed.blocks_of_patterns c patterns)

@@ -4,11 +4,18 @@
     whole circuit with the fault injected and compare primary outputs
     against the good machine.  Patterns are still processed 64 at a
     time through {!Logicsim.Packed}, so "serial" refers to faults, not
-    patterns.  Used as the oracle for {!Ppsfp} and for small circuits. *)
+    patterns.  Used as the oracle for {!Ppsfp} and for small circuits.
+
+    One injector serves a single fault and a fault set alike: per-line
+    AND/OR masks in arrays, read by the oracle's own gate evaluator
+    (independent of {!Logicsim.Packed.eval_gate}).  One block loop
+    serves {!run} (drop rule 1, engine label ["serial"]) and
+    {!run_counts} (label ["ndetect.serial"]). *)
 
 val eval_with_fault :
   Circuit.Netlist.t -> Faults.Fault.t -> Logicsim.Packed.block -> int64 array
-(** Full faulty-machine simulation of one block; result indexed by node. *)
+(** Full faulty-machine simulation of one block; result indexed by node.
+    The fault set of one ({!eval_with_fault_set}). *)
 
 val detect_word :
   Circuit.Netlist.t ->
@@ -47,7 +54,9 @@ val eval_with_fault_set :
     Used by the virtual tester to model a defective chip {e exactly},
     including masking between coexisting faults.  If the set contains
     both polarities on one line, stuck-at-1 wins (deterministic,
-    documented arbitrariness — physical defects do not do this). *)
+    documented arbitrariness — physical defects do not do this).
+    Raises [Invalid_argument], as {!Faults.Fault.check} does, on a
+    fault that is not a line of the circuit. *)
 
 val first_fail_with_fault_set :
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> int option

@@ -95,12 +95,7 @@ let run ?(config = default_config) (c : N.t) =
          bound, not a heuristic cost; d_hi = 0 faults are excluded
          here (they are untestable, not resistant). *)
       let resistant =
-        let det =
-          match analysis with
-          | Some a -> Analysis.Engine.detectability a
-          | None ->
-            Analysis.Detectability.analyze (Analysis.Signal_prob.analyze c)
-        in
+        let det = Analysis.Detectability.analyze (Analysis.Signal_prob.analyze c) in
         Analysis.Detectability.resistant det reps ~threshold:resistant_threshold
         |> List.filter (fun (fault, _) -> not (flagged fault))
         |> List.filteri (fun i _ -> i < resistant_count)

@@ -54,8 +54,10 @@ val gamma : t -> shape:float -> scale:float -> float
 
 val poisson : t -> float -> int
 (** [poisson rng lambda] samples a Poisson count.  Exact for all
-    [lambda >= 0]: Knuth multiplication below 30, recursive halving
-    (Poisson additivity) above. *)
+    finite [lambda >= 0]: Knuth multiplication below 30, Hörmann's
+    transformed rejection with squeeze (PTRS) above, whose expected
+    time does not grow with [lambda].  Raises [Invalid_argument] on a
+    negative or non-finite mean. *)
 
 val binomial : t -> n:int -> p:float -> int
 (** [binomial rng ~n ~p] samples a binomial count by inversion of

@@ -93,19 +93,3 @@ let rows_at_coverages result program ~coverages =
            (fun k -> Pattern_set.coverage_after program k)
            target))
     coverages
-
-let rows_at_n_detect_coverages result program ~coverages =
-  match Pattern_set.n_detect program with
-  | None ->
-    invalid_arg
-      "Wafer_test.rows_at_n_detect_coverages: pattern set carries no \
-       n-detect grading (run Pattern_set.grade_n_detect first)"
-  | Some cs ->
-    let coverage_at k = Fsim.Coverage.n_detect_coverage_after cs k in
-    let total = result.pattern_count in
-    List.filter_map
-      (fun target ->
-        Option.map
-          (fun k -> { (row_at result program k) with coverage = coverage_at k })
-          (first_reaching ~total coverage_at target))
-      coverages

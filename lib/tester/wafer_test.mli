@@ -72,15 +72,6 @@ val rows_at_coverages : result -> Pattern_set.t -> coverages:float list -> row l
 (** Table-1-style rows at the first pattern reaching each coverage
     level (levels the program never reaches are skipped).  Checkpoint
     lookup binary-searches the monotone cumulative-coverage curve —
-    O(log patterns) per level. *)
-
-val rows_at_n_detect_coverages :
-  result -> Pattern_set.t -> coverages:float list -> row list
-(** {!rows_at_coverages} against the program's {e n-detect} coverage
-    curve: each row sits at the first pattern count whose n-detect
-    coverage reaches the target, and the row's [coverage] field
-    reports the n-detect figure.  The same lot fails later on the
-    n-detect axis than on the 1-detect axis — reaching coverage [f]
-    n-times-over takes more patterns.  Raises [Invalid_argument] when
-    the program carries no n-detect grading
-    ({!Pattern_set.grade_n_detect}). *)
+    O(log patterns) per level.  Over a program whose profile is
+    {!Fsim.Coverage.n_detect_profile}, the rows sit on the n-detect
+    axis, where the same lot fails later. *)

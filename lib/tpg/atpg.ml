@@ -186,6 +186,13 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
              ~targets:(List.length remaining_order))
       in
       Array.blit st.ck_first_detection 0 first_detection 0 total;
+      (* Grade the checkpoint's patterns once more against every fault
+         it leaves undetected: a state saved by a build that graded each
+         pattern against the unprocessed targets only lacks the aborts a
+         later pattern detects. *)
+      ignore
+        (Fsim.Coverage.extend c faults ~first_detection ~offset:base
+           st.ck_extra);
       extra := Array.fold_left (fun acc p -> p :: acc) [] st.ck_extra;
       extra_count := Array.length st.ck_extra;
       untestable := st.ck_untestable;
@@ -257,26 +264,14 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
           | Podem.Untestable -> incr untestable
           | Podem.Aborted -> incr aborted
           | Podem.Test pattern ->
-            let pattern_index = base + !extra_count in
+            (* The fresh pattern usually detects a cloud of other faults,
+               earlier aborts among them: grade it against every fault
+               still undetected. *)
+            ignore
+              (Fsim.Coverage.extend c faults ~first_detection
+                 ~offset:(base + !extra_count) [| pattern |]);
             extra := pattern :: !extra;
             incr extra_count;
-            (* The fresh pattern usually detects a cloud of other faults:
-               simulate it against everything still undetected and drop. *)
-            let undetected =
-              List.filter
-                (fun i -> first_detection.(i) = None)
-                (target :: !remaining)
-            in
-            let subset =
-              Array.map (fun i -> faults.(i)) (Array.of_list undetected)
-            in
-            let results = Fsim.Ppsfp.run c subset [| pattern |] in
-            List.iteri
-              (fun k i ->
-                match results.(k) with
-                | Some _ -> first_detection.(i) <- Some pattern_index
-                | None -> ())
-              undetected;
             assert (first_detection.(target) <> None));
           maybe_ckpt ();
           deterministic ()

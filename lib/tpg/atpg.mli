@@ -37,7 +37,10 @@ val default_config : config
 
 type report = {
   patterns : bool array array;        (** Final ordered pattern set. *)
-  profile : Fsim.Coverage.profile;    (** Over the supplied universe. *)
+  profile : Fsim.Coverage.profile;
+      (** Over the supplied universe: every PODEM pattern is graded
+          against every fault still undetected, earlier aborts among
+          them, so this is what a regrade of [patterns] reports. *)
   random_patterns : int;              (** Patterns from the random phase. *)
   deterministic_patterns : int;       (** Patterns from PODEM. *)
   untestable : int;                   (** Proved redundant. *)
@@ -68,7 +71,10 @@ val run :
     [checkpoint], the incremental deterministic state is snapshotted
     crash-safely every [every] targets and once more at exit; a resumed
     run continues from the last snapshot and produces a report
-    bit-identical to an uninterrupted one (given no time budget).
+    bit-identical to an uninterrupted one (given no time budget).  The
+    resume grades the snapshot's patterns once more against every fault
+    it leaves undetected, so a snapshot that lacks a detection by one
+    of its own patterns still resumes to that report.
     Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
     file is unreadable, was written by a run with different inputs, or
     holds a state this run cannot reach: an extra pattern that is not

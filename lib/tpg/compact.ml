@@ -7,23 +7,16 @@ type result = {
 (* Sweep the patterns in the given index order; pattern [k] is kept iff
    it detects a fault no previously kept pattern detected. *)
 let sweep c faults patterns order =
-  let alive = ref (Array.to_list (Array.mapi (fun i _ -> i) faults)) in
-  let kept = ref [] in
-  List.iter
-    (fun pattern_index ->
-      if !alive <> [] then begin
-        let subset = Array.of_list (List.map (fun i -> faults.(i)) !alive) in
-        let detected = Fsim.Ppsfp.run c subset [| patterns.(pattern_index) |] in
-        let survivors =
-          List.filteri (fun k _ -> detected.(k) = None) !alive
-        in
-        if List.length survivors < List.length !alive then begin
-          kept := pattern_index :: !kept;
-          alive := survivors
-        end
-      end)
-    order;
-  let kept = List.sort compare !kept in
+  let first_detection = Array.make (Array.length faults) None in
+  let kept =
+    List.filter
+      (fun k ->
+        Fsim.Coverage.extend c faults ~first_detection ~offset:k
+          [| patterns.(k) |]
+        > 0)
+      order
+    |> List.sort compare
+  in
   { patterns = Array.of_list (List.map (fun i -> patterns.(i)) kept);
     kept = Array.of_list kept;
     original_count = Array.length patterns }

@@ -28,30 +28,18 @@ let until_coverage rng c faults ~target ~max_patterns =
   let total = Array.length faults in
   let first_detection = Array.make total None in
   let detected = ref 0 in
-  let alive = ref (Array.init total (fun i -> i)) in
   let chunks = ref [] in
   let applied = ref 0 in
-  (* Incremental: each new block is fault-simulated against the still
-     undetected faults only. *)
   while
     !applied < max_patterns
     && float_of_int !detected < target *. float_of_int (max 1 total)
-    && Array.length !alive > 0
+    && !detected < total
   do
     let count = min 64 (max_patterns - !applied) in
     let block = uniform rng c ~count in
-    let subset = Array.map (fun i -> faults.(i)) !alive in
-    let results = Fsim.Ppsfp.run c subset block in
-    let survivors = ref [] in
-    Array.iteri
-      (fun k d ->
-        match d with
-        | Some offset ->
-          first_detection.(!alive.(k)) <- Some (!applied + offset);
-          incr detected
-        | None -> survivors := !alive.(k) :: !survivors)
-      results;
-    alive := Array.of_list (List.rev !survivors);
+    detected :=
+      !detected
+      + Fsim.Coverage.extend c faults ~first_detection ~offset:!applied block;
     chunks := block :: !chunks;
     applied := !applied + count
   done;

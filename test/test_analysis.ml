@@ -19,10 +19,6 @@ module N = Circuit.Netlist
 module U = Analysis.Untestable
 module ISet = Set.Make (Int)
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
 let id_of c name =
   let found = ref (-1) in
   Array.iteri (fun i n -> if n = name then found := i) c.N.node_names;
@@ -226,20 +222,9 @@ let test_engine_without_learning () =
    flagged with the engine attached must be exhaustively
    undetectable. *)
 
-let undetectable_exhaustive c universe =
-  let patterns = exhaustive_patterns (N.num_inputs c) in
-  let profile =
-    Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns
-  in
-  let set = Hashtbl.create 16 in
-  Array.iteri
-    (fun i d -> if d = None then Hashtbl.replace set universe.(i) ())
-    profile.Fsim.Coverage.first_detection;
-  set
-
 let check_analysis_lint_sound name c =
   let universe = Faults.Universe.all c in
-  let truth = undetectable_exhaustive c universe in
+  let truth = Oracle.undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
   let analysis = Analysis.Engine.build ~learn_depth:(Some 2) c in
   let flagged = U.untestable ~classes (Analysis.Engine.untestable analysis) universe in
@@ -312,7 +297,7 @@ let check_dominance_drops name c patterns =
 
 let test_dominance_drop_property () =
   let c17 = Circuit.Generators.c17 () in
-  check_dominance_drops "c17" c17 (exhaustive_patterns (N.num_inputs c17));
+  check_dominance_drops "c17" c17 (Oracle.exhaustive_patterns (N.num_inputs c17));
   for seed = 1 to 5 do
     let c =
       Circuit.Generators.random_circuit ~inputs:7 ~gates:40 ~outputs:4 ~seed
@@ -331,7 +316,7 @@ let test_dominance_collapsed_coverage_one () =
   let dominance = Faults.Universe.collapse_dominance c universe in
   Alcotest.(check int) "46 raw" 46 (Array.length universe);
   Alcotest.(check int) "16 after dominance" 16 (Array.length dominance);
-  let patterns = exhaustive_patterns (N.num_inputs c) in
+  let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   let collapsed =
     Fsim.Coverage.restrict c profile ~universe ~keep:dominance
@@ -345,7 +330,7 @@ let test_dominance_collapsed_coverage_one () =
      1.0. *)
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns (N.num_inputs c) in
+  let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   Alcotest.(check bool) "raw saturates below 1" true
     (Fsim.Coverage.final_coverage profile < 1.0);
@@ -362,7 +347,7 @@ let test_dominance_collapsed_coverage_one () =
 let test_restrict_validates () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let profile = Fsim.Coverage.profile c universe (exhaustive_patterns 5) in
+  let profile = Fsim.Coverage.profile c universe (Oracle.exhaustive_patterns 5) in
   Alcotest.check_raises "length mismatch rejected"
     (Invalid_argument "Coverage.restrict: universe does not match profile")
     (fun () ->
@@ -446,7 +431,7 @@ let test_podem_analysis_equivalence () =
 let test_sampling_with_dominance () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns (N.num_inputs c) in
+  let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let rng = Stats.Rng.create ~seed:5 () in
   let estimate =
     Fsim.Sampling.estimate_coverage ~collapse_dominance:true rng c universe

@@ -17,57 +17,7 @@ module E = Analysis.Exact
 module U = Analysis.Untestable
 module R = Bdd.Robdd
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
-let popcount word =
-  let rec loop w acc =
-    if w = 0L then acc else loop (Int64.logand w (Int64.sub w 1L)) (acc + 1)
-  in
-  loop word 0
-
-let exact_probabilities c patterns =
-  let n = N.num_nodes c in
-  let ones = Array.make n 0 in
-  List.iter
-    (fun block ->
-      let values = Logicsim.Packed.eval_block c block in
-      let live = Logicsim.Packed.live_mask block in
-      for id = 0 to n - 1 do
-        ones.(id) <- ones.(id) + popcount (Int64.logand values.(id) live)
-      done)
-    (Logicsim.Packed.blocks_of_patterns c patterns);
-  Array.map
-    (fun k -> float_of_int k /. float_of_int (Array.length patterns))
-    ones
-
-let exact_detections c patterns universe =
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  Array.map
-    (fun fault ->
-      let count =
-        List.fold_left
-          (fun acc block ->
-            let good = Logicsim.Packed.eval_block c block in
-            let good_outputs = Logicsim.Packed.output_words c good in
-            acc + popcount (Fsim.Serial.detect_word c ~good_outputs fault block))
-          0 blocks
-      in
-      float_of_int count /. float_of_int (Array.length patterns))
-    universe
-
-let workloads () =
-  [ ("c17", G.c17 ());
-    ("rca:4", G.ripple_carry_adder ~bits:4);
-    ("cmp:4", G.comparator ~bits:4);
-    ("dec:3", G.decoder ~bits:3);
-    ("dec:5", G.decoder ~bits:5);
-    ("mux:2", G.mux_tree ~select_bits:2);
-    ("parity:8", G.parity_tree ~bits:8);
-    ("redundant", G.redundant_demo ());
-    ("rand:8,30", G.random_circuit ~inputs:8 ~gates:30 ~outputs:4 ~seed:11);
-    ("rand:10,60", G.random_circuit ~inputs:10 ~gates:60 ~outputs:5 ~seed:5) ]
+let workloads () = Oracle.workloads () @ [ ("dec:5", G.decoder ~bits:5) ]
 
 (* ------------------------------------------------------------------ *)
 (* ROBDD core: canonicity, Boolean identities, eval/probability vs
@@ -129,7 +79,9 @@ let test_verdicts_match_exhaustive () =
         Alcotest.failf "%s: %d faults Unknown under the default budget" name
           (E.unknown_count exact);
       let universe = Faults.Universe.all c in
-      let truth = exact_detections c (exhaustive_patterns (N.num_inputs c)) universe in
+      let truth =
+        Oracle.exact_detections c (Oracle.exhaustive_patterns (N.num_inputs c)) universe
+      in
       Array.iteri
         (fun fi fault ->
           match E.verdict exact fault with
@@ -167,7 +119,9 @@ let test_signal_probabilities_match_exhaustive () =
   List.iter
     (fun (name, c) ->
       let exact = E.analyze c in
-      let truth = exact_probabilities c (exhaustive_patterns (N.num_inputs c)) in
+      let truth =
+        Oracle.exact_probabilities c (Oracle.exhaustive_patterns (N.num_inputs c))
+      in
       for id = 0 to N.num_nodes c - 1 do
         match E.signal_probability exact id with
         | None -> Alcotest.failf "%s: node %d has no exact probability" name id
@@ -199,7 +153,9 @@ let test_redundancy_superset_of_lint () =
             Alcotest.failf "%s: lint proved %s untestable but the BDD did not"
               name (Faults.Fault.to_string c f))
         structural;
-      let truth = exact_detections c (exhaustive_patterns (N.num_inputs c)) universe in
+      let truth =
+        Oracle.exact_detections c (Oracle.exhaustive_patterns (N.num_inputs c)) universe
+      in
       Array.iteri
         (fun fi fault ->
           let undetectable = truth.(fi) = 0.0 in
@@ -426,7 +382,9 @@ let test_equiv_interface_and_budget () =
 let test_podem_with_exact_engine () =
   let c = G.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let truth = exact_detections c (exhaustive_patterns (N.num_inputs c)) universe in
+  let truth =
+    Oracle.exact_detections c (Oracle.exhaustive_patterns (N.num_inputs c)) universe
+  in
   let engine = Analysis.Engine.build ~exact_budget:E.default_budget c in
   Alcotest.(check bool) "engine carries the exact bundle" true
     (Analysis.Engine.exact engine <> None);

@@ -1,8 +1,7 @@
 (* Integration tests: the experiment modules and one full end-to-end
    pipeline run at reduced scale. *)
 
-let close ?(eps = 1e-9) expected actual =
-  Alcotest.(check (float eps)) "close" expected actual
+let close = Oracle.close
 
 (* ------------------------- analytic figures ------------------------- *)
 

@@ -1,7 +1,6 @@
 (* Tests for yield models, the defect process, lots and wafers. *)
 
-let close ?(eps = 1e-9) expected actual =
-  Alcotest.(check (float eps)) "close" expected actual
+let close = Oracle.close
 
 (* --------------------------- yield models --------------------------- *)
 

@@ -3,10 +3,6 @@
 module F = Faults.Fault
 module N = Circuit.Netlist
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
 let test_universe_size () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
@@ -266,7 +262,7 @@ let test_collapse_soundness_exhaustive () =
       let c =
         Circuit.Generators.random_circuit ~inputs:6 ~gates:40 ~outputs:3 ~seed
       in
-      let patterns = exhaustive_patterns 6 in
+      let patterns = Oracle.exhaustive_patterns 6 in
       let universe = Faults.Universe.all c in
       let classes = Faults.Collapse.equivalence c universe in
       for cls = 0 to Faults.Collapse.class_count classes - 1 do
@@ -331,7 +327,7 @@ let test_dominance_detection_complete () =
       let universe = Faults.Universe.all c in
       let classes = Faults.Collapse.equivalence c universe in
       let dom = Faults.Collapse.dominance c classes in
-      let patterns = exhaustive_patterns 7 in
+      let patterns = Oracle.exhaustive_patterns 7 in
       (* Build a minimal-ish pattern set covering the dominance reps:
          take, for each dominance rep, its first detecting pattern. *)
       let dom_first = Fsim.Serial.run c dom patterns in

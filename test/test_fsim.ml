@@ -4,14 +4,6 @@
 module F = Faults.Fault
 module N = Circuit.Netlist
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
-let random_patterns ~seed ~count c =
-  let rng = Stats.Rng.create ~seed () in
-  Tpg.Random_tpg.uniform rng c ~count
-
 (* Brute-force oracle for a stem fault: per-pattern faulty simulation
    via the reference simulator with an override. *)
 let stem_detected_oracle c node polarity pattern =
@@ -22,7 +14,7 @@ let stem_detected_oracle c node polarity pattern =
 
 let test_serial_matches_oracle_on_stems () =
   let c = Circuit.Generators.c17 () in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   for node = 0 to N.num_nodes c - 1 do
     List.iter
       (fun polarity ->
@@ -44,7 +36,7 @@ let test_serial_matches_oracle_on_stems () =
 let test_ppsfp_equals_serial_c17 () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   Alcotest.(check bool) "identical results" true
     (Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns)
 
@@ -62,12 +54,14 @@ let test_ppsfp_equals_serial_random () =
   List.iter
     (fun seed ->
       let c = Circuit.Generators.random_circuit ~inputs:10 ~gates:150 ~outputs:8 ~seed in
-      check_ppsfp_equals_serial c (random_patterns ~seed:(seed * 11) ~count:100 c))
+      check_ppsfp_equals_serial c
+        (Oracle.random_patterns ~seed:(seed * 11) ~count:100 c))
     [ 1; 2; 3; 4 ];
   List.iter
     (fun seed ->
       let c = Circuit.Generators.random_circuit ~inputs:9 ~gates:120 ~outputs:6 ~seed in
-      check_ppsfp_equals_serial c (random_patterns ~seed:(seed * 3) ~count:80 c))
+      check_ppsfp_equals_serial c
+        (Oracle.random_patterns ~seed:(seed * 3) ~count:80 c))
     [ 5; 6; 7 ];
   (* Uniform and correlated random-walk streams, the latter shaped like
      the lot pipeline's functional prelude. *)
@@ -83,9 +77,9 @@ let test_ppsfp_equals_serial_random () =
 
 let test_ppsfp_equals_serial_arithmetic () =
   let c = Circuit.Generators.array_multiplier ~bits:4 in
-  check_ppsfp_equals_serial c (random_patterns ~seed:9 ~count:96 c);
+  check_ppsfp_equals_serial c (Oracle.random_patterns ~seed:9 ~count:96 c);
   let alu = Circuit.Generators.alu ~bits:3 in
-  check_ppsfp_equals_serial alu (random_patterns ~seed:17 ~count:64 alu);
+  check_ppsfp_equals_serial alu (Oracle.random_patterns ~seed:17 ~count:64 alu);
   (* Faults detected early in a walk must not be re-reported nor
      disturb later detections. *)
   let rng = Stats.Rng.create ~seed:12 () in
@@ -95,7 +89,7 @@ let test_c17_full_coverage_exhaustive () =
   (* c17 is irredundant: exhaustive patterns detect everything. *)
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let profile = Fsim.Coverage.profile c universe (exhaustive_patterns 5) in
+  let profile = Fsim.Coverage.profile c universe (Oracle.exhaustive_patterns 5) in
   Alcotest.(check int) "all detected" (Array.length universe)
     (Fsim.Coverage.detected_count profile);
   Alcotest.(check (float 1e-12)) "coverage 1" 1.0 (Fsim.Coverage.final_coverage profile)
@@ -105,7 +99,7 @@ let test_first_detection_is_minimal () =
      with the pattern prefix up to (but excluding) it finds nothing. *)
   let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:3 ~count:40 c in
+  let patterns = Oracle.random_patterns ~seed:3 ~count:40 c in
   let results = Fsim.Ppsfp.run c universe patterns in
   Array.iteri
     (fun i result ->
@@ -125,7 +119,7 @@ let test_first_detection_is_minimal () =
 let test_coverage_curve_monotone () =
   let c = Circuit.Generators.alu ~bits:4 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:21 ~count:80 c in
+  let patterns = Oracle.random_patterns ~seed:21 ~count:80 c in
   let profile = Fsim.Coverage.profile c universe patterns in
   let curve = Fsim.Coverage.curve profile in
   Alcotest.(check int) "one point per pattern" 80 (Array.length curve);
@@ -143,7 +137,7 @@ let test_coverage_curve_monotone () =
 let test_coverage_after_consistent () =
   let c = Circuit.Generators.parity_tree ~bits:8 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:5 ~count:50 c in
+  let patterns = Oracle.random_patterns ~seed:5 ~count:50 c in
   let profile = Fsim.Coverage.profile c universe patterns in
   let curve = Fsim.Coverage.curve profile in
   Array.iter
@@ -167,7 +161,7 @@ let test_undetected_listing () =
 let test_par_equals_ppsfp_c17 () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   let reference = Fsim.Ppsfp.run c universe patterns in
   List.iter
     (fun domains ->
@@ -188,7 +182,7 @@ let test_par_equals_ppsfp_odd_pattern_counts () =
           ~seed:(count + 1)
       in
       let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(count * 7 + 1) ~count c in
+      let patterns = Oracle.random_patterns ~seed:(count * 7 + 1) ~count c in
       let reference = Fsim.Ppsfp.run c universe patterns in
       List.iter
         (fun domains ->
@@ -201,14 +195,14 @@ let test_par_collapsed_universe_bit_identical () =
   let c = Circuit.Generators.random_circuit ~inputs:32 ~gates:2000 ~outputs:24 ~seed:3 in
   let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
   let universe = Faults.Collapse.representatives classes in
-  let patterns = random_patterns ~seed:8 ~count:130 c in
+  let patterns = Oracle.random_patterns ~seed:8 ~count:130 c in
   Alcotest.(check bool) "bit-identical on 2k gates / 4 domains" true
     (Fsim.Par.run ~domains:4 c universe patterns = Fsim.Ppsfp.run c universe patterns)
 
 let test_par_via_coverage_engine () =
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:23 ~count:50 c in
+  let patterns = Oracle.random_patterns ~seed:23 ~count:50 c in
   let reference = Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns in
   List.iter
     (fun engine ->
@@ -220,7 +214,7 @@ let test_par_via_coverage_engine () =
 let test_par_empty_universe () =
   let c = Circuit.Generators.c17 () in
   Alcotest.(check int) "no faults, no results" 0
-    (Array.length (Fsim.Par.run ~domains:4 c [||] (exhaustive_patterns 5)))
+    (Array.length (Fsim.Par.run ~domains:4 c [||] (Oracle.exhaustive_patterns 5)))
 
 let test_lowest_set_bit_matches_naive () =
   let naive w =
@@ -303,7 +297,7 @@ let test_ndetect_n1_equals_first_detection () =
     (fun seed ->
       let c = Circuit.Generators.random_circuit ~inputs:10 ~gates:150 ~outputs:8 ~seed in
       let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(seed * 13) ~count:100 c in
+      let patterns = Oracle.random_patterns ~seed:(seed * 13) ~count:100 c in
       let reference = Fsim.Ppsfp.run c universe patterns in
       let detections, nth = Fsim.Ppsfp.run_counts ~n:1 c universe patterns in
       Alcotest.(check bool) "indices bit-identical" true (nth = reference);
@@ -320,7 +314,7 @@ let test_ndetect_engines_bit_identical () =
     (fun seed ->
       let c = Circuit.Generators.random_circuit ~inputs:10 ~gates:150 ~outputs:8 ~seed in
       let universe = Faults.Universe.all c in
-      let patterns = random_patterns ~seed:(seed * 17) ~count:100 c in
+      let patterns = Oracle.random_patterns ~seed:(seed * 17) ~count:100 c in
       List.iter
         (fun n ->
           let reference = Fsim.Ppsfp.run_counts ~n c universe patterns in
@@ -340,7 +334,7 @@ let test_ndetect_exhaustive_oracle () =
      detection index then follow by definition. *)
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   let detecting fault =
     Array.to_list patterns
     |> List.mapi (fun i p -> (i, (Fsim.Serial.run c [| fault |] [| p |]).(0) = Some 0))
@@ -367,7 +361,7 @@ let test_ndetect_exhaustive_oracle () =
 let test_ndetect_coverage_monotone_in_n () =
   let c = Circuit.Generators.alu ~bits:3 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:61 ~count:96 c in
+  let patterns = Oracle.random_patterns ~seed:61 ~count:96 c in
   let css =
     List.map (fun n -> Fsim.Coverage.detection_counts ~n c universe patterns) [ 1; 2; 4; 8 ]
   in
@@ -399,7 +393,7 @@ let test_ndetect_via_coverage_engine () =
      dispatcher. *)
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:23 ~count:50 c in
+  let patterns = Oracle.random_patterns ~seed:23 ~count:50 c in
   let reference = Fsim.Coverage.detection_counts ~n:3 c universe patterns in
   List.iter
     (fun engine ->
@@ -410,7 +404,7 @@ let test_ndetect_via_coverage_engine () =
 let test_ndetect_invalid_n_rejected () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   List.iter
     (fun f ->
       Alcotest.(check bool) "n < 1 rejected" true
@@ -508,13 +502,13 @@ let test_kernel_every_gate_kind () =
   let check = check_engines_agree ~domains:[ 1; 2; 3; 5 ] ~ns:[ 1; 3; 64 ] in
   let c = every_kind_circuit () in
   let universe = Faults.Universe.all c in
-  let exhaustive = exhaustive_patterns 7 in
+  let exhaustive = Oracle.exhaustive_patterns 7 in
   check "exhaustive" c universe exhaustive;
   (* 100 patterns: the last block is partial. *)
   check "100 patterns" c universe
     (Array.init 100 (fun k -> exhaustive.((k * 37) mod 128)));
   let c = ffr_corner_circuit () in
-  let exhaustive = exhaustive_patterns 6 in
+  let exhaustive = Oracle.exhaustive_patterns 6 in
   List.iter
     (fun (name, patterns) ->
       check_engines_agree ~domains:[ 1; 2; 3; 8 ] ~ns:[ 1; 2; 3; 4 ] name c
@@ -529,7 +523,7 @@ let test_kernel_lsi_chip_n64 () =
     Faults.Collapse.representatives
       (Faults.Collapse.equivalence c (Faults.Universe.all c))
   in
-  let patterns = random_patterns ~seed:64 ~count:512 c in
+  let patterns = Oracle.random_patterns ~seed:64 ~count:512 c in
   let reference = Fsim.Serial.run_counts ~n:64 c universe patterns in
   Alcotest.(check bool) "ppsfp = serial at n=64" true
     (Fsim.Ppsfp.run_counts ~n:64 c universe patterns = reference);
@@ -541,7 +535,7 @@ let test_kernel_lsi_chip_n64 () =
 let test_malformed_fault_rejected () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   let gate =
     Array.to_list c.N.topo_order
     |> List.find (fun id -> Array.length c.N.fanins.(id) = 2)
@@ -599,7 +593,7 @@ let test_kernel_allocation_guard () =
     Faults.Collapse.representatives
       (Faults.Collapse.equivalence c (Faults.Universe.all c))
   in
-  let patterns = random_patterns ~seed:6 ~count:512 c in
+  let patterns = Oracle.random_patterns ~seed:6 ~count:512 c in
   let per_fault_block name grade =
     let before = Gc.minor_words () in
     let detect = grade () in
@@ -619,7 +613,7 @@ let test_kernel_allocation_guard () =
 let test_stafan_controllabilities () =
   (* On exhaustive patterns of c17, input C1 is exactly 1/2. *)
   let c = Circuit.Generators.c17 () in
-  let st = Fsim.Stafan.analyze c (exhaustive_patterns 5) in
+  let st = Fsim.Stafan.analyze c (Oracle.exhaustive_patterns 5) in
   Array.iter
     (fun id ->
       Alcotest.(check (float 1e-9)) "C1(PI) = 0.5" 0.5
@@ -628,7 +622,7 @@ let test_stafan_controllabilities () =
 
 let test_stafan_po_observability () =
   let c = Circuit.Generators.c17 () in
-  let st = Fsim.Stafan.analyze c (exhaustive_patterns 5) in
+  let st = Fsim.Stafan.analyze c (Oracle.exhaustive_patterns 5) in
   Array.iter
     (fun out ->
       Alcotest.(check (float 1e-9)) "B(PO) = 1" 1.0 (Fsim.Stafan.observability st out))
@@ -693,7 +687,7 @@ let test_stafan_rejects_empty_pattern_set () =
 let test_stafan_empty_universe () =
   (* An empty fault universe has nothing to cover: 0, not 0/0. *)
   let c = Circuit.Generators.c17 () in
-  let st = Fsim.Stafan.analyze c (exhaustive_patterns 5) in
+  let st = Fsim.Stafan.analyze c (Oracle.exhaustive_patterns 5) in
   Alcotest.(check (float 1e-12)) "empty universe coverage" 0.0
     (Fsim.Stafan.expected_coverage st [||] ~pattern_count:64)
 
@@ -719,7 +713,7 @@ let test_stafan_detection_probability_strict_clamp () =
 let test_sampling_full_sample_is_exact () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:44 ~count:64 c in
+  let patterns = Oracle.random_patterns ~seed:44 ~count:64 c in
   let rng = Stats.Rng.create ~seed:44 () in
   let est =
     Fsim.Sampling.estimate_coverage rng c universe
@@ -733,7 +727,7 @@ let test_sampling_full_sample_is_exact () =
 let test_sampling_estimate_near_truth () =
   let c = Circuit.Generators.lsi_chip ~scale:4 () in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:45 ~count:64 c in
+  let patterns = Oracle.random_patterns ~seed:45 ~count:64 c in
   let profile = Fsim.Coverage.profile c universe patterns in
   let truth = Fsim.Coverage.final_coverage profile in
   let rng = Stats.Rng.create ~seed:46 () in
@@ -754,7 +748,7 @@ let test_sampling_engine_invariant () =
      estimate. *)
   let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:44 ~count:64 c in
+  let patterns = Oracle.random_patterns ~seed:44 ~count:64 c in
   let estimate engine =
     Fsim.Sampling.estimate_coverage ?engine
       (Stats.Rng.create ~seed:9 ())
@@ -771,7 +765,7 @@ let test_sampling_engine_invariant () =
 let test_sampling_interval_bounds () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   let rng = Stats.Rng.create ~seed:47 () in
   let est = Fsim.Sampling.estimate_coverage rng c universe ~sample_size:10 patterns in
   Alcotest.(check bool) "bounds ordered" true
@@ -786,7 +780,7 @@ let test_sampling_wilson_endpoints () =
      interval.  The Wilson interval must stay open there. *)
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let full = exhaustive_patterns 5 in
+  let full = Oracle.exhaustive_patterns 5 in
   let est =
     Fsim.Sampling.estimate_coverage
       (Stats.Rng.create ~seed:48 ())
@@ -819,7 +813,7 @@ let test_sampling_wilson_endpoints () =
 let test_sampling_n_detect () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
   let universe = Faults.Universe.all c in
-  let patterns = random_patterns ~seed:44 ~count:64 c in
+  let patterns = Oracle.random_patterns ~seed:44 ~count:64 c in
   let estimate ?n_detect ~sample_size seed =
     Fsim.Sampling.estimate_coverage ?n_detect
       (Stats.Rng.create ~seed ())
@@ -849,7 +843,7 @@ let test_sampling_n_detect () =
 let test_multifault_single_matches () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   let single = Fsim.Serial.run c universe patterns in
   Array.iteri
     (fun i fault ->
@@ -872,7 +866,7 @@ let test_multifault_masking_example () =
   let c = N.Builder.build b in
   let pin_fault = { F.site = F.Branch { gate = g; pin = 0 }; polarity = F.Stuck_at_1 } in
   let out_fault = { F.site = F.Stem g; polarity = F.Stuck_at_1 } in
-  let patterns = exhaustive_patterns 2 in
+  let patterns = Oracle.exhaustive_patterns 2 in
   let pair = Fsim.Serial.first_fail_with_fault_set c [| pin_fault; out_fault |] patterns in
   let alone = Fsim.Serial.first_fail_with_fault_set c [| out_fault |] patterns in
   Alcotest.(check bool) "pair behaves as dominating fault" true (pair = alone)
@@ -882,7 +876,7 @@ let test_multifault_polarity_clash_deterministic () =
   let g10 = match N.find_node c "G10" with Some id -> id | None -> assert false in
   let sa0 = { F.site = F.Stem g10; polarity = F.Stuck_at_0 } in
   let sa1 = { F.site = F.Stem g10; polarity = F.Stuck_at_1 } in
-  let patterns = exhaustive_patterns 5 in
+  let patterns = Oracle.exhaustive_patterns 5 in
   (* Documented rule: sa1 wins. *)
   let clash = Fsim.Serial.first_fail_with_fault_set c [| sa0; sa1 |] patterns in
   let sa1_only = Fsim.Serial.first_fail_with_fault_set c [| sa1 |] patterns in
@@ -891,7 +885,8 @@ let test_multifault_polarity_clash_deterministic () =
 let test_multifault_empty_set_passes () =
   let c = Circuit.Generators.c17 () in
   Alcotest.(check bool) "no faults, no fail" true
-    (Fsim.Serial.first_fail_with_fault_set c [||] (exhaustive_patterns 5) = None)
+    (Fsim.Serial.first_fail_with_fault_set c [||] (Oracle.exhaustive_patterns 5)
+     = None)
 
 let qcheck_props =
   let open QCheck in
@@ -903,7 +898,7 @@ let qcheck_props =
             ~seed:(inputs + (gates * 13))
         in
         let universe = Faults.Universe.all c in
-        let patterns = random_patterns ~seed:(gates + 2) ~count:70 c in
+        let patterns = Oracle.random_patterns ~seed:(gates + 2) ~count:70 c in
         Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns
         && Fsim.Serial.run_counts ~n c universe patterns
            = Fsim.Ppsfp.run_counts ~n c universe patterns);
@@ -915,7 +910,7 @@ let qcheck_props =
         let c = Circuit.Generators.random_circuit ~inputs:6 ~gates:60 ~outputs:4 ~seed in
         let universe = Faults.Universe.all c in
         let fault = universe.(seed mod Array.length universe) in
-        let patterns = random_patterns ~seed ~count:32 c in
+        let patterns = Oracle.random_patterns ~seed ~count:32 c in
         let single = (Fsim.Serial.run c [| fault |] patterns).(0) in
         let multi = Fsim.Serial.first_fail_with_fault_set c [| fault |] patterns in
         single = multi);
@@ -929,7 +924,7 @@ let qcheck_props =
         in
         let universe = Faults.Universe.all c in
         let count = 1 + (gates * 5 mod 130) in
-        let patterns = random_patterns ~seed:(gates + domains) ~count c in
+        let patterns = Oracle.random_patterns ~seed:(gates + domains) ~count c in
         Fsim.Par.run ~domains c universe patterns = Fsim.Ppsfp.run c universe patterns
         && Fsim.Par.run_counts ~domains ~n c universe patterns
            = Fsim.Ppsfp.run_counts ~n c universe patterns) ]

@@ -11,26 +11,9 @@ module F = Faults.Fault
 module N = Circuit.Netlist
 module U = Analysis.Untestable
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
-(* Ground truth: the set of faults no input vector detects, by
-   exhaustive serial fault simulation. *)
-let undetectable_exhaustive c universe =
-  let patterns = exhaustive_patterns (N.num_inputs c) in
-  let profile =
-    Fsim.Coverage.profile ~engine:Fsim.Coverage.Serial c universe patterns
-  in
-  let set = Hashtbl.create 16 in
-  Array.iteri
-    (fun i d -> if d = None then Hashtbl.replace set universe.(i) ())
-    profile.Fsim.Coverage.first_detection;
-  set
-
 let check_sound name c =
   let universe = Faults.Universe.all c in
-  let truth = undetectable_exhaustive c universe in
+  let truth = Oracle.undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
   List.iter
     (fun (variant, flagged) ->
@@ -66,7 +49,7 @@ let test_redundant_demo_complete () =
      = exhaustively undetectable set, exactly. *)
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let truth = undetectable_exhaustive c universe in
+  let truth = Oracle.undetectable_exhaustive c universe in
   let classes = Faults.Collapse.equivalence c universe in
   let flagged = U.untestable_faults ~classes (U.prepare c) universe in
   let flagged_set = Hashtbl.create 16 in
@@ -87,7 +70,7 @@ let test_corrected_coverage_reaches_one () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
   let untestable = U.untestable_faults (U.prepare c) universe in
-  let patterns = exhaustive_patterns (N.num_inputs c) in
+  let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let profile = Fsim.Coverage.profile c universe patterns in
   let raw = Fsim.Coverage.final_coverage profile in
   Alcotest.(check bool) "raw coverage < 1" true (raw < 1.0);
@@ -106,7 +89,7 @@ let test_corrected_coverage_reaches_one () =
 let test_coverage_excluding_validates () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
-  let profile = Fsim.Coverage.profile c universe (exhaustive_patterns 5) in
+  let profile = Fsim.Coverage.profile c universe (Oracle.exhaustive_patterns 5) in
   Alcotest.check_raises "length mismatch rejected"
     (Invalid_argument "Coverage.excluding: universe does not match profile")
     (fun () ->
@@ -145,7 +128,7 @@ let test_sampling_exclude () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
   let untestable = U.untestable_faults (U.prepare c) universe in
-  let patterns = exhaustive_patterns (N.num_inputs c) in
+  let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let rng = Stats.Rng.create ~seed:7 () in
   let est =
     Fsim.Sampling.estimate_coverage ~exclude:untestable rng c universe

@@ -189,6 +189,7 @@ let test_par_trace_has_shard_spans () =
   Alcotest.(check (list int)) "two dense domain ids" [ 0; 1 ] tids;
   ignore (Fsim.Par.run_counts ~domains:2 ~n:2 circuit universe patterns);
   ignore (Analysis.Engine.build ~learn_depth:(Some 1) circuit);
+  ignore (Analysis.Detectability.analyze (Analysis.Signal_prob.analyze circuit));
   let names = span_names () in
   check_spans_present names
     [ "fsim.par"; "fsim.par.prepare"; "fsim.par.shard[0]"; "fsim.par.shard[1]";

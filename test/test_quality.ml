@@ -3,8 +3,7 @@
    Every numeric claim made in the running text of the paper appears
    here as a regression test. *)
 
-let close ?(eps = 1e-9) expected actual =
-  Alcotest.(check (float eps)) "close" expected actual
+let close = Oracle.close
 
 (* ------------------------ fault distribution ----------------------- *)
 

@@ -28,10 +28,6 @@ let with_metrics f =
       Obs.Metrics.reset ())
     f
 
-let random_patterns ~seed ~count c =
-  let rng = Stats.Rng.create ~seed () in
-  Tpg.Random_tpg.uniform rng c ~count
-
 (* ------------------------------------------------------------------ *)
 (* Cancellation tokens                                                 *)
 
@@ -228,7 +224,7 @@ let fsim_rig =
   lazy
     (let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
      let universe = Faults.Universe.all c in
-     let patterns = random_patterns ~seed:42 ~count:192 c in
+     let patterns = Oracle.random_patterns ~seed:42 ~count:192 c in
      (c, universe, patterns))
 
 let check_restart_bit_identical name engine =
@@ -436,6 +432,48 @@ let test_atpg_checkpoint_mismatch_raises () =
       ~payload
   | _ -> Alcotest.fail "checkpoint unreadable");
   Alcotest.(check bool) "hybrid checkpoint rejected" true (rejected atpg_config)
+
+(* A checkpoint that lacks a detection by one of its own extra patterns,
+   as one written by a build that graded each PODEM pattern against the
+   unprocessed targets only does, still resumes to the uninterrupted
+   report: the resume grades the extra patterns once more. *)
+let test_atpg_resume_regrades_extra () =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c = Circuit.Generators.ripple_carry_adder ~bits:3 in
+  let universe = Faults.Universe.all c in
+  let baseline = Tpg.Atpg.run ~config:atpg_config c universe in
+  let ckpt resume = { Tpg.Atpg.path; every = 2; resume } in
+  Robust.Inject.set "checkpoint.save" (Robust.Inject.At_nth 3);
+  Alcotest.(check bool) "injected crash propagates" true
+    (try
+       ignore (Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt false) c universe);
+       false
+     with Robust.Inject.Injected _ -> true);
+  Robust.Inject.clear "checkpoint.save";
+  let meta, state =
+    match Robust.Checkpoint.load ~path with
+    | Ok (meta, [ Report.Json.Obj state ]) -> (meta, state)
+    | _ -> Alcotest.fail "checkpoint unreadable"
+  in
+  (* No random patterns, so every detection is by an extra pattern. *)
+  let detected =
+    match List.assoc_opt "first_detection" state with
+    | Some (Report.Json.List l) ->
+      List.find_index (function Report.Json.Int d -> d >= 0 | _ -> false) l
+    | _ -> None
+  in
+  let fault =
+    match detected with
+    | Some fault -> fault
+    | None -> Alcotest.fail "checkpoint holds no detection"
+  in
+  Robust.Checkpoint.save ~path ~meta
+    ~payload:[ Report.Json.Obj (set_detection fault (-1) state) ];
+  let resumed =
+    Tpg.Atpg.run ~config:atpg_config ~checkpoint:(ckpt true) c universe
+  in
+  Alcotest.(check bool) "bit-identical report" true (resumed = baseline)
 
 (* A complete checkpoint of the deterministic phase (no random
    patterns): every count, pattern width and detection index it holds is
@@ -699,6 +737,7 @@ let suite =
         tc "checkpoint resume bit-identical" test_atpg_checkpoint_resume_bit_identical;
         tc "mismatched resume raises" test_atpg_checkpoint_mismatch_raises;
         tc "impossible checkpoint state raises" test_atpg_impossible_state_raises;
+        tc "resume regrades the extra patterns" test_atpg_resume_regrades_extra;
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;

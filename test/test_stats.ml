@@ -1,7 +1,6 @@
 (* Tests for the statistics substrate. *)
 
-let close ?(eps = 1e-9) expected actual =
-  Alcotest.(check (float eps)) "close" expected actual
+let close = Oracle.close
 
 let rng_seed = 20260705
 
@@ -108,6 +107,28 @@ let test_rng_poisson_mean () =
 let test_rng_poisson_large_mean () =
   let m = mean_of 5_000 (fun rng -> float_of_int (Stats.Rng.poisson rng 120.0)) in
   close ~eps:1.5 120.0 m
+
+(* The sample mean and variance of [n] seeded draws at mean [lambda],
+   each within five standard errors: sqrt(lambda / n) for the mean and
+   sqrt((2 lambda^2 + lambda) / n) for the variance (the Poisson fourth
+   central moment is lambda (1 + 3 lambda)). *)
+let check_poisson_moments lambda =
+  let n = 20_000 in
+  let rng = Stats.Rng.create ~seed:rng_seed () in
+  let draws = Array.init n (fun _ -> float_of_int (Stats.Rng.poisson rng lambda)) in
+  let nf = float_of_int n in
+  let mean = Array.fold_left ( +. ) 0.0 draws /. nf in
+  let variance =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 draws
+    /. (nf -. 1.0)
+  in
+  close ~eps:(5.0 *. sqrt (lambda /. nf)) lambda mean;
+  close
+    ~eps:(5.0 *. sqrt (((2.0 *. lambda *. lambda) +. lambda) /. nf))
+    lambda variance
+
+let test_rng_poisson_moments_1e3 () = check_poisson_moments 1e3
+let test_rng_poisson_moments_1e9 () = check_poisson_moments 1e9
 
 let test_rng_poisson_zero () =
   let rng = Stats.Rng.create ~seed:rng_seed () in
@@ -545,6 +566,8 @@ let suite =
         tc "uniform_pos positive" test_rng_uniform_pos_never_zero;
         tc "poisson mean" test_rng_poisson_mean;
         tc "poisson large mean" test_rng_poisson_large_mean;
+        tc "poisson mean and variance at 1e3" test_rng_poisson_moments_1e3;
+        tc "poisson mean and variance at 1e9" test_rng_poisson_moments_1e9;
         tc "poisson zero" test_rng_poisson_zero;
         tc "gamma mean" test_rng_gamma_mean;
         tc "gamma small shape" test_rng_gamma_small_shape;

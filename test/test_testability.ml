@@ -19,66 +19,13 @@ module D = Analysis.Detectability
 
 let eps = 1e-9
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
-let popcount word =
-  let rec loop w acc =
-    if w = 0L then acc else loop (Int64.logand w (Int64.sub w 1L)) (acc + 1)
-  in
-  loop word 0
-
-(* True signal probability of every node: fraction of all 2^k patterns
-   with the node at 1. *)
-let exact_probabilities c patterns =
-  let n = N.num_nodes c in
-  let ones = Array.make n 0 in
-  List.iter
-    (fun block ->
-      let values = Logicsim.Packed.eval_block c block in
-      let live = Logicsim.Packed.live_mask block in
-      for id = 0 to n - 1 do
-        ones.(id) <- ones.(id) + popcount (Int64.logand values.(id) live)
-      done)
-    (Logicsim.Packed.blocks_of_patterns c patterns);
-  Array.map
-    (fun k -> float_of_int k /. float_of_int (Array.length patterns))
-    ones
-
-(* True per-pattern detection probability of every fault: fraction of
-   all patterns on which the faulty machine differs at an output. *)
-let exact_detections c patterns universe =
-  let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  Array.map
-    (fun fault ->
-      let count =
-        List.fold_left
-          (fun acc block ->
-            let good = Logicsim.Packed.eval_block c block in
-            let good_outputs = Logicsim.Packed.output_words c good in
-            acc + popcount (Fsim.Serial.detect_word c ~good_outputs fault block))
-          0 blocks
-      in
-      float_of_int count /. float_of_int (Array.length patterns))
-    universe
-
-let workloads () =
-  [ ("c17", G.c17 ());
-    ("rca:4", G.ripple_carry_adder ~bits:4);
-    ("cmp:4", G.comparator ~bits:4);
-    ("dec:3", G.decoder ~bits:3);
-    ("mux:2", G.mux_tree ~select_bits:2);
-    ("parity:8", G.parity_tree ~bits:8);
-    ("redundant", G.redundant_demo ());
-    ("rand:8,30", G.random_circuit ~inputs:8 ~gates:30 ~outputs:4 ~seed:11);
-    ("rand:10,60", G.random_circuit ~inputs:10 ~gates:60 ~outputs:5 ~seed:5) ]
-
 let test_signal_probability_containment () =
   List.iter
     (fun (name, c) ->
       let sp = SP.analyze c in
-      let exact = exact_probabilities c (exhaustive_patterns (N.num_inputs c)) in
+      let exact =
+        Oracle.exact_probabilities c (Oracle.exhaustive_patterns (N.num_inputs c))
+      in
       Array.iteri
         (fun id p ->
           let i = SP.probability sp id in
@@ -86,15 +33,15 @@ let test_signal_probability_containment () =
             Alcotest.failf "%s node %d: exact %.6f outside [%.6f, %.6f]" name
               id p i.SP.lo i.SP.hi)
         exact)
-    (workloads ())
+    (Oracle.workloads ())
 
 let test_detection_probability_containment () =
   List.iter
     (fun (name, c) ->
       let det = D.analyze (SP.analyze c) in
       let universe = Faults.Universe.all c in
-      let patterns = exhaustive_patterns (N.num_inputs c) in
-      let exact = exact_detections c patterns universe in
+      let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
+      let exact = Oracle.exact_detections c patterns universe in
       Array.iteri
         (fun fi d_exact ->
           let i = D.detection det universe.(fi) in
@@ -103,16 +50,18 @@ let test_detection_probability_containment () =
               (Faults.Fault.to_string c universe.(fi))
               d_exact i.SP.lo i.SP.hi)
         exact)
-    (workloads ())
+    (Oracle.workloads ())
 
 let test_fanout_free_is_exact () =
   let c = G.parity_tree ~bits:8 in
   let sp = SP.analyze c in
   Alcotest.(check bool) "no cuts" true (SP.exact sp);
+  Alcotest.(check bool) "c17 has reconvergence" true
+    (SP.cut_count (SP.analyze (G.c17 ())) > 0);
   let det = D.analyze sp in
   Alcotest.(check bool) "detectability exact" true (D.exact det);
   let universe = Faults.Universe.all c in
-  let exact = exact_detections c (exhaustive_patterns 8) universe in
+  let exact = Oracle.exact_detections c (Oracle.exhaustive_patterns 8) universe in
   (* In a parity tree every line is always observable and every
      interval is a point equal to the truth. *)
   Array.iteri
@@ -131,8 +80,8 @@ let test_coverage_band_contains_expected_curve () =
     (fun (name, c) ->
       let det = D.analyze (SP.analyze c) in
       let universe = Faults.Universe.all c in
-      let patterns = exhaustive_patterns (N.num_inputs c) in
-      let exact = exact_detections c patterns universe in
+      let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
+      let exact = Oracle.exact_detections c patterns universe in
       let total = float_of_int (Array.length universe) in
       List.iter
         (fun n ->
@@ -160,8 +109,8 @@ let test_untestable_claims_are_sound () =
     (fun (name, c) ->
       let det = D.analyze (SP.analyze c) in
       let universe = Faults.Universe.all c in
-      let patterns = exhaustive_patterns (N.num_inputs c) in
-      let exact = exact_detections c patterns universe in
+      let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
+      let exact = Oracle.exact_detections c patterns universe in
       let index = Hashtbl.create 16 in
       Array.iteri (fun fi f -> Hashtbl.replace index f fi) universe;
       List.iter
@@ -171,7 +120,7 @@ let test_untestable_claims_are_sound () =
             Alcotest.failf "%s: %s claimed untestable but detected (d=%.4f)"
               name (Faults.Fault.to_string c f) d)
         (D.untestable det universe))
-    (workloads ())
+    (Oracle.workloads ())
 
 let test_resistant_identification () =
   (* Every decoder output needs all five select bits plus enable at
@@ -228,19 +177,6 @@ let test_test_length_calculator () =
   Alcotest.(check bool) "reconvergent guarantee saturates" true
     (unreachable = None)
 
-let test_engine_bundle () =
-  let c = G.c17 () in
-  let engine = Analysis.Engine.build ~learn_depth:None c in
-  let det = Analysis.Engine.detectability engine in
-  let sp = Analysis.Engine.prob engine in
-  Alcotest.(check bool) "c17 has reconvergence" true (SP.cut_count sp > 0);
-  Array.iter
-    (fun f ->
-      let d = D.detection det f in
-      Alcotest.(check bool) "d in unit interval" true
-        (d.SP.lo >= 0.0 && d.SP.hi <= 1.0 && d.SP.lo <= d.SP.hi))
-    (Faults.Universe.all c)
-
 let suite =
   [ ( "testability",
       [ Alcotest.test_case "signal-probability bounds contain exhaustive truth"
@@ -256,6 +192,4 @@ let suite =
         Alcotest.test_case "resistant-fault identification" `Quick
           test_resistant_identification;
         Alcotest.test_case "test-length calculator" `Quick
-          test_test_length_calculator;
-        Alcotest.test_case "engine bundles prob + detectability" `Quick
-          test_engine_bundle ] ) ]
+          test_test_length_calculator ] ) ]

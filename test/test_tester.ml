@@ -273,17 +273,15 @@ let test_rows_at_n_detect_coverages () =
   let c, universe, program = Lazy.force rig in
   let lot = make_lot (Array.length universe) in
   let result = Tester.Wafer_test.test_lot c universe program lot in
-  Alcotest.(check bool) "ungraded program rejected" true
-    (try
-       ignore
-         (Tester.Wafer_test.rows_at_n_detect_coverages result program
-            ~coverages:[ 0.5 ]);
-       false
-     with Invalid_argument _ -> true);
   let graded = Tester.Pattern_set.grade_n_detect ~n:2 c universe program in
+  let n_detect_view =
+    Tester.Pattern_set.make graded.Tester.Pattern_set.patterns
+      (Fsim.Coverage.n_detect_profile
+         (Option.get (Tester.Pattern_set.n_detect graded)))
+  in
   let targets = [ 0.25; 0.5; 0.75 ] in
   let rows =
-    Tester.Wafer_test.rows_at_n_detect_coverages result graded ~coverages:targets
+    Tester.Wafer_test.rows_at_coverages result n_detect_view ~coverages:targets
   in
   Alcotest.(check int) "all targets reachable" (List.length targets)
     (List.length rows);
@@ -291,6 +289,10 @@ let test_rows_at_n_detect_coverages () =
     (fun target row ->
       Alcotest.(check bool) "n-detect target reached" true
         (row.Tester.Wafer_test.coverage >= target -. 1e-9);
+      Alcotest.(check bool) "row reports the n-detect figure" true
+        (Some row.Tester.Wafer_test.coverage
+         = Tester.Pattern_set.n_detect_coverage_after graded
+             row.Tester.Wafer_test.patterns_applied);
       (* The n-detect axis lags the 1-detect axis: the same target
          needs at least as many patterns. *)
       match Tester.Wafer_test.rows_at_coverages result graded ~coverages:[ target ] with

@@ -4,10 +4,6 @@ module F = Faults.Fault
 module N = Circuit.Netlist
 module L5 = Tpg.Logic5
 
-let exhaustive_patterns width =
-  Array.init (1 lsl width) (fun v ->
-      Array.init width (fun i -> (v lsr i) land 1 = 1))
-
 (* ----------------------------- logic5 ------------------------------ *)
 
 (* Every ternary vector of length [k], as planes. *)
@@ -181,7 +177,7 @@ let verify_test_detects c fault pattern =
   (Fsim.Serial.run c [| fault |] [| pattern |]).(0) <> None
 
 let exhaustively_detectable c fault width =
-  (Fsim.Serial.run c [| fault |] (exhaustive_patterns width)).(0) <> None
+  (Fsim.Serial.run c [| fault |] (Oracle.exhaustive_patterns width)).(0) <> None
 
 (* Sound and complete on a circuit small enough for exhaustive ground truth. *)
 let check_podem_on c width =
@@ -617,6 +613,29 @@ let test_atpg_profile_consistent () =
       | None -> ())
     report.Tpg.Atpg.profile.Fsim.Coverage.first_detection
 
+(* Every PODEM pattern is graded against every fault still undetected,
+   the aborts before it among them: the report's first detections are
+   those of grading its own patterns from scratch.  On each circuit here
+   some later pattern detects an earlier abort. *)
+let test_atpg_profile_is_regrade () =
+  let check name ?(config = Tpg.Atpg.default_config) c =
+    let classes = Faults.Collapse.equivalence c (Faults.Universe.all c) in
+    let reps = Faults.Collapse.representatives classes in
+    let report = Tpg.Atpg.run ~config c reps in
+    Alcotest.(check bool) (name ^ ": profile = regrade") true
+      (report.Tpg.Atpg.profile.Fsim.Coverage.first_detection
+       = Fsim.Ppsfp.run c reps report.Tpg.Atpg.patterns)
+  in
+  check "lsi:8"
+    ~config:{ Tpg.Atpg.default_config with seed = 1981 }
+    (Circuit.Generators.lsi_chip ~scale:8 ());
+  List.iter
+    (fun seed ->
+      check (Printf.sprintf "random netlist %d" seed)
+        ~config:{ Tpg.Atpg.default_config with backtrack_limit = 4 }
+        (Circuit.Generators.random_circuit ~inputs:12 ~gates:150 ~outputs:6 ~seed))
+    [ 3; 11; 36 ]
+
 let test_atpg_deterministic () =
   let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
   let universe = Faults.Universe.all c in
@@ -693,6 +712,7 @@ let suite =
       [ tc "c17 full coverage" test_atpg_full_coverage_small;
         tc "multiplier accounted" test_atpg_multiplier;
         tc "profile consistent" test_atpg_profile_consistent;
+        tc "profile equals a regrade" test_atpg_profile_is_regrade;
         tc "deterministic" test_atpg_deterministic;
         tc "negative learn_depth rejected" test_atpg_negative_learn_depth ] );
     ( "tpg.properties",
