@@ -449,14 +449,14 @@ let simulate_lot_cmd =
        print_string (Experiments.Pipeline.summary run);
        print_newline ();
        print_string (Experiments.Table1.render ~run ());
-       match Tester.Pattern_set.n_detect run.Experiments.Pipeline.program with
+       let program = run.Experiments.Pipeline.program in
+       match program.Tester.Pattern_set.n_detect with
        | None -> ()
-       | Some cs ->
+       | Some (n, nth) ->
          (* The same lot read off the n-detect coverage axis: each row
             sits at the first pattern count whose n-detect coverage
             reaches the checkpoint. *)
-         Printf.printf "\nn-detect rows (coverage = %d-detect):\n"
-           cs.Fsim.Coverage.require;
+         Printf.printf "\nn-detect rows (coverage = %d-detect):\n" n;
          List.iter
            (fun row ->
              Printf.printf
@@ -466,9 +466,7 @@ let simulate_lot_cmd =
                row.Tester.Wafer_test.cumulative_failed
                row.Tester.Wafer_test.fraction_failed)
            (Tester.Wafer_test.rows_at_coverages run.Experiments.Pipeline.outcome
-              (Tester.Pattern_set.make
-                 run.Experiments.Pipeline.program.Tester.Pattern_set.patterns
-                 (Fsim.Coverage.n_detect_profile cs))
+              (Tester.Pattern_set.make program.Tester.Pattern_set.patterns nth)
               ~coverages:[ 0.25; 0.5; 0.75; 0.9; 0.95 ])
      with
     | Experiments.Pipeline.Interrupted reason ->
@@ -540,13 +538,14 @@ let fsim_cmd =
         else Faults.Collapse.representatives classes
       in
       let patterns = Tpg.Random_tpg.uniform rng circuit ~count in
-      let profile, note =
+      let n = Option.value n_detect ~default:1 in
+      let (profile, nth), note =
         match checkpoint with
         | None ->
-          (Fsim.Coverage.profile ~engine ~cancel circuit reps patterns, "")
+          (Fsim.Coverage.grade ~engine ~cancel ~n circuit reps patterns, "")
         | Some path ->
           let o =
-            Fsim.Restart.run ~engine ~cancel ~every ~resume ~checkpoint:path
+            Fsim.Restart.run ~engine ~cancel ~every ~resume ~n ~checkpoint:path
               ~seed circuit reps patterns
           in
           let note =
@@ -556,23 +555,14 @@ let fsim_cmd =
                 "; %d/%d patterns graded, durable in %s (--resume continues)"
                 o.Fsim.Restart.patterns_done count path
           in
-          (o.Fsim.Restart.profile, note)
+          ((o.Fsim.Restart.profile, o.Fsim.Restart.nth_profile), note)
       in
-      (* The n-detect pass shares the cancel token: its figures are
-         reported only when it ran to completion with the token
-         unfired, never as the zeros of a pass that stopped early. *)
-      let ndetect_counts =
-        Option.bind n_detect (fun n ->
-            let cs =
-              Fsim.Coverage.detection_counts ~engine ~cancel ~n circuit reps
-                patterns
-            in
-            if Robust.Cancel.stop_requested cancel then None else Some cs)
-      in
-      let note =
-        if n_detect <> None && ndetect_counts = None then
-          note ^ "; n-detect pass not completed"
-        else note
+      (* The n-detect figures are reported only when the pass ran to
+         completion with the token unfired, never as the zeros of a pass
+         that stopped early. *)
+      let nth =
+        if n_detect = None || Robust.Cancel.stop_requested cancel then None
+        else Some nth
       in
       (* Progress/status on stderr; only the results on stdout, so
          `--csv` output pipes clean. *)
@@ -583,36 +573,31 @@ let fsim_cmd =
       Printf.eprintf "patterns: %d random\n%!" count;
       let curve = Fsim.Coverage.curve profile in
       if csv then begin
-        match ndetect_counts with
-        | None ->
-          print_string
-            (Report.Csv.of_rows
-               ([ "patterns"; "coverage" ]
-               :: (Array.to_list curve
-                  |> List.map (fun (k, f) ->
-                         [ string_of_int k; Printf.sprintf "%.6f" f ]))))
-        | Some cs ->
-          let ncurve = Fsim.Coverage.curve (Fsim.Coverage.n_detect_profile cs) in
-          print_string
-            (Report.Csv.of_rows
-               ([ "patterns"; "coverage"; "ndetect_coverage" ]
-               :: (Array.to_list curve
-                  |> List.mapi (fun i (k, f) ->
-                         [ string_of_int k;
-                           Printf.sprintf "%.6f" f;
-                           Printf.sprintf "%.6f" (snd ncurve.(i)) ]))))
+        let ncurve = Option.map Fsim.Coverage.curve nth in
+        let header =
+          [ "patterns"; "coverage" ]
+          @ if ncurve = None then [] else [ "ndetect_coverage" ]
+        in
+        let row i (k, f) =
+          [ string_of_int k; Printf.sprintf "%.6f" f ]
+          @
+          match ncurve with
+          | None -> []
+          | Some ncurve -> [ Printf.sprintf "%.6f" (snd ncurve.(i)) ]
+        in
+        print_string
+          (Report.Csv.of_rows (header :: List.mapi row (Array.to_list curve)))
       end
       else begin
         Printf.printf "coverage: %.2f%% (%d detected, %d undetected)\n"
           (100.0 *. Fsim.Coverage.final_coverage profile)
           (Fsim.Coverage.detected_count profile)
           (Array.length reps - Fsim.Coverage.detected_count profile);
-        (match ndetect_counts with
+        (match nth with
         | None -> ()
-        | Some cs ->
-          Printf.printf "n-detect coverage (n=%d): %.2f%%\n"
-            cs.Fsim.Coverage.require
-            (100.0 *. Fsim.Coverage.n_detect_coverage cs));
+        | Some nth ->
+          Printf.printf "n-detect coverage (n=%d): %.2f%%\n" n
+            (100.0 *. Fsim.Coverage.final_coverage nth));
         let step = max 1 (Array.length curve / 16) in
         Array.iteri
           (fun i (k, f) ->
@@ -899,11 +884,10 @@ let sample_cmd =
       est.Fsim.Sampling.lower_95 est.Fsim.Sampling.upper_95
       est.Fsim.Sampling.sample_size est.Fsim.Sampling.universe_size;
     let exact =
-      match n_detect with
-      | None -> Fsim.Coverage.final_coverage (Fsim.Coverage.profile circuit universe patterns)
-      | Some n ->
-        Fsim.Coverage.n_detect_coverage
-          (Fsim.Coverage.detection_counts ~n circuit universe patterns)
+      Fsim.Coverage.final_coverage
+        (snd
+           (Fsim.Coverage.grade ~n:(Option.value n_detect ~default:1) circuit
+              universe patterns))
     in
     Printf.printf "exact coverage:   %.4f\n" exact
   in

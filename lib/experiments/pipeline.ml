@@ -53,10 +53,10 @@ let calibrated_multiplicity config ~lambda =
   (* expected_n0 = mu * lambda / (1 - y)  =>  mu = n0 (1 - y) / lambda. *)
   max 1.0 (config.target_n0 *. (1.0 -. config.target_yield) /. lambda)
 
-(* The nine pipeline stages, in execution order; lint and ndetect are
-   conditional, so a run's stage ticks are a subsequence of 1..9 but
+(* The eight pipeline stages, in execution order; lint is
+   conditional, so a run's stage ticks are a subsequence of 1..8 but
    always increasing — progress stays monotone. *)
-let stage_total = 9
+let stage_total = 8
 
 let stage index name f =
   Obs.Progress.stage ~label:"pipeline" ~stage:name ~index ~total:stage_total;
@@ -93,8 +93,9 @@ let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
   Obs.Trace.with_span "pipeline.execute" @@ fun () ->
   (* A run that cannot finish has no [run] value to return: cancellation
      is surfaced as the typed [Interrupted] exception, checked at every
-     stage boundary (ATPG additionally stops between targets and
-     flushes its checkpoint first). *)
+     stage boundary and after every chip of the lot and test stages
+     (ATPG additionally stops between targets and flushes its
+     checkpoint first). *)
   let guard () =
     if Robust.Cancel.stop_requested cancel then
       raise
@@ -150,31 +151,25 @@ let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
      grading a truncated program as if it were the real one. *)
   let program =
     stage 5 "program" @@ fun () ->
+    let atpg_patterns = atpg_report.Tpg.Atpg.patterns in
+    let graded patterns =
+      Tester.Pattern_set.of_simulation ~engine:config.fsim_engine
+        ?n_detect:config.n_detect circuit universe patterns
+    in
     match config.program_style with
-    | Atpg_only ->
-      Tester.Pattern_set.make atpg_report.Tpg.Atpg.patterns
-        atpg_report.Tpg.Atpg.profile
+    | Atpg_only when config.n_detect = None ->
+      Tester.Pattern_set.make atpg_patterns atpg_report.Tpg.Atpg.profile
+    | Atpg_only -> graded atpg_patterns
     | Functional_prelude count ->
       (* A low-activity functional walk first, then the graded ATPG set:
          gives the gradual coverage axis of the paper's Table 1. *)
       let rng = Stats.Rng.create ~seed:(config.seed + 3) () in
       let walk = Tpg.Random_tpg.random_walk rng circuit ~count () in
-      let combined = Array.append walk atpg_report.Tpg.Atpg.patterns in
-      Tester.Pattern_set.of_simulation ~engine:config.fsim_engine circuit universe
-        combined
+      graded (Array.append walk atpg_patterns)
   in
   Obs.Trace.add_int "patterns" (Tester.Pattern_set.pattern_count program);
-  let program =
-    match config.n_detect with
-    | None -> program
-    | Some n ->
-      stage 6 "ndetect" (fun () ->
-          Obs.Trace.add_int "n" n;
-          Tester.Pattern_set.grade_n_detect ~engine:config.fsim_engine ~n
-            circuit universe program)
-  in
   let defect =
-    stage 7 "fab" @@ fun () ->
+    stage 6 "fab" @@ fun () ->
     let defect_density =
       Fab.Yield_model.solve_defect_density ~target_yield:config.target_yield
         ~area:1.0 ~variance_ratio:config.variance_ratio
@@ -189,19 +184,21 @@ let execute ?(cancel = Robust.Cancel.none) ?checkpoint config =
       ~universe_size:(Array.length universe) ()
   in
   let lot =
-    stage 8 "lot" @@ fun () ->
+    stage 7 "lot" @@ fun () ->
     let rng = Stats.Rng.create ~seed:(config.seed + 2) () in
     match config.line with
-    | Clustered -> Fab.Lot.manufacture defect rng ~count:config.lot_size
+    | Clustered ->
+      Fab.Lot.manufacture ~on_chip:guard defect rng ~count:config.lot_size
     | Ideal ->
-      Fab.Lot.manufacture_ideal ~yield_:config.target_yield ~n0:config.target_n0
-        ~universe_size:(Array.length universe) rng ~count:config.lot_size
+      Fab.Lot.manufacture_ideal ~on_chip:guard ~yield_:config.target_yield
+        ~n0:config.target_n0 ~universe_size:(Array.length universe) rng
+        ~count:config.lot_size
   in
   Obs.Trace.add_int "chips" (Fab.Lot.size lot);
   let outcome =
-    stage 9 "test" (fun () ->
-        Tester.Wafer_test.test_lot ~mode:config.tester_mode circuit universe
-          program lot)
+    stage 8 "test" (fun () ->
+        Tester.Wafer_test.test_lot ~on_chip:guard ~mode:config.tester_mode
+          circuit universe program lot)
   in
   if Obs.Journal.enabled () then begin
     Obs.Journal.headline "circuit"
@@ -255,12 +252,11 @@ let summary run =
     run.atpg_report.Tpg.Atpg.random_patterns
     run.atpg_report.Tpg.Atpg.deterministic_patterns
     (100.0 *. Tester.Pattern_set.final_coverage run.program);
-  (match Tester.Pattern_set.n_detect run.program with
+  (match run.program.Tester.Pattern_set.n_detect with
    | None -> ()
-   | Some cs ->
-     addf "n-detect: coverage at n=%d is %.2f%% (1-detect %.2f%%)\n"
-       cs.Fsim.Coverage.require
-       (100.0 *. Fsim.Coverage.n_detect_coverage cs)
+   | Some (n, nth) ->
+     addf "n-detect: coverage at n=%d is %.2f%% (1-detect %.2f%%)\n" n
+       (100.0 *. Fsim.Coverage.final_coverage nth)
        (100.0 *. Tester.Pattern_set.final_coverage run.program));
   addf "atpg: %d untestable, %d aborted\n" run.atpg_report.Tpg.Atpg.untestable
     run.atpg_report.Tpg.Atpg.aborted;

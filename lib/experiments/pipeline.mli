@@ -54,12 +54,12 @@ type config = {
           further by detection containment; composes with
           [exclude_untestable]. *)
   n_detect : int option;
-      (** When [Some n], additionally grade the test program with the
-          drop-after-n kernels ({!Fsim.Coverage.detection_counts}) so
-          [run.program] carries per-fault detection counts and the
-          n-detect coverage curve; the {!summary} then reports both
-          coverage figures.  [None] (the default) skips the extra
-          grading pass. *)
+      (** When [Some n], grade the test program with drop rule [n]
+          ({!Fsim.Coverage.grade}): the one pass yields both the
+          first-detection profile and the n-th-detection one, which
+          [run.program] carries; the {!summary} then reports both
+          coverage figures.  [None] (the default) grades first
+          detection only. *)
 }
 
 val default_config : config
@@ -90,8 +90,8 @@ exception Interrupted of Robust.Cancel.reason
 
 val execute :
   ?cancel:Robust.Cancel.t -> ?checkpoint:Tpg.Atpg.checkpointing -> config -> run
-(** [cancel] is polled at every stage boundary and inside ATPG (see
-    {!Tpg.Atpg.run}).  [checkpoint] is handed to the ATPG stage, the
+(** [cancel] is polled at every stage boundary, after every chip of
+    the lot and test stages, and inside ATPG (see {!Tpg.Atpg.run}).  [checkpoint] is handed to the ATPG stage, the
     one that costs the time: its deterministic phase is snapshotted
     every [every] fault targets, and on [resume] it continues from the
     last snapshot.  Every other stage is a deterministic function of

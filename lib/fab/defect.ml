@@ -28,15 +28,24 @@ let expected_n0 t =
   if lam = 0.0 then t.fault_multiplicity
   else t.fault_multiplicity *. lam /. (1.0 -. y)
 
-(* One defect: an anchor line plus extra faults clustered around it. *)
+(* One defect: an anchor line plus extra faults clustered around it.
+   The draws stop once the defect holds every line of its window: more
+   would add nothing, and a huge multiplicity would cost one draw per
+   extra fault. *)
 let sample_defect_faults t rng add =
   let anchor = Stats.Rng.int rng t.universe_size in
   add anchor;
   let extra = Stats.Rng.poisson rng (t.fault_multiplicity -. 1.0) in
-  for _ = 1 to extra do
-    let lo = max 0 (anchor - t.locality_window) in
-    let hi = min (t.universe_size - 1) (anchor + t.locality_window) in
-    add (Stats.Rng.int_in rng lo hi)
+  let lo = max 0 (anchor - t.locality_window) in
+  let hi = min (t.universe_size - 1) (anchor + t.locality_window) in
+  let held = Array.make (hi - lo + 1) false in
+  held.(anchor - lo) <- true;
+  let missing = ref (hi - lo) and left = ref extra in
+  while !left > 0 && !missing > 0 do
+    let line = Stats.Rng.int_in rng lo hi in
+    add line;
+    if not held.(line - lo) then (held.(line - lo) <- true; decr missing);
+    decr left
   done
 
 let sample_chip t rng =

@@ -16,7 +16,7 @@ let record_lot_stats t =
   end;
   t
 
-let manufacture defect rng ~count =
+let manufacture ?(on_chip = ignore) defect rng ~count =
   if count <= 0 then invalid_arg "Lot.manufacture: nonpositive lot size";
   Obs.Trace.with_span "fab.lot.manufacture" @@ fun () ->
   let progress = Obs.Progress.start ~label:"fab.lot" ~total:count () in
@@ -24,12 +24,13 @@ let manufacture defect rng ~count =
     Array.init count (fun chip_id ->
         let chip = { chip_id; fault_indices = Defect.sample_chip defect rng } in
         Obs.Progress.step progress 1;
+        on_chip ();
         chip)
   in
   Obs.Progress.finish progress;
   record_lot_stats { chips; universe_size = Defect.universe_size defect }
 
-let manufacture_ideal ~yield_ ~n0 ~universe_size rng ~count =
+let manufacture_ideal ?(on_chip = ignore) ~yield_ ~n0 ~universe_size rng ~count =
   if count <= 0 then invalid_arg "Lot.manufacture_ideal: nonpositive lot size";
   if not (0.0 <= yield_ && yield_ <= 1.0) then
     invalid_arg "Lot.manufacture_ideal: yield outside [0,1]";
@@ -49,6 +50,7 @@ let manufacture_ideal ~yield_ ~n0 ~universe_size rng ~count =
           end
         in
         Obs.Progress.step progress 1;
+        on_chip ();
         { chip_id; fault_indices })
   in
   Obs.Progress.finish progress;

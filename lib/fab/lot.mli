@@ -15,10 +15,14 @@ type t = {
   universe_size : int;
 }
 
-val manufacture : Defect.t -> Stats.Rng.t -> count:int -> t
-(** Fabricate [count] chips through the physical defect process. *)
+val manufacture :
+  ?on_chip:(unit -> unit) -> Defect.t -> Stats.Rng.t -> count:int -> t
+(** Fabricate [count] chips through the physical defect process.
+    [on_chip] is called after each chip; an exception it raises stops
+    the lot, which is how a caller cancels a long one. *)
 
 val manufacture_ideal :
+  ?on_chip:(unit -> unit) ->
   yield_:float -> n0:float -> universe_size:int ->
   Stats.Rng.t -> count:int -> t
 (** Fabricate a lot that follows the paper's Eq. 1 {e exactly}: each
@@ -26,7 +30,8 @@ val manufacture_ideal :
     [1 + Poisson(n0 - 1)] distinct faults drawn uniformly from the
     universe.  This is the idealized line used to validate the paper's
     characterization procedure; {!manufacture} is the physically
-    motivated line whose clustering the ablation experiments study. *)
+    motivated line whose clustering the ablation experiments study.
+    [on_chip] is called as in {!manufacture}. *)
 
 val size : t -> int
 

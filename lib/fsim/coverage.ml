@@ -6,62 +6,40 @@ type profile = {
   first_detection : int option array;
 }
 
-let profile ?(engine = Parallel) ?cancel c faults patterns =
-  let first_detection =
-    match engine with
-    | Serial -> Serial.run ?cancel c faults patterns
-    | Parallel -> Ppsfp.run ?cancel c faults patterns
-    | Par { domains } -> Par.run ?cancel ~domains c faults patterns
-  in
-  { universe_size = Array.length faults;
-    pattern_count = Array.length patterns;
-    first_detection }
-
-type counts = {
-  require : int;
+type state = Ppsfp.state = {
+  n : int;
   detections : int array;
-  nth_profile : profile;
+  first : int option array;
+  nth : int option array;
 }
 
-let detection_counts ?(engine = Parallel) ?cancel ~n c faults patterns =
-  let detections, nth_detection =
-    match engine with
-    | Serial -> Serial.run_counts ?cancel ~n c faults patterns
-    | Parallel -> Ppsfp.run_counts ?cancel ~n c faults patterns
-    | Par { domains } -> Par.run_counts ?cancel ~domains ~n c faults patterns
-  in
-  { require = n;
-    detections;
-    nth_profile =
-      { universe_size = Array.length faults;
-        pattern_count = Array.length patterns;
-        first_detection = nth_detection } }
+let state = Ppsfp.state
 
-let n_detect_profile cs = cs.nth_profile
-
-let extend ?engine c faults ~first_detection ~offset patterns =
-  let alive = ref [] in
-  for i = Array.length faults - 1 downto 0 do
-    if first_detection.(i) = None then alive := i :: !alive
-  done;
-  let alive = Array.of_list !alive in
+let extend ?(engine = Parallel) ?cancel c faults st ~offset patterns =
+  let alive = List.init (Array.length faults) Fun.id in
+  let alive = Array.of_list (List.filter (fun i -> st.nth.(i) = None) alive) in
   if Array.length alive = 0 then 0
-  else begin
-    let graded =
-      (profile ?engine c (Array.map (Array.get faults) alive) patterns)
-        .first_detection
-    in
-    let found = ref 0 in
-    Array.iteri
-      (fun k d ->
-        match d with
-        | Some j ->
-          first_detection.(alive.(k)) <- Some (offset + j);
-          incr found
-        | None -> ())
-      graded;
-    !found
-  end
+  else
+    match engine with
+    | Serial -> Serial.extend ?cancel c faults st ~alive ~offset patterns
+    | Parallel -> Ppsfp.extend ?cancel c faults st ~alive ~offset patterns
+    | Par { domains } ->
+      Par.extend ?cancel ~domains c faults st ~alive ~offset patterns
+
+let profiles st ~pattern_count =
+  let view first_detection =
+    { universe_size = Array.length first_detection; pattern_count;
+      first_detection }
+  in
+  (view st.first, view st.nth)
+
+let grade ?engine ?cancel ~n c faults patterns =
+  let st = state ~n (Array.length faults) in
+  ignore (extend ?engine ?cancel c faults st ~offset:0 patterns);
+  profiles st ~pattern_count:(Array.length patterns)
+
+let profile ?engine ?cancel c faults patterns =
+  fst (grade ?engine ?cancel ~n:1 c faults patterns)
 
 let detected_count p =
   Array.fold_left
@@ -96,10 +74,6 @@ let curve p =
   Array.init p.pattern_count (fun k ->
       running := !running + new_detections.(k + 1);
       (k + 1, float_of_int !running /. total))
-
-let n_detect_coverage cs = final_coverage cs.nth_profile
-
-let n_detect_coverage_after cs k = coverage_after cs.nth_profile k
 
 (* The entries of [p] whose fault is in [faults] exactly when [member]
    holds. *)

@@ -7,10 +7,10 @@
     first at pattern [first_detection.(j)]). *)
 
 type engine =
-  | Serial    (** One fault at a time ({!Serial.run}): the oracle. *)
-  | Parallel  (** PPSFP ({!Ppsfp.run}), the default. *)
+  | Serial    (** One fault at a time ({!Serial.extend}): the oracle. *)
+  | Parallel  (** PPSFP ({!Ppsfp.extend}), the default. *)
   | Par of { domains : int }
-      (** Multicore PPSFP ({!Par.run}): fault universe sharded across
+      (** Multicore PPSFP ({!Par.extend}): fault universe sharded across
           [domains] OCaml domains, results bit-identical to
           {!Parallel}. *)
 
@@ -20,73 +20,63 @@ type profile = {
   first_detection : int option array; (** Per fault, first detecting pattern. *)
 }
 
+type state = Ppsfp.state = {
+  n : int;  (** Drop rule: a fault leaves after [n] detections ([>= 1]). *)
+  detections : int array;  (** Per fault, detections seen, at most [n]. *)
+  first : int option array;  (** Per fault, first detecting pattern. *)
+  nth : int option array;
+      (** Per fault, [n]-th detecting pattern; the same array as
+          [first] when [n = 1]. *)
+}
+(** The one grading state every engine reads and writes.  A fault is
+    alive while its [nth] entry is [None], so under the drop-after-n
+    rule it stays alive past its first detection and one pass records
+    both the paper's first detections (the tester's lookup table) and
+    the n-th detections of n-detection grading (single detection
+    overstates defect screening, Pomeranz & Reddy). *)
+
+val state : n:int -> int -> state
+(** [state ~n faults]: nothing detected yet among [faults] faults.
+    Raises [Invalid_argument] when [n < 1]. *)
+
+val extend :
+  ?engine:engine ->
+  ?cancel:Robust.Cancel.t ->
+  Circuit.Netlist.t ->
+  Faults.Fault.t array ->
+  state ->
+  offset:int ->
+  bool array array ->
+  int
+(** [extend c faults st ~offset patterns] grades [patterns], numbered
+    from [offset], against the alive faults of [st] (default engine
+    {!Parallel}; every engine gives identical results at a different
+    cost), records their detections in place and returns how many
+    reached [st.n] detections.  Per-fault results do not depend on the
+    other faults, so grading slice by slice records exactly what one
+    {!grade} does.  After [cancel] fires, the rest is left ungraded. *)
+
+val profiles : state -> pattern_count:int -> profile * profile
+(** The state's first and n-th detections as {!profile}s over
+    [pattern_count] patterns, sharing its arrays: read through the
+    second, {!coverage_after}, {!curve} and the virtual tester report
+    n-detect figures. *)
+
+val grade :
+  ?engine:engine ->
+  ?cancel:Robust.Cancel.t ->
+  n:int ->
+  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
+  profile * profile
+(** The {!profiles} of one drop-after-n pass ({!extend}) from a fresh
+    state.  Raises [Invalid_argument] when [n < 1]. *)
+
 val profile :
   ?engine:engine ->
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> profile
-(** Run fault simulation (default {!Parallel}; every engine gives
-    identical results at a different cost) and package the result.
-    [cancel] reaches the block loops of every engine; a cancelled run
-    returns the partial profile. *)
-
-type counts = {
-  require : int;
-      (** The n of n-detect ([>= 1]). *)
-  detections : int array;
-      (** Per fault, detecting patterns seen, saturated at [require]. *)
-  nth_profile : profile;
-      (** The [require]-th detection viewed as a {!profile}:
-          [first_detection.(j)] is the index of the [require]-th
-          pattern detecting fault [j] ([None] when fewer than
-          [require] patterns detect it). *)
-}
-(** n-detection profile: single-detection coverage overstates defect
-    screening (Pomeranz & Reddy), so production flows grade how {e
-    often} each fault is detected.  Computed with a drop-after-n
-    policy: a fault leaves the simulation once [require] distinct
-    patterns have detected it. *)
-
-val detection_counts :
-  ?engine:engine ->
-  ?cancel:Robust.Cancel.t ->
-  n:int ->
-  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> counts
-(** Run n-detection fault simulation with each engine's drop-after-n
-    kernel ({!Serial.run_counts}, {!Ppsfp.run_counts},
-    {!Par.run_counts}).  With [n = 1], [nth_detection] is bit-identical
-    to the {!profile}'s [first_detection] on every engine.  Raises
-    [Invalid_argument] when [n < 1]. *)
-
-val n_detect_profile : counts -> profile
-(** [nth_profile], as a function: the n-detection result as an
-    ordinary {!profile} whose "first detection" is the [require]-th
-    detection — every downstream consumer ({!coverage_after}, {!curve},
-    {!undetected}, the virtual tester) then reports n-detect
-    figures. *)
-
-val n_detect_coverage : counts -> float
-(** Fraction of faults detected at least [require] times. *)
-
-val n_detect_coverage_after : counts -> int -> float
-(** [n_detect_coverage_after cs k]: fraction of faults whose
-    [require]-th detection happens within the first [k] patterns. *)
-
-val extend :
-  ?engine:engine ->
-  Circuit.Netlist.t ->
-  Faults.Fault.t array ->
-  first_detection:int option array ->
-  offset:int ->
-  bool array array ->
-  int
-(** [extend c faults ~first_detection ~offset patterns] grades
-    [patterns], numbered from [offset], against the faults whose
-    [first_detection] entry is [None], records their first detections
-    in place and returns how many it found.  Per-fault results do not
-    depend on the other faults, so grading a pattern set slice by
-    slice records exactly what one {!profile} of the whole set does.
-    Random test generation, ATPG's drop after each PODEM pattern,
-    static compaction and checkpointed fault simulation call it. *)
+(** The first profile of {!grade} at [n = 1]; a cancelled run returns
+    the partial profile. *)
 
 val detected_count : profile -> int
 (** Number of detected faults. *)

@@ -1,12 +1,14 @@
 let observing () = Obs.Trace.enabled () || Obs.Metrics.enabled ()
 
-let engine_run ~engine ~faults ~patterns f =
+let engine_run ~engine ~n ~faults ~patterns f =
+  let engine = if n = 1 then engine else "ndetect." ^ engine in
   Obs.Trace.with_span ("fsim." ^ engine) (fun () ->
       Obs.Trace.add_int "faults" faults;
       Obs.Trace.add_int "patterns" patterns;
+      if n > 1 then Obs.Trace.add_int "n" n;
       let metrics = Obs.Metrics.enabled () in
       let t0 = if metrics then Obs.Trace.now_s () else 0.0 in
-      let result = f () in
+      let result = f engine in
       if metrics then begin
         let wall = Obs.Trace.now_s () -. t0 in
         let prefix = "fsim." ^ engine in

@@ -15,9 +15,12 @@ val observing : unit -> bool
     something even at batch granularity. *)
 
 val engine_run :
-  engine:string -> faults:int -> patterns:int -> (unit -> 'a) -> 'a
-(** [engine_run ~engine ~faults ~patterns f] runs [f] inside the
-    engine's span and records the run-level metrics. *)
+  engine:string -> n:int -> faults:int -> patterns:int -> (string -> 'a) -> 'a
+(** [engine_run ~engine ~n ~faults ~patterns f] runs [f] inside the
+    span of [engine] grading with drop rule [n] and records the
+    run-level metrics.  First detection ([n = 1]) is labelled [engine];
+    [n > 1] is labelled ["ndetect.<engine>"] and its span carries [n].
+    [f] receives the label. *)
 
 val progress_start : engine:string -> patterns:int -> Obs.Progress.t
 (** Progress task labelled ["fsim.<engine>"] over [patterns] items;

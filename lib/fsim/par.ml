@@ -10,46 +10,45 @@
    increasing root order, so each region's root is flipped on one
    domain only, and neighbouring regions (deep random control logic
    against shallow datapath) land on different domains.  Each worker
-   writes only its own faults' slots of the shared result arrays, and
+   writes only its own faults' slots of the shared grading state, and
    Domain.join publishes the writes. *)
 
-(* Shared domain-spawning driver for both first-detection and
-   n-detection grading: run Ppsfp's block loop with drop rule [n] over
-   each shard on its own domain, writing into [detections]/[nth], and
-   record per-shard wall/imbalance observability under [engine] ("par"
-   or "ndetect.par").  [annotate] adds engine-specific span attributes
-   inside the top-level span.
+(* The domain-spawning driver behind every entry point: run Ppsfp's
+   block loop over each shard of the alive faults on its own domain,
+   writing into the grading state, and record per-shard
+   wall/imbalance observability under the engine's label ("par", or
+   "ndetect.par" when n > 1).
 
    Shard supervision: each shard runs under per-domain exception
    capture (a domain that dies would otherwise take the whole run down
-   at [Domain.join]).  A failed shard's faults are reset and the shard
-   re-run on a fresh domain up to [max_shard_retries] times; if every
-   retry fails it is recomputed serially in the calling domain as a
-   deterministic last resort.  Because per-fault results are
-   independent and each shard owns a disjoint set of faults,
-   recompute-after-reset merges bit-identically with the untouched
-   shards.  The ["fsim.par.shard"] failpoint fires once in every
-   supervised attempt (never in the serial fallback), after the
-   attempt has written its first block's results, so recovery and the
-   reset are testable end to end. *)
+   at [Domain.join]).  A failed shard's faults are restored to their
+   state before the attempt and the shard re-run on a fresh domain up
+   to [max_shard_retries] times; if every retry fails it is recomputed
+   serially in the calling domain as a deterministic last resort.
+   Because per-fault results are independent and each shard owns a
+   disjoint set of faults, recompute-after-restore merges
+   bit-identically with the untouched shards.  The ["fsim.par.shard"]
+   failpoint fires once in every supervised attempt (never in the
+   serial fallback), after the attempt has written its first block's
+   results, so recovery and the restore are testable end to end. *)
 let shard_failpoint = "fsim.par.shard"
+let max_shard_retries = 1
 
-let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
-    ?(max_shard_retries = 1) ?domains ~n c faults patterns =
-  let nf = Array.length faults in
+let extend ?(cancel = Robust.Cancel.none) ?domains c faults (st : Ppsfp.state)
+    ~alive ~offset patterns =
   let requested =
     match domains with Some d -> d | None -> Domain.recommended_domain_count ()
   in
   if requested < 1 then invalid_arg "Par: need at least one domain";
-  Array.iter (Faults.Fault.check c) faults;
-  let domains = max 1 (min requested nf) in
-  let detections = Array.make nf 0 in
-  let nth = Array.make nf None in
-  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
-  @@ fun () ->
+  Array.iter (fun fi -> Faults.Fault.check c faults.(fi)) alive;
+  let na = Array.length alive in
+  let domains = max 1 (min requested na) in
+  Instrument.engine_run ~engine:"par" ~n:st.n ~faults:na
+    ~patterns:(Array.length patterns)
+  @@ fun engine ->
   Obs.Trace.add_int "domains" domains;
-  annotate ();
-  if nf > 0 then begin
+  if na = 0 then 0
+  else begin
     let blocks, goods =
       Obs.Trace.with_span ("fsim." ^ engine ^ ".prepare") (fun () ->
           let blocks =
@@ -70,28 +69,31 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
         ~patterns:(Array.length patterns * domains)
     in
     let observing = Instrument.observing () in
-    (* Per-shard wall time and detection counts; each worker writes only
-       its own slot, Domain.join publishes the writes (same discipline
-       as the result arrays). *)
+    (* Per-shard wall time and drop counts; each worker writes only its
+       own slot, Domain.join publishes the writes (same discipline as
+       the state). *)
     let shard_wall = Array.make domains 0.0 in
-    let shard_detected = Array.make domains 0 in
+    let shard_dropped = Array.make domains 0 in
     (* Ppsfp.grade reorders and compacts its [alive] array, so every
        attempt grades a fresh copy of its shard. *)
-    let shards = Ppsfp.shards c faults ~domains in
+    let shards = Ppsfp.shards c faults alive ~domains in
+    (* What a failed attempt overwrites: its faults' counts and first
+       detections (their n-th detections are None while alive). *)
+    let detections = Array.copy st.detections and first = Array.copy st.first in
     let graded_shard ?on_block i () =
       Obs.Trace.with_span (Printf.sprintf "fsim.%s.shard[%d]" engine i)
         (fun () ->
           let t0 = if observing then Obs.Trace.now_s () else 0.0 in
-          let alive = Array.copy shards.(i) in
-          let detected =
-            Ppsfp.grade ~cancel ?on_block ~engine ~n ~progress c faults ~blocks
-              ~good:(Array.get goods) ~alive ~detections ~nth
+          let dropped =
+            Ppsfp.grade ~cancel ?on_block ~engine ~progress c faults ~blocks
+              ~good:(Array.get goods) ~offset st
+              ~alive:(Array.copy shards.(i))
           in
+          shard_dropped.(i) <- dropped;
           if observing then begin
             shard_wall.(i) <- Obs.Trace.now_s () -. t0;
-            shard_detected.(i) <- detected;
-            Obs.Trace.add_int "faults" (Array.length alive);
-            Obs.Trace.add_int "detected" detected
+            Obs.Trace.add_int "faults" (Array.length shards.(i));
+            Obs.Trace.add_int "detected" dropped
           end)
     in
     let attempt_shard i () =
@@ -105,11 +107,12 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
       graded_shard ~on_block:fail_once i ();
       fail_once ()
     in
-    let reset i =
+    let restore i =
       Array.iter
         (fun f ->
-          detections.(f) <- 0;
-          nth.(f) <- None)
+          st.detections.(f) <- detections.(f);
+          st.first.(f) <- first.(f);
+          st.nth.(f) <- None)
         shards.(i)
     in
     let failures = Array.make domains None in
@@ -128,7 +131,7 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
         | None -> ()
         | Some _ ->
           let rec retry attempt =
-            reset i;
+            restore i;
             if attempt > max_shard_retries then begin
               (* Serial last resort in the calling domain, without the
                  failpoint: deterministic by construction. *)
@@ -150,22 +153,17 @@ let drive ?(cancel = Robust.Cancel.none) ~engine ?(annotate = ignore)
         (fun i wall ->
           Obs.Metrics.observe (prefix ^ ".shard_wall_s") wall;
           Obs.Metrics.observe (prefix ^ ".shard_detected")
-            (float_of_int shard_detected.(i)))
+            (float_of_int shard_dropped.(i)))
         shard_wall;
       let total = Array.fold_left ( +. ) 0.0 shard_wall in
       let mean = total /. float_of_int domains in
       let slowest = Array.fold_left max 0.0 shard_wall in
       if mean > 0.0 then
         Obs.Metrics.set (prefix ^ ".shard_imbalance") (slowest /. mean)
-    end
-  end;
-  (detections, nth)
-
-let run ?cancel ?domains c faults patterns =
-  snd (drive ?cancel ~engine:"par" ?domains ~n:1 c faults patterns)
+    end;
+    Array.fold_left ( + ) 0 shard_dropped
+  end
 
 let run_counts ?cancel ?domains ~n c faults patterns =
-  if n < 1 then invalid_arg "Par.run_counts: n must be >= 1";
-  drive ?cancel ~engine:"ndetect.par"
-    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
-    ?domains ~n c faults patterns
+  let st = Ppsfp.grade_all (extend ?cancel ?domains) ~n c faults patterns in
+  (st.detections, st.nth)

@@ -46,24 +46,41 @@ let[@inline] nth_set_bit w k =
   if !w = 0L then invalid_arg "nth_set_bit: fewer than k set bits";
   lowest_set_bit !w
 
-(* Drop-after-n bookkeeping shared by all n-detection engines: fold the
-   detection mask of fault [fi] on one block into its running count and
-   report whether the fault stays alive.  The count saturates at [n]
-   and the index of the n-th detecting pattern is recorded exactly
-   once; with [n = 1] the recorded index is [lowest_set_bit mask], i.e.
-   bit-identical to the first-detection engines. *)
-let[@inline] record_detections ~n ~block_start ~detections ~nth mask fi =
+(* The grading state; at n = 1 the first- and n-th-detection arrays
+   are one array. *)
+type state = {
+  n : int;
+  detections : int array;
+  first : int option array;
+  nth : int option array;
+}
+
+let state ~n faults =
+  if n < 1 then invalid_arg "grading state: n must be >= 1";
+  let first = Array.make faults None in
+  { n; detections = Array.make faults 0; first;
+    nth = (if n = 1 then first else Array.make faults None) }
+
+(* Drop-after-n bookkeeping shared by all engines: fold the detection
+   mask of fault [fi] on one block into the state and report whether
+   the fault stays alive.  The first detection is recorded when the
+   count leaves zero (at n = 1 it is the n-th), the count saturates at
+   n and the n-th detection is recorded exactly once. *)
+let[@inline] record_detections st ~block_start mask fi =
   if mask = 0L then true
   else begin
-    let seen = detections.(fi) in
+    let n = st.n in
+    let seen = st.detections.(fi) in
+    if seen = 0 && n > 1 then
+      st.first.(fi) <- Some (block_start + lowest_set_bit mask);
     let hits = popcount mask in
     if seen + hits >= n then begin
-      detections.(fi) <- n;
-      nth.(fi) <- Some (block_start + nth_set_bit mask (n - seen));
+      st.detections.(fi) <- n;
+      st.nth.(fi) <- Some (block_start + nth_set_bit mask (n - seen));
       false
     end
     else begin
-      detections.(fi) <- seen + hits;
+      st.detections.(fi) <- seen + hits;
       true
     end
   end
@@ -110,9 +127,9 @@ let group_by_root root faults alive =
     alive;
   Array.blit sorted 0 alive 0 (Array.length alive)
 
-let shards c faults ~domains =
+let shards c faults alive ~domains =
   let root = ffr_roots c in
-  let order = Array.init (Array.length faults) Fun.id in
+  let order = Array.copy alive in
   group_by_root root faults order;
   (* Deal the regions round-robin, in increasing root order. *)
   let shards = Array.make domains [] and region = ref (-1) in
@@ -271,14 +288,14 @@ let[@inline] observe k good ~live r =
    root is flipped once, on the patterns where some fault of the run
    reaches it, and each fault's detection word is its local mask AND
    the root's observability mask. *)
-let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
-    ~progress c faults ~blocks ~good ~alive ~detections ~nth =
+let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine
+    ~progress c faults ~blocks ~good ~offset st ~alive =
   let k = kernel c in
   group_by_root k.root faults alive;
   let locals = Bytes.create (8 * Array.length alive) in
   let alive_count = ref (Array.length alive) in
   let dropped = ref 0 in
-  let block_start = ref 0 in
+  let block_start = ref offset in
   for b = 0 to Array.length blocks - 1 do
     let block = blocks.(b) in
     if !alive_count > 0 && not (Robust.Cancel.stop_requested cancel) then begin
@@ -306,8 +323,7 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
         for j = !first to !stop - 1 do
           let fi = alive.(j) in
           let mask = Int64.logand (Bytes.get_int64_ne locals (j lsl 3)) observed in
-          if record_detections ~n ~block_start:!block_start ~detections ~nth mask fi
-          then begin
+          if record_detections st ~block_start:!block_start mask fi then begin
             alive.(!kept) <- fi;
             incr kept
           end
@@ -328,37 +344,32 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine ~n
   done;
   !dropped
 
-(* The single-domain engines: every fault is alive at the start, and
-   the good machine is evaluated block by block into one buffer, only
-   while some fault is still alive. *)
-let run_general ?cancel ?(annotate = ignore) ~engine ~n c faults patterns =
-  Array.iter (Faults.Fault.check c) faults;
-  let nf = Array.length faults in
-  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
-  @@ fun () ->
-  annotate ();
+(* The single-domain engine: the good machine is evaluated block by
+   block into one buffer, only while some fault is still alive. *)
+let extend ?cancel c faults st ~alive ~offset patterns =
+  Array.iter (fun fi -> Faults.Fault.check c faults.(fi)) alive;
+  let np = Array.length patterns in
+  Instrument.engine_run ~engine:"ppsfp" ~n:st.n ~faults:(Array.length alive)
+    ~patterns:np
+  @@ fun engine ->
   let blocks = Array.of_list (Logicsim.Packed.blocks_of_patterns c patterns) in
-  let progress =
-    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
-  in
+  let progress = Instrument.progress_start ~engine ~patterns:np in
   let words = Logicsim.Packed.words c in
   let good b =
     Logicsim.Packed.eval_words c blocks.(b) words;
     words
   in
-  let detections = Array.make nf 0 in
-  let nth = Array.make nf None in
-  ignore
-    (grade ?cancel ~engine ~n ~progress c faults ~blocks ~good
-       ~alive:(Array.init nf Fun.id) ~detections ~nth);
+  let dropped =
+    grade ?cancel ~engine ~progress c faults ~blocks ~good ~offset st ~alive
+  in
   Obs.Progress.finish progress;
-  (detections, nth)
+  dropped
+
+let grade_all extend ~n c faults patterns =
+  let nf = Array.length faults in
+  let st = state ~n nf in
+  ignore (extend c faults st ~alive:(Array.init nf Fun.id) ~offset:0 patterns);
+  st
 
 let run ?cancel c faults patterns =
-  snd (run_general ?cancel ~engine:"ppsfp" ~n:1 c faults patterns)
-
-let run_counts ?cancel ~n c faults patterns =
-  if n < 1 then invalid_arg "Ppsfp.run_counts: n must be >= 1";
-  run_general ?cancel
-    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
-    ~engine:"ndetect.ppsfp" ~n c faults patterns
+  (grade_all (extend ?cancel) ~n:1 c faults patterns).first

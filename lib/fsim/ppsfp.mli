@@ -8,8 +8,9 @@
     byte-identical results to {!Serial.run} (differential-tested), at a
     fraction of the cost on large circuits.
 
-    One allocation-free kernel does the work of {!run}, {!run_counts}
-    and every {!Par} shard ({!grade}).  Its invariants:
+    One allocation-free kernel does the work of {!extend} (and so of
+    {!run}) and of every {!Par} shard ({!grade}).
+    Its invariants:
     - a node's fanout-free-region (FFR) root is the node itself when it
       is an output or does not have exactly one fanout, else its one
       fanout's root.  An FFR has no reconvergence, so a fault in it
@@ -36,6 +37,18 @@
 
     Malformed faults are rejected at entry by {!Faults.Fault.check}. *)
 
+type state = {
+  n : int;
+  detections : int array;
+  first : int option array;
+  nth : int option array;
+}
+(** The grading state, documented where it is re-exported as
+    {!Coverage.state}. *)
+
+val state : n:int -> int -> state
+(** Same as {!Coverage.state}. *)
+
 val run :
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> int option array
@@ -58,73 +71,67 @@ val nth_set_bit : int64 -> int -> int
     [Invalid_argument] when [w] has fewer than [k] set bits or
     [k < 1]. *)
 
-val record_detections :
-  n:int ->
-  block_start:int ->
-  detections:int array ->
-  nth:int option array ->
-  int64 -> int -> bool
-(** Drop-after-n bookkeeping shared by the n-detection engines: fold
-    the detection [mask] of fault [fi] on the block starting at pattern
-    [block_start] into [detections.(fi)] (saturating at [n]), record
-    the n-th detecting pattern index in [nth.(fi)] when the count
-    reaches [n], and return whether the fault stays alive (i.e. still
-    needs detections). *)
+val record_detections : state -> block_start:int -> int64 -> int -> bool
+(** Drop-after-n bookkeeping shared by every engine: fold the detection
+    [mask] of fault [fi] on the block starting at pattern [block_start]
+    into the state (first detection, saturated count, n-th detection),
+    and return whether the fault stays alive. *)
 
-val run_counts :
+val extend :
   ?cancel:Robust.Cancel.t ->
-  n:int ->
-  Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
-  int array * int option array
-(** n-detection grading with the drop-after-n policy: per fault, count
-    detecting patterns until [n] of them have been seen, then drop the
-    fault.  Returns [(detections, nth)]: the per-fault detection count
-    saturated at [n], and the index of the [n]-th detecting pattern
-    ([None] when fewer than [n] patterns detect the fault).  With
-    [n = 1] the result is bit-identical to {!run}: [nth] equals the
-    first-detection array and [detections] is its indicator.  Raises
-    [Invalid_argument] when [n < 1]. *)
+  Circuit.Netlist.t -> Faults.Fault.t array -> state -> alive:int array ->
+  offset:int -> bool array array -> int
+(** {!Coverage.extend} on this engine, over the faults whose indices
+    [alive] holds (reordered and compacted in place). *)
+
+val grade_all :
+  (Circuit.Netlist.t -> Faults.Fault.t array -> state -> alive:int array ->
+   offset:int -> bool array array -> int) ->
+  n:int -> Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
+  state
+(** Every fault graded by an engine's [extend] from a fresh state with
+    drop rule [n]: the body of the engines' [run] and [run_counts]. *)
 
 (** {2 The block loop}
 
     Exposed so that {!Par} runs the identical loop on every domain. *)
 
 val shards :
-  Circuit.Netlist.t -> Faults.Fault.t array -> domains:int -> int array array
-(** [shards c faults ~domains] splits the indices of [faults] into
-    [domains] disjoint sets (some possibly empty) for {!grade} to run
-    independently: faults are grouped by fanout-free region and whole
-    regions are dealt round-robin, in increasing root order, so each
-    root is flipped by one set only.  The faults must already have
+  Circuit.Netlist.t -> Faults.Fault.t array -> int array -> domains:int ->
+  int array array
+(** [shards c faults alive ~domains] splits the fault indices [alive]
+    into [domains] disjoint sets (some possibly empty) for {!grade} to
+    run independently: faults are grouped by fanout-free region and
+    whole regions are dealt round-robin, in increasing root order, so
+    each root is flipped by one set only.  The faults must already have
     passed {!Faults.Fault.check}; [domains] must be >= 1. *)
 
 val grade :
   ?cancel:Robust.Cancel.t ->
   ?on_block:(unit -> unit) ->
   engine:string ->
-  n:int ->
   progress:Obs.Progress.t ->
   Circuit.Netlist.t ->
   Faults.Fault.t array ->
   blocks:Logicsim.Packed.block array ->
   good:(int -> Bytes.t) ->
+  offset:int ->
+  state ->
   alive:int array ->
-  detections:int array ->
-  nth:int option array ->
   int
-(** [grade ~engine ~n ~progress c faults ~blocks ~good ~alive
-    ~detections ~nth] grades the faults whose indices [alive] holds
-    against every block, with drop rule [n] ({!record_detections}), and
-    returns how many of them it dropped.  [good b] returns the
-    good-machine words ({!Logicsim.Packed.eval_words}) of block [b]; the
-    loop only reads them, and asks only while some fault is alive and
-    [cancel] has not fired.  [alive] is reordered in place, grouped by
-    region root, and then compacted as faults drop, so on return its
-    contents are unspecified; only its faults' slots of
-    [detections]/[nth] are written.  After every block the loop steps
-    [progress] by the block's pattern count and calls [on_block]; while
-    faults are alive it also adds their number to
-    ["fsim.<engine>.fault_evals"], the number of roots it flipped to
-    ["fsim.<engine>.root_flips"] and the gates those flips evaluated to
-    ["fsim.<engine>.flip_evals"].  The faults must already have passed
-    {!Faults.Fault.check}. *)
+(** [grade ~engine ~progress c faults ~blocks ~good ~offset st ~alive]
+    grades the faults whose indices [alive] holds against every block,
+    the first block starting at pattern [offset], into [st]
+    ({!record_detections}), and returns how many of them it dropped.
+    [good b] returns the good-machine words
+    ({!Logicsim.Packed.eval_words}) of block [b]; the loop only reads
+    them, and asks only while some fault is alive and [cancel] has not
+    fired.  [alive] is reordered in place, grouped by region root, and
+    then compacted as faults drop, so on return its contents are
+    unspecified; only its faults' slots of the state are written.
+    After every block the loop steps [progress] by the block's pattern
+    count and calls [on_block]; while faults are alive it also adds
+    their number to ["fsim.<engine>.fault_evals"], the number of roots
+    it flipped to ["fsim.<engine>.root_flips"] and the gates those
+    flips evaluated to ["fsim.<engine>.flip_evals"].  The faults must
+    already have passed {!Faults.Fault.check}. *)

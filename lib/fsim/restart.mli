@@ -2,8 +2,9 @@
 
     Runs any {!Coverage.engine} over the pattern set in segments of
     [every] patterns (rounded up to whole 64-pattern blocks), writing a
-    {!Robust.Checkpoint} of the per-fault first-detection state after
-    each segment.  A run killed at any instant — including mid-write —
+    {!Robust.Checkpoint} of the grading state ({!Coverage.state}) after
+    each segment, so both the first-detection and the n-detection
+    curves are durable.  A run killed at any instant — including mid-write —
     resumes from the last complete segment and produces a result
     bit-identical to an uninterrupted run: per-fault results do not
     depend on the other faults in the array, and block-aligned segment
@@ -16,8 +17,12 @@
 
 type outcome = {
   profile : Coverage.profile;
-      (** [pattern_count] is the full request; when [completed] is
-          false only the first [patterns_done] patterns were graded. *)
+      (** First detection.  [pattern_count] is the full request; when
+          [completed] is false only the first [patterns_done] patterns
+          were graded. *)
+  nth_profile : Coverage.profile;
+      (** The [n]-th detection, as {!Coverage.profiles} views it; equal
+          to [profile] at [n = 1]. *)
   patterns_done : int;
   resumed_from : int;  (** 0 on a fresh run *)
   completed : bool;
@@ -28,17 +33,21 @@ val run :
   ?cancel:Robust.Cancel.t ->
   ?every:int ->
   ?resume:bool ->
+  ?n:int ->
   checkpoint:string ->
   seed:int ->
   Circuit.Netlist.t ->
   Faults.Fault.t array ->
   bool array array ->
   outcome
-(** Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
+(** Grades with drop rule [n] (default 1).  Raises
+    {!Robust.Checkpoint.Mismatch} when [resume] is set and the
     checkpoint is unreadable or was written by another computation (the
-    meta header records circuit, engine family, seed and sizes; all
-    must match the resuming invocation — except the {!Coverage.Par}
-    domain count, which never affects results), or when its state is
-    not a prefix of this run: [patterns_done] outside [\[0, patterns\]],
-    or a detection index that is neither -1 nor below [patterns_done].
-    Raises [Invalid_argument] when [every < 1]. *)
+    meta header records circuit, engine family, seed and sizes, and [n]
+    when [n > 1]; all must match the resuming invocation — except the
+    {!Coverage.Par} domain count, which never affects results), or when
+    its state is not one a run could leave after [patterns_done]
+    patterns: [patterns_done] outside [\[0, patterns\]], a detection
+    index at or past it, or, at [n > 1], a count outside [\[0, n\]] or
+    at odds with the fault's first and n-th detection.  Raises
+    [Invalid_argument] when [every < 1] or [n < 1]. *)

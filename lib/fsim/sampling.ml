@@ -25,13 +25,12 @@ let wilson_95 ~p ~n_eff =
   in
   (max 0.0 (center -. half), min 1.0 (center +. half))
 
-let estimate_coverage ?(engine = Coverage.Parallel) ?(exclude = [||])
-    ?(collapse_dominance = false) ?n_detect rng c universe ~sample_size patterns =
+let estimate_coverage ?(collapse_dominance = false) ?(n_detect = 1) rng c
+    universe ~sample_size patterns =
   let universe =
     if collapse_dominance then Faults.Universe.collapse_dominance c universe
     else universe
   in
-  let universe = Faults.Universe.exclude_untestable c universe ~untestable:exclude in
   let universe_size = Array.length universe in
   if universe_size = 0 then invalid_arg "Sampling.estimate_coverage: empty universe";
   if sample_size <= 0 then invalid_arg "Sampling.estimate_coverage: nonpositive sample";
@@ -42,15 +41,8 @@ let estimate_coverage ?(engine = Coverage.Parallel) ?(exclude = [||])
       Stats.Rng.sample_without_replacement rng ~k:sample_size ~n:universe_size
       |> Array.map (fun i -> universe.(i))
   in
-  let results =
-    match n_detect with
-    | None -> (Coverage.profile ~engine c sample patterns).Coverage.first_detection
-    | Some n ->
-      (Coverage.n_detect_profile (Coverage.detection_counts ~engine ~n c sample patterns))
-        .Coverage.first_detection
-  in
   let detected =
-    Array.fold_left (fun acc d -> if d <> None then acc + 1 else acc) 0 results
+    Coverage.detected_count (snd (Coverage.grade ~n:n_detect c sample patterns))
   in
   let k = float_of_int sample_size in
   let coverage = float_of_int detected /. k in

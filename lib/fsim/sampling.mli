@@ -24,8 +24,6 @@ type estimate = {
 }
 
 val estimate_coverage :
-  ?engine:Coverage.engine ->
-  ?exclude:Faults.Fault.t array ->
   ?collapse_dominance:bool ->
   ?n_detect:int ->
   Stats.Rng.t ->
@@ -35,19 +33,16 @@ val estimate_coverage :
   bool array array ->
   estimate
 (** Draw [sample_size] faults without replacement, fault-simulate only
-    those (default engine {!Coverage.Parallel}; pass
-    [~engine:(Coverage.Par { domains })] to grade the sample on several
-    cores), and report the estimated coverage of the full universe.  If
-    [sample_size >= Array.length universe] the answer is exact with a
-    zero-width interval.  [exclude] (default empty) removes statically
-    untestable faults from the universe {e before} sampling, so both the
-    draw and the reported [universe_size] refer to the
-    redundancy-corrected universe — sampling faults that no pattern can
-    detect would bias the coverage estimate low.  [collapse_dominance]
-    (default [false]) first replaces the universe by its
-    dominance-collapsed representatives
-    ({!Faults.Universe.collapse_dominance}), applied before [exclude]
-    so the two corrections compose.  [n_detect] (default off) grades
-    the sample with {!Coverage.detection_counts} instead: a fault
-    counts as covered only when detected [n] times, so the estimate is
-    the n-detect coverage with the same interval machinery. *)
+    those ({!Coverage.Parallel}), and report the estimated coverage of
+    the full universe.  If [sample_size >= Array.length universe] the
+    answer is exact with a zero-width interval.  To estimate the
+    redundancy-corrected coverage, pass the corrected universe
+    ({!Faults.Universe.exclude_untestable}): sampling faults that no
+    pattern can detect would bias the estimate low.
+    [collapse_dominance] (default [false]) first replaces the universe
+    by its dominance-collapsed representatives
+    ({!Faults.Universe.collapse_dominance}).  [n_detect] (default 1)
+    is the drop rule of the one grading pass ({!Coverage.grade}): a
+    fault counts as covered only when detected [n_detect] times, so the
+    estimate is the n-detect coverage with the same interval
+    machinery. *)

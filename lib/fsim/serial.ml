@@ -104,24 +104,22 @@ let detect_word c ~good_outputs fault block =
 let good_outputs c block =
   Logicsim.Packed.output_words c (Logicsim.Packed.eval_block c block)
 
-(* The one block loop: every fault is injected alone into the shared
-   masks, block by block, and dropped after its [n]-th detection. *)
-let run_general ?(cancel = Robust.Cancel.none) ?(annotate = ignore) ~engine ~n
-    c faults patterns =
-  Array.iter (Faults.Fault.check c) faults;
-  let nf = Array.length faults in
-  Instrument.engine_run ~engine ~faults:nf ~patterns:(Array.length patterns)
-  @@ fun () ->
-  annotate ();
+(* The one block loop: every alive fault is injected alone into the
+   shared masks, block by block, and dropped after its n-th
+   detection. *)
+let extend ?(cancel = Robust.Cancel.none) c faults (st : Ppsfp.state) ~alive
+    ~offset patterns =
+  Array.iter (fun fi -> Faults.Fault.check c faults.(fi)) alive;
+  let np = Array.length patterns in
+  Instrument.engine_run ~engine:"serial" ~n:st.n ~faults:(Array.length alive)
+    ~patterns:np
+  @@ fun engine ->
   let blocks = Logicsim.Packed.blocks_of_patterns c patterns in
-  let progress =
-    Instrument.progress_start ~engine ~patterns:(Array.length patterns)
-  in
+  let progress = Instrument.progress_start ~engine ~patterns:np in
   let m = masks c [||] in
-  let detections = Array.make nf 0 in
-  let nth = Array.make nf None in
-  let alive = ref (List.init nf Fun.id) in
-  let block_start = ref 0 in
+  let alive = ref (Array.to_list alive) in
+  let dropped = ref 0 in
+  let block_start = ref offset in
   List.iter
     (fun block ->
       if !alive <> [] && not (Robust.Cancel.stop_requested cancel) then begin
@@ -135,24 +133,25 @@ let run_general ?(cancel = Robust.Cancel.none) ?(annotate = ignore) ~engine ~n
               inject c m ~on:true fault;
               let mask = detect_masked c m ~good_outputs block in
               inject c m ~on:false fault;
-              Ppsfp.record_detections ~n ~block_start:!block_start ~detections
-                ~nth mask fi)
+              let keep =
+                Ppsfp.record_detections st ~block_start:!block_start mask fi
+              in
+              if not keep then incr dropped;
+              keep)
             !alive
       end;
       block_start := !block_start + block.Logicsim.Packed.pattern_count;
       Obs.Progress.step progress block.Logicsim.Packed.pattern_count)
     blocks;
   Obs.Progress.finish progress;
-  (detections, nth)
+  !dropped
 
 let run ?cancel c faults patterns =
-  snd (run_general ?cancel ~engine:"serial" ~n:1 c faults patterns)
+  (Ppsfp.grade_all (extend ?cancel) ~n:1 c faults patterns).first
 
 let run_counts ?cancel ~n c faults patterns =
-  if n < 1 then invalid_arg "Serial.run_counts: n must be >= 1";
-  run_general ?cancel
-    ~annotate:(fun () -> Obs.Trace.add_int "n" n)
-    ~engine:"ndetect.serial" ~n c faults patterns
+  let st = Ppsfp.grade_all (extend ?cancel) ~n c faults patterns in
+  (st.detections, st.nth)
 
 let first_fail_with_fault_set c faults patterns =
   let m = masks c faults in

@@ -8,9 +8,9 @@
 
     One injector serves a single fault and a fault set alike: per-line
     AND/OR masks in arrays, read by the oracle's own gate evaluator
-    (independent of {!Logicsim.Packed.eval_gate}).  One block loop
-    serves {!run} (drop rule 1, engine label ["serial"]) and
-    {!run_counts} (label ["ndetect.serial"]). *)
+    (independent of {!Logicsim.Packed.eval_gate}).  One block loop,
+    {!extend}, serves {!run} (drop rule 1, engine label ["serial"]) and
+    {!run_counts} (label ["ndetect.serial"] when [n > 1]). *)
 
 val eval_with_fault :
   Circuit.Netlist.t -> Faults.Fault.t -> Logicsim.Packed.block -> int64 array
@@ -37,16 +37,24 @@ val run :
     skipped, leaving a well-defined partial result (every recorded
     detection is real; undetected may mean unsimulated). *)
 
+val extend :
+  ?cancel:Robust.Cancel.t ->
+  Circuit.Netlist.t -> Faults.Fault.t array -> Ppsfp.state -> alive:int array ->
+  offset:int -> bool array array -> int
+(** {!Coverage.extend} on the oracle, as {!Ppsfp.extend}. *)
+
 val run_counts :
   ?cancel:Robust.Cancel.t ->
   n:int ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array ->
   int array * int option array
-(** n-detection grading with the drop-after-n policy; same contract as
-    {!Ppsfp.run_counts} (per-fault detection count saturated at [n],
-    and the index of the [n]-th detecting pattern).  With [n = 1] the
-    result is bit-identical to {!run}.  Raises [Invalid_argument] when
-    [n < 1]. *)
+(** n-detection grading with the drop-after-n policy: per fault, count
+    detecting patterns until [n] of them have been seen, then drop the
+    fault.  Returns [(detections, nth)]: the per-fault detection count
+    saturated at [n], and the index of the [n]-th detecting pattern
+    ([None] when fewer than [n] patterns detect the fault).  With
+    [n = 1] [nth] is bit-identical to {!run}.  Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val eval_with_fault_set :
   Circuit.Netlist.t -> Faults.Fault.t array -> Logicsim.Packed.block -> int64 array

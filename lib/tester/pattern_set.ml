@@ -1,7 +1,7 @@
 type t = {
   patterns : bool array array;
   profile : Fsim.Coverage.profile;
-  n_detect : Fsim.Coverage.counts option;
+  n_detect : (int * Fsim.Coverage.profile) option;
 }
 
 let make patterns profile =
@@ -9,35 +9,18 @@ let make patterns profile =
     invalid_arg "Pattern_set.make: profile does not match pattern count";
   { patterns; profile; n_detect = None }
 
-let of_simulation ?engine c faults patterns =
-  { patterns;
-    profile = Fsim.Coverage.profile ?engine c faults patterns;
-    n_detect = None }
+let of_simulation ?engine ?n_detect c faults patterns =
+  let profile, nth =
+    Fsim.Coverage.grade ?engine ~n:(Option.value n_detect ~default:1) c faults
+      patterns
+  in
+  { patterns; profile; n_detect = Option.map (fun n -> (n, nth)) n_detect }
 
 let pattern_count t = Array.length t.patterns
 
 let coverage_after t k = Fsim.Coverage.coverage_after t.profile k
 
 let final_coverage t = Fsim.Coverage.final_coverage t.profile
-
-let grade_n_detect ?engine ~n c faults t =
-  if Array.length faults
-     <> Array.length t.profile.Fsim.Coverage.first_detection
-  then
-    invalid_arg
-      "Pattern_set.grade_n_detect: fault universe does not match profile";
-  { t with
-    n_detect = Some (Fsim.Coverage.detection_counts ?engine ~n c faults t.patterns) }
-
-let n_detect t = t.n_detect
-
-let n_detect_coverage_after t k =
-  Option.map
-    (fun cs -> Fsim.Coverage.n_detect_coverage_after cs k)
-    t.n_detect
-
-let n_detect_final_coverage t =
-  Option.map Fsim.Coverage.n_detect_coverage t.n_detect
 
 let first_fail t chip_faults =
   Array.fold_left

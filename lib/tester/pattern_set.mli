@@ -6,16 +6,18 @@
     the virtual tester find a defective chip's first failing pattern in
     O(faults-on-chip) instead of re-simulating it).
 
-    A program may additionally carry an n-detection grading
-    ({!grade_n_detect}): the per-fault detection counts and the
-    n-detect coverage curve, for rows and quality models that score
-    patterns by detection multiplicity rather than first detection. *)
+    A program may additionally carry its n-detection profile, from the
+    same grading pass ({!of_simulation} with [n_detect]), for rows and
+    quality models that score patterns by detection multiplicity rather
+    than first detection. *)
 
 type t = {
   patterns : bool array array;
   profile : Fsim.Coverage.profile;
-  n_detect : Fsim.Coverage.counts option;
-      (** n-detection grading, when {!grade_n_detect} has run. *)
+  n_detect : (int * Fsim.Coverage.profile) option;
+      (** [Some (n, nth)] when the program was graded with drop rule
+          [n]: [nth] is the n-th-detection profile
+          ({!Fsim.Coverage.profiles}). *)
 }
 
 val make : bool array array -> Fsim.Coverage.profile -> t
@@ -23,10 +25,14 @@ val make : bool array array -> Fsim.Coverage.profile -> t
 
 val of_simulation :
   ?engine:Fsim.Coverage.engine ->
+  ?n_detect:int ->
   Circuit.Netlist.t -> Faults.Fault.t array -> bool array array -> t
-(** Fault-simulate the given ordered patterns and bundle the result
-    (default engine {!Fsim.Coverage.Parallel}; all engines produce
-    identical profiles). *)
+(** Fault-simulate the given ordered patterns in one pass
+    ({!Fsim.Coverage.grade}) and bundle the result (default engine
+    {!Fsim.Coverage.Parallel}; all engines produce identical profiles).
+    With [n_detect] the pass drops a fault after [n_detect] detections
+    and the program also carries the n-th-detection profile.  Raises
+    [Invalid_argument] when [n_detect < 1]. *)
 
 val pattern_count : t -> int
 
@@ -34,24 +40,6 @@ val coverage_after : t -> int -> float
 (** Cumulative fault coverage after the first [k] patterns. *)
 
 val final_coverage : t -> float
-
-val grade_n_detect :
-  ?engine:Fsim.Coverage.engine ->
-  n:int ->
-  Circuit.Netlist.t -> Faults.Fault.t array -> t -> t
-(** Re-grade the program with {!Fsim.Coverage.detection_counts} and
-    attach the result.  [faults] must be the universe the profile was
-    built from (checked by length).  Raises [Invalid_argument] on a
-    universe mismatch or [n < 1]. *)
-
-val n_detect : t -> Fsim.Coverage.counts option
-
-val n_detect_coverage_after : t -> int -> float option
-(** Cumulative n-detect coverage after the first [k] patterns —
-    fraction of faults detected [n] times within them.  [None] when
-    the program was never graded with {!grade_n_detect}. *)
-
-val n_detect_final_coverage : t -> float option
 
 val first_fail : t -> int array -> int option
 (** [first_fail t chip_faults] is the index of the first pattern that

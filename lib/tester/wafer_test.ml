@@ -17,12 +17,18 @@ let test_chip mode c universe program (chip : Fab.Lot.chip) =
   in
   { chip_id = chip.Fab.Lot.chip_id; fault_count; first_fail }
 
-let test_lot ?(mode = Table_lookup) c universe program (lot : Fab.Lot.t) =
+let test_lot ?(on_chip = ignore) ?(mode = Table_lookup) c universe program
+    (lot : Fab.Lot.t) =
   if lot.Fab.Lot.universe_size <> Array.length universe then
     invalid_arg "Wafer_test.test_lot: lot was manufactured against a different universe";
   if Array.length lot.Fab.Lot.chips = 0 then
     invalid_arg "Wafer_test.test_lot: empty lot (yield and fail fractions are undefined)";
-  { outcomes = Array.map (test_chip mode c universe program) lot.Fab.Lot.chips;
+  let test chip =
+    let outcome = test_chip mode c universe program chip in
+    on_chip ();
+    outcome
+  in
+  { outcomes = Array.map test lot.Fab.Lot.chips;
     pattern_count = Pattern_set.pattern_count program;
     lot_size = Array.length lot.Fab.Lot.chips }
 

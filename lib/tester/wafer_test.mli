@@ -28,6 +28,7 @@ type result = {
 }
 
 val test_lot :
+  ?on_chip:(unit -> unit) ->
   ?mode:mode ->
   Circuit.Netlist.t ->
   Faults.Fault.t array ->
@@ -38,7 +39,8 @@ val test_lot :
     lot's fault indices refer to and the program was simulated
     against.  Raises [Invalid_argument] on an empty lot — every
     fraction below divides by the lot size, and an empty lot would
-    silently turn them all into NaN. *)
+    silently turn them all into NaN.  [on_chip] is called after each
+    chip, as in {!Fab.Lot.manufacture}. *)
 
 val failed_by : result -> int -> int
 (** Chips failed within the first [k] patterns.  [first_fail] indices
@@ -72,6 +74,6 @@ val rows_at_coverages : result -> Pattern_set.t -> coverages:float list -> row l
 (** Table-1-style rows at the first pattern reaching each coverage
     level (levels the program never reaches are skipped).  Checkpoint
     lookup binary-searches the monotone cumulative-coverage curve —
-    O(log patterns) per level.  Over a program whose profile is
-    {!Fsim.Coverage.n_detect_profile}, the rows sit on the n-detect
-    axis, where the same lot fails later. *)
+    O(log patterns) per level.  Over a program whose profile is an
+    n-th-detection profile ({!Pattern_set.t.n_detect}), the rows sit on
+    the n-detect axis, where the same lot fails later. *)

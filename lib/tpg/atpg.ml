@@ -159,7 +159,10 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
           ~max_patterns:config.random_budget)
   in
   let total = Array.length faults in
-  let first_detection = Array.copy random_profile.Fsim.Coverage.first_detection in
+  let st = Fsim.Coverage.state ~n:1 total in
+  let first_detection = st.Fsim.Coverage.first in
+  Array.blit random_profile.Fsim.Coverage.first_detection 0 first_detection 0
+    total;
   let remaining = ref [] in
   Array.iteri
     (fun i d -> if d = None then remaining := i :: !remaining)
@@ -179,26 +182,24 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   | Some { path; every; resume } ->
     if every < 1 then invalid_arg "Atpg.run: checkpoint every must be >= 1";
     if resume then begin
-      let st =
+      let ck =
         Robust.Checkpoint.resume ~path ~kind:ckpt_kind
           ~expect:(ckpt_fields config c faults)
           (ckpt_restore ~nf:total ~inputs:(Circuit.Netlist.num_inputs c) ~base
              ~targets:(List.length remaining_order))
       in
-      Array.blit st.ck_first_detection 0 first_detection 0 total;
+      Array.blit ck.ck_first_detection 0 first_detection 0 total;
       (* Grade the checkpoint's patterns once more against every fault
          it leaves undetected: a state saved by a build that graded each
          pattern against the unprocessed targets only lacks the aborts a
          later pattern detects. *)
-      ignore
-        (Fsim.Coverage.extend c faults ~first_detection ~offset:base
-           st.ck_extra);
-      extra := Array.fold_left (fun acc p -> p :: acc) [] st.ck_extra;
-      extra_count := Array.length st.ck_extra;
-      untestable := st.ck_untestable;
-      aborted := st.ck_aborted;
-      processed := st.ck_processed;
-      remaining := drop st.ck_processed remaining_order
+      ignore (Fsim.Coverage.extend c faults st ~offset:base ck.ck_extra);
+      extra := Array.fold_left (fun acc p -> p :: acc) [] ck.ck_extra;
+      extra_count := Array.length ck.ck_extra;
+      untestable := ck.ck_untestable;
+      aborted := ck.ck_aborted;
+      processed := ck.ck_processed;
+      remaining := drop ck.ck_processed remaining_order
     end
   | None -> ());
   (* One progress item per fault target popped; already-detected
@@ -268,8 +269,8 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
                earlier aborts among them: grade it against every fault
                still undetected. *)
             ignore
-              (Fsim.Coverage.extend c faults ~first_detection
-                 ~offset:(base + !extra_count) [| pattern |]);
+              (Fsim.Coverage.extend c faults st ~offset:(base + !extra_count)
+                 [| pattern |]);
             extra := pattern :: !extra;
             incr extra_count;
             assert (first_detection.(target) <> None));
@@ -297,11 +298,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     Obs.Metrics.incr ~by:(float_of_int unknown) "atpg.unknown"
   end;
   let patterns = Array.append random_patterns (Array.of_list (List.rev !extra)) in
-  let profile =
-    { Fsim.Coverage.universe_size = total;
-      pattern_count = Array.length patterns;
-      first_detection }
-  in
+  let profile, _ = Fsim.Coverage.profiles st ~pattern_count:(Array.length patterns) in
   { patterns; profile; random_patterns = Array.length random_patterns;
     deterministic_patterns = !extra_count; untestable = !untestable;
     aborted = !aborted; unknown }

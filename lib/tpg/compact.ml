@@ -7,13 +7,10 @@ type result = {
 (* Sweep the patterns in the given index order; pattern [k] is kept iff
    it detects a fault no previously kept pattern detected. *)
 let sweep c faults patterns order =
-  let first_detection = Array.make (Array.length faults) None in
+  let st = Fsim.Coverage.state ~n:1 (Array.length faults) in
   let kept =
     List.filter
-      (fun k ->
-        Fsim.Coverage.extend c faults ~first_detection ~offset:k
-          [| patterns.(k) |]
-        > 0)
+      (fun k -> Fsim.Coverage.extend c faults st ~offset:k [| patterns.(k) |] > 0)
       order
     |> List.sort compare
   in

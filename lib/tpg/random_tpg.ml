@@ -26,7 +26,7 @@ let until_coverage rng c faults ~target ~max_patterns =
   if not (0.0 <= target && target <= 1.0) then
     invalid_arg "Random_tpg.until_coverage: target outside [0,1]";
   let total = Array.length faults in
-  let first_detection = Array.make total None in
+  let st = Fsim.Coverage.state ~n:1 total in
   let detected = ref 0 in
   let chunks = ref [] in
   let applied = ref 0 in
@@ -37,16 +37,9 @@ let until_coverage rng c faults ~target ~max_patterns =
   do
     let count = min 64 (max_patterns - !applied) in
     let block = uniform rng c ~count in
-    detected :=
-      !detected
-      + Fsim.Coverage.extend c faults ~first_detection ~offset:!applied block;
+    detected := !detected + Fsim.Coverage.extend c faults st ~offset:!applied block;
     chunks := block :: !chunks;
     applied := !applied + count
   done;
   let patterns = Array.concat (List.rev !chunks) in
-  let profile =
-    { Fsim.Coverage.universe_size = total;
-      pattern_count = Array.length patterns;
-      first_detection }
-  in
-  (patterns, profile)
+  (patterns, fst (Fsim.Coverage.profiles st ~pattern_count:(Array.length patterns)))

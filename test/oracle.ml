@@ -82,3 +82,11 @@ let workloads () =
 
 let close ?(eps = 1e-9) expected actual =
   Alcotest.(check (float eps)) "close" expected actual
+
+(* Drop-after-n grading on any engine through the one grading state
+   ([Fsim.Coverage.extend]): per-fault counts and n-th detections, as
+   [Fsim.Serial.run_counts] returns them. *)
+let run_counts ?(engine = Fsim.Coverage.Parallel) ~n c faults patterns =
+  let st = Fsim.Coverage.state ~n (Array.length faults) in
+  ignore (Fsim.Coverage.extend ~engine c faults st ~offset:0 patterns);
+  (st.Fsim.Coverage.detections, st.Fsim.Coverage.nth)

@@ -168,7 +168,7 @@ let test_par_equals_ppsfp_c17 () =
       Alcotest.(check bool)
         (Printf.sprintf "%d domains" domains)
         true
-        (Fsim.Par.run ~domains c universe patterns = reference))
+        (snd (Fsim.Par.run_counts ~domains ~n:1 c universe patterns) = reference))
     [ 1; 2; 3; 8 ]
 
 let test_par_equals_ppsfp_odd_pattern_counts () =
@@ -186,7 +186,8 @@ let test_par_equals_ppsfp_odd_pattern_counts () =
       let reference = Fsim.Ppsfp.run c universe patterns in
       List.iter
         (fun domains ->
-          if Fsim.Par.run ~domains c universe patterns <> reference then
+          if snd (Fsim.Par.run_counts ~domains ~n:1 c universe patterns) <> reference
+          then
             Alcotest.failf "divergence at %d patterns, %d domains" count domains)
         [ 1; 2; 4; 5; 8 ])
     [ 1; 63; 65; 100; 130 ]
@@ -197,7 +198,8 @@ let test_par_collapsed_universe_bit_identical () =
   let universe = Faults.Collapse.representatives classes in
   let patterns = Oracle.random_patterns ~seed:8 ~count:130 c in
   Alcotest.(check bool) "bit-identical on 2k gates / 4 domains" true
-    (Fsim.Par.run ~domains:4 c universe patterns = Fsim.Ppsfp.run c universe patterns)
+    (snd (Fsim.Par.run_counts ~domains:4 ~n:1 c universe patterns)
+    = Fsim.Ppsfp.run c universe patterns)
 
 let test_par_via_coverage_engine () =
   let c = Circuit.Generators.parity_tree ~bits:6 in
@@ -214,7 +216,8 @@ let test_par_via_coverage_engine () =
 let test_par_empty_universe () =
   let c = Circuit.Generators.c17 () in
   Alcotest.(check int) "no faults, no results" 0
-    (Array.length (Fsim.Par.run ~domains:4 c [||] (Oracle.exhaustive_patterns 5)))
+    (Array.length
+       (snd (Fsim.Par.run_counts ~domains:4 ~n:1 c [||] (Oracle.exhaustive_patterns 5))))
 
 let test_lowest_set_bit_matches_naive () =
   let naive w =
@@ -299,7 +302,7 @@ let test_ndetect_n1_equals_first_detection () =
       let universe = Faults.Universe.all c in
       let patterns = Oracle.random_patterns ~seed:(seed * 13) ~count:100 c in
       let reference = Fsim.Ppsfp.run c universe patterns in
-      let detections, nth = Fsim.Ppsfp.run_counts ~n:1 c universe patterns in
+      let detections, nth = Oracle.run_counts ~n:1 c universe patterns in
       Alcotest.(check bool) "indices bit-identical" true (nth = reference);
       Array.iteri
         (fun i d ->
@@ -317,7 +320,7 @@ let test_ndetect_engines_bit_identical () =
       let patterns = Oracle.random_patterns ~seed:(seed * 17) ~count:100 c in
       List.iter
         (fun n ->
-          let reference = Fsim.Ppsfp.run_counts ~n c universe patterns in
+          let reference = Oracle.run_counts ~n c universe patterns in
           if Fsim.Serial.run_counts ~n c universe patterns <> reference then
             Alcotest.failf "serial diverges at n=%d seed=%d" n seed;
           List.iter
@@ -343,7 +346,7 @@ let test_ndetect_exhaustive_oracle () =
   let oracle = Array.map detecting universe in
   List.iter
     (fun n ->
-      let detections, nth = Fsim.Ppsfp.run_counts ~n c universe patterns in
+      let detections, nth = Oracle.run_counts ~n c universe patterns in
       Array.iteri
         (fun j fault ->
           let dets = oracle.(j) in
@@ -362,43 +365,40 @@ let test_ndetect_coverage_monotone_in_n () =
   let c = Circuit.Generators.alu ~bits:3 in
   let universe = Faults.Universe.all c in
   let patterns = Oracle.random_patterns ~seed:61 ~count:96 c in
-  let css =
-    List.map (fun n -> Fsim.Coverage.detection_counts ~n c universe patterns) [ 1; 2; 4; 8 ]
+  let graded =
+    List.map (fun n -> Fsim.Coverage.grade ~n c universe patterns) [ 1; 2; 4; 8 ]
   in
   (* Demanding more detections can only push coverage down, at every
-     point of the curve. *)
+     point of the curve, and leaves the first detections alone. *)
   let rec pairwise = function
-    | a :: (b :: _ as rest) ->
+    | (first_a, a) :: ((first_b, b) :: _ as rest) ->
+      Alcotest.(check bool) "first detections independent of n" true
+        (first_a = first_b);
       for k = 0 to Array.length patterns do
         Alcotest.(check bool) "curve non-increasing in n" true
-          (Fsim.Coverage.n_detect_coverage_after b k
-          <= Fsim.Coverage.n_detect_coverage_after a k +. 1e-12)
+          (Fsim.Coverage.coverage_after b k
+          <= Fsim.Coverage.coverage_after a k +. 1e-12)
       done;
       pairwise rest
     | [ _ ] | [] -> ()
   in
-  pairwise css;
-  (* At n = 1 the counts view is the ordinary profile. *)
+  pairwise graded;
+  (* At n = 1 both views are the ordinary profile. *)
   let profile = Fsim.Coverage.profile c universe patterns in
-  let cs1 = List.hd css in
-  Alcotest.(check bool) "n=1 profile equal" true
-    ((Fsim.Coverage.n_detect_profile cs1).Fsim.Coverage.first_detection
-    = profile.Fsim.Coverage.first_detection);
-  Alcotest.(check (float 1e-12)) "n=1 coverage equal"
-    (Fsim.Coverage.final_coverage profile)
-    (Fsim.Coverage.n_detect_coverage cs1)
+  let first1, nth1 = List.hd graded in
+  Alcotest.(check bool) "n=1 profiles equal" true
+    (first1 = profile && nth1 = profile)
 
 let test_ndetect_via_coverage_engine () =
-  (* Every engine choice must agree through the detection_counts
-     dispatcher. *)
+  (* Every engine choice must agree through the grade dispatcher. *)
   let c = Circuit.Generators.parity_tree ~bits:6 in
   let universe = Faults.Universe.all c in
   let patterns = Oracle.random_patterns ~seed:23 ~count:50 c in
-  let reference = Fsim.Coverage.detection_counts ~n:3 c universe patterns in
+  let reference = Fsim.Coverage.grade ~n:3 c universe patterns in
   List.iter
     (fun engine ->
-      Alcotest.(check bool) "counts equal" true
-        (Fsim.Coverage.detection_counts ~engine ~n:3 c universe patterns = reference))
+      Alcotest.(check bool) "profiles equal" true
+        (Fsim.Coverage.grade ~engine ~n:3 c universe patterns = reference))
     [ Fsim.Coverage.Serial; Fsim.Coverage.Parallel; Fsim.Coverage.Par { domains = 3 } ]
 
 let test_ndetect_invalid_n_rejected () =
@@ -412,10 +412,10 @@ let test_ndetect_invalid_n_rejected () =
            ignore (f ());
            false
          with Invalid_argument _ -> true))
-    [ (fun () -> ignore (Fsim.Ppsfp.run_counts ~n:0 c universe patterns));
+    [ (fun () -> ignore (Oracle.run_counts ~n:0 c universe patterns));
       (fun () -> ignore (Fsim.Serial.run_counts ~n:0 c universe patterns));
       (fun () -> ignore (Fsim.Par.run_counts ~n:0 c universe patterns));
-      (fun () -> ignore (Fsim.Coverage.detection_counts ~n:(-2) c universe patterns)) ]
+      (fun () -> ignore (Fsim.Coverage.grade ~n:(-2) c universe patterns)) ]
 
 (* ------------------------------- kernel ------------------------------ *)
 
@@ -480,7 +480,7 @@ let check_engines_agree ~domains ~ns name c universe patterns =
       Alcotest.(check bool)
         (Printf.sprintf "%s: par(%d) = serial" name domains)
         true
-        (Fsim.Par.run ~domains c universe patterns = serial))
+        (snd (Fsim.Par.run_counts ~domains ~n:1 c universe patterns) = serial))
     domains;
   List.iter
     (fun n ->
@@ -488,7 +488,7 @@ let check_engines_agree ~domains ~ns name c universe patterns =
       Alcotest.(check bool)
         (Printf.sprintf "%s: ppsfp counts = serial at n=%d" name n)
         true
-        (Fsim.Ppsfp.run_counts ~n c universe patterns = reference);
+        (Oracle.run_counts ~n c universe patterns = reference);
       List.iter
         (fun domains ->
           Alcotest.(check bool)
@@ -526,7 +526,7 @@ let test_kernel_lsi_chip_n64 () =
   let patterns = Oracle.random_patterns ~seed:64 ~count:512 c in
   let reference = Fsim.Serial.run_counts ~n:64 c universe patterns in
   Alcotest.(check bool) "ppsfp = serial at n=64" true
-    (Fsim.Ppsfp.run_counts ~n:64 c universe patterns = reference);
+    (Oracle.run_counts ~n:64 c universe patterns = reference);
   Alcotest.(check bool) "par(2) = serial at n=64" true
     (Fsim.Par.run_counts ~domains:2 ~n:64 c universe patterns = reference)
 
@@ -569,8 +569,9 @@ let test_malformed_fault_rejected () =
                  ignore (Fsim.Serial.run_counts ~n:2 c faults patterns));
               ("ppsfp", fun () -> ignore (Fsim.Ppsfp.run c faults patterns));
               ("ppsfp counts", fun () ->
-                 ignore (Fsim.Ppsfp.run_counts ~n:2 c faults patterns));
-              ("par", fun () -> ignore (Fsim.Par.run ~domains:3 c faults patterns));
+                 ignore (Oracle.run_counts ~n:2 c faults patterns));
+              ("par", fun () ->
+                 ignore (Fsim.Par.run_counts ~domains:3 ~n:1 c faults patterns));
               ("par counts", fun () ->
                  ignore (Fsim.Par.run_counts ~domains:3 ~n:2 c faults patterns)) ])
         malformed;
@@ -604,7 +605,7 @@ let test_kernel_allocation_guard () =
   in
   per_fault_block "Ppsfp.run" (fun () -> Fsim.Ppsfp.run c universe patterns);
   per_fault_block "Ppsfp.run_counts ~n:8" (fun () ->
-      snd (Fsim.Ppsfp.run_counts ~n:8 c universe patterns));
+      snd (Oracle.run_counts ~n:8 c universe patterns));
   per_fault_block "Par.run_counts ~domains:1 ~n:8" (fun () ->
       snd (Fsim.Par.run_counts ~domains:1 ~n:8 c universe patterns))
 
@@ -743,25 +744,6 @@ let test_sampling_estimate_near_truth () =
     (Printf.sprintf "interval covers truth in %d/%d trials" !hits trials)
     true (!hits >= 16)
 
-let test_sampling_engine_invariant () =
-  (* Same seed, same sample — the engine choice cannot change the
-     estimate. *)
-  let c = Circuit.Generators.ripple_carry_adder ~bits:4 in
-  let universe = Faults.Universe.all c in
-  let patterns = Oracle.random_patterns ~seed:44 ~count:64 c in
-  let estimate engine =
-    Fsim.Sampling.estimate_coverage ?engine
-      (Stats.Rng.create ~seed:9 ())
-      c universe ~sample_size:60 patterns
-  in
-  let reference = estimate None in
-  List.iter
-    (fun engine ->
-      Alcotest.(check (float 1e-12)) "same estimate"
-        reference.Fsim.Sampling.coverage
-        (estimate (Some engine)).Fsim.Sampling.coverage)
-    [ Fsim.Coverage.Serial; Fsim.Coverage.Par { domains = 2 } ]
-
 let test_sampling_interval_bounds () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
@@ -831,8 +813,7 @@ let test_sampling_n_detect () =
   (* A full sample reports the exact n-detect coverage. *)
   let full = Array.length universe in
   let exact =
-    Fsim.Coverage.n_detect_coverage
-      (Fsim.Coverage.detection_counts ~n:4 c universe patterns)
+    Fsim.Coverage.final_coverage (snd (Fsim.Coverage.grade ~n:4 c universe patterns))
   in
   Alcotest.(check (float 1e-12)) "full sample exact"
     exact
@@ -901,7 +882,7 @@ let qcheck_props =
         let patterns = Oracle.random_patterns ~seed:(gates + 2) ~count:70 c in
         Fsim.Serial.run c universe patterns = Fsim.Ppsfp.run c universe patterns
         && Fsim.Serial.run_counts ~n c universe patterns
-           = Fsim.Ppsfp.run_counts ~n c universe patterns);
+           = Oracle.run_counts ~n c universe patterns);
     Test.make ~count:15 ~name:"multi-fault first fail <= each member's (on chains it can differ)"
       (int_range 1 1000)
       (fun seed ->
@@ -925,9 +906,43 @@ let qcheck_props =
         let universe = Faults.Universe.all c in
         let count = 1 + (gates * 5 mod 130) in
         let patterns = Oracle.random_patterns ~seed:(gates + domains) ~count c in
-        Fsim.Par.run ~domains c universe patterns = Fsim.Ppsfp.run c universe patterns
+        snd (Fsim.Par.run_counts ~domains ~n:1 c universe patterns)
+        = Fsim.Ppsfp.run c universe patterns
         && Fsim.Par.run_counts ~domains ~n c universe patterns
-           = Fsim.Ppsfp.run_counts ~n c universe patterns) ]
+           = Oracle.run_counts ~n c universe patterns);
+    Test.make ~count:12
+      ~name:"one n pass = serial first and n-th detections, whole or sliced"
+      (quad (int_range 4 10) (int_range 20 120) (int_range 1 8) (int_range 1 3))
+      (fun (inputs, gates, n, domains) ->
+        let c =
+          Circuit.Generators.random_circuit ~inputs ~gates ~outputs:4
+            ~seed:((inputs * 11) + gates)
+        in
+        let universe = Faults.Universe.all c in
+        let count = 1 + (gates * 3 mod 200) in
+        let patterns = Oracle.random_patterns ~seed:(gates + n) ~count c in
+        let first = Fsim.Serial.run c universe patterns in
+        let detections, nth = Fsim.Serial.run_counts ~n c universe patterns in
+        let agrees (st : Fsim.Coverage.state) =
+          st.first = first && st.detections = detections && st.nth = nth
+        in
+        (* The whole set in one pass on [domains] domains... *)
+        let whole = Fsim.Coverage.state ~n (Array.length universe) in
+        ignore
+          (Fsim.Coverage.extend ~engine:(Fsim.Coverage.Par { domains }) c universe
+             whole ~offset:0 patterns);
+        (* ...and the same patterns in random slices of 1 to 100. *)
+        let sliced = Fsim.Coverage.state ~n (Array.length universe) in
+        let rng = Stats.Rng.create ~seed:(inputs + gates + n) () in
+        let pos = ref 0 in
+        while !pos < count do
+          let len = min (count - !pos) (1 + Stats.Rng.int rng 100) in
+          ignore
+            (Fsim.Coverage.extend c universe sliced ~offset:!pos
+               (Array.sub patterns !pos len));
+          pos := !pos + len
+        done;
+        agrees whole && agrees sliced) ]
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -974,7 +989,6 @@ let suite =
         tc "detection probability strict clamp" test_stafan_detection_probability_strict_clamp ] );
     ( "fsim.sampling",
       [ tc "full sample exact" test_sampling_full_sample_is_exact;
-        tc "engine choice invariant" test_sampling_engine_invariant;
         tc "interval covers truth" test_sampling_estimate_near_truth;
         tc "interval bounds" test_sampling_interval_bounds;
         tc "Wilson interval open at endpoints" test_sampling_wilson_endpoints;

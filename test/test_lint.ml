@@ -128,11 +128,11 @@ let test_sampling_exclude () =
   let c = Circuit.Generators.redundant_demo () in
   let universe = Faults.Universe.all c in
   let untestable = U.untestable_faults (U.prepare c) universe in
+  let corrected = Faults.Universe.exclude_untestable c universe ~untestable in
   let patterns = Oracle.exhaustive_patterns (N.num_inputs c) in
   let rng = Stats.Rng.create ~seed:7 () in
   let est =
-    Fsim.Sampling.estimate_coverage ~exclude:untestable rng c universe
-      ~sample_size:10_000 patterns
+    Fsim.Sampling.estimate_coverage rng c corrected ~sample_size:10_000 patterns
   in
   Alcotest.(check int) "corrected universe sampled" 36
     est.Fsim.Sampling.universe_size;
@@ -293,7 +293,7 @@ let suite =
           test_coverage_excluding_validates;
         Alcotest.test_case "Universe.exclude_untestable semantics" `Quick
           test_exclude_untestable_semantics;
-        Alcotest.test_case "Sampling honours ~exclude" `Quick
+        Alcotest.test_case "Sampling the corrected universe" `Quick
           test_sampling_exclude;
         Alcotest.test_case "ternary identities" `Quick test_ternary_identities;
         Alcotest.test_case "structural rules fire" `Quick

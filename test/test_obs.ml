@@ -182,7 +182,7 @@ let test_par_trace_has_shard_spans () =
     Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:5 ()) circuit ~count:64
   in
   with_obs @@ fun () ->
-  ignore (Fsim.Par.run ~domains:2 circuit universe patterns);
+  ignore (Fsim.Par.run_counts ~domains:2 ~n:1 circuit universe patterns);
   let tids =
     List.sort_uniq compare (List.map (fun s -> s.Obs.Trace.tid) (Obs.Trace.spans ()))
   in
@@ -455,7 +455,7 @@ let journaled_fsim () =
   let patterns =
     Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:5 ()) circuit ~count:192
   in
-  ignore (Fsim.Par.run ~domains:2 circuit universe patterns);
+  ignore (Fsim.Par.run_counts ~domains:2 ~n:1 circuit universe patterns);
   ignore (Fsim.Ppsfp.run circuit universe patterns);
   List.filter_map
     (function

@@ -190,14 +190,16 @@ let test_checkpoint_crash_keeps_previous () =
    [Mismatch] on every edit. *)
 let set_field key value state = (key, value) :: List.remove_assoc key state
 
-let set_detection fault index state =
-  match List.assoc_opt "first_detection" state with
+let set_entry key fault value state =
+  match List.assoc_opt key state with
   | Some (Report.Json.List l) ->
-    set_field "first_detection"
+    set_field key
       (Report.Json.List
-         (List.mapi (fun i d -> if i = fault then Report.Json.Int index else d) l))
+         (List.mapi (fun i d -> if i = fault then Report.Json.Int value else d) l))
       state
-  | _ -> Alcotest.fail "checkpoint has no first_detection"
+  | _ -> Alcotest.failf "checkpoint has no %s" key
+
+let set_detection = set_entry "first_detection"
 
 let check_impossible_states_rejected ~path ~resume edits =
   let meta, state =
@@ -298,6 +300,42 @@ let test_restart_impossible_state_rejected () =
       ("detection past every pattern", set_detection 0 999_999);
       ("detection below -1", set_detection 0 (-2)) ]
 
+(* A real n = 16 checkpoint cut after 64 patterns, edited one field at
+   a time into a state no run can reach. *)
+let test_restart_impossible_counts_rejected () =
+  with_inject @@ fun () ->
+  with_tmp @@ fun path ->
+  let c, universe, patterns = Lazy.force fsim_rig in
+  let n = 16 in
+  let run resume =
+    Fsim.Restart.run ~every:64 ~resume ~n ~checkpoint:path ~seed:42 c universe
+      patterns
+  in
+  Robust.Inject.set "fsim.restart.segment" (Robust.Inject.At_nth 1);
+  (try ignore (run false) with Robust.Inject.Injected _ -> ());
+  Robust.Inject.clear "fsim.restart.segment";
+  let counts =
+    match Robust.Checkpoint.load ~path with
+    | Ok (_, [ Report.Json.Obj state ]) -> (
+      match List.assoc_opt "detections" state with
+      | Some (Report.Json.List l) ->
+        List.map (function Report.Json.Int k -> k | _ -> -1) l
+      | _ -> Alcotest.fail "n-detect checkpoint has no detections")
+    | _ -> Alcotest.fail "checkpoint unreadable"
+  in
+  (* A fault detected at least once but fewer than n times. *)
+  let partial =
+    match List.find_index (fun k -> 0 < k && k < n) counts with
+    | Some i -> i
+    | None -> Alcotest.fail "no fault detected fewer than n times"
+  in
+  check_impossible_states_rejected ~path
+    ~resume:(fun () -> ignore (run true))
+    [ ("count above n", set_entry "detections" partial (n + 1));
+      ("n-th detection without n counts", set_entry "nth_detection" partial 3);
+      ("positive count with no first detection", set_detection partial (-1));
+      ("detection at patterns_done", set_entry "nth_detection" partial 64) ]
+
 let test_par_shard_retry_recovers () =
   with_inject @@ fun () ->
   with_metrics @@ fun () ->
@@ -328,7 +366,7 @@ let test_par_counts_shard_retry_resets_owned_faults () =
   List.iter
     (fun (n, trigger, retries) ->
       Obs.Metrics.reset ();
-      let baseline = Fsim.Ppsfp.run_counts ~n c universe patterns in
+      let baseline = Oracle.run_counts ~n c universe patterns in
       Robust.Inject.set "fsim.par.shard" trigger;
       let par = Fsim.Par.run_counts ~domains:3 ~n c universe patterns in
       Alcotest.(check bool)
@@ -338,7 +376,27 @@ let test_par_counts_shard_retry_resets_owned_faults () =
         (Printf.sprintf "%g retries recorded" retries)
         (Some retries)
         (Obs.Metrics.value "fsim.ndetect.par.shard_retries"))
-    [ (4, Robust.Inject.At_nth 2, 1.0); (16, Robust.Inject.First_n 3, 3.0) ]
+    [ (4, Robust.Inject.At_nth 2, 1.0); (16, Robust.Inject.First_n 3, 3.0) ];
+  (* On a state that earlier patterns have seeded, a retried shard must
+     put its faults back to what they held before the attempt, not to
+     zero. *)
+  let n = 16 and rest = Array.sub patterns 64 (Array.length patterns - 64) in
+  let seeded () =
+    let st = Fsim.Coverage.state ~n (Array.length universe) in
+    ignore (Fsim.Coverage.extend c universe st ~offset:0 (Array.sub patterns 0 64));
+    st
+  in
+  let baseline = seeded () in
+  ignore (Fsim.Coverage.extend c universe baseline ~offset:64 rest);
+  Obs.Metrics.reset ();
+  Robust.Inject.set "fsim.par.shard" (Robust.Inject.First_n 3);
+  let par = seeded () in
+  ignore
+    (Fsim.Coverage.extend ~engine:(Fsim.Coverage.Par { domains = 3 }) c universe
+       par ~offset:64 rest);
+  Alcotest.(check bool) "retried shards restore a seeded state" true (par = baseline);
+  Alcotest.(check (option (float 1e-9))) "3 retries recorded" (Some 3.0)
+    (Obs.Metrics.value "fsim.ndetect.par.shard_retries")
 
 let test_par_shard_fallback_recovers () =
   with_inject @@ fun () ->
@@ -587,6 +645,33 @@ let test_lot_cancelled_prefix_durable () =
   check_same_lot "cancelled+resume"
     (Pipeline.execute ~checkpoint:(lot_ckpt path true) lot_config)
 
+(* A token that fires inside the lot or the test stage stops it after
+   the chip in hand: [execute] raises [Interrupted] and never returns a
+   run built from a cut stage.  The progress printer fires the token,
+   at the lot's first chip or at the test stage's tick. *)
+let test_lot_cancelled_inside_a_stage () =
+  let cut_at trigger =
+    let cancel = Robust.Cancel.create () and chips = ref 0 in
+    let printer line =
+      if String.starts_with ~prefix:"progress: fab.lot " line then incr chips;
+      if trigger line then Robust.Cancel.cancel cancel
+    in
+    Obs.Progress.configure ~interval_s:0.0 ~printer:(Some printer) ();
+    Obs.Progress.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Progress.set_enabled false;
+        Obs.Progress.configure ~interval_s:0.5 ~printer:None ())
+      (fun () ->
+        match Pipeline.execute ~cancel lot_config with
+        | _ -> Alcotest.fail "a cancelled run returned"
+        | exception Pipeline.Interrupted _ -> !chips)
+  in
+  let chips = cut_at (String.starts_with ~prefix:"progress: fab.lot ") in
+  Alcotest.(check bool) "lot stopped before its last chip" true
+    (chips < lot_config.lot_size);
+  ignore (cut_at (String.ends_with ~suffix:"] test\n"))
+
 (* ------------------------------------------------------------------ *)
 (* Journal under failure                                               *)
 
@@ -727,6 +812,8 @@ let suite =
         tc "mismatched resume rejected" test_restart_mismatch_raises;
         tc "impossible checkpoint state rejected"
           test_restart_impossible_state_rejected;
+        tc "impossible n-detect checkpoint rejected"
+          test_restart_impossible_counts_rejected;
         tc "par shard retry recovers" test_par_shard_retry_recovers;
         tc "par shard fallback recovers" test_par_shard_fallback_recovers;
         tc "par counts retry resets owned faults"
@@ -741,7 +828,8 @@ let suite =
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
-        tc "cancelled prefix durable" test_lot_cancelled_prefix_durable ] );
+        tc "cancelled prefix durable" test_lot_cancelled_prefix_durable;
+        tc "cancelled inside a stage" test_lot_cancelled_inside_a_stage ] );
     ( "robust.journal",
       [ tc "interrupted roundtrip" test_journal_interrupted_roundtrip;
         tc "run_end survives sink failure" test_journal_run_end_survives_sink_failure ] );

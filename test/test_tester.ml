@@ -244,41 +244,42 @@ let test_rows_at_coverages_binary_equals_linear () =
     (List.filter_map linear_first coverages)
     (List.map (fun r -> r.Tester.Wafer_test.patterns_applied) rows)
 
-let test_grade_n_detect_validation () =
+let test_n_detect_grading_validation () =
   let c, universe, program = Lazy.force rig in
-  let rejects f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "universe mismatch rejected" true
-    (rejects (fun () ->
-         Tester.Pattern_set.grade_n_detect ~n:2 c
-           (Array.sub universe 0 (Array.length universe - 1))
-           program));
+  let patterns = program.Tester.Pattern_set.patterns in
   Alcotest.(check bool) "n = 0 rejected" true
-    (rejects (fun () -> Tester.Pattern_set.grade_n_detect ~n:0 c universe program));
-  Alcotest.(check bool) "ungraded program carries no counts" true
-    (Tester.Pattern_set.n_detect program = None);
-  let graded = Tester.Pattern_set.grade_n_detect ~n:2 c universe program in
-  (match Tester.Pattern_set.n_detect_final_coverage graded with
-  | None -> Alcotest.fail "graded program lost its counts"
-  | Some f2 ->
+    (try
+       ignore (Tester.Pattern_set.of_simulation ~n_detect:0 c universe patterns);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "first-detection program carries no n-detect profile"
+    true (program.Tester.Pattern_set.n_detect = None);
+  let graded = Tester.Pattern_set.of_simulation ~n_detect:2 c universe patterns in
+  Alcotest.(check bool) "same first-detection profile from the one pass" true
+    (graded.Tester.Pattern_set.profile = program.Tester.Pattern_set.profile);
+  match graded.Tester.Pattern_set.n_detect with
+  | None -> Alcotest.fail "graded program lost its n-detect profile"
+  | Some (n, nth) ->
+    Alcotest.(check int) "drop rule kept" 2 n;
     (* Needing a second detection can only lower coverage. *)
     Alcotest.(check bool) "2-detect <= 1-detect" true
-      (f2 <= Tester.Pattern_set.final_coverage graded +. 1e-12))
+      (Fsim.Coverage.final_coverage nth
+      <= Tester.Pattern_set.final_coverage graded +. 1e-12)
 
 let test_rows_at_n_detect_coverages () =
   let c, universe, program = Lazy.force rig in
   let lot = make_lot (Array.length universe) in
   let result = Tester.Wafer_test.test_lot c universe program lot in
-  let graded = Tester.Pattern_set.grade_n_detect ~n:2 c universe program in
-  let n_detect_view =
-    Tester.Pattern_set.make graded.Tester.Pattern_set.patterns
-      (Fsim.Coverage.n_detect_profile
-         (Option.get (Tester.Pattern_set.n_detect graded)))
+  let patterns = program.Tester.Pattern_set.patterns in
+  let nth =
+    match
+      (Tester.Pattern_set.of_simulation ~n_detect:2 c universe patterns)
+        .Tester.Pattern_set.n_detect
+    with
+    | Some (_, nth) -> nth
+    | None -> Alcotest.fail "no n-detect profile"
   in
+  let n_detect_view = Tester.Pattern_set.make patterns nth in
   let targets = [ 0.25; 0.5; 0.75 ] in
   let rows =
     Tester.Wafer_test.rows_at_coverages result n_detect_view ~coverages:targets
@@ -289,13 +290,12 @@ let test_rows_at_n_detect_coverages () =
     (fun target row ->
       Alcotest.(check bool) "n-detect target reached" true
         (row.Tester.Wafer_test.coverage >= target -. 1e-9);
-      Alcotest.(check bool) "row reports the n-detect figure" true
-        (Some row.Tester.Wafer_test.coverage
-         = Tester.Pattern_set.n_detect_coverage_after graded
-             row.Tester.Wafer_test.patterns_applied);
+      Alcotest.(check (float 0.0)) "row reports the n-detect figure"
+        (Fsim.Coverage.coverage_after nth row.Tester.Wafer_test.patterns_applied)
+        row.Tester.Wafer_test.coverage;
       (* The n-detect axis lags the 1-detect axis: the same target
          needs at least as many patterns. *)
-      match Tester.Wafer_test.rows_at_coverages result graded ~coverages:[ target ] with
+      match Tester.Wafer_test.rows_at_coverages result program ~coverages:[ target ] with
       | [ one ] ->
         Alcotest.(check bool) "n-detect needs >= patterns" true
           (row.Tester.Wafer_test.patterns_applied >= one.Tester.Wafer_test.patterns_applied)
@@ -427,7 +427,7 @@ let suite =
         tc "first_fail = min of detections" test_first_fail_matches_min;
         tc "undetected-only chip passes" test_first_fail_undetected_chip_passes;
         tc "make validation" test_pattern_set_make_validation;
-        tc "grade_n_detect validation" test_grade_n_detect_validation ] );
+        tc "n-detect grading validation" test_n_detect_grading_validation ] );
     ( "tester.wafer_test",
       [ tc "lot accounting" test_lot_testing_consistency;
         tc "universe mismatch rejected" test_lot_universe_mismatch_rejected;
