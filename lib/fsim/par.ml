@@ -13,11 +13,10 @@
    writes only its own faults' slots of the shared grading state, and
    Domain.join publishes the writes. *)
 
-(* The domain-spawning driver behind every entry point: run Ppsfp's
-   block loop over each shard of the alive faults on its own domain,
-   writing into the grading state, and record per-shard
-   wall/imbalance observability under the engine's label ("par", or
-   "ndetect.par" when n > 1).
+(* The one domain-spawning entry point: run Ppsfp's block loop over
+   each shard of the alive faults on its own domain, writing into the
+   grading state, and record per-shard wall/imbalance observability
+   under the engine's label ("par", or "ndetect.par" when n > 1).
 
    Shard supervision: each shard runs under per-domain exception
    capture (a domain that dies would otherwise take the whole run down
