@@ -259,48 +259,60 @@ let test_podem_stats_populated () =
   let _, stats = Tpg.Podem.generate c fault in
   Alcotest.(check bool) "did some implications" true (stats.Tpg.Podem.implications > 0)
 
-(* The search record of every collapsed lsi:4 fault under each guidance
-   mode — one line [index mode pattern|U|A backtracks implications] per
-   call — must match the checked-in golden byte for byte: any change to
-   PODEM's decisions, not just to its verdicts, shows up here. *)
-let test_podem_search_record_pinned () =
-  let c = Circuit.Generators.lsi_chip ~scale:4 () in
-  let reps =
-    Faults.Collapse.representatives
-      (Faults.Collapse.equivalence c (Faults.Universe.all c))
-  in
-  let scoap = Tpg.Podem.Scoap_based (Tpg.Scoap.analyze c) in
-  let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
-  let modes =
-    [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:200 c f);
-      ("scoap", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~guidance:scoap c f);
-      ("analysis", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~analysis c f) ]
-  in
-  let actual =
-    Array.to_list reps
-    |> List.mapi (fun i fault ->
-           List.map
-             (fun (mode, generate) ->
-               let verdict, stats = generate fault in
-               let verdict =
-                 match verdict with
-                 | Tpg.Podem.Test p ->
-                   String.init (Array.length p) (fun j -> if p.(j) then '1' else '0')
-                 | Tpg.Podem.Untestable -> "U"
-                 | Tpg.Podem.Aborted -> "A"
-               in
-               Printf.sprintf "%d %s %s %d %d" i mode verdict
-                 stats.Tpg.Podem.backtracks stats.Tpg.Podem.implications)
-             modes)
-    |> List.concat
-  in
+(* One line [index mode pattern|U|A backtracks implications] per call
+   of each [(mode, generate)] on each fault, in fault order. *)
+let search_record faults modes =
+  Array.to_list faults
+  |> List.mapi (fun i fault ->
+         List.map
+           (fun (mode, generate) ->
+             let verdict, stats = generate fault in
+             let verdict =
+               match verdict with
+               | Tpg.Podem.Test p ->
+                 String.init (Array.length p) (fun j -> if p.(j) then '1' else '0')
+               | Tpg.Podem.Untestable -> "U"
+               | Tpg.Podem.Aborted -> "A"
+             in
+             Printf.sprintf "%d %s %s %d %d" i mode verdict
+               stats.Tpg.Podem.backtracks stats.Tpg.Podem.implications)
+           modes)
+  |> List.concat
+
+let check_search_record golden actual =
   let expected =
-    In_channel.with_open_text "expected/podem_lsi4.txt" In_channel.input_all
+    In_channel.with_open_text golden In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  Alcotest.(check int) "one line per call" (List.length expected) (List.length actual);
-  List.iter2 (fun e a -> Alcotest.(check string) "search record" e a) expected actual
+  Alcotest.(check int) (golden ^ ": one line per call") (List.length expected)
+    (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) (golden ^ ": search record") e a)
+    expected actual
+
+let collapsed c =
+  Faults.Collapse.representatives
+    (Faults.Collapse.equivalence c (Faults.Universe.all c))
+
+(* The search record of every collapsed fault must match a checked-in
+   golden byte for byte: any change to PODEM's decisions, not just to
+   its verdicts, shows up here.  lsi:4 is searched under each guidance
+   mode at limit 200.  The lot design (lsi_chip 1982 at scale 5) is
+   searched at level guidance and limit 2000, so its 14 aborts run the
+   full budget, a depth the lsi:4 record never reaches. *)
+let test_podem_search_record_pinned () =
+  let c = Circuit.Generators.lsi_chip ~scale:4 () in
+  let scoap = Tpg.Podem.Scoap_based (Tpg.Scoap.analyze c) in
+  let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
+  check_search_record "expected/podem_lsi4.txt"
+    (search_record (collapsed c)
+       [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:200 c f);
+         ("scoap", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~guidance:scoap c f);
+         ("analysis", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~analysis c f) ]);
+  let lot = Circuit.Generators.lsi_chip ~seed:1982 ~scale:5 () in
+  check_search_record "expected/podem_lot1982.txt"
+    (search_record (collapsed lot)
+       [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:2000 lot f) ])
 
 (* With an analysis engine, PODEM settles before search exactly the
    faults the engine's untestability prover flags: [Untestable] with 0
@@ -658,6 +670,31 @@ let test_atpg_negative_learn_depth () =
       ("use_analysis", { Tpg.Atpg.default_config with use_analysis = true });
       ("exact", { Tpg.Atpg.default_config with exact_budget = Some 10_000 }) ]
 
+(* The disjoint union of [a] and [b]: [a]'s nodes declared first, so
+   they keep their ids and so every fault of [a] names the same line in
+   the union; then [b]'s.  The union's inputs are [a]'s, then [b]'s. *)
+let disjoint_union (a : N.t) (b : N.t) =
+  let builder = N.Builder.create ~name:"union" in
+  let copy prefix (c : N.t) =
+    let ids = Array.make (N.num_nodes c) (-1) in
+    Array.iteri
+      (fun id kind ->
+        let name = prefix ^ c.N.node_names.(id) in
+        ids.(id) <-
+          (match kind with
+          | Circuit.Gate.Input -> N.Builder.add_input builder name
+          | Circuit.Gate.Const0 -> N.Builder.add_const builder name false
+          | Circuit.Gate.Const1 -> N.Builder.add_const builder name true
+          | kind ->
+            N.Builder.add_gate builder ~name kind
+              (Array.to_list (Array.map (fun src -> ids.(src)) c.N.fanins.(id)))))
+      c.N.kinds;
+    Array.iter (fun o -> N.Builder.mark_output builder ids.(o)) c.N.outputs
+  in
+  copy "a." a;
+  copy "b." b;
+  N.Builder.build builder
+
 let qcheck_props =
   let open QCheck in
   [ Test.make ~count:20 ~name:"podem tests verified by fault simulation"
@@ -672,7 +709,37 @@ let qcheck_props =
         | Tpg.Podem.Test pattern, _ -> verify_test_detects c fault pattern
         | Tpg.Podem.Untestable, _ ->
           not (exhaustively_detectable c fault 8)
-        | Tpg.Podem.Aborted, _ -> true) ]
+        | Tpg.Podem.Aborted, _ -> true);
+    (* Logic outside a fault's subcircuit never steers its search: on
+       the disjoint union of [a] and [b], every fault of [a] gets the
+       verdict, backtracks and implications it gets on [a] alone, and
+       its test leaves [b]'s inputs at 0. *)
+    Test.make ~count:25 ~name:"podem on a disjoint union equals podem on the part"
+      (quad (int_range 1 10) (int_range 1 10) (int_range 1 10_000) (int_range 1 10_000))
+      (fun (inputs_a, inputs_b, seed_a, seed_b) ->
+        let a =
+          Circuit.Generators.random_circuit ~inputs:inputs_a
+            ~gates:(10 + (seed_a mod 50)) ~outputs:3 ~seed:seed_a
+        in
+        let b =
+          Circuit.Generators.random_circuit ~inputs:inputs_b
+            ~gates:(10 + (seed_b mod 50)) ~outputs:3 ~seed:seed_b
+        in
+        let union = disjoint_union a b in
+        let b_zeros = Array.make (N.num_inputs b) false in
+        Array.for_all
+          (fun fault ->
+            let alone, alone_stats = Tpg.Podem.generate a fault in
+            let within, within_stats = Tpg.Podem.generate union fault in
+            alone_stats = within_stats
+            &&
+            match (alone, within) with
+            | Tpg.Podem.Test p, Tpg.Podem.Test q -> q = Array.append p b_zeros
+            | Tpg.Podem.Untestable, Tpg.Podem.Untestable
+            | Tpg.Podem.Aborted, Tpg.Podem.Aborted ->
+              true
+            | _ -> false)
+          (Faults.Universe.all a)) ]
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
