@@ -12,6 +12,13 @@ type decision = {
 
 exception Abort_search
 
+(* Where a node sits relative to the fault: outside the subcircuit its
+   search reads, in the transitive fanin of the site's fanout cone, or
+   in that cone. *)
+let outside = 0
+let fanin_side = 1
+let in_cone = 2
+
 (* The line the fault sits on, seen from the good machine: the stem node
    for a stem fault, the driving node for a branch fault. *)
 let fault_line_driver (c : Circuit.Netlist.t) fault =
@@ -49,7 +56,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     | Scoap_based scoap -> Scoap.cc scoap src value
   in
   let kinds = c.kinds and fanins = c.fanins and fanouts = c.fanouts
-  and levels = c.levels in
+  and levels = c.levels and output_flags = c.output_flags in
   let num_nodes = Circuit.Netlist.num_nodes c in
   let topo_position = Array.make num_nodes 0 in
   Array.iteri (fun i id -> topo_position.(id) <- i) c.topo_order;
@@ -67,25 +74,19 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let line = fault_line_driver c fault in
   let implications = ref 0 in
   let backtracks = ref 0 in
+  let evals = ref 0 in
   let pruned = ref 0 in
   let implication_graph = Option.bind analysis Analysis.Engine.implication in
 
-  (* Fanout cone of the fault site: the nodes a fault effect can reach.
-     Unique sensitization must only constrain side inputs from {e
-     outside} this cone — an in-cone line may itself have to carry the
-     effect. *)
-  let site_cone =
-    lazy
-      (let cone = Array.make num_nodes false in
-       let rec go id =
-         if not cone.(id) then begin
-           cone.(id) <- true;
-           Array.iter go c.fanouts.(id)
-         end
-       in
-       go (Faults.Fault.site_node fault);
-       cone)
-  in
+  (* The search reads only the fault's subcircuit: the fanout cone of
+     the site, the nodes a fault effect can reach, where the D-frontier,
+     the X-paths and the observing outputs lie; and that cone's
+     transitive fanin, which activation, objectives and backtraces
+     walk.  Nothing outside it is evaluated or decided, so an input
+     outside stays X and reads 0 in a test.  Learned consequences may
+     name any node, so with an implication graph the whole circuit is
+     read.  Marked by [sweep]. *)
+  let region = Array.make num_nodes outside in
 
   (* Can the objective [src = v] still be met under the current PI
      assignment?  Good-machine values are monotone (a defined value
@@ -173,10 +174,10 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   in
 
   (* Event-driven implication.  Values are a pure function of the PI
-     assignment, so after one full sweep only the fanout of the inputs
-     assigned, flipped or reset since the last call needs re-evaluating:
-     an input's own value is written as it is set, and its fanouts
-     wait in [queue], one flat array partitioned by level — level [l]'s
+     assignment, so after one sweep of the subcircuit only its part of
+     the fanout of the inputs assigned, flipped or reset since the last
+     call needs re-evaluating: an input's own value is written as it is
+     set, and its fanouts in the subcircuit wait in [queue], one flat array partitioned by level — level [l]'s
      pending nodes are [queue.(first.(l)) .. queue.(first.(l) + fill.(l)
      - 1)], each node queued at most once — drained in level order, so
      every node is evaluated after all of its changed fanins. *)
@@ -194,7 +195,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     let outs = fanouts.(u) in
     for k = 0 to Array.length outs - 1 do
       let w = outs.(k) in
-      if not queued.(w) then begin
+      if region.(w) <> outside && not queued.(w) then begin
         queued.(w) <- true;
         let l = levels.(w) in
         queue.(first.(l) + fill.(l)) <- w;
@@ -203,44 +204,83 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       end
     done
   in
+  (* Outputs carrying D or D', kept by [set]. *)
+  let effects = ref 0 in
   let set id v =
-    if v <> values.(id) then begin
+    let old = values.(id) in
+    if v <> old then begin
       values.(id) <- v;
+      if output_flags.(id) then
+        effects :=
+          !effects
+          + Bool.to_int (Logic5.is_fault_effect v)
+          - Bool.to_int (Logic5.is_fault_effect old);
       schedule_fanouts id
     end
   in
   let assign input v = set input (inject input v) in
+  (* [pending] is also the stack of [x_path_exists] below. *)
+  let pending = Array.make num_nodes 0 in
+  (* Mark the subcircuit breadth first, with [pending] as the queue: the
+     cone from the site over fanouts, then the fanin of everything
+     marked.  Then evaluate it in topological order. *)
   let sweep () =
+    let marked = ref 0 in
+    let mark r id =
+      if region.(id) = outside then begin
+        region.(id) <- r;
+        pending.(!marked) <- id;
+        incr marked
+      end
+    in
+    let close r edges =
+      let k = ref 0 in
+      while !k < !marked do
+        let next = edges.(pending.(!k)) in
+        for j = 0 to Array.length next - 1 do
+          mark r next.(j)
+        done;
+        incr k
+      done
+    in
+    mark in_cone (Faults.Fault.site_node fault);
+    close in_cone fanouts;
+    if Option.is_some implication_graph then
+      Array.iteri (fun id r -> if r = outside then region.(id) <- fanin_side) region
+    else close fanin_side fanins;
     Array.iter
       (fun id ->
-        values.(id) <-
-          (match kinds.(id) with
-          | Circuit.Gate.Input -> inject id Logic5.x
-          | _ -> eval_gate id))
-      c.topo_order;
-    Array.iter update_frontier c.topo_order
+        if region.(id) <> outside then begin
+          let v =
+            match kinds.(id) with
+            | Circuit.Gate.Input -> inject id Logic5.x
+            | _ -> eval_gate id
+          in
+          values.(id) <- v;
+          if output_flags.(id) && Logic5.is_fault_effect v then incr effects;
+          if region.(id) = in_cone then update_frontier id
+        end)
+      c.topo_order
   in
   let imply () =
     incr implications;
     (* Inputs and constants are level 0; gates start at level 1.  A
        level's segment cannot grow while it drains: fanouts sit on
-       higher levels. *)
+       higher levels.  A fault effect reaches only the cone, so only
+       there can frontier membership change. *)
     let l = ref 1 in
     while !l <= !top do
+      evals := !evals + fill.(!l);
       for j = first.(!l) to first.(!l) + fill.(!l) - 1 do
         let u = queue.(j) in
         queued.(u) <- false;
         set u (eval_gate u);
-        update_frontier u
+        if region.(u) = in_cone then update_frontier u
       done;
       fill.(!l) <- 0;
       incr l
     done;
     top := 0
-  in
-
-  let po_has_effect () =
-    Array.exists (fun id -> Logic5.is_fault_effect values.(id)) c.outputs
   in
 
   (* Whether the faulty line currently carries D/D': its good value
@@ -252,7 +292,6 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      cleared between calls. *)
   let stamp = Array.make num_nodes 0 in
   let generation = ref 0 in
-  let pending = Array.make num_nodes 0 in
   let x_path_exists () =
     incr generation;
     let g = !generation in
@@ -298,29 +337,35 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     !best
   in
 
-  (* Choose the cheapest X input of [fanins] to drive toward [v],
-     preferring candidates the implication graph does not rule out;
-     falls back to an infeasible one (the decision search sorts it out)
-     so behaviour without analysis is unchanged. *)
-  let pick_x_input fanins v =
-    let best = ref None and fallback = ref None in
-    Array.iter
-      (fun src ->
-        if Logic5.has_unknown values.(src) then
-          if achievable src v then begin
-            match !best with
-            | None -> best := Some src
-            | Some cur -> if choice_cost src v < choice_cost cur v then best := Some src
+  (* The cheapest fanin of [node] still at X to drive toward [v], the
+     first among equals, or -1 if there is none.  With [prune], prefer
+     candidates the implication graph does not rule out, and fall back
+     to an infeasible one (the decision search sorts it out), so
+     behaviour without analysis is unchanged. *)
+  let pick_x_input ~prune node v =
+    let srcs = fanins.(node) in
+    let best = ref (-1) and best_cost = ref 0 in
+    let fallback = ref (-1) and fallback_cost = ref 0 in
+    for k = 0 to Array.length srcs - 1 do
+      let src = srcs.(k) in
+      if Logic5.has_unknown values.(src) then begin
+        let cost = choice_cost src v in
+        if (not prune) || achievable src v then begin
+          if !best < 0 || cost < !best_cost then begin
+            best := src;
+            best_cost := cost
           end
-          else begin
-            incr pruned;
-            match !fallback with
-            | None -> fallback := Some src
-            | Some cur ->
-              if choice_cost src v < choice_cost cur v then fallback := Some src
-          end)
-      fanins;
-    match !best with Some _ as s -> s | None -> !fallback
+        end
+        else begin
+          incr pruned;
+          if !fallback < 0 || cost < !fallback_cost then begin
+            fallback := src;
+            fallback_cost := cost
+          end
+        end
+      end
+    done;
+    if !best >= 0 then !best else !fallback
   in
 
   (* Unique sensitization: whatever frontier gate carries the effect
@@ -342,12 +387,11 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
           | None -> try_doms rest
           | Some controlling ->
             let v = not controlling in
-            let cone = Lazy.force site_cone in
             let candidate = ref None in
             Array.iter
               (fun src ->
                 if
-                  (not cone.(src))
+                  region.(src) <> in_cone
                   && Logic5.has_unknown values.(src)
                   && achievable src v
                 then
@@ -364,47 +408,44 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       try_doms doms
   in
 
-  (* Choose (node, boolean objective value). *)
+  (* The value the objective asks of the node [objective] returns, and
+     then of the input [backtrace] reaches. *)
+  let wanted = ref false in
+
+  (* The node to drive toward [!wanted] next, or -1 for none. *)
   let objective () =
-    if not (activated ()) then Some (line, stuck = Logic5.plane_0)
+    if not (activated ()) then begin
       (* Drive the line to the complement of the stuck value. *)
-    else if !frontier_size = 0 then None
+      wanted := stuck = Logic5.plane_0;
+      line
+    end
+    else if !frontier_size = 0 then -1
     else begin
       match unique_sensitization () with
-      | Some objective -> Some objective
+      | Some (src, v) ->
+        wanted := v;
+        src
       | None ->
         let gate = lowest_frontier_gate () in
-        let v =
-          match Circuit.Gate.controlling_value c.kinds.(gate) with
-          | Some controlling -> not controlling (* non-controlling value *)
-          | None -> false
-        in
-        (match pick_x_input c.fanins.(gate) v with
-        | None -> None
-        | Some src -> Some (src, v))
+        (wanted :=
+           match Circuit.Gate.controlling_value kinds.(gate) with
+           | Some controlling -> not controlling (* non-controlling value *)
+           | None -> false);
+        pick_x_input ~prune:true gate !wanted
     end
   in
 
-  (* Walk the objective back to a primary input through X lines. *)
-  let backtrace node value =
-    let rec walk node value =
-      match c.kinds.(node) with
-      | Circuit.Gate.Input -> Some (node, value)
-      | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> None
+  (* Walk the objective back to a primary input through X lines, or to
+     -1 where a constant or a gate with no X fanin stops the walk. *)
+  let rec backtrace node =
+    if node < 0 then -1
+    else
+      match kinds.(node) with
+      | Circuit.Gate.Input -> node
+      | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> -1
       | kind ->
-        let value = if Circuit.Gate.inverts kind then not value else value in
-        let x_input = ref None in
-        Array.iter
-          (fun src ->
-            if Logic5.has_unknown values.(src) then
-              match !x_input with
-              | None -> x_input := Some src
-              | Some cur ->
-                if choice_cost src value < choice_cost cur value then x_input := Some src)
-          c.fanins.(node);
-        (match !x_input with None -> None | Some src -> walk src value)
-    in
-    walk node value
+        if Circuit.Gate.inverts kind then wanted := not !wanted;
+        backtrace (pick_x_input ~prune:false node !wanted)
   in
 
   let decisions = ref [] in
@@ -412,21 +453,20 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let rec attempt () =
     if should_stop () then raise Abort_search;
     imply ();
-    if po_has_effect () then finish ()
+    if !effects > 0 then finish ()
     else if Logic5.good values.(line) = stuck then step_back ()
       (* Activation is contradicted: the line settled at the stuck value. *)
     else if activated () && (!frontier_size = 0 || not (x_path_exists ())) then
       step_back ()
     else begin
-      match objective () with
-      | None -> step_back ()
-      | Some (node, v) ->
-        (match backtrace node v with
-        | None -> step_back ()
-        | Some (input, value) ->
-          decisions := { input; value; flipped = false } :: !decisions;
-          assign input (Logic5.of_bool value);
-          attempt ())
+      let input = backtrace (objective ()) in
+      if input < 0 then step_back ()
+      else begin
+        let value = !wanted in
+        decisions := { input; value; flipped = false } :: !decisions;
+        assign input (Logic5.of_bool value);
+        attempt ()
+      end
     end
 
   and step_back () =
@@ -471,6 +511,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
         in
         Obs.Trace.add_int "backtracks" !backtracks;
         Obs.Trace.add_int "implications" !implications;
+        Obs.Trace.add_int "evals" !evals;
         Obs.Trace.add_int "site" (Faults.Fault.site_node fault);
         Obs.Trace.add_int "pin" branch_pin;
         Obs.Trace.add_int "stuck" (if stuck = Logic5.plane_1 then 1 else 0);
@@ -485,6 +526,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     Obs.Metrics.incr "atpg.podem.calls";
     Obs.Metrics.incr ~by:(float_of_int !backtracks) "atpg.podem.backtracks";
     Obs.Metrics.incr ~by:(float_of_int !implications) "atpg.podem.implications";
+    Obs.Metrics.incr ~by:(float_of_int !evals) "atpg.podem.gate_evals";
     Obs.Metrics.incr ~by:(float_of_int !pruned) "atpg.podem.pruned"
   end;
   (verdict, { backtracks = !backtracks; implications = !implications })

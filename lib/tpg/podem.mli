@@ -43,6 +43,22 @@ val generate :
     fault simulator; the verdicts (test found / untestable) do not
     depend on the guidance, only the search effort does.
 
+    Cost model.  A search reads only the fault's subcircuit: the fanout
+    cone of its site plus that cone's transitive fanin.  Marking it and
+    one sweep over it cost one pass over the netlist's topological
+    order; each implication then re-evaluates only the subcircuit nodes
+    downstream of the inputs decided, flipped or reset since the last
+    one, and re-decides D-frontier membership only inside the cone.
+    The observing-output test is O(1), and a decision or backtrack
+    allocates only its decision record.  The [podem.generate] trace
+    span records [backtracks], [implications] and [evals], the gate
+    evaluations its implications made; [--metrics] sums them as
+    [atpg.podem.backtracks], [atpg.podem.implications] and
+    [atpg.podem.gate_evals].  An input outside the subcircuit is never
+    decided, so it reads 0 in the test.  With [analysis], learned
+    consequences may name any node, so the subcircuit is the whole
+    netlist.
+
     [analysis] (built over the {e same} netlist) adds three
     accelerations: [Untestable] with 0 backtracks and 0 implications,
     before any search, for every fault its {!Analysis.Untestable}

@@ -163,6 +163,34 @@ let test_podem_span_names_fault () =
   check counters
     [ ("site", 7); ("pin", 1); ("stuck", 1); ("aborted", 1); ("untestable", 0) ]
 
+(* Each podem.generate span counts the gate evaluations its
+   implications made, and atpg.podem.gate_evals sums them over a run,
+   as it does the backtracks and implications: here on what a traced
+   and metered `lsiq atpg -c lsi:4` runs. *)
+let test_podem_gate_evals_summed () =
+  let c = Circuit.Generators.lsi_chip ~scale:4 () in
+  let reps =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  with_obs @@ fun () ->
+  ignore (Tpg.Atpg.run ~config:{ Tpg.Atpg.default_config with seed = 1981 } c reps);
+  let spans =
+    List.filter (fun s -> s.Obs.Trace.name = "podem.generate") (Obs.Trace.spans ())
+  in
+  Alcotest.(check bool) "podem searched" true (spans <> []);
+  List.iter
+    (fun (arg, metric) ->
+      let sum =
+        List.fold_left (fun acc s -> acc +. List.assoc arg s.Obs.Trace.counters) 0.0 spans
+      in
+      Alcotest.(check bool) (arg ^ " counted") true (sum > 0.0);
+      Alcotest.(check (option (float 0.0))) (metric ^ " = sum of span " ^ arg)
+        (Some sum) (Obs.Metrics.value metric))
+    [ ("evals", "atpg.podem.gate_evals");
+      ("backtracks", "atpg.podem.backtracks");
+      ("implications", "atpg.podem.implications") ]
+
 let check_spans_present names =
   List.iter
     (fun required ->
@@ -593,6 +621,7 @@ let suite =
         tc "root flips counted" test_root_flips_counted;
         tc "exact trace has bdd spans" test_exact_trace_has_bdd_spans;
         tc "podem span names its fault" test_podem_span_names_fault;
+        tc "podem gate evaluations summed" test_podem_gate_evals_summed;
         tc "tree shape deterministic" test_tree_shape_deterministic;
         tc "clock never backwards" test_clock_never_backwards;
         tc "histogram quantile edges" test_histogram_quantile_edges;
