@@ -177,10 +177,11 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      assignment, so after one sweep of the subcircuit only its part of
      the fanout of the inputs assigned, flipped or reset since the last
      call needs re-evaluating: an input's own value is written as it is
-     set, and its fanouts in the subcircuit wait in [queue], one flat array partitioned by level — level [l]'s
-     pending nodes are [queue.(first.(l)) .. queue.(first.(l) + fill.(l)
-     - 1)], each node queued at most once — drained in level order, so
-     every node is evaluated after all of its changed fanins. *)
+     set, and its fanouts in the subcircuit wait in [queue], one flat
+     array partitioned by level — level [l]'s pending nodes are
+     [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)], each node
+     queued at most once — drained in level order, so every node is
+     evaluated after all of its changed fanins. *)
   let depth = Circuit.Netlist.depth c in
   let first = Array.make (depth + 2) 0 in
   Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) levels;
@@ -371,7 +372,9 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   (* Unique sensitization: whatever frontier gate carries the effect
      onward, every detection path crosses the frontier's common
      dominators, so their out-of-cone side inputs must settle at
-     non-controlling values — schedule the first one still at X. *)
+     non-controlling values — schedule the first one still at X.  An
+     in-cone side input is left alone: it may itself have to carry the
+     effect. *)
   let unique_sensitization () =
     match analysis with
     | None -> None

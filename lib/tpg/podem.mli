@@ -49,13 +49,14 @@ val generate :
     order; each implication then re-evaluates only the subcircuit nodes
     downstream of the inputs decided, flipped or reset since the last
     one, and re-decides D-frontier membership only inside the cone.
-    The observing-output test is O(1), and a decision or backtrack
-    allocates only its decision record.  The [podem.generate] trace
-    span records [backtracks], [implications] and [evals], the gate
-    evaluations its implications made; [--metrics] sums them as
-    [atpg.podem.backtracks], [atpg.podem.implications] and
-    [atpg.podem.gate_evals].  An input outside the subcircuit is never
-    decided, so it reads 0 in the test.  With [analysis], learned
+    The observing-output test is O(1), a decision allocates only its
+    record and a backtrack nothing.  The [podem.generate] trace span
+    records [backtracks], [implications] and [evals], the gate
+    evaluations its implications made, and with {!Obs.Metrics} enabled
+    they are added to [atpg.podem.backtracks],
+    [atpg.podem.implications] and [atpg.podem.gate_evals].  An input
+    outside the subcircuit is never decided, so it reads 0 in the
+    test.  With [analysis], learned
     consequences may name any node, so the subcircuit is the whole
     netlist.
 

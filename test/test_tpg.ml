@@ -327,10 +327,6 @@ let test_podem_settles_prover_verdicts () =
     (fun (name, c) ->
       let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
       let prover = Analysis.Engine.untestable analysis in
-      let reps =
-        Faults.Collapse.representatives
-          (Faults.Collapse.equivalence c (Faults.Universe.all c))
-      in
       Array.iter
         (fun fault ->
           let verdict, stats =
@@ -343,7 +339,7 @@ let test_podem_settles_prover_verdicts () =
             (verdict = Tpg.Podem.Untestable
             && stats.Tpg.Podem.backtracks = 0
             && stats.Tpg.Podem.implications = 0))
-        reps)
+        (collapsed c))
     ([ ("lsi:5", Circuit.Generators.lsi_chip ~scale:5 ());
        ("lsi:6", Circuit.Generators.lsi_chip ~scale:6 ()) ]
     @ List.map random [ 1; 2; 3; 4 ])
