@@ -103,7 +103,53 @@ let qcheck_props =
               (fun id v -> if Logicsim.Packed.bit packed.(id) i <> v then ok := false)
               (Logicsim.Refsim.eval c pattern))
           patterns;
-        !ok) ]
+        !ok);
+    (* The packer's contract on its own, for any width and any count:
+       blocks of 64 then one of the rest, bit [p] of input [i]'s word
+       is pattern [start + p]'s value at [i], bits from [pattern_count]
+       up are zero, and one wrong-width pattern anywhere raises the
+       width error. *)
+    Test.make ~count:60 ~name:"packing: block sizes, bits and width errors"
+      (triple (int_range 1 130) (int_range 0 300) small_nat)
+      (fun (inputs, count, seed) ->
+        let module P = Logicsim.Packed in
+        let c =
+          Circuit.Generators.random_circuit ~inputs ~gates:(max 4 (inputs / 2))
+            ~outputs:2 ~seed
+        in
+        let rng = Stats.Rng.create ~seed:(seed + 17) () in
+        let patterns = Array.init count (fun _ -> random_inputs rng inputs) in
+        let blocks = Array.of_list (P.blocks_of_patterns c patterns) in
+        let nblocks = (count + 63) / 64 in
+        let block_ok k (b : P.block) =
+          let start = 64 * k in
+          let live = min 64 (count - start) in
+          b.pattern_count = live
+          && Array.length b.input_words = inputs
+          && b.input_words = (P.block_of_patterns c (Array.sub patterns start live)).input_words
+          && Array.for_all (fun w -> Int64.logand w (Int64.lognot (P.live_mask b)) = 0L)
+               b.input_words
+          && List.for_all
+               (fun p ->
+                 List.for_all
+                   (fun i -> P.bit b.input_words.(i) p = patterns.(start + p).(i))
+                   (List.init inputs Fun.id))
+               (List.init live Fun.id)
+        in
+        let width_error_in k =
+          let bad = Array.copy patterns in
+          let start = 64 * k in
+          let p = start + Stats.Rng.int rng (min 64 (count - start)) in
+          bad.(p) <- Array.make (if Stats.Rng.bool rng then inputs + 1 else inputs - 1) false;
+          match P.blocks_of_patterns c bad with
+          | _ -> false
+          | exception Invalid_argument msg ->
+            msg = "Packed.block_of_patterns: pattern width mismatch"
+        in
+        Array.length blocks = nblocks
+        && Array.for_all Fun.id (Array.mapi block_ok blocks)
+        && (count = 0
+            || List.for_all width_error_in [ 0; nblocks / 2; nblocks - 1 ])) ]
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
