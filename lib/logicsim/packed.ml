@@ -1,36 +1,43 @@
 type block = { pattern_count : int; input_words : int64 array }
 
-let block_of_patterns (c : Circuit.Netlist.t) patterns =
+(* Pack [patterns.(start) .. patterns.(start + count - 1)] into one
+   block, row by row.  A branch per bit mispredicts on random patterns
+   and every update of an [int64 array] word boxes, so pattern [p]'s
+   value at input [i] is ORed, as a 0/1 shifted to bit [p], into input
+   [i]'s word of the unboxed scratch [acc] (8 bytes per input, zeroed
+   here), and the block's words are read out of [acc] once at the end. *)
+let pack (c : Circuit.Netlist.t) acc patterns ~start ~count =
+  let width = Array.length c.inputs in
+  Bytes.fill acc 0 (8 * width) '\000';
+  for p = 0 to count - 1 do
+    let pattern = patterns.(start + p) in
+    if Array.length pattern <> width then
+      invalid_arg "Packed.block_of_patterns: pattern width mismatch";
+    for i = 0 to width - 1 do
+      let b = Int64.shift_left (Int64.of_int (Bool.to_int pattern.(i))) p in
+      Bytes.set_int64_ne acc (i lsl 3) (Int64.logor (Bytes.get_int64_ne acc (i lsl 3)) b)
+    done
+  done;
+  let input_words = Array.make width 0L in
+  for i = 0 to width - 1 do
+    input_words.(i) <- Bytes.get_int64_ne acc (i lsl 3)
+  done;
+  { pattern_count = count; input_words }
+
+let scratch (c : Circuit.Netlist.t) = Bytes.create (8 * Array.length c.inputs)
+
+let block_of_patterns c patterns =
   let count = Array.length patterns in
   if count = 0 || count > 64 then
     invalid_arg "Packed.block_of_patterns: need 1..64 patterns";
-  let width = Array.length c.inputs in
-  let input_words = Array.make width 0L in
-  Array.iteri
-    (fun pattern_index pattern ->
-      if Array.length pattern <> width then
-        invalid_arg "Packed.block_of_patterns: pattern width mismatch";
-      Array.iteri
-        (fun input_index value ->
-          if value then
-            input_words.(input_index) <-
-              Int64.logor input_words.(input_index)
-                (Int64.shift_left 1L pattern_index))
-        pattern)
-    patterns;
-  { pattern_count = count; input_words }
+  pack c (scratch c) patterns ~start:0 ~count
 
 let blocks_of_patterns c patterns =
   let total = Array.length patterns in
-  let rec loop start acc =
-    if start >= total then List.rev acc
-    else begin
-      let len = min 64 (total - start) in
-      let chunk = Array.sub patterns start len in
-      loop (start + len) (block_of_patterns c chunk :: acc)
-    end
-  in
-  loop 0 []
+  let acc = scratch c in
+  List.init ((total + 63) / 64) (fun k ->
+      let start = 64 * k in
+      pack c acc patterns ~start ~count:(min 64 (total - start)))
 
 let live_mask { pattern_count; _ } =
   if pattern_count = 64 then -1L

@@ -17,10 +17,21 @@ type block = {
 }
 
 val block_of_patterns : Circuit.Netlist.t -> bool array array -> block
-(** Pack up to 64 patterns (each one boolean per primary input). *)
+(** Pack 1..64 patterns (each one boolean per primary input): bit [p]
+    of [input_words.(i)] is [patterns.(p).(i)], and every bit at or
+    above [pattern_count] is 0.  Raises [Invalid_argument] for 0 or
+    more than 64 patterns, or for a pattern whose width is not the
+    number of inputs.
+
+    Cost: one pass over the patterns, row by row, with no branch per
+    bit; each value is ORed into an unboxed scratch word.  Per block it
+    allocates only the block: its record and its [int64 array]. *)
 
 val blocks_of_patterns : Circuit.Netlist.t -> bool array array -> block list
-(** Split an arbitrary pattern list into 64-wide blocks, in order. *)
+(** Split an arbitrary pattern list into 64-wide blocks, in order: full
+    blocks, then one block with the rest.  Packs as {!block_of_patterns}
+    does, at the same cost, without copying the patterns; a pattern of
+    the wrong width in any block raises its [Invalid_argument]. *)
 
 val live_mask : block -> int64
 (** Mask with bit [i] set iff pattern [i] exists in the block; compare
