@@ -24,14 +24,16 @@ val block_of_patterns : Circuit.Netlist.t -> bool array array -> block
     number of inputs.
 
     Cost: one pass over the patterns, row by row, with no branch per
-    bit; each value is ORed into an unboxed scratch word.  Per block it
-    allocates only the block: its record and its [int64 array]. *)
+    bit; each value is ORed into an unboxed scratch word (8 bytes per
+    input, one scratch per call).  Beyond that scratch a block
+    allocates only itself: its record and its [int64 array]. *)
 
 val blocks_of_patterns : Circuit.Netlist.t -> bool array array -> block list
 (** Split an arbitrary pattern list into 64-wide blocks, in order: full
     blocks, then one block with the rest.  Packs as {!block_of_patterns}
-    does, at the same cost, without copying the patterns; a pattern of
-    the wrong width in any block raises its [Invalid_argument]. *)
+    does, with one scratch for every block and without copying the
+    patterns; a pattern of the wrong width in any block raises its
+    [Invalid_argument]. *)
 
 val live_mask : block -> int64
 (** Mask with bit [i] set iff pattern [i] exists in the block; compare
