@@ -640,14 +640,18 @@ let atpg_cmd =
              Tpg.Atpg.default_config.Tpg.Atpg.backtrack_limit
          & info [ "backtrack-limit" ] ~docv:"N"
              ~doc:"Per-fault PODEM backtrack budget; a fault whose search \
-                   exceeds it counts as aborted.")
+                   exceeds it counts as aborted unless a SAT proof shows \
+                   it untestable.  PODEM first tries 64 backtracks, and \
+                   only a fault that survives them and the proof gets \
+                   the full budget.")
   in
   let podem_budget =
     Arg.(value & opt (some float) None & info [ "podem-budget" ] ~docv:"SECS"
-           ~doc:"Per-fault PODEM wall-clock budget; a fault whose search \
-                 exceeds it counts as aborted.  Makes verdicts \
-                 timing-dependent — prefer $(b,--backtrack-limit) for \
-                 reproducible runs.")
+           ~doc:"Per-fault wall-clock budget for its PODEM searches and \
+                 SAT proof together; a fault whose search exceeds it \
+                 counts as aborted unless the proof shows it untestable.  \
+                 Makes verdicts timing-dependent — prefer \
+                 $(b,--backtrack-limit) for reproducible runs.")
   in
   let action circuit out seed use_analysis learn_depth exact backtrack_limit
       podem_budget ({ checkpoint; every; resume; _ } as robust) obs =

@@ -22,6 +22,12 @@ val create : ?deadline_s:float -> unit -> t
     seconds (monotonic clock) after creation.  Raises
     [Invalid_argument] unless [deadline_s > 0] (so on NaN). *)
 
+val after_polls : int -> t
+(** A token that fires itself, with reason [Requested], on its [n]-th
+    {!stop_requested} poll: a test can stop a computation at an exact
+    point of its work, whatever the clock says.  Raises
+    [Invalid_argument] unless [n >= 1]. *)
+
 val cancel : ?reason:reason -> t -> unit
 (** Request a stop ([reason] defaults to [Requested]).  Idempotent;
     the first reason wins.  Safe from any domain or signal handler. *)

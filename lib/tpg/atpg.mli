@@ -1,4 +1,5 @@
-(** Complete test-generation flow: random phase, then PODEM clean-up.
+(** Complete test-generation flow: random phase, then PODEM clean-up,
+    with a SAT proof of untestability for the targets PODEM finds hard.
 
     This is how the ordered pattern sets used in the paper's experiment
     are produced.  The resulting pattern order (broad random detection
@@ -8,7 +9,9 @@
 type config = {
   random_budget : int;     (** Max random patterns before the deterministic phase. *)
   random_target : float;   (** Stop random phase at this coverage. *)
-  backtrack_limit : int;   (** Deterministic budget per fault. *)
+  backtrack_limit : int;
+      (** Backtrack budget of a target's full PODEM search; the first
+          search gets [min first_backtrack_limit backtrack_limit]. *)
   seed : int;
   use_analysis : bool;
       (** Build a static {!Analysis.Engine.t} (dominators + learned
@@ -27,10 +30,11 @@ type config = {
           for before search include the BDD's exact redundancies.
           Default [None]. *)
   podem_time_budget_s : float option;
-      (** Per-fault wall-clock budget for each {!Podem.generate} call;
-          a fault whose search exceeds it counts as [aborted].  Makes
-          verdicts timing-dependent — leave [None] (the default) for
-          reproducible runs. *)
+      (** Per-target wall-clock budget: the first PODEM search gets all
+          of it, the second what the first search and the proof left;
+          a target whose search exceeds it counts as [aborted] unless
+          the proof settles it.  Makes verdicts timing-dependent — leave
+          [None] (the default) for reproducible runs. *)
 }
 
 val default_config : config
@@ -43,8 +47,10 @@ type report = {
           them, so this is what a regrade of [patterns] reports. *)
   random_patterns : int;              (** Patterns from the random phase. *)
   deterministic_patterns : int;       (** Patterns from PODEM. *)
-  untestable : int;                   (** Proved redundant. *)
-  aborted : int;                      (** PODEM gave up within budget. *)
+  untestable : int;
+      (** Proved redundant, by PODEM's search or by {!prove}. *)
+  aborted : int;
+      (** Neither PODEM within its budget nor {!prove} settled them. *)
   unknown : int;
       (** Targets never reached (or interrupted mid-search) because the
           cancel token fired: no verdict at all, retried on resume.
@@ -62,10 +68,23 @@ val run :
   ?cancel:Robust.Cancel.t ->
   ?checkpoint:checkpointing ->
   Circuit.Netlist.t -> Faults.Fault.t array -> report
-(** [cancel] is polled before each deterministic target and inside each
-    PODEM search (see {!Podem.generate}); a cancelled run returns a
-    well-defined partial report whose unresolved targets are counted in
-    [unknown].  The random phase always runs to completion — it is a
+(** Each target not yet detected gets up to three steps: PODEM with
+    [min first_backtrack_limit config.backtrack_limit] backtracks; if
+    that aborts, {!prove}; if the proof does not find the fault
+    untestable, PODEM again with the full [backtrack_limit].  A search
+    with a smaller limit is a prefix of the same search with a larger
+    one, so every test and every untestable verdict, and so every
+    pattern, is the one a single full search gives; only a fault the
+    full search aborts, or proves untestable after the first budget, can
+    end another way, and then only as untestable.  With [use_analysis]
+    or [exact_budget], each search first asks the engine's prover, as
+    {!Podem.generate} does.
+
+    [cancel] is polled before each deterministic target, inside each
+    PODEM search (see {!Podem.generate}) and once per conflict of each
+    proof; a target cut inside any of them gets no verdict.  A
+    cancelled run returns a well-defined partial report whose
+    unresolved targets are counted in [unknown].  The random phase always runs to completion — it is a
     pure function of the config, which is what lets a resume re-derive
     it instead of storing patterns in the checkpoint.  With
     [checkpoint], the incremental deterministic state is snapshotted
@@ -82,8 +101,38 @@ val run :
     neither -1 nor below the random plus extra pattern count, a negative
     untestable or aborted count, more verdicts (untestable, aborted and
     extra patterns together) than processed targets, or more processed
-    targets than there are.  Raises [Invalid_argument] when
+    targets than there are; or when the file predates the proof (its
+    state carries no [("proof", "sat")]) and counts an aborted target,
+    which the proof may now settle.  Raises [Invalid_argument] when
     [every < 1] or [config.learn_depth < 0]. *)
 
 val coverage : report -> float
 (** Final fault coverage of the generated set. *)
+
+val first_backtrack_limit : int
+(** The backtrack budget of each target's first PODEM search (64). *)
+
+val prove :
+  ?conflict_budget:int ->
+  ?cancel:Robust.Cancel.t ->
+  Circuit.Netlist.t -> Faults.Fault.t -> Podem.result
+(** [prove c fault] decides the fault with {!Sat} over the subcircuit
+    PODEM reads: the site's fanout cone plus that cone's transitive
+    fanin.  The formula holds Tseitin clauses for the good machine over
+    the subcircuit and for a faulty copy over the cone only (outside
+    it the faulty value is the good one); a stem fault forces its faulty
+    variable to the stuck value, a branch fault ties that pin of its
+    gate's faulty copy to it.  Activation asks the faulty line's good
+    value to be the complement of the stuck value, detection that some
+    output of the cone differ between the machines, through one
+    difference variable per output.  [Untestable] is a proof of
+    redundancy; [Test p] is the model's input assignment (an input
+    outside the subcircuit reads 0), which detects the fault; [Aborted]
+    means the search met [conflict_budget] (default 1,000) or [cancel]
+    fired.  The [atpg.sat] trace span records [site], [pin] (-1 on a
+    stem), [stuck], [vars], [clauses], [conflicts], [untestable] and
+    [budget_out] (1 on [Aborted]); with {!Obs.Metrics} enabled the
+    proof counts into [atpg.sat.calls], [atpg.sat.untestable],
+    [atpg.sat.conflicts] and [atpg.sat.budget_outs].  Raises
+    [Invalid_argument] unless the fault is a line of [c] or when
+    [conflict_budget < 1]. *)

@@ -54,7 +54,10 @@ val generate :
     records [backtracks], [implications] and [evals], the gate
     evaluations its implications made, and with {!Obs.Metrics} enabled
     they are added to [atpg.podem.backtracks],
-    [atpg.podem.implications] and [atpg.podem.gate_evals].  An input
+    [atpg.podem.implications] and [atpg.podem.gate_evals], and the call
+    to [atpg.podem.calls]: a count of searches, not of targets, since
+    the ATPG driver searches a target a second time when its first
+    search aborts and its SAT proof does not settle it.  An input
     outside the subcircuit is never decided, so it reads 0 in the
     test.  With [analysis], learned
     consequences may name any node, so the subcircuit is the whole

@@ -191,6 +191,52 @@ let test_podem_gate_evals_summed () =
       ("backtracks", "atpg.podem.backtracks");
       ("implications", "atpg.podem.implications") ]
 
+(* Each SAT proof's span carries its verdict and effort; the run's
+   counters are their sums, and [atpg.sat.calls] counts the spans. *)
+let test_sat_counters_summed () =
+  let c = Circuit.Generators.lsi_chip ~scale:4 () in
+  let reps =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  with_obs @@ fun () ->
+  let report =
+    Tpg.Atpg.run ~config:{ Tpg.Atpg.default_config with seed = 1981 } c reps
+  in
+  let spans =
+    List.filter (fun s -> s.Obs.Trace.name = "atpg.sat") (Obs.Trace.spans ())
+  in
+  let sum arg =
+    List.fold_left (fun acc s -> acc +. List.assoc arg s.Obs.Trace.counters) 0.0 spans
+  in
+  Alcotest.(check (option (float 0.0))) "atpg.sat.calls = spans"
+    (Some (float_of_int (List.length spans))) (Obs.Metrics.value "atpg.sat.calls");
+  Alcotest.(check bool) "proofs ran" true (spans <> []);
+  Alcotest.(check bool) "some proved untestable" true (sum "untestable" > 0.0);
+  List.iter
+    (fun (arg, metric) ->
+      Alcotest.(check (option (float 0.0))) (metric ^ " = sum of span " ^ arg)
+        (Some (sum arg)) (Obs.Metrics.value metric))
+    [ ("untestable", "atpg.sat.untestable");
+      ("conflicts", "atpg.sat.conflicts");
+      ("budget_out", "atpg.sat.budget_outs") ];
+  (* [atpg.podem.calls] counts searches, not targets: each target
+     searched ends with one verdict, and one the proof does not settle is
+     searched a second time. *)
+  let searches =
+    List.length
+      (List.filter (fun s -> s.Obs.Trace.name = "podem.generate") (Obs.Trace.spans ()))
+  in
+  let targets =
+    report.Tpg.Atpg.untestable + report.Tpg.Atpg.aborted
+    + report.Tpg.Atpg.deterministic_patterns
+  in
+  Alcotest.(check (option (float 0.0))) "atpg.podem.calls = podem spans"
+    (Some (float_of_int searches)) (Obs.Metrics.value "atpg.podem.calls");
+  Alcotest.(check (float 0.0)) "searches = targets + unsettled proofs"
+    (float_of_int (targets + List.length spans) -. sum "untestable")
+    (float_of_int searches)
+
 let check_spans_present names =
   List.iter
     (fun required ->
@@ -622,6 +668,7 @@ let suite =
         tc "exact trace has bdd spans" test_exact_trace_has_bdd_spans;
         tc "podem span names its fault" test_podem_span_names_fault;
         tc "podem gate evaluations summed" test_podem_gate_evals_summed;
+        tc "sat proof counters summed" test_sat_counters_summed;
         tc "tree shape deterministic" test_tree_shape_deterministic;
         tc "clock never backwards" test_clock_never_backwards;
         tc "histogram quantile edges" test_histogram_quantile_edges;

@@ -54,6 +54,17 @@ let test_cancel_basics () =
     (try
        ignore (Robust.Cancel.create ~deadline_s:0.0 ());
        false
+     with Invalid_argument _ -> true);
+  let t = Robust.Cancel.after_polls 3 in
+  let polls = List.init 4 (fun _ -> Robust.Cancel.stop_requested t) in
+  Alcotest.(check (list bool)) "fires on the third poll and stays fired"
+    [ false; false; true; true ] polls;
+  Alcotest.(check bool) "poll count: requested reason" true
+    (Robust.Cancel.reason t = Some Robust.Cancel.Requested);
+  Alcotest.(check bool) "poll count below 1 rejected" true
+    (try
+       ignore (Robust.Cancel.after_polls 0);
+       false
      with Invalid_argument _ -> true)
 
 (* NaN fails every comparison, so a check written as [b <= 0.0] would
@@ -583,6 +594,127 @@ let test_atpg_precancelled_counts_unknown () =
   Alcotest.(check int) "every target unresolved" (Array.length universe)
     r.Tpg.Atpg.unknown
 
+(* lsi:4 as [lsiq atpg -c lsi:4] runs it: collapsed faults, seed 1981. *)
+let lsi4 =
+  lazy
+    (let c = Circuit.Generators.lsi_chip ~scale:4 () in
+     let universe =
+       Faults.Collapse.representatives
+         (Faults.Collapse.equivalence c (Faults.Universe.all c))
+     in
+     let config = { Tpg.Atpg.default_config with seed = 1981 } in
+     (c, universe, config, Tpg.Atpg.run ~config c universe))
+
+(* A checkpoint written before aborted targets got a SAT proof carries
+   no proof mark.  The committed lsi:4 one with no abort (16 targets)
+   resumes to the uninterrupted report and is saved again with the mark;
+   the one an older build wrote after 65 targets, one of them aborted,
+   is refused with a message that says why. *)
+let test_atpg_unmarked_checkpoint () =
+  with_tmp @@ fun path ->
+  let c, universe, config, baseline = Lazy.force lsi4 in
+  let resume golden =
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc
+          (In_channel.with_open_text golden In_channel.input_all));
+    Tpg.Atpg.run ~config
+      ~checkpoint:{ Tpg.Atpg.path; every = 16; resume = true }
+      c universe
+  in
+  Alcotest.(check bool) "no abort: resumes to the uninterrupted report" true
+    (resume "expected/atpg_lsi4_ckpt.json" = baseline);
+  Alcotest.(check bool) "saved again with the mark" true
+    (match Robust.Checkpoint.load ~path with
+    | Ok (_, [ Report.Json.Obj state ]) ->
+      List.assoc_opt "proof" state = Some (Report.Json.String "sat")
+    | Ok _ | Error _ -> false);
+  Alcotest.(check bool) "an abort: refused" true
+    (try
+       ignore (resume "expected/atpg_lsi4_ckpt_abort.json");
+       false
+     with Robust.Checkpoint.Mismatch msg ->
+       String.starts_with ~prefix:"checkpoint predates the SAT proof" msg)
+
+(* A cancel that fires inside a SAT proof leaves its target without a
+   verdict, as one inside a PODEM search does: unknown, and retried on
+   resume.  The proof polls the token once per conflict it learns from,
+   so a proof settled by propagation alone polls it never.  The smallest
+   poll count at which a run opens its [n]-th proof is that proof's
+   first poll, if it has one; bisection over the count finds it for
+   [n] = 1, 2, ... until a proof has one. *)
+let test_atpg_cancel_inside_proof () =
+  with_tmp @@ fun path ->
+  let c, universe, config, baseline = Lazy.force lsi4 in
+  (* A run cut at its [k]-th poll, and the proofs it opened in order. *)
+  let cut ?checkpoint k =
+    Obs.Trace.reset ();
+    Obs.Trace.set_enabled true;
+    let report =
+      Fun.protect
+        ~finally:(fun () -> Obs.Trace.set_enabled false)
+        (fun () ->
+          Tpg.Atpg.run ~config ~cancel:(Robust.Cancel.after_polls k) ?checkpoint c
+            universe)
+    in
+    let proofs =
+      List.filter (fun s -> s.Obs.Trace.name = "atpg.sat") (Obs.Trace.spans ())
+      |> List.sort (fun a b -> compare a.Obs.Trace.seq b.Obs.Trace.seq)
+    in
+    Obs.Trace.reset ();
+    (report, proofs)
+  in
+  let opened k = List.length (snd (cut k)) in
+  let total = opened max_int in
+  (* [opened lo < n]; the smallest count that opens [n] proofs. *)
+  let rec first_opening n lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if opened mid >= n then first_opening n lo mid else first_opening n mid hi
+  in
+  let rec inside n lo =
+    if n > total then Alcotest.fail "no proof of lsi:4 polls the token"
+    else begin
+      let rec upper k = if opened k >= n then k else upper (2 * k) in
+      let k = first_opening n lo (upper (2 * lo)) in
+      let proofs = snd (cut k) in
+      let last = List.nth proofs (List.length proofs - 1) in
+      if List.assoc_opt "budget_out" last.Obs.Trace.counters = Some 1.0 then (k, last)
+      else inside (n + 1) k
+    end
+  in
+  (* The first poll is the one before the first target. *)
+  let k, proof = inside 1 1 in
+  Alcotest.(check (option (float 0.0))) "cut at the proof's first conflict" (Some 1.0)
+    (List.assoc_opt "conflicts" proof.Obs.Trace.counters);
+  let checkpoint resume = { Tpg.Atpg.path; every = 1; resume } in
+  let report, _ = cut ~checkpoint:(checkpoint false) k in
+  (* lsi:4's one abort is the target whose proof is cut here: counted
+     aborted, it would read 1. *)
+  Alcotest.(check int) "its target has no verdict" 0 report.Tpg.Atpg.aborted;
+  Alcotest.(check bool) "it is unknown" true (report.Tpg.Atpg.unknown > 0);
+  Alcotest.(check bool) "resume = uninterrupted run" true
+    (Tpg.Atpg.run ~config ~checkpoint:(checkpoint true) c universe = baseline)
+
+(* A time budget bounds a target's whole search.  One of 1 ns is spent
+   before the first search's first decision, so that search aborts, the
+   proof runs, and nothing is left for a second search: PODEM and the
+   proof are each called once per target searched. *)
+let test_atpg_podem_budget_bounds_both_searches () =
+  with_metrics @@ fun () ->
+  let c, universe, config, _ = Lazy.force lsi4 in
+  let report =
+    Tpg.Atpg.run ~config:{ config with podem_time_budget_s = Some 1e-9 } c universe
+  in
+  let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
+  Alcotest.(check bool) "targets searched" true (metric "atpg.sat.calls" > 0.0);
+  Alcotest.(check (float 0.0)) "one search per target" (metric "atpg.sat.calls")
+    (metric "atpg.podem.calls");
+  Alcotest.(check int) "no PODEM pattern" 0 report.Tpg.Atpg.deterministic_patterns;
+  Alcotest.(check (float 0.0)) "every verdict from the proof"
+    (metric "atpg.sat.calls")
+    (float_of_int (report.Tpg.Atpg.untestable + report.Tpg.Atpg.aborted))
+
 (* ------------------------------------------------------------------ *)
 (* Lot-simulation crash + resume                                       *)
 
@@ -825,7 +957,13 @@ let suite =
         tc "mismatched resume raises" test_atpg_checkpoint_mismatch_raises;
         tc "impossible checkpoint state raises" test_atpg_impossible_state_raises;
         tc "resume regrades the extra patterns" test_atpg_resume_regrades_extra;
-        tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown ] );
+        tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown;
+        tc "unmarked checkpoint resumes only without aborts"
+          test_atpg_unmarked_checkpoint;
+        tc "cancel inside a proof leaves the target unknown"
+          test_atpg_cancel_inside_proof;
+        tc "podem budget bounds both searches"
+          test_atpg_podem_budget_bounds_both_searches ] );
     ( "robust.lot",
       [ tc "crash+resume bit-identical" test_lot_crash_resume_bit_identical;
         tc "cancelled prefix durable" test_lot_cancelled_prefix_durable;

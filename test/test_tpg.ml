@@ -666,6 +666,191 @@ let test_atpg_negative_learn_depth () =
       ("use_analysis", { Tpg.Atpg.default_config with use_analysis = true });
       ("exact", { Tpg.Atpg.default_config with exact_budget = Some 10_000 }) ]
 
+(* ------------------------------- sat ------------------------------- *)
+
+(* A random CNF over at most 12 variables, near the 3-SAT threshold so
+   that both verdicts are common and many need search: clauses of mostly
+   3 literals, some of 2 or 4, the empty one rare, with repeats and
+   tautologies left in. *)
+let random_cnf seed =
+  let rng = Stats.Rng.create ~seed () in
+  let vars = Stats.Rng.int_in rng 3 12 in
+  let clauses = Stats.Rng.int_in rng (3 * vars) (6 * vars) in
+  let clause () =
+    let width =
+      if Stats.Rng.int rng 500 = 0 then 0
+      else match Stats.Rng.int rng 10 with 0 -> 2 | 9 -> 4 | _ -> 3
+    in
+    List.init width (fun _ ->
+        let v = Stats.Rng.int_in rng 1 vars in
+        if Stats.Rng.bool rng then v else -v)
+  in
+  (vars, List.init clauses (fun _ -> clause ()))
+
+let satisfies value clause = List.exists (fun l -> value.(abs l) = (l > 0)) clause
+
+(* Whether some assignment of [vars] variables satisfies every clause. *)
+let brute_force_sat vars clauses =
+  let rec from a =
+    a < 1 lsl vars
+    && (let value =
+          Array.init (vars + 1) (fun v -> v > 0 && (a lsr (v - 1)) land 1 = 1)
+        in
+        List.for_all (satisfies value) clauses || from (a + 1))
+  in
+  from 0
+
+let solver_of vars clauses =
+  let s = Tpg.Sat.create () in
+  for _ = 1 to vars do
+    ignore (Tpg.Sat.new_var s)
+  done;
+  List.iter (Tpg.Sat.add_clause s) clauses;
+  s
+
+(* Pigeonhole: [holes + 1] pigeons in [holes] holes, unsatisfiable and
+   hard for resolution. *)
+let pigeonhole holes =
+  let var p h = (p * holes) + h + 1 in
+  let pigeons = holes + 1 in
+  let some_hole = List.init pigeons (fun p -> List.init holes (var p)) in
+  let no_sharing =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p ->
+            List.init (pigeons - p - 1) (fun k -> [ -var p h; -var (p + k + 1) h ]))
+          (List.init pigeons Fun.id))
+      (List.init holes Fun.id)
+  in
+  (pigeons * holes, some_hole @ no_sharing)
+
+let test_sat_edge_cases () =
+  let verdict vars clauses = Tpg.Sat.solve (solver_of vars clauses) in
+  Alcotest.(check bool) "no clauses: satisfiable" true
+    (match verdict 3 [] with Tpg.Sat.Sat m -> Array.length m = 4 | _ -> false);
+  Alcotest.(check bool) "empty clause: unsatisfiable" true
+    (verdict 2 [ [ 1 ]; [] ] = Tpg.Sat.Unsat);
+  Alcotest.(check bool) "opposite units: unsatisfiable" true
+    (verdict 1 [ [ 1 ]; [ -1 ] ] = Tpg.Sat.Unsat);
+  let s = solver_of 2 [ [ 1; -1 ]; [ 2; 2; -1 ] ] in
+  Alcotest.(check int) "tautology dropped" 1 (Tpg.Sat.num_clauses s);
+  Alcotest.check_raises "literal 0"
+    (Invalid_argument "Sat.add_clause: no variable for literal 0")
+    (fun () -> Tpg.Sat.add_clause s [ 0 ]);
+  Alcotest.check_raises "unknown variable"
+    (Invalid_argument "Sat.add_clause: no variable for literal -3")
+    (fun () -> Tpg.Sat.add_clause s [ -3 ]);
+  ignore (Tpg.Sat.solve s);
+  Alcotest.check_raises "solved once"
+    (Invalid_argument "Sat.solve: the solver has run")
+    (fun () -> ignore (Tpg.Sat.solve s));
+  let vars, clauses = pigeonhole 5 in
+  let s = solver_of vars clauses in
+  Alcotest.(check bool) "budget of one conflict" true
+    (Tpg.Sat.solve ~conflict_budget:1 s = Tpg.Sat.Budget_out);
+  Alcotest.(check int) "one conflict met" 1 (Tpg.Sat.conflicts s);
+  let cancel = Robust.Cancel.create () in
+  Robust.Cancel.cancel cancel;
+  Alcotest.(check bool) "cancelled" true
+    (Tpg.Sat.solve ~cancel (solver_of vars clauses) = Tpg.Sat.Budget_out);
+  let s = solver_of vars clauses in
+  Alcotest.(check bool) "pigeonhole 6 in 5 unsatisfiable" true
+    (Tpg.Sat.solve s = Tpg.Sat.Unsat);
+  Alcotest.(check bool) "and it took conflicts" true (Tpg.Sat.conflicts s > 1)
+
+(* A random netlist over [inputs] inputs with gates of every kind, of 1
+   to 4 inputs, and constants, each reading one of the 8 nodes made
+   last: it puts the Tseitin clauses of every kind under the exhaustive
+   oracle.  Its last 3 nodes are outputs. *)
+let random_wide_netlist ~seed ~inputs =
+  let rng = Stats.Rng.create ~seed () in
+  let b = N.Builder.create ~name:(Printf.sprintf "wide%d" seed) in
+  let nodes =
+    ref (List.init inputs (fun i -> N.Builder.add_input b (Printf.sprintf "x%d" i)))
+  in
+  let kinds =
+    Circuit.Gate.[| Const0; Const1; Buf; Not; And; Nand; Or; Nor; Xor; Xnor |]
+  in
+  let gates = Stats.Rng.int_in rng 4 40 in
+  for g = 1 to gates do
+    let pool = Array.of_list !nodes in
+    let pick () = pool.(Stats.Rng.int rng (min 8 (Array.length pool))) in
+    let name = Printf.sprintf "g%d" g in
+    let kind =
+      kinds.(if Stats.Rng.int rng 12 = 0 then Stats.Rng.int rng 2
+             else Stats.Rng.int_in rng 2 9)
+    in
+    let id =
+      match kind with
+      | Circuit.Gate.Const0 -> N.Builder.add_const b name false
+      | Circuit.Gate.Const1 -> N.Builder.add_const b name true
+      | Circuit.Gate.Buf | Circuit.Gate.Not -> N.Builder.add_gate b ~name kind [ pick () ]
+      | kind ->
+        N.Builder.add_gate b ~name kind
+          (List.init (Stats.Rng.int_in rng 2 4) (fun _ -> pick ()))
+    in
+    nodes := id :: !nodes
+  done;
+  List.iteri (fun i id -> if i < 3 then N.Builder.mark_output b id) !nodes;
+  N.Builder.build b
+
+(* A conflict budget no proof here comes near. *)
+let ample = 1_000_000
+
+(* For every collapsed fault, the proof with an ample budget says
+   untestable exactly when exhaustive simulation detects the fault with
+   no input vector, and otherwise returns a test the fault simulator
+   confirms. *)
+let proof_matches_exhaustive c =
+  let faults = collapsed c in
+  let truth = Oracle.undetectable_exhaustive c faults in
+  Array.for_all
+    (fun fault ->
+      match Tpg.Atpg.prove ~conflict_budget:ample c fault with
+      | Tpg.Podem.Untestable -> Hashtbl.mem truth fault
+      | Tpg.Podem.Test pattern ->
+        (not (Hashtbl.mem truth fault)) && verify_test_detects c fault pattern
+      | Tpg.Podem.Aborted -> false)
+    faults
+
+let test_sat_proof_workloads () =
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ ": proof = exhaustive") true
+        (proof_matches_exhaustive c))
+    (Oracle.workloads ())
+
+(* On lsi:4, with an ample budget, the proof finds a test
+   for every fault PODEM finds one for at the ATPG's limit and proves
+   untestable every fault PODEM proves so.  A search with a smaller
+   limit is a prefix of the same search: whatever PODEM settles within
+   the first budget it settles identically, with the same effort, at
+   the full one. *)
+let test_sat_agrees_with_podem () =
+  let c = Circuit.Generators.lsi_chip ~scale:4 () in
+  let limit = Tpg.Atpg.default_config.Tpg.Atpg.backtrack_limit in
+  let proved = ref 0 in
+  Array.iter
+    (fun fault ->
+      let name = F.to_string c fault in
+      let full, full_stats = Tpg.Podem.generate ~backtrack_limit:limit c fault in
+      let first, first_stats =
+        Tpg.Podem.generate ~backtrack_limit:Tpg.Atpg.first_backtrack_limit c fault
+      in
+      if first <> Tpg.Podem.Aborted then
+        Alcotest.(check bool) (name ^ ": first search is a prefix of the full one") true
+          (first = full && first_stats = full_stats);
+      match (full, Tpg.Atpg.prove ~conflict_budget:ample c fault) with
+      | Tpg.Podem.Test _, Tpg.Podem.Test pattern ->
+        Alcotest.(check bool) (name ^ ": model detects") true
+          (verify_test_detects c fault pattern)
+      | Tpg.Podem.Untestable, Tpg.Podem.Untestable -> incr proved
+      | Tpg.Podem.Aborted, (Tpg.Podem.Test _ | Tpg.Podem.Untestable) -> ()
+      | _, _ -> Alcotest.failf "%s: the proof disagrees with PODEM" name)
+    (collapsed c);
+  Alcotest.(check bool) "some faults untestable" true (!proved > 0)
+
 (* The disjoint union of [a] and [b]: [a]'s nodes declared first, so
    they keep their ids and so every fault of [a] names the same line in
    the union; then [b]'s.  The union's inputs are [a]'s, then [b]'s. *)
@@ -706,6 +891,21 @@ let qcheck_props =
         | Tpg.Podem.Untestable, _ ->
           not (exhaustively_detectable c fault 8)
         | Tpg.Podem.Aborted, _ -> true);
+    Test.make ~count:300 ~name:"sat verdicts and models match brute force"
+      (int_range 1 1_000_000)
+      (fun seed ->
+        let vars, clauses = random_cnf seed in
+        match Tpg.Sat.solve ~conflict_budget:100_000 (solver_of vars clauses) with
+        | Tpg.Sat.Sat value -> List.for_all (satisfies value) clauses
+        | Tpg.Sat.Unsat -> not (brute_force_sat vars clauses)
+        | Tpg.Sat.Budget_out -> false);
+    Test.make ~count:20 ~name:"sat proof matches exhaustive simulation"
+      (pair (int_range 1 16) (int_range 1 10_000))
+      (fun (inputs, seed) ->
+        proof_matches_exhaustive
+          (Circuit.Generators.random_circuit ~inputs ~gates:(10 + (seed mod 60))
+             ~outputs:(1 + (seed mod 4)) ~seed)
+        && proof_matches_exhaustive (random_wide_netlist ~seed ~inputs:(min inputs 10)));
     (* Logic outside a fault's subcircuit never steers its search: on
        the disjoint union of [a] and [b], every fault of [a] gets the
        verdict, backtracks and implications it gets on [a] alone, and
@@ -757,6 +957,10 @@ let suite =
         tc "per-fault search record pinned" test_podem_search_record_pinned;
         tc "settles before search what the prover flags"
           test_podem_settles_prover_verdicts ] );
+    ( "tpg.sat",
+      [ tc "edge cases, budget and cancel" test_sat_edge_cases;
+        tc "proof matches exhaustive simulation" test_sat_proof_workloads;
+        tc "proof agrees with PODEM on lsi:4" test_sat_agrees_with_podem ] );
     ( "tpg.scoap",
       [ tc "inverter chain" test_scoap_inverter_chain;
         tc "and gate rules" test_scoap_and_gate;
