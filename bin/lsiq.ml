@@ -639,19 +639,20 @@ let atpg_cmd =
          & opt (positive_int ~what:"a backtrack limit")
              Tpg.Atpg.default_config.Tpg.Atpg.backtrack_limit
          & info [ "backtrack-limit" ] ~docv:"N"
-             ~doc:"Per-fault PODEM backtrack budget; a fault whose search \
-                   exceeds it counts as aborted unless a SAT proof shows \
-                   it untestable.  PODEM first tries 64 backtracks, and \
-                   only a fault that survives them and the proof gets \
-                   the full budget.")
+             ~doc:"Per-fault PODEM backtrack budget.  PODEM first tries \
+                   64 backtracks; a fault that survives them gets a SAT \
+                   proof, which shows it untestable or finds its test, \
+                   and only a fault whose proof runs out of conflicts is \
+                   searched again with the full budget, counting as \
+                   aborted if it exceeds it.")
   in
   let podem_budget =
     Arg.(value & opt (some float) None & info [ "podem-budget" ] ~docv:"SECS"
            ~doc:"Per-fault wall-clock budget for its PODEM searches and \
                  SAT proof together; a fault whose search exceeds it \
-                 counts as aborted unless the proof shows it untestable.  \
-                 Makes verdicts timing-dependent — prefer \
-                 $(b,--backtrack-limit) for reproducible runs.")
+                 counts as aborted unless the proof shows it untestable \
+                 or finds its test.  Makes verdicts timing-dependent — \
+                 prefer $(b,--backtrack-limit) for reproducible runs.")
   in
   let action circuit out seed use_analysis learn_depth exact backtrack_limit
       podem_budget ({ checkpoint; every; resume; _ } as robust) obs =

@@ -77,13 +77,20 @@ type ckpt_state = {
   ck_aborted : int;
   ck_first_detection : int option array;
   ck_extra : bool array array;  (* chronological *)
+  ck_models : bool;  (* written since proofs' models are tests *)
 }
 
-(* A state written since aborted targets get a SAT proof carries
-   [("proof", "sat")].  An older state's aborts were never offered the
-   proof, so it resumes only when it holds none; the identity fields
-   stay as they were, so a state without aborts still validates. *)
-let proof_mark = ("proof", Report.Json.String "sat")
+(* A state written since a proof's model settles its target carries
+   [("proof", "sat-model")].  Before that, a target whose proof found a
+   model was searched again, so an older state's aborts may now be
+   tests and its patterns may be other tests than this build gives:
+   such a state resumes only when it holds no abort, and [run] checks
+   its patterns.  The identity fields stay as they were, so an older
+   state still validates. *)
+let proof_mark = ("proof", Report.Json.String "sat-model")
+
+(* The mark of states written between the SAT proof and its models. *)
+let sat_mark = Report.Json.String "sat"
 
 let ckpt_payload ~processed ~untestable ~aborted ~first_detection ~extra_rev =
   [ Report.Json.Obj
@@ -134,16 +141,24 @@ let ckpt_restore ~nf ~inputs ~base ~targets state =
            ck_untestable ck_aborted (Array.length extra) ck_processed targets)
     else Ok ()
   in
-  let* () =
+  let* ck_models =
     match field (fst proof_mark) with
-    | Some mark when mark = snd proof_mark -> Ok ()
-    | None when ck_aborted = 0 -> Ok ()
+    | Some mark when mark = snd proof_mark -> Ok true
+    | None when ck_aborted = 0 -> Ok false
+    | Some mark when mark = sat_mark && ck_aborted = 0 -> Ok false
     | None ->
       Error
         (Printf.sprintf
            "checkpoint predates the SAT proof of aborted targets and counts \
             %d aborted, which the proof may settle: it cannot resume to the \
             uninterrupted report; rerun without --resume"
+           ck_aborted)
+    | Some mark when mark = sat_mark ->
+      Error
+        (Printf.sprintf
+           "checkpoint predates taking a SAT proof's model as its target's \
+            test and counts %d aborted, which a model may settle: it cannot \
+            resume to the uninterrupted report; rerun without --resume"
            ck_aborted)
     | Some _ -> Error "checkpoint has an unknown proof mark"
   in
@@ -153,7 +168,7 @@ let ckpt_restore ~nf ~inputs ~base ~targets state =
   in
   Ok
     { ck_processed; ck_untestable; ck_aborted; ck_first_detection;
-      ck_extra = extra }
+      ck_extra = extra; ck_models }
 
 let rec drop n l =
   if n <= 0 then l else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
@@ -312,36 +327,90 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   | Sat.Sat model ->
     Podem.Test (Array.map (fun i -> good.(i) > 0 && model.(good.(i))) c.inputs)
 
-(* One target: PODEM within the first budget; if it aborts, the proof;
-   if that does not prove the fault untestable, PODEM again with the
-   full budget.  The longer search repeats the shorter one before it
-   goes on, so the pattern or verdict it returns is the one a single
-   full search returns.  A time budget bounds the whole: the second
-   search gets what is left of it. *)
+(* A target's first two steps: PODEM within [first] backtracks and, if
+   that aborts, the proof, whose model is the target's test when it
+   finds one.  [Aborted] means both ran out or [cancel] fired. *)
+let search_then_prove ~first ?time_budget_s ~cancel ?analysis c fault =
+  match
+    fst
+      (Podem.generate ~backtrack_limit:first ?time_budget_s ~cancel ?analysis c
+         fault)
+  with
+  | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
+  | Podem.Aborted when Robust.Cancel.stop_requested cancel -> Podem.Aborted
+  | Podem.Aborted -> prove ~cancel c fault
+
+(* One target: PODEM within the first budget; if it aborts, the proof,
+   which settles the target with a proof of redundancy or with its model
+   as the test; only if the proof runs out, PODEM again with the full
+   budget.  The longer search repeats the shorter one before it goes on,
+   so a target PODEM settles within the first budget gets what a single
+   full search gives.  A time budget bounds the whole: the second search
+   gets what is left of it. *)
 let settle config ~cancel ?analysis c fault =
   let deadline =
     Option.map (fun b -> Obs.Clock.now_s () +. b) config.podem_time_budget_s
   in
-  let search backtrack_limit time_budget_s =
-    fst (Podem.generate ~backtrack_limit ?time_budget_s ~cancel ?analysis c fault)
+  let first = min first_backtrack_limit config.backtrack_limit in
+  match
+    search_then_prove ~first ?time_budget_s:config.podem_time_budget_s ~cancel
+      ?analysis c fault
+  with
+  | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
+  | Podem.Aborted ->
+    let search time_budget_s =
+      fst
+        (Podem.generate ~backtrack_limit:config.backtrack_limit ?time_budget_s
+           ~cancel ?analysis c fault)
+    in
+    if first = config.backtrack_limit || Robust.Cancel.stop_requested cancel then
+      Podem.Aborted
+    else (
+      match deadline with
+      | None -> search None
+      | Some d ->
+        let left = d -. Obs.Clock.now_s () in
+        if left > 0.0 then search (Some left) else Podem.Aborted)
+
+(* The patterns of a state written before proofs' models were tests:
+   walking the [processed] targets in order, one whose first detection
+   is the next extra pattern took it, and this build must give it that
+   pattern.  Its first search and proof decide that with no full
+   search: the first search is a prefix of the full one, and a full
+   search runs here only after a proof runs out, as it ran in the build
+   that wrote the state. *)
+let check_older_patterns config ?analysis c faults ~base ~first_detection
+    ~processed extra =
+  let refuse fmt =
+    Printf.ksprintf (fun msg -> raise (Robust.Checkpoint.Mismatch msg)) fmt
   in
   let first = min first_backtrack_limit config.backtrack_limit in
-  match search first config.podem_time_budget_s with
-  | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
-  | Podem.Aborted when Robust.Cancel.stop_requested cancel -> Podem.Aborted
-  | Podem.Aborted -> (
-    match prove ~cancel c fault with
-    | Podem.Untestable -> Podem.Untestable
-    | Podem.Test _ | Podem.Aborted ->
-      if first = config.backtrack_limit || Robust.Cancel.stop_requested cancel
-      then Podem.Aborted
-      else (
-        match deadline with
-        | None -> search config.backtrack_limit None
-        | Some d ->
-          let left = d -. Obs.Clock.now_s () in
-          if left > 0.0 then search config.backtrack_limit (Some left)
-          else Podem.Aborted))
+  let taken =
+    List.fold_left
+      (fun k target ->
+        if k < Array.length extra && first_detection.(target) = Some (base + k)
+        then begin
+          (match
+             search_then_prove ~first ~cancel:Robust.Cancel.none ?analysis c
+               faults.(target)
+           with
+          | Podem.Test p when p = extra.(k) -> ()
+          | Podem.Aborted when first < config.backtrack_limit -> ()
+          | Podem.Test _ | Podem.Untestable | Podem.Aborted ->
+            refuse
+              "checkpoint predates taking a SAT proof's model as its target's \
+               test, and this build would not give its pattern %d to the \
+               target that took it: it cannot resume to the uninterrupted \
+               report; rerun without --resume"
+              (base + k + 1));
+          k + 1
+        end
+        else k)
+      0 processed
+  in
+  if taken < Array.length extra then
+    refuse "checkpoint pattern %d is the first detection of no processed target"
+      (base + taken + 1)
 
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
@@ -399,6 +468,10 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
          pattern against the unprocessed targets only lacks the aborts a
          later pattern detects. *)
       ignore (Fsim.Coverage.extend c faults st ~offset:base ck.ck_extra);
+      if not ck.ck_models then
+        check_older_patterns config ?analysis c faults ~base ~first_detection
+          ~processed:(List.filteri (fun i _ -> i < ck.ck_processed) remaining_order)
+          ck.ck_extra;
       extra := Array.fold_left (fun acc p -> p :: acc) [] ck.ck_extra;
       extra_count := Array.length ck.ck_extra;
       untestable := ck.ck_untestable;

@@ -1,5 +1,6 @@
 (** Complete test-generation flow: random phase, then PODEM clean-up,
-    with a SAT proof of untestability for the targets PODEM finds hard.
+    with a SAT proof for the targets PODEM finds hard: a proof of
+    untestability, or a model that is the target's test.
 
     This is how the ordered pattern sets used in the paper's experiment
     are produced.  The resulting pattern order (broad random detection
@@ -10,8 +11,9 @@ type config = {
   random_budget : int;     (** Max random patterns before the deterministic phase. *)
   random_target : float;   (** Stop random phase at this coverage. *)
   backtrack_limit : int;
-      (** Backtrack budget of a target's full PODEM search; the first
-          search gets [min first_backtrack_limit backtrack_limit]. *)
+      (** Backtrack budget of the full PODEM search a target gets when
+          its proof runs out of conflicts; the first search gets
+          [min first_backtrack_limit backtrack_limit]. *)
   seed : int;
   use_analysis : bool;
       (** Build a static {!Analysis.Engine.t} (dominators + learned
@@ -46,11 +48,13 @@ type report = {
           against every fault still undetected, earlier aborts among
           them, so this is what a regrade of [patterns] reports. *)
   random_patterns : int;              (** Patterns from the random phase. *)
-  deterministic_patterns : int;       (** Patterns from PODEM. *)
+  deterministic_patterns : int;
+      (** Patterns from PODEM or a proof's model. *)
   untestable : int;
       (** Proved redundant, by PODEM's search or by {!prove}. *)
   aborted : int;
-      (** Neither PODEM within its budget nor {!prove} settled them. *)
+      (** Neither PODEM within the first budget, nor {!prove}, nor PODEM
+          within the full budget settled them. *)
   unknown : int;
       (** Targets never reached (or interrupted mid-search) because the
           cancel token fired: no verdict at all, retried on resume.
@@ -70,15 +74,19 @@ val run :
   Circuit.Netlist.t -> Faults.Fault.t array -> report
 (** Each target not yet detected gets up to three steps: PODEM with
     [min first_backtrack_limit config.backtrack_limit] backtracks; if
-    that aborts, {!prove}; if the proof does not find the fault
-    untestable, PODEM again with the full [backtrack_limit].  A search
-    with a smaller limit is a prefix of the same search with a larger
-    one, so every test and every untestable verdict, and so every
-    pattern, is the one a single full search gives; only a fault the
-    full search aborts, or proves untestable after the first budget, can
-    end another way, and then only as untestable.  With [use_analysis]
-    or [exact_budget], each search first asks the engine's prover, as
-    {!Podem.generate} does.
+    that aborts, {!prove}, whose [Untestable] settles the target and
+    whose [Test] model becomes its pattern, graded and checked like a
+    PODEM one; only if the proof runs out, PODEM again with the full
+    [backtrack_limit].  A search with a smaller limit is a prefix of the
+    same search with a larger one, so a target PODEM settles within the
+    first budget gets what a single full search gives.  Up to the first
+    target a proof's model settles, the program is the one a single full
+    search per target gives, except that faults that search aborts or
+    proves untestable after the first budget may end untestable; from
+    there on a model may stand where the full search would have found
+    another test or aborted, and grading it may detect other targets.
+    With [use_analysis] or [exact_budget], each search first asks the
+    engine's prover, as {!Podem.generate} does.
 
     [cancel] is polled before each deterministic target, inside each
     PODEM search (see {!Podem.generate}) and once per conflict of each
@@ -94,6 +102,15 @@ val run :
     resume grades the snapshot's patterns once more against every fault
     it leaves undetected, so a snapshot that lacks a detection by one
     of its own patterns still resumes to that report.
+    A state saved since proofs' models are tests carries
+    [("proof", "sat-model")].  An older one, with no mark or with
+    [("proof", "sat")], resumes only when it counts no aborted target,
+    and only if this build gives each of its extra patterns to the
+    target that took it: walking the processed targets in order, the one
+    whose first detection is the next extra pattern must get that
+    pattern from its first PODEM search, or, when that aborts, from the
+    proof's model or from a full search after the proof runs out.  The
+    check runs no full search.
     Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
     file is unreadable, was written by a run with different inputs, or
     holds a state this run cannot reach: an extra pattern that is not
@@ -101,9 +118,9 @@ val run :
     neither -1 nor below the random plus extra pattern count, a negative
     untestable or aborted count, more verdicts (untestable, aborted and
     extra patterns together) than processed targets, or more processed
-    targets than there are; or when the file predates the proof (its
-    state carries no [("proof", "sat")]) and counts an aborted target,
-    which the proof may now settle.  Raises [Invalid_argument] when
+    targets than there are; or when an older state counts an aborted
+    target, which a proof or its model may now settle, or holds an extra
+    pattern this build would not give.  Raises [Invalid_argument] when
     [every < 1] or [config.learn_depth < 0]. *)
 
 val coverage : report -> float
@@ -127,7 +144,9 @@ val prove :
     output of the cone differ between the machines, through one
     difference variable per output.  [Untestable] is a proof of
     redundancy; [Test p] is the model's input assignment (an input
-    outside the subcircuit reads 0), which detects the fault; [Aborted]
+    outside the subcircuit reads 0, as PODEM fills its don't-cares),
+    which detects the fault and which {!run} takes as the target's
+    pattern; [Aborted]
     means the search met [conflict_budget] (default 1,000) or [cancel]
     fired.  The [atpg.sat] trace span records [site], [pin] (-1 on a
     stem), [stuck], [vars], [clauses], [conflicts], [untestable] and

@@ -57,7 +57,8 @@ val generate :
     [atpg.podem.implications] and [atpg.podem.gate_evals], and the call
     to [atpg.podem.calls]: a count of searches, not of targets, since
     the ATPG driver searches a target a second time when its first
-    search aborts and its SAT proof does not settle it.  An input
+    search aborts and its SAT proof runs out of conflicts, so in a run
+    it is the targets searched plus the proofs that ran out.  An input
     outside the subcircuit is never decided, so it reads 0 in the
     test.  With [analysis], learned
     consequences may name any node, so the subcircuit is the whole

@@ -221,8 +221,8 @@ let test_sat_counters_summed () =
       ("conflicts", "atpg.sat.conflicts");
       ("budget_out", "atpg.sat.budget_outs") ];
   (* [atpg.podem.calls] counts searches, not targets: each target
-     searched ends with one verdict, and one the proof does not settle is
-     searched a second time. *)
+     searched ends with one verdict, and one whose proof runs out of
+     conflicts is searched a second time. *)
   let searches =
     List.length
       (List.filter (fun s -> s.Obs.Trace.name = "podem.generate") (Obs.Trace.spans ()))
@@ -233,8 +233,8 @@ let test_sat_counters_summed () =
   in
   Alcotest.(check (option (float 0.0))) "atpg.podem.calls = podem spans"
     (Some (float_of_int searches)) (Obs.Metrics.value "atpg.podem.calls");
-  Alcotest.(check (float 0.0)) "searches = targets + unsettled proofs"
-    (float_of_int (targets + List.length spans) -. sum "untestable")
+  Alcotest.(check (float 0.0)) "searches = targets + proofs that ran out"
+    (float_of_int targets +. sum "budget_out")
     (float_of_int searches)
 
 let check_spans_present names =

@@ -605,35 +605,77 @@ let lsi4 =
      let config = { Tpg.Atpg.default_config with seed = 1981 } in
      (c, universe, config, Tpg.Atpg.run ~config c universe))
 
+(* Write the committed checkpoint [golden] to [path] and resume [c]'s
+   run from it. *)
+let resume_golden ~path ~config c universe golden =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_text golden In_channel.input_all));
+  Tpg.Atpg.run ~config
+    ~checkpoint:{ Tpg.Atpg.path; every = 16; resume = true }
+    c universe
+
+let refused_with ~prefix run =
+  try
+    ignore (run ());
+    false
+  with Robust.Checkpoint.Mismatch msg -> String.starts_with ~prefix msg
+
 (* A checkpoint written before aborted targets got a SAT proof carries
    no proof mark.  The committed lsi:4 one with no abort (16 targets)
-   resumes to the uninterrupted report and is saved again with the mark;
-   the one an older build wrote after 65 targets, one of them aborted,
-   is refused with a message that says why. *)
+   holds only patterns this build gives the same targets, so it resumes
+   to the uninterrupted report and is saved again with the mark; the one
+   an older build wrote after 65 targets, one of them aborted, is
+   refused with a message that says why. *)
 let test_atpg_unmarked_checkpoint () =
   with_tmp @@ fun path ->
   let c, universe, config, baseline = Lazy.force lsi4 in
-  let resume golden =
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc
-          (In_channel.with_open_text golden In_channel.input_all));
-    Tpg.Atpg.run ~config
-      ~checkpoint:{ Tpg.Atpg.path; every = 16; resume = true }
-      c universe
-  in
+  let resume = resume_golden ~path ~config c universe in
   Alcotest.(check bool) "no abort: resumes to the uninterrupted report" true
     (resume "expected/atpg_lsi4_ckpt.json" = baseline);
   Alcotest.(check bool) "saved again with the mark" true
     (match Robust.Checkpoint.load ~path with
     | Ok (_, [ Report.Json.Obj state ]) ->
-      List.assoc_opt "proof" state = Some (Report.Json.String "sat")
+      List.assoc_opt "proof" state = Some (Report.Json.String "sat-model")
     | Ok _ | Error _ -> false);
   Alcotest.(check bool) "an abort: refused" true
-    (try
-       ignore (resume "expected/atpg_lsi4_ckpt_abort.json");
-       false
-     with Robust.Checkpoint.Mismatch msg ->
-       String.starts_with ~prefix:"checkpoint predates the SAT proof" msg)
+    (refused_with ~prefix:"checkpoint predates the SAT proof" (fun () ->
+         resume "expected/atpg_lsi4_ckpt_abort.json"))
+
+(* A checkpoint written between the SAT proof and its models carries
+   [("proof", "sat")].  The committed lsi:5 one, the final save of such
+   a build, holds no abort, but its pattern 111 comes from a full search
+   where this build takes the proof's model: refused, and the refusal
+   names the pattern.  The same state counting an abort is refused
+   whatever its patterns. *)
+let test_atpg_checkpoint_other_pattern () =
+  with_tmp @@ fun path ->
+  let c = Circuit.Generators.lsi_chip ~scale:5 () in
+  let universe =
+    Faults.Collapse.representatives
+      (Faults.Collapse.equivalence c (Faults.Universe.all c))
+  in
+  let config = { Tpg.Atpg.default_config with seed = 1981 } in
+  let golden = "expected/atpg_lsi5_ckpt_sat.json" in
+  Alcotest.(check bool) "another pattern: refused" true
+    (refused_with
+       ~prefix:
+         "checkpoint predates taking a SAT proof's model as its target's test, \
+          and this build would not give its pattern 111 "
+       (fun () -> resume_golden ~path ~config c universe golden));
+  (match Robust.Checkpoint.load ~path:golden with
+  | Ok (meta, [ Report.Json.Obj state ]) ->
+    Robust.Checkpoint.save ~path ~meta
+      ~payload:[ Report.Json.Obj (set_field "aborted" (Report.Json.Int 1) state) ]
+  | _ -> Alcotest.fail "checkpoint unreadable");
+  Alcotest.(check bool) "an abort: refused" true
+    (refused_with
+       ~prefix:"checkpoint predates taking a SAT proof's model as its target's test \
+                and counts 1 aborted"
+       (fun () ->
+         Tpg.Atpg.run ~config
+           ~checkpoint:{ Tpg.Atpg.path; every = 16; resume = true }
+           c universe))
 
 (* A cancel that fires inside a SAT proof leaves its target without a
    verdict, as one inside a PODEM search does: unknown, and retried on
@@ -689,8 +731,8 @@ let test_atpg_cancel_inside_proof () =
     (List.assoc_opt "conflicts" proof.Obs.Trace.counters);
   let checkpoint resume = { Tpg.Atpg.path; every = 1; resume } in
   let report, _ = cut ~checkpoint:(checkpoint false) k in
-  (* lsi:4's one abort is the target whose proof is cut here: counted
-     aborted, it would read 1. *)
+  (* Uncut, the proof cut here would settle its target with its model:
+     counted aborted, the target would read 1. *)
   Alcotest.(check int) "its target has no verdict" 0 report.Tpg.Atpg.aborted;
   Alcotest.(check bool) "it is unknown" true (report.Tpg.Atpg.unknown > 0);
   Alcotest.(check bool) "resume = uninterrupted run" true
@@ -699,7 +741,8 @@ let test_atpg_cancel_inside_proof () =
 (* A time budget bounds a target's whole search.  One of 1 ns is spent
    before the first search's first decision, so that search aborts, the
    proof runs, and nothing is left for a second search: PODEM and the
-   proof are each called once per target searched. *)
+   proof are each called once per target searched, and every verdict and
+   every deterministic pattern is the proof's. *)
 let test_atpg_podem_budget_bounds_both_searches () =
   with_metrics @@ fun () ->
   let c, universe, config, _ = Lazy.force lsi4 in
@@ -710,10 +753,15 @@ let test_atpg_podem_budget_bounds_both_searches () =
   Alcotest.(check bool) "targets searched" true (metric "atpg.sat.calls" > 0.0);
   Alcotest.(check (float 0.0)) "one search per target" (metric "atpg.sat.calls")
     (metric "atpg.podem.calls");
-  Alcotest.(check int) "no PODEM pattern" 0 report.Tpg.Atpg.deterministic_patterns;
   Alcotest.(check (float 0.0)) "every verdict from the proof"
     (metric "atpg.sat.calls")
-    (float_of_int (report.Tpg.Atpg.untestable + report.Tpg.Atpg.aborted))
+    (float_of_int
+       (report.Tpg.Atpg.untestable + report.Tpg.Atpg.aborted
+      + report.Tpg.Atpg.deterministic_patterns));
+  Alcotest.(check (float 0.0)) "every pattern a proof's model"
+    (metric "atpg.sat.calls" -. metric "atpg.sat.untestable"
+    -. metric "atpg.sat.budget_outs")
+    (float_of_int report.Tpg.Atpg.deterministic_patterns)
 
 (* ------------------------------------------------------------------ *)
 (* Lot-simulation crash + resume                                       *)
@@ -960,6 +1008,8 @@ let suite =
         tc "pre-cancelled run counts unknown" test_atpg_precancelled_counts_unknown;
         tc "unmarked checkpoint resumes only without aborts"
           test_atpg_unmarked_checkpoint;
+        tc "older checkpoint with another pattern refused"
+          test_atpg_checkpoint_other_pattern;
         tc "cancel inside a proof leaves the target unknown"
           test_atpg_cancel_inside_proof;
         tc "podem budget bounds both searches"

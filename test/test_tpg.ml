@@ -906,6 +906,33 @@ let qcheck_props =
           (Circuit.Generators.random_circuit ~inputs ~gates:(10 + (seed mod 60))
              ~outputs:(1 + (seed mod 4)) ~seed)
         && proof_matches_exhaustive (random_wide_netlist ~seed ~inputs:(min inputs 10)));
+    (* With one backtrack, PODEM settles few targets and the proof the
+       rest, each testable one with its model as the test: no target
+       aborts, the untestable ones are exactly those exhaustive
+       simulation never detects, every other fault is detected, and the
+       profile is what the serial engine's regrade of the patterns
+       gives. *)
+    Test.make ~count:20 ~name:"atpg at one backtrack settles every fault"
+      (pair (int_range 1 16) (int_range 1 10_000))
+      (fun (inputs, seed) ->
+        let c =
+          Circuit.Generators.random_circuit ~inputs ~gates:(10 + (seed mod 60))
+            ~outputs:(1 + (seed mod 4)) ~seed
+        in
+        let faults = collapsed c in
+        let report =
+          Tpg.Atpg.run
+            ~config:{ Tpg.Atpg.default_config with backtrack_limit = 1 }
+            c faults
+        in
+        let truth = Oracle.undetectable_exhaustive c faults in
+        let first = report.Tpg.Atpg.profile.Fsim.Coverage.first_detection in
+        report.Tpg.Atpg.aborted = 0
+        && report.Tpg.Atpg.untestable = Hashtbl.length truth
+        && Array.for_all2
+             (fun fault d -> (d = None) = Hashtbl.mem truth fault)
+             faults first
+        && first = Fsim.Serial.run c faults report.Tpg.Atpg.patterns);
     (* Logic outside a fault's subcircuit never steers its search: on
        the disjoint union of [a] and [b], every fault of [a] gets the
        verdict, backtracks and implications it gets on [a] alone, and
