@@ -195,40 +195,76 @@ let first_backtrack_limit = 64
    together. *)
 let sat_conflict_budget = 1_000
 
-(* Tseitin clauses for [out] = [kind] over the literals [ins]. *)
-let gate_clauses solver kind out ins =
-  let add = Sat.add_clause solver in
-  (* [out] <-> the conjunction of [ins]. *)
-  let conj out ins =
-    List.iter (fun a -> add [ -out; a ]) ins;
-    add (out :: List.map (fun a -> -a) ins)
+(* Clauses, added literal by literal. *)
+let clause2 solver a b =
+  Sat.add_literal solver a;
+  Sat.add_literal solver b;
+  Sat.end_clause solver
+
+let clause3 solver a b c =
+  Sat.add_literal solver a;
+  Sat.add_literal solver b;
+  Sat.add_literal solver c;
+  Sat.end_clause solver
+
+(* [out] <-> [a] xor [b]. *)
+let xor2 solver out a b =
+  clause3 solver (-out) a b;
+  clause3 solver (-out) (-a) (-b);
+  clause3 solver out (-a) b;
+  clause3 solver out a (-b)
+
+(* Tseitin clauses for [out] = [kind] over the literals [ins.(0)] to
+   [ins.(k - 1)]. *)
+let gate_clauses solver kind out ins k =
+  (* [out] <-> the conjunction of the literals [sign * ins.(i)]. *)
+  let conj out sign =
+    for i = 0 to k - 1 do
+      clause2 solver (-out) (sign * ins.(i))
+    done;
+    Sat.add_literal solver out;
+    for i = 0 to k - 1 do
+      Sat.add_literal solver (-sign * ins.(i))
+    done;
+    Sat.end_clause solver
   in
-  let rec parity out = function
-    | [] -> add [ -out ]
-    | [ a ] ->
-      add [ -out; a ];
-      add [ out; -a ]
-    | [ a; b ] ->
-      add [ -out; a; b ];
-      add [ -out; -a; -b ];
-      add [ out; -a; b ];
-      add [ out; a; -b ]
-    | a :: rest ->
-      let x = Sat.new_var solver in
-      parity x rest;
-      parity out [ a; x ]
+  (* [out] <-> the parity of [ins]: a chain [out] = [ins.(0)] xor [x1],
+     [x1] = [ins.(1)] xor [x2], ..., [x(k-2)] = [ins.(k-2)] xor
+     [ins.(k-1)], its variables made from the outside in and its clauses
+     added from the inside out. *)
+  let parity out =
+    match k with
+    | 0 ->
+      Sat.add_literal solver (-out);
+      Sat.end_clause solver
+    | 1 ->
+      clause2 solver (-out) ins.(0);
+      clause2 solver out (-ins.(0))
+    | _ ->
+      let first = Sat.num_vars solver + 1 in
+      for _ = 1 to k - 2 do
+        ignore (Sat.new_var solver)
+      done;
+      let x j = if j = 0 then out else first + j - 1 in
+      xor2 solver (x (k - 2)) ins.(k - 2) ins.(k - 1);
+      for j = k - 3 downto 0 do
+        xor2 solver (x j) ins.(j) (x (j + 1))
+      done
   in
-  let negated = List.map (fun a -> -a) in
   match kind with
   | Circuit.Gate.Input -> ()
-  | Circuit.Gate.Const0 -> add [ -out ]
-  | Circuit.Gate.Const1 -> add [ out ]
-  | Circuit.Gate.Buf | Circuit.Gate.Xor -> parity out ins
-  | Circuit.Gate.Not | Circuit.Gate.Xnor -> parity (-out) ins
-  | Circuit.Gate.And -> conj out ins
-  | Circuit.Gate.Nand -> conj (-out) ins
-  | Circuit.Gate.Or -> conj (-out) (negated ins)
-  | Circuit.Gate.Nor -> conj out (negated ins)
+  | Circuit.Gate.Const0 ->
+    Sat.add_literal solver (-out);
+    Sat.end_clause solver
+  | Circuit.Gate.Const1 ->
+    Sat.add_literal solver out;
+    Sat.end_clause solver
+  | Circuit.Gate.Buf | Circuit.Gate.Xor -> parity out
+  | Circuit.Gate.Not | Circuit.Gate.Xnor -> parity (-out)
+  | Circuit.Gate.And -> conj out 1
+  | Circuit.Gate.Nand -> conj (-out) 1
+  | Circuit.Gate.Or -> conj (-out) (-1)
+  | Circuit.Gate.Nor -> conj out (-1)
 
 let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none)
     (c : Circuit.Netlist.t) fault =
@@ -245,66 +281,81 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   in
   let line = if stem >= 0 then stem else c.fanins.(branch_gate).(branch_pin) in
   let literal value v = if value then v else -v in
-  (* The subcircuit PODEM reads: the site's fanout cone, then that
-     cone's transitive fanin.  Fanins have lower ids than their gates,
-     so one pass up closes the cone and one pass down the fanin. *)
-  let cone = Array.make n false in
-  cone.(site) <- true;
-  for id = site + 1 to n - 1 do
-    cone.(id) <- Array.exists (fun src -> cone.(src)) c.fanins.(id)
+  (* The subcircuit PODEM reads, its nodes then put in increasing id
+     order: fanins have lower ids than their gates, so that is
+     topological. *)
+  let region = Array.make n Podem.outside in
+  let nodes = Array.make n 0 in
+  let size = Podem.mark_subcircuit c ~site region nodes in
+  let k = ref 0 in
+  for id = 0 to n - 1 do
+    if region.(id) <> Podem.outside then begin
+      nodes.(!k) <- id;
+      incr k
+    end
   done;
-  let read = Array.copy cone in
-  for id = n - 1 downto 0 do
-    if read.(id) then Array.iter (fun src -> read.(src) <- true) c.fanins.(id)
-  done;
+  let in_cone id = region.(id) = Podem.in_cone in
+  (* A gate's input literals, gathered before its clauses are added. *)
+  let ins = ref (Array.make 8 0) in
+  let gate solver id out input =
+    let srcs = c.fanins.(id) in
+    let k = Array.length srcs in
+    if k > Array.length !ins then ins := Array.make (2 * k) 0;
+    let buf = !ins in
+    for pin = 0 to k - 1 do
+      buf.(pin) <- input pin srcs.(pin)
+    done;
+    gate_clauses solver c.kinds.(id) out buf k
+  in
   (* The good machine over the subcircuit, and a variable held at the
      stuck value. *)
   let good = Array.make n 0 in
-  Array.iteri (fun id r -> if r then good.(id) <- Sat.new_var solver) read;
+  for i = 0 to size - 1 do
+    good.(nodes.(i)) <- Sat.new_var solver
+  done;
   let stuck_at = Sat.new_var solver in
-  Sat.add_clause solver [ literal stuck stuck_at ];
-  Array.iteri
-    (fun id v ->
-      if v > 0 then
-        gate_clauses solver c.kinds.(id) v
-          (Array.to_list (Array.map (fun src -> good.(src)) c.fanins.(id))))
-    good;
+  Sat.add_literal solver (literal stuck stuck_at);
+  Sat.end_clause solver;
+  let good_input _ src = good.(src) in
+  for i = 0 to size - 1 do
+    let id = nodes.(i) in
+    gate solver id good.(id) good_input
+  done;
   (* The faulty machine over the cone, reading the good value outside
      it: a stem fault's faulty value is the stuck value, and a branch
      fault ties its pin of the gate's faulty copy to it. *)
   let faulty = Array.make n 0 in
-  Array.iteri
-    (fun id r ->
-      if r then faulty.(id) <- (if id = stem then stuck_at else Sat.new_var solver))
-    cone;
-  Array.iteri
-    (fun id v ->
-      if v > 0 && id <> stem then
-        gate_clauses solver c.kinds.(id) v
-          (List.mapi
-             (fun pin src ->
-               if id = branch_gate && pin = branch_pin then stuck_at
-               else if cone.(src) then faulty.(src)
-               else good.(src))
-             (Array.to_list c.fanins.(id))))
-    faulty;
+  for i = 0 to size - 1 do
+    let id = nodes.(i) in
+    if in_cone id then
+      faulty.(id) <- (if id = stem then stuck_at else Sat.new_var solver)
+  done;
+  for i = 0 to size - 1 do
+    let id = nodes.(i) in
+    if in_cone id && id <> stem then
+      gate solver id faulty.(id) (fun pin src ->
+          if id = branch_gate && pin = branch_pin then stuck_at
+          else if in_cone src then faulty.(src)
+          else good.(src))
+  done;
   (* Activation: the faulty line's good value is the complement of the
      stuck value.  Detection: some output of the cone differs between
      the machines. *)
-  Sat.add_clause solver [ literal (not stuck) good.(line) ];
-  let differences =
-    Array.fold_left
-      (fun acc o ->
-        if cone.(o) then begin
-          let d = Sat.new_var solver in
-          Sat.add_clause solver [ -d; good.(o); faulty.(o) ];
-          Sat.add_clause solver [ -d; -good.(o); -faulty.(o) ];
-          d :: acc
-        end
-        else acc)
-      [] c.outputs
-  in
-  Sat.add_clause solver (List.rev differences);
+  Sat.add_literal solver (literal (not stuck) good.(line));
+  Sat.end_clause solver;
+  let first_difference = Sat.num_vars solver + 1 in
+  Array.iter
+    (fun o ->
+      if in_cone o then begin
+        let d = Sat.new_var solver in
+        clause3 solver (-d) good.(o) faulty.(o);
+        clause3 solver (-d) (-good.(o)) (-faulty.(o))
+      end)
+    c.outputs;
+  for d = first_difference to Sat.num_vars solver do
+    Sat.add_literal solver d
+  done;
+  Sat.end_clause solver;
   let outcome = Sat.solve ~conflict_budget ~cancel solver in
   let untestable = outcome = Sat.Unsat and budget_out = outcome = Sat.Budget_out in
   Obs.Trace.add_int "site" site;

@@ -19,6 +19,33 @@ let outside = 0
 let fanin_side = 1
 let in_cone = 2
 
+(* Mark the subcircuit of a fault at [site] breadth first, with [nodes]
+   as the queue: the cone from the site over fanouts, then the fanin of
+   everything marked. *)
+let mark_subcircuit (c : Circuit.Netlist.t) ~site region nodes =
+  let marked = ref 0 in
+  let mark r id =
+    if region.(id) = outside then begin
+      region.(id) <- r;
+      nodes.(!marked) <- id;
+      incr marked
+    end
+  in
+  let close r edges =
+    let k = ref 0 in
+    while !k < !marked do
+      let next = edges.(nodes.(!k)) in
+      for j = 0 to Array.length next - 1 do
+        mark r next.(j)
+      done;
+      incr k
+    done
+  in
+  mark in_cone site;
+  close in_cone c.fanouts;
+  close fanin_side c.fanins;
+  !marked
+
 (* The line the fault sits on, seen from the good machine: the stem node
    for a stem fault, the driving node for a branch fault. *)
 let fault_line_driver (c : Circuit.Netlist.t) fault =
@@ -85,7 +112,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      walk.  Nothing outside it is evaluated or decided, so an input
      outside stays X and reads 0 in a test.  Learned consequences may
      name any node, so with an implication graph the whole circuit is
-     read.  Marked by [sweep]. *)
+     read.  Marked by [sweep], with [mark_subcircuit]. *)
   let region = Array.make num_nodes outside in
 
   (* Can the objective [src = v] still be met under the current PI
@@ -222,33 +249,12 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let assign input v = set input (inject input v) in
   (* [pending] is also the stack of [x_path_exists] below. *)
   let pending = Array.make num_nodes 0 in
-  (* Mark the subcircuit breadth first, with [pending] as the queue: the
-     cone from the site over fanouts, then the fanin of everything
-     marked.  Then evaluate it in topological order. *)
+  (* Mark the subcircuit, with [pending] as the queue, then evaluate it
+     in topological order. *)
   let sweep () =
-    let marked = ref 0 in
-    let mark r id =
-      if region.(id) = outside then begin
-        region.(id) <- r;
-        pending.(!marked) <- id;
-        incr marked
-      end
-    in
-    let close r edges =
-      let k = ref 0 in
-      while !k < !marked do
-        let next = edges.(pending.(!k)) in
-        for j = 0 to Array.length next - 1 do
-          mark r next.(j)
-        done;
-        incr k
-      done
-    in
-    mark in_cone (Faults.Fault.site_node fault);
-    close in_cone fanouts;
+    ignore (mark_subcircuit c ~site:(Faults.Fault.site_node fault) region pending);
     if Option.is_some implication_graph then
-      Array.iteri (fun id r -> if r = outside then region.(id) <- fanin_side) region
-    else close fanin_side fanins;
+      Array.iteri (fun id r -> if r = outside then region.(id) <- fanin_side) region;
     Array.iter
       (fun id ->
         if region.(id) <> outside then begin

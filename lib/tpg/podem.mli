@@ -75,3 +75,20 @@ val generate :
     verdict never flips (verified against exhaustive simulation), but
     an abort may be proved untestable, and the changed search order
     may find another pattern and spend more or fewer backtracks. *)
+
+val outside : int
+val fanin_side : int
+val in_cone : int
+(** Where a node sits relative to a fault: outside the subcircuit its
+    search reads, in the transitive fanin of the site's fanout cone, or
+    in that cone. *)
+
+val mark_subcircuit :
+  Circuit.Netlist.t -> site:int -> int array -> int array -> int
+(** [mark_subcircuit c ~site region nodes] marks the subcircuit a
+    search for a fault at [site] reads, the one {!generate} (without
+    [analysis]) and {!Atpg.prove} read: [region.(id)] becomes [in_cone]
+    or [fanin_side] for each of its nodes, and [nodes] lists them, the
+    cone first, breadth first.  Returns how many there are.  It walks
+    the subcircuit only, so [region] must hold [outside] for every node
+    on entry, and both arrays need a slot per node. *)

@@ -14,13 +14,14 @@ type t = {
   mutable empty_clause : bool;
   mutable conflicts : int;
   mutable solved : bool;
-  mutable scratch : int array;  (* the clause being added *)
+  mutable scratch : int array;  (* the clause being added, sorted *)
+  mutable pending : int;  (* its literals so far *)
 }
 
 let create () =
   { vars = 0; arena = Array.make 1024 0; arena_len = 0; clauses = 0;
     units = []; empty_clause = false; conflicts = 0; solved = false;
-    scratch = Array.make 16 0 }
+    scratch = Array.make 16 0; pending = 0 }
 
 let new_var s =
   s.vars <- s.vars + 1;
@@ -45,24 +46,34 @@ let store s lits size =
   s.arena_len <- need;
   cr
 
-let add_clause s lits =
+let add_literal s l =
   if s.solved then invalid_arg "Sat.add_clause: the solver has run";
-  let n = List.length lits in
-  if n > Array.length s.scratch then s.scratch <- Array.make (2 * n) 0;
+  if l = 0 || abs l > s.vars then begin
+    s.pending <- 0;
+    invalid_arg (Printf.sprintf "Sat.add_clause: no variable for literal %d" l)
+  end;
+  let i = s.pending in
+  if i = Array.length s.scratch then begin
+    let bigger = Array.make (2 * i) 0 in
+    Array.blit s.scratch 0 bigger 0 i;
+    s.scratch <- bigger
+  end;
   let buf = s.scratch in
-  List.iteri
-    (fun i l ->
-      if l = 0 || abs l > s.vars then
-        invalid_arg (Printf.sprintf "Sat.add_clause: no variable for literal %d" l);
-      (* Insertion sort: clauses are short. *)
-      let x = if l > 0 then 2 * l else (2 * -l) + 1 in
-      let j = ref i in
-      while !j > 0 && buf.(!j - 1) > x do
-        buf.(!j) <- buf.(!j - 1);
-        decr j
-      done;
-      buf.(!j) <- x)
-    lits;
+  (* Insertion sort: clauses are short. *)
+  let x = if l > 0 then 2 * l else (2 * -l) + 1 in
+  let j = ref i in
+  while !j > 0 && buf.(!j - 1) > x do
+    buf.(!j) <- buf.(!j - 1);
+    decr j
+  done;
+  buf.(!j) <- x;
+  s.pending <- i + 1
+
+let end_clause s =
+  if s.solved then invalid_arg "Sat.add_clause: the solver has run";
+  let n = s.pending in
+  s.pending <- 0;
+  let buf = s.scratch in
   (* Sorted, repeats are neighbours and so are a literal and its
      negation. *)
   let size = ref 0 and tautology = ref false in
@@ -81,6 +92,10 @@ let add_clause s lits =
     | 1 -> s.units <- buf.(0) :: s.units
     | size -> ignore (store s buf size)
   end
+
+let add_clause s lits =
+  List.iter (add_literal s) lits;
+  end_clause s
 
 (* ---- variable order: a max-heap on activity, lower index first ---- *)
 
@@ -144,6 +159,7 @@ let decay = 1.0 /. 0.95
 
 let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
   if s.solved then invalid_arg "Sat.solve: the solver has run";
+  if s.pending > 0 then invalid_arg "Sat.solve: a clause is not ended";
   if conflict_budget < 1 then invalid_arg "Sat.solve: conflict budget must be >= 1";
   s.solved <- true;
   let n = s.vars in
@@ -159,13 +175,11 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
      began; [depth] is the current decision level. *)
   let limits = Array.make (n + 1) 0 in
   let depth = ref 0 in
+  (* Every variable, in order: at equal activity that is heap order. *)
   let heap =
-    { act = Array.make (n + 1) 0.0; slots = Array.make (n + 1) 0;
-      index = Array.make (n + 1) (-1); size = 0 }
+    { act = Array.make (n + 1) 0.0; slots = Array.init (n + 1) (fun i -> i + 1);
+      index = Array.init (n + 1) (fun v -> v - 1); size = n }
   in
-  for v = 1 to n do
-    heap_insert heap v
-  done;
   let bump = ref 1.0 in
   let watches = Array.make (2 * (n + 1)) [||] in
   let watch_len = Array.make (2 * (n + 1)) 0 in
@@ -183,11 +197,26 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
     watch s.arena.(cr + 1) cr;
     watch s.arena.(cr + 2) cr
   in
-  let cr = ref 0 in
-  while !cr < s.arena_len do
-    attach !cr;
-    cr := !cr + s.arena.(!cr) + 1
+  (* Size each literal's watch list for the clauses that watch it from
+     the start, so attaching them grows none. *)
+  let each_clause f =
+    let cr = ref 0 in
+    while !cr < s.arena_len do
+      f !cr;
+      cr := !cr + s.arena.(!cr) + 1
+    done
+  in
+  each_clause (fun cr ->
+      let a = s.arena.(cr + 1) and b = s.arena.(cr + 2) in
+      watch_len.(a) <- watch_len.(a) + 1;
+      watch_len.(b) <- watch_len.(b) + 1);
+  for l = 2 to (2 * n) + 1 do
+    if watch_len.(l) > 0 then begin
+      watches.(l) <- Array.make watch_len.(l) 0;
+      watch_len.(l) <- 0
+    end
   done;
+  each_clause attach;
   let assign l why =
     value.(l) <- 1;
     value.(l lxor 1) <- -1;

@@ -35,7 +35,17 @@ val add_clause : t -> int list -> unit
     and a clause holding a literal and its negation is dropped; the
     empty clause makes the formula unsatisfiable.  Raises
     [Invalid_argument] on literal 0 or a literal whose variable has not
-    been created, or once {!solve} has run. *)
+    been created, adding nothing, or once {!solve} has run. *)
+
+val add_literal : t -> int -> unit
+(** Append a literal to the clause being built, which {!end_clause}
+    adds: [add_clause s lits] is [add_literal] on each of [lits], then
+    [end_clause s], with no list to build.  Raises as {!add_clause}
+    does, and on a bad literal drops the clause built so far. *)
+
+val end_clause : t -> unit
+(** Add the clause built by {!add_literal} since the last clause, as
+    {!add_clause} adds it. *)
 
 val num_vars : t -> int
 
@@ -47,7 +57,8 @@ val solve : ?conflict_budget:int -> ?cancel:Robust.Cancel.t -> t -> result
     [Budget_out] at its [conflict_budget]-th conflict (default
     unbounded) unless that conflict proves the formula unsatisfiable,
     and polls [cancel] once per conflict.  Raises [Invalid_argument]
-    when called a second time or when [conflict_budget < 1]. *)
+    when called a second time, when a clause is not ended or when
+    [conflict_budget < 1]. *)
 
 val conflicts : t -> int
 (** Conflicts met by {!solve}, the last one included. *)
