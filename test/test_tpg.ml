@@ -876,6 +876,22 @@ let disjoint_union (a : N.t) (b : N.t) =
   copy "b." b;
   N.Builder.build builder
 
+(* Two random netlists [a] and [b] and their disjoint union. *)
+let union_parts =
+  QCheck.(
+    quad (int_range 1 10) (int_range 1 10) (int_range 1 10_000) (int_range 1 10_000))
+
+let union_of (inputs_a, inputs_b, seed_a, seed_b) =
+  let a =
+    Circuit.Generators.random_circuit ~inputs:inputs_a ~gates:(10 + (seed_a mod 50))
+      ~outputs:3 ~seed:seed_a
+  in
+  let b =
+    Circuit.Generators.random_circuit ~inputs:inputs_b ~gates:(10 + (seed_b mod 50))
+      ~outputs:3 ~seed:seed_b
+  in
+  (a, b, disjoint_union a b)
+
 let qcheck_props =
   let open QCheck in
   [ Test.make ~count:20 ~name:"podem tests verified by fault simulation"
@@ -938,17 +954,9 @@ let qcheck_props =
        verdict, backtracks and implications it gets on [a] alone, and
        its test leaves [b]'s inputs at 0. *)
     Test.make ~count:25 ~name:"podem on a disjoint union equals podem on the part"
-      (quad (int_range 1 10) (int_range 1 10) (int_range 1 10_000) (int_range 1 10_000))
-      (fun (inputs_a, inputs_b, seed_a, seed_b) ->
-        let a =
-          Circuit.Generators.random_circuit ~inputs:inputs_a
-            ~gates:(10 + (seed_a mod 50)) ~outputs:3 ~seed:seed_a
-        in
-        let b =
-          Circuit.Generators.random_circuit ~inputs:inputs_b
-            ~gates:(10 + (seed_b mod 50)) ~outputs:3 ~seed:seed_b
-        in
-        let union = disjoint_union a b in
+      union_parts
+      (fun parts ->
+        let a, b, union = union_of parts in
         let b_zeros = Array.make (N.num_inputs b) false in
         Array.for_all
           (fun fault ->
@@ -957,6 +965,23 @@ let qcheck_props =
             alone_stats = within_stats
             &&
             match (alone, within) with
+            | Tpg.Podem.Test p, Tpg.Podem.Test q -> q = Array.append p b_zeros
+            | Tpg.Podem.Untestable, Tpg.Podem.Untestable
+            | Tpg.Podem.Aborted, Tpg.Podem.Aborted ->
+              true
+            | _ -> false)
+          (Faults.Universe.all a));
+    (* The same for the proof: it reads the same subcircuit, so its
+       formula on the union is the one on [a], and its model leaves [b]'s
+       inputs at 0, as PODEM fills its don't-cares. *)
+    Test.make ~count:25 ~name:"sat proof on a disjoint union equals the part's"
+      union_parts
+      (fun parts ->
+        let a, b, union = union_of parts in
+        let b_zeros = Array.make (N.num_inputs b) false in
+        Array.for_all
+          (fun fault ->
+            match (Tpg.Atpg.prove a fault, Tpg.Atpg.prove union fault) with
             | Tpg.Podem.Test p, Tpg.Podem.Test q -> q = Array.append p b_zeros
             | Tpg.Podem.Untestable, Tpg.Podem.Untestable
             | Tpg.Podem.Aborted, Tpg.Podem.Aborted ->
