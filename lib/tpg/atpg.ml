@@ -185,6 +185,8 @@ let rec drop n l =
    conflicts (300 ms; release build). *)
 let first_backtrack_limit = 64
 
+let first_limit config = min first_backtrack_limit config.backtrack_limit
+
 (* The proof's conflict budget.  Of the collapsed faults that PODEM
    aborts at 64 backtracks, the proof proves every untestable one within
    4 conflicts on the lot design, 184 on lsi:6, 525 on lsi:8 and 671 on
@@ -297,7 +299,7 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   let in_cone id = region.(id) = Podem.in_cone in
   (* A gate's input literals, gathered before its clauses are added. *)
   let ins = ref (Array.make 8 0) in
-  let gate solver id out input =
+  let gate id out input =
     let srcs = c.fanins.(id) in
     let k = Array.length srcs in
     if k > Array.length !ins then ins := Array.make (2 * k) 0;
@@ -319,7 +321,7 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   let good_input _ src = good.(src) in
   for i = 0 to size - 1 do
     let id = nodes.(i) in
-    gate solver id good.(id) good_input
+    gate id good.(id) good_input
   done;
   (* The faulty machine over the cone, reading the good value outside
      it: a stem fault's faulty value is the stuck value, and a branch
@@ -333,7 +335,7 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   for i = 0 to size - 1 do
     let id = nodes.(i) in
     if in_cone id && id <> stem then
-      gate solver id faulty.(id) (fun pin src ->
+      gate id faulty.(id) (fun pin src ->
           if id = branch_gate && pin = branch_pin then stuck_at
           else if in_cone src then faulty.(src)
           else good.(src))
@@ -402,7 +404,7 @@ let settle config ~cancel ?analysis c fault =
   let deadline =
     Option.map (fun b -> Obs.Clock.now_s () +. b) config.podem_time_budget_s
   in
-  let first = min first_backtrack_limit config.backtrack_limit in
+  let first = first_limit config in
   match
     search_then_prove ~first ?time_budget_s:config.podem_time_budget_s ~cancel
       ?analysis c fault
@@ -435,7 +437,7 @@ let check_older_patterns config ?analysis c faults ~base ~first_detection
   let refuse fmt =
     Printf.ksprintf (fun msg -> raise (Robust.Checkpoint.Mismatch msg)) fmt
   in
-  let first = min first_backtrack_limit config.backtrack_limit in
+  let first = first_limit config in
   let taken =
     List.fold_left
       (fun k target ->
