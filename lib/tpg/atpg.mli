@@ -108,9 +108,10 @@ val run :
     and only if this build gives each of its extra patterns to the
     target that took it: walking the processed targets in order, the one
     whose first detection is the next extra pattern must get that
-    pattern from its first PODEM search, or, when that aborts, from the
-    proof's model or from a full search after the proof runs out.  The
-    check runs no full search.
+    pattern from its first PODEM search or, when that aborts, from the
+    proof's model; or the proof must run out, which leaves the target to
+    the full search that gave the pattern before.  The check runs no
+    full search.
     Raises {!Robust.Checkpoint.Mismatch} when [resume] is set and the
     file is unreadable, was written by a run with different inputs, or
     holds a state this run cannot reach: an extra pattern that is not
