@@ -622,18 +622,6 @@ let atpg_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write generated patterns (one 0/1 row per pattern) to FILE.")
   in
-  let use_analysis =
-    Arg.(value & flag & info [ "use-analysis" ]
-           ~doc:"Build the static implication & dominator engine once and \
-                 let PODEM use it: untestability proofs before search, \
-                 unique sensitization, learned-implication pruning.  No \
-                 test or untestable verdict flips; an abort may be proved \
-                 untestable, and the patterns may differ.")
-  in
-  let learn_depth =
-    Arg.(value & opt int 1 & info [ "learn-depth" ] ~docv:"N"
-           ~doc:"Implication learning sweeps for $(b,--use-analysis).")
-  in
   let backtrack_limit =
     Arg.(value
          & opt (positive_int ~what:"a backtrack limit")
@@ -654,8 +642,8 @@ let atpg_cmd =
                  or finds its test.  Makes verdicts timing-dependent — \
                  prefer $(b,--backtrack-limit) for reproducible runs.")
   in
-  let action circuit out seed use_analysis learn_depth exact backtrack_limit
-      podem_budget ({ checkpoint; every; resume; _ } as robust) obs =
+  let action circuit out seed backtrack_limit podem_budget
+      ({ checkpoint; every; resume; _ } as robust) obs =
     (match podem_budget with
     | Some b when not (0.0 < b) -> usage_error "--podem-budget must be > 0 (got %g)" b
     | _ -> ());
@@ -668,8 +656,7 @@ let atpg_cmd =
       let reps = Faults.Collapse.representatives classes in
       let config =
         { Tpg.Atpg.default_config with
-          Tpg.Atpg.seed; use_analysis; learn_depth; exact_budget = exact;
-          backtrack_limit; podem_time_budget_s = podem_budget }
+          Tpg.Atpg.seed; backtrack_limit; podem_time_budget_s = podem_budget }
       in
       let checkpointing =
         Option.map (fun path -> { Tpg.Atpg.path; every; resume }) checkpoint
@@ -715,9 +702,8 @@ let atpg_cmd =
   in
   let doc = "Generate a test set (random + PODEM) for a circuit." in
   Cmd.v (Cmd.info "atpg" ~doc)
-    Term.(const action $ circuit_arg $ out $ seed_arg $ use_analysis
-          $ learn_depth $ exact_arg $ backtrack_limit $ podem_budget
-          $ robust_term $ obs_term)
+    Term.(const action $ circuit_arg $ out $ seed_arg $ backtrack_limit
+          $ podem_budget $ robust_term $ obs_term)
 
 (* ------------------------------ convert ----------------------------- *)
 

@@ -3,8 +3,8 @@
    Shows the three products of the analysis engine and what each buys:
 
    - the dominator tree: which gates every fault effect from a stem is
-     forced to cross on its way to an output (the backbone of unique
-     sensitization in PODEM);
+     forced to cross on its way to an output (the backbone of the
+     untestability prover's blocked-dominator proof);
    - the learned implication graph: contrapositives that forward
      propagation alone cannot see, e.g. on c17 "G23=1 => G11=1" is
      learned from the direct implication "G11=0 => G23=0";

@@ -77,12 +77,6 @@ let dominates t d ~over =
   let rec chase id = id <> t.sink && (id = d || chase t.idom.(id)) in
   chase t.idom.(over)
 
-let common_dominators t = function
-  | [] -> []
-  | first :: rest ->
-    dominators t first
-    |> List.filter (fun d -> List.for_all (fun n -> dominates t d ~over:n) rest)
-
 let unobservable_stems t =
   let acc = ref [] in
   for id = Array.length t.idom - 2 downto 0 do

@@ -2,11 +2,10 @@
 
     A node [d] is an {e absolute dominator} of node [n] when every path
     from [n]'s output stem to any primary output passes through [d] —
-    the fault-propagation bottlenecks of the circuit.  They are the
-    backbone of unique sensitization in deterministic ATPG (a fault
-    effect sitting at [n] {e must} traverse each dominator, so side
-    inputs of the dominators can be scheduled early) and of cheap
-    unobservability reasoning (a blocked dominator kills every path).
+    the fault-propagation bottlenecks of the circuit: a fault effect
+    sitting at [n] {e must} traverse each dominator, so they carry
+    cheap unobservability reasoning (a blocked dominator kills every
+    path).
 
     Computed as a dominator tree over the fanout DAG with a virtual
     sink fed by all primary outputs.  Because the graph is acyclic and
@@ -38,12 +37,6 @@ val dominators : t -> int -> int list
 val dominates : t -> int -> over:int -> bool
 (** [dominates t d ~over:n] — is [d] a strict absolute dominator of
     [n]? *)
-
-val common_dominators : t -> int list -> int list
-(** Strict dominators shared by {e every} node of the list, nearest
-    (lowest level) first.  For a D-frontier this is the set of gates
-    any detection path must still traverse, whichever frontier gate
-    carries the effect onward.  [common_dominators t []] is []. *)
 
 val unobservable_stems : t -> int list
 (** Nodes with no path to any primary output, in node order — dead

@@ -3,7 +3,7 @@
     [build] runs the dominator pass always (it is a single linear
     sweep) and the implication engine when a learning depth is given,
     under one ["analysis.build"] span, and prepares the untestability
-    prover over them.  Consumers — PODEM, lint, the [lsiq analyze]
+    prover over them.  Consumers — lint and the [lsiq analyze]
     command — take this bundle instead of wiring the passes
     individually. *)
 

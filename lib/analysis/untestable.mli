@@ -1,6 +1,5 @@
 (** Static untestability proofs for stuck-at faults: the one prover
-    that lint, [lsiq analyze], the pipeline's lint stage and PODEM's
-    pre-search check share.
+    that lint, [lsiq analyze] and the pipeline's lint stage share.
 
     A stuck-at fault is {e untestable} (redundant) when no input vector
     both excites it and propagates its effect to a primary output.

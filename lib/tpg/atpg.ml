@@ -3,15 +3,11 @@ type config = {
   random_target : float;
   backtrack_limit : int;
   seed : int;
-  use_analysis : bool;
-  learn_depth : int;
-  exact_budget : int option;
   podem_time_budget_s : float option;
 }
 
 let default_config =
   { random_budget = 512; random_target = 0.90; backtrack_limit = 2000; seed = 7;
-    use_analysis = false; learn_depth = 1; exact_budget = None;
     podem_time_budget_s = None }
 
 type report = {
@@ -33,15 +29,13 @@ let ckpt_kind = "atpg"
 (* Everything that shapes the deterministic computation is part of the
    checkpoint identity: the random phase and the target order are
    re-derived on resume, so they must be re-derived from the same
-   inputs.  ["engine"] is always ["podem"], ["hybrid"] always [false]
-   and ["resistant_threshold"] always [0.01]: they stay in the identity
-   so existing checkpoint files still validate, and one written with
+   inputs.  ["engine"] is always ["podem"], ["use_analysis"] and
+   ["hybrid"] always [false], ["learn_depth"] always [1],
+   ["exact_budget"] always [null] and ["resistant_threshold"] always
+   [0.01]: they stay in the identity so existing checkpoint files still
+   validate, and one written with the analysis engine, the exact BDD or
    the old hybrid mode on is still refused. *)
 let ckpt_fields config c faults =
-  let opt_int = function
-    | Some n -> Report.Json.Int n
-    | None -> Report.Json.Null
-  in
   [ ("circuit", Report.Json.String c.Circuit.Netlist.name);
     ("nodes", Report.Json.Int (Circuit.Netlist.num_nodes c));
     ("faults", Report.Json.Int (Array.length faults));
@@ -50,9 +44,9 @@ let ckpt_fields config c faults =
     ("random_target", Report.Json.Float config.random_target);
     ("backtrack_limit", Report.Json.Int config.backtrack_limit);
     ("engine", Report.Json.String "podem");
-    ("use_analysis", Report.Json.Bool config.use_analysis);
-    ("learn_depth", Report.Json.Int config.learn_depth);
-    ("exact_budget", opt_int config.exact_budget);
+    ("use_analysis", Report.Json.Bool false);
+    ("learn_depth", Report.Json.Int 1);
+    ("exact_budget", Report.Json.Null);
     ("hybrid", Report.Json.Bool false);
     ("resistant_threshold", Report.Json.Float 0.01) ]
 
@@ -383,12 +377,8 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
 (* A target's first two steps: PODEM within [first] backtracks and, if
    that aborts, the proof, whose model is the target's test when it
    finds one.  [Aborted] means both ran out or [cancel] fired. *)
-let search_then_prove ~first ?time_budget_s ~cancel ?analysis c fault =
-  match
-    fst
-      (Podem.generate ~backtrack_limit:first ?time_budget_s ~cancel ?analysis c
-         fault)
-  with
+let search_then_prove ~first ?time_budget_s ~cancel c fault =
+  match fst (Podem.generate ~backtrack_limit:first ?time_budget_s ~cancel c fault) with
   | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
   | Podem.Aborted when Robust.Cancel.stop_requested cancel -> Podem.Aborted
   | Podem.Aborted -> prove ~cancel c fault
@@ -400,21 +390,20 @@ let search_then_prove ~first ?time_budget_s ~cancel ?analysis c fault =
    so a target PODEM settles within the first budget gets what a single
    full search gives.  A time budget bounds the whole: the second search
    gets what is left of it. *)
-let settle config ~cancel ?analysis c fault =
+let settle config ~cancel c fault =
   let deadline =
     Option.map (fun b -> Obs.Clock.now_s () +. b) config.podem_time_budget_s
   in
   let first = first_limit config in
   match
-    search_then_prove ~first ?time_budget_s:config.podem_time_budget_s ~cancel
-      ?analysis c fault
+    search_then_prove ~first ?time_budget_s:config.podem_time_budget_s ~cancel c fault
   with
   | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
   | Podem.Aborted ->
     let search time_budget_s =
       fst
         (Podem.generate ~backtrack_limit:config.backtrack_limit ?time_budget_s
-           ~cancel ?analysis c fault)
+           ~cancel c fault)
     in
     if first = config.backtrack_limit || Robust.Cancel.stop_requested cancel then
       Podem.Aborted
@@ -432,8 +421,7 @@ let settle config ~cancel ?analysis c fault =
    search: the first search is a prefix of the full one, and a full
    search runs here only after a proof runs out, as it ran in the build
    that wrote the state. *)
-let check_older_patterns config ?analysis c faults ~base ~first_detection
-    ~processed extra =
+let check_older_patterns config c faults ~base ~first_detection ~processed extra =
   let refuse fmt =
     Printf.ksprintf (fun msg -> raise (Robust.Checkpoint.Mismatch msg)) fmt
   in
@@ -444,8 +432,7 @@ let check_older_patterns config ?analysis c faults ~base ~first_detection
         if k < Array.length extra && first_detection.(target) = Some (base + k)
         then begin
           (match
-             search_then_prove ~first ~cancel:Robust.Cancel.none ?analysis c
-               faults.(target)
+             search_then_prove ~first ~cancel:Robust.Cancel.none c faults.(target)
            with
           | Podem.Test p when p = extra.(k) -> ()
           | Podem.Aborted when first < config.backtrack_limit -> ()
@@ -467,18 +454,7 @@ let check_older_patterns config ?analysis c faults ~base ~first_detection
 
 let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
     c faults =
-  if config.learn_depth < 0 then invalid_arg "Atpg.run: negative learn_depth";
   Obs.Trace.with_span "atpg.run" @@ fun () ->
-  let analysis =
-    if config.use_analysis || config.exact_budget <> None then
-      Some
-        (Analysis.Engine.build
-           ~learn_depth:
-             (if config.use_analysis then Some config.learn_depth else None)
-           ?exact_budget:config.exact_budget
-           c)
-    else None
-  in
   let rng = Stats.Rng.create ~seed:config.seed () in
   let random_patterns, random_profile =
     Obs.Trace.with_span "atpg.random" (fun () ->
@@ -522,7 +498,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
          later pattern detects. *)
       ignore (Fsim.Coverage.extend c faults st ~offset:base ck.ck_extra);
       if not ck.ck_models then
-        check_older_patterns config ?analysis c faults ~base ~first_detection
+        check_older_patterns config c faults ~base ~first_detection
           ~processed:(List.filteri (fun i _ -> i < ck.ck_processed) remaining_order)
           ck.ck_extra;
       extra := Array.fold_left (fun acc p -> p :: acc) [] ck.ck_extra;
@@ -577,7 +553,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
         deterministic ()
       end
       else begin
-        match settle config ~cancel ?analysis c faults.(target) with
+        match settle config ~cancel c faults.(target) with
         | Podem.Aborted when Robust.Cancel.stop_requested cancel ->
           (* The cancel token fired mid-search or mid-proof, so this
              [Aborted] is not a real per-fault verdict: leave the target

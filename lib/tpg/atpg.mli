@@ -15,22 +15,6 @@ type config = {
           its proof runs out of conflicts; the first search gets
           [min first_backtrack_limit backtrack_limit]. *)
   seed : int;
-  use_analysis : bool;
-      (** Build a static {!Analysis.Engine.t} (dominators + learned
-          implications) once per run and hand it to every
-          {!Podem.generate} call — untestability proofs before search,
-          unique sensitization and objective pruning.  A test or
-          untestable verdict never flips, but an abort may be proved
-          untestable, and the search order, and with it the
-          deterministic patterns, may differ.  Default off. *)
-  learn_depth : int;
-      (** Implication learning depth when [use_analysis] is set.  Must
-          be >= 0 whether or not an engine is built. *)
-  exact_budget : int option;
-      (** When [Some budget], build the {!Analysis.Exact} ROBDD bundle
-          into the engine, so that the untestability proofs PODEM asks
-          for before search include the BDD's exact redundancies.
-          Default [None]. *)
   podem_time_budget_s : float option;
       (** Per-target wall-clock budget: the first PODEM search gets all
           of it, the second what the first search and the proof left;
@@ -85,8 +69,6 @@ val run :
     proves untestable after the first budget may end untestable; from
     there on a model may stand where the full search would have found
     another test or aborted, and grading it may detect other targets.
-    With [use_analysis] or [exact_budget], each search first asks the
-    engine's prover, as {!Podem.generate} does.
 
     [cancel] is polled before each deterministic target, inside each
     PODEM search (see {!Podem.generate}) and once per conflict of each
@@ -122,7 +104,7 @@ val run :
     targets than there are; or when an older state counts an aborted
     target, which a proof or its model may now settle, or holds an extra
     pattern this build would not give.  Raises [Invalid_argument] when
-    [every < 1] or [config.learn_depth < 0]. *)
+    [every < 1]. *)
 
 val coverage : report -> float
 (** Final fault coverage of the generated set. *)

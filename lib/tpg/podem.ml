@@ -54,7 +54,7 @@ let fault_line_driver (c : Circuit.Netlist.t) fault =
   | Faults.Fault.Branch { gate; pin } -> c.fanins.(gate).(pin)
 
 let generate ?(backtrack_limit = 1000) ?time_budget_s
-    ?(cancel = Robust.Cancel.none) ?(guidance = Level_based) ?analysis
+    ?(cancel = Robust.Cancel.none) ?(guidance = Level_based)
     (c : Circuit.Netlist.t) fault =
   (match time_budget_s with
   | Some b when not (0.0 < b) ->
@@ -102,38 +102,15 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   let implications = ref 0 in
   let backtracks = ref 0 in
   let evals = ref 0 in
-  let pruned = ref 0 in
-  let implication_graph = Option.bind analysis Analysis.Engine.implication in
 
   (* The search reads only the fault's subcircuit: the fanout cone of
      the site, the nodes a fault effect can reach, where the D-frontier,
      the X-paths and the observing outputs lie; and that cone's
      transitive fanin, which activation, objectives and backtraces
      walk.  Nothing outside it is evaluated or decided, so an input
-     outside stays X and reads 0 in a test.  Learned consequences may
-     name any node, so with an implication graph the whole circuit is
-     read.  Marked by [sweep], with [mark_subcircuit]. *)
+     outside stays X and reads 0 in a test.  Marked by [sweep], with
+     [mark_subcircuit]. *)
   let region = Array.make num_nodes outside in
-
-  (* Can the objective [src = v] still be met under the current PI
-     assignment?  Good-machine values are monotone (a defined value
-     holds for every completion of the PIs), so a learned consequence of
-     [src = v] that contradicts a defined value rules the objective out.
-     Used only to order and filter objective candidates — never to
-     prune decisions — so verdicts cannot change. *)
-  let achievable src v =
-    match implication_graph with
-    | None -> true
-    | Some imp ->
-      (match Analysis.Implication.consequences imp src v with
-      | None -> false
-      | Some consequences ->
-        List.for_all
-          (fun (m, w) ->
-            let g = Logic5.good values.(m) in
-            g = Logic5.plane_x || g = Logic5.plane_of_bool w)
-          consequences)
-  in
 
   (* The fault's faulty plane, forced on its stem. *)
   let inject id v = if id = stem then Logic5.with_faulty v stuck else v in
@@ -193,12 +170,6 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       frontier_slot.(id) <- -1
     end
   in
-  (* The frontier in topological order, as a full scan would list it. *)
-  let frontier_list () =
-    let members = Array.sub frontier 0 !frontier_size in
-    Array.sort (fun a b -> compare topo_position.(a) topo_position.(b)) members;
-    Array.to_list members
-  in
 
   (* Event-driven implication.  Values are a pure function of the PI
      assignment, so after one sweep of the subcircuit only its part of
@@ -253,8 +224,6 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      in topological order. *)
   let sweep () =
     ignore (mark_subcircuit c ~site:(Faults.Fault.site_node fault) region pending);
-    if Option.is_some implication_graph then
-      Array.iteri (fun id r -> if r = outside then region.(id) <- fanin_side) region;
     Array.iter
       (fun id ->
         if region.(id) <> outside then begin
@@ -345,76 +314,21 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   in
 
   (* The cheapest fanin of [node] still at X to drive toward [v], the
-     first among equals, or -1 if there is none.  With [prune], prefer
-     candidates the implication graph does not rule out, and fall back
-     to an infeasible one (the decision search sorts it out), so
-     behaviour without analysis is unchanged. *)
-  let pick_x_input ~prune node v =
+     first among equals, or -1 if there is none. *)
+  let pick_x_input node v =
     let srcs = fanins.(node) in
     let best = ref (-1) and best_cost = ref 0 in
-    let fallback = ref (-1) and fallback_cost = ref 0 in
     for k = 0 to Array.length srcs - 1 do
       let src = srcs.(k) in
       if Logic5.has_unknown values.(src) then begin
         let cost = choice_cost src v in
-        if (not prune) || achievable src v then begin
-          if !best < 0 || cost < !best_cost then begin
-            best := src;
-            best_cost := cost
-          end
-        end
-        else begin
-          incr pruned;
-          if !fallback < 0 || cost < !fallback_cost then begin
-            fallback := src;
-            fallback_cost := cost
-          end
+        if !best < 0 || cost < !best_cost then begin
+          best := src;
+          best_cost := cost
         end
       end
     done;
-    if !best >= 0 then !best else !fallback
-  in
-
-  (* Unique sensitization: whatever frontier gate carries the effect
-     onward, every detection path crosses the frontier's common
-     dominators, so their out-of-cone side inputs must settle at
-     non-controlling values — schedule the first one still at X.  An
-     in-cone side input is left alone: it may itself have to carry the
-     effect. *)
-  let unique_sensitization () =
-    match analysis with
-    | None -> None
-    | Some a ->
-      let doms =
-        Analysis.Dominators.common_dominators (Analysis.Engine.dominators a)
-          (frontier_list ())
-      in
-      let rec try_doms = function
-        | [] -> None
-        | d :: rest ->
-          (match Circuit.Gate.controlling_value c.kinds.(d) with
-          | None -> try_doms rest
-          | Some controlling ->
-            let v = not controlling in
-            let candidate = ref None in
-            Array.iter
-              (fun src ->
-                if
-                  region.(src) <> in_cone
-                  && Logic5.has_unknown values.(src)
-                  && achievable src v
-                then
-                  match !candidate with
-                  | None -> candidate := Some src
-                  | Some cur ->
-                    if choice_cost src v < choice_cost cur v then
-                      candidate := Some src)
-              c.fanins.(d);
-            (match !candidate with
-            | Some src -> Some (src, v)
-            | None -> try_doms rest))
-      in
-      try_doms doms
+    !best
   in
 
   (* The value the objective asks of the node [objective] returns, and
@@ -430,17 +344,12 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     end
     else if !frontier_size = 0 then -1
     else begin
-      match unique_sensitization () with
-      | Some (src, v) ->
-        wanted := v;
-        src
-      | None ->
-        let gate = lowest_frontier_gate () in
-        (wanted :=
-           match Circuit.Gate.controlling_value kinds.(gate) with
-           | Some controlling -> not controlling (* non-controlling value *)
-           | None -> false);
-        pick_x_input ~prune:true gate !wanted
+      let gate = lowest_frontier_gate () in
+      (wanted :=
+         match Circuit.Gate.controlling_value kinds.(gate) with
+         | Some controlling -> not controlling (* non-controlling value *)
+         | None -> false);
+      pick_x_input gate !wanted
     end
   in
 
@@ -454,7 +363,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
       | Circuit.Gate.Const0 | Circuit.Gate.Const1 -> -1
       | kind ->
         if Circuit.Gate.inverts kind then wanted := not !wanted;
-        backtrace (pick_x_input ~prune:false node !wanted)
+        backtrace (pick_x_input node !wanted)
   in
 
   let decisions = ref [] in
@@ -503,21 +412,8 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
 
   let verdict =
     Obs.Trace.with_span "podem.generate" (fun () ->
-        (* A fault the untestability prover settles needs no search. *)
-        let proof =
-          Option.bind analysis (fun a ->
-              Analysis.Untestable.verdict (Analysis.Engine.untestable a) fault)
-        in
-        let verdict =
-          match proof with
-          | Some _ ->
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.incr "atpg.podem.static_untestable";
-            Untestable
-          | None -> (
-            sweep ();
-            try attempt () with Abort_search -> Aborted)
-        in
+        sweep ();
+        let verdict = try attempt () with Abort_search -> Aborted in
         Obs.Trace.add_int "backtracks" !backtracks;
         Obs.Trace.add_int "implications" !implications;
         Obs.Trace.add_int "evals" !evals;
@@ -528,14 +424,12 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
           (match verdict with Aborted -> 1 | Test _ | Untestable -> 0);
         Obs.Trace.add_int "untestable"
           (match verdict with Untestable -> 1 | Test _ | Aborted -> 0);
-        if Option.is_some analysis then Obs.Trace.add_int "pruned" !pruned;
         verdict)
   in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr "atpg.podem.calls";
     Obs.Metrics.incr ~by:(float_of_int !backtracks) "atpg.podem.backtracks";
     Obs.Metrics.incr ~by:(float_of_int !implications) "atpg.podem.implications";
-    Obs.Metrics.incr ~by:(float_of_int !evals) "atpg.podem.gate_evals";
-    Obs.Metrics.incr ~by:(float_of_int !pruned) "atpg.podem.pruned"
+    Obs.Metrics.incr ~by:(float_of_int !evals) "atpg.podem.gate_evals"
   end;
   (verdict, { backtracks = !backtracks; implications = !implications })

@@ -29,7 +29,6 @@ val generate :
   ?time_budget_s:float ->
   ?cancel:Robust.Cancel.t ->
   ?guidance:guidance ->
-  ?analysis:Analysis.Engine.t ->
   Circuit.Netlist.t -> Faults.Fault.t -> result * stats
 (** [generate c fault] searches for a test.  Default backtrack limit is
     1000, default guidance {!Level_based}.  [time_budget_s] bounds this
@@ -60,21 +59,7 @@ val generate :
     search aborts and its SAT proof runs out of conflicts, so in a run
     it is the targets searched plus the proofs that ran out.  An input
     outside the subcircuit is never decided, so it reads 0 in the
-    test.  With [analysis], learned
-    consequences may name any node, so the subcircuit is the whole
-    netlist.
-
-    [analysis] (built over the {e same} netlist) adds three
-    accelerations: [Untestable] with 0 backtracks and 0 implications,
-    before any search, for every fault its {!Analysis.Untestable}
-    prover settles; {e unique sensitization} — when the D-frontier
-    shares absolute dominators, their out-of-cone side inputs are
-    scheduled toward non-controlling values first; and
-    learned-implication filtering of objective candidates whose
-    consequences contradict the current state.  A test or untestable
-    verdict never flips (verified against exhaustive simulation), but
-    an abort may be proved untestable, and the changed search order
-    may find another pattern and spend more or fewer backtracks. *)
+    test. *)
 
 val outside : int
 val fanin_side : int
@@ -86,9 +71,9 @@ val in_cone : int
 val mark_subcircuit :
   Circuit.Netlist.t -> site:int -> int array -> int array -> int
 (** [mark_subcircuit c ~site region nodes] marks the subcircuit a
-    search for a fault at [site] reads, the one {!generate} (without
-    [analysis]) and {!Atpg.prove} read: [region.(id)] becomes [in_cone]
-    or [fanin_side] for each of its nodes, and [nodes] lists them, the
+    search for a fault at [site] reads, the one {!generate} and
+    {!Atpg.prove} read: [region.(id)] becomes [in_cone] or
+    [fanin_side] for each of its nodes, and [nodes] lists them, the
     cone first, breadth first.  Returns how many there are.  It walks
     the subcircuit only, so [region] must hold [outside] for every node
     on entry, and both arrays need a slot per node. *)

@@ -94,22 +94,6 @@ let test_dominators_brute_force () =
       (Circuit.Generators.random_circuit ~inputs:5 ~gates:12 ~outputs:3 ~seed)
   done
 
-let test_common_dominators () =
-  let c = Circuit.Generators.c17 () in
-  let dom = Analysis.Dominators.compute c in
-  let g n = id_of c n in
-  (* G1 and G10 funnel through G22; G7 and G19 through G23. *)
-  Alcotest.(check (list int)) "common of G1,G10" [ g "G22" ]
-    (Analysis.Dominators.common_dominators dom [ g "G1"; g "G10" ]);
-  Alcotest.(check (list int)) "common of G7,G19" [ g "G23" ]
-    (Analysis.Dominators.common_dominators dom [ g "G7"; g "G19" ]);
-  (* G16 feeds both outputs, so it has no strict dominators and any
-     frontier containing it has no common bottleneck. *)
-  Alcotest.(check (list int)) "common of G10,G16" []
-    (Analysis.Dominators.common_dominators dom [ g "G10"; g "G16" ]);
-  Alcotest.(check (list int)) "common of empty" []
-    (Analysis.Dominators.common_dominators dom [])
-
 (* ------------------------------------------------------------------ *)
 (* The c17.bench example file is a fixed reference: it must stay in
    sync with Generators.c17 and its analysis facts must not drift. *)
@@ -356,78 +340,6 @@ let test_restrict_validates () =
            ~universe:(Array.sub universe 0 10)
            ~keep:universe))
 
-(* ------------------------------------------------------------------ *)
-(* PODEM with the analysis attached: verdicts identical fault by
-   fault, total search effort never larger. *)
-
-(* Verdicts must be identical fault by fault — the analysis only
-   reorders or shortcuts the search.  Backtrack counts are a heuristic
-   matter on any single circuit (unique sensitization can misjudge a
-   small reconvergent cone), so the effort guarantee is asserted on the
-   aggregate across all tested circuits. *)
-let check_podem_equivalent name c universe =
-  let analysis = Analysis.Engine.build ~learn_depth:(Some 2) c in
-  let tag = function
-    | Tpg.Podem.Test _ -> "test"
-    | Tpg.Podem.Untestable -> "untestable"
-    | Tpg.Podem.Aborted -> "aborted"
-  in
-  let total_baseline = ref 0 and total_assisted = ref 0 in
-  Array.iter
-    (fun fault ->
-      let rb, sb = Tpg.Podem.generate c fault in
-      let ra, sa = Tpg.Podem.generate ~analysis c fault in
-      Alcotest.(check string)
-        (Printf.sprintf "%s: verdict for %s unchanged" name
-           (F.to_string c fault))
-        (tag rb) (tag ra);
-      total_baseline := !total_baseline + sb.Tpg.Podem.backtracks;
-      total_assisted := !total_assisted + sa.Tpg.Podem.backtracks)
-    universe;
-  (!total_baseline, !total_assisted)
-
-let test_podem_analysis_equivalence () =
-  let grand_baseline = ref 0 and grand_assisted = ref 0 in
-  let run_on name c universe =
-    let baseline, assisted = check_podem_equivalent name c universe in
-    grand_baseline := !grand_baseline + baseline;
-    grand_assisted := !grand_assisted + assisted
-  in
-  let run name c =
-    run_on name c
-      (Faults.Collapse.representatives
-         (Faults.Collapse.equivalence c (Faults.Universe.all c)))
-  in
-  run "c17" (Circuit.Generators.c17 ());
-  run "redundant" (Circuit.Generators.redundant_demo ());
-  for seed = 1 to 4 do
-    run
-      (Printf.sprintf "rand seed %d" seed)
-      (Circuit.Generators.random_circuit ~inputs:8 ~gates:60 ~outputs:5 ~seed)
-  done;
-  (* The faults deterministic ATPG actually works on: the
-     dominance-collapsed faults a short random pattern set leaves
-     undetected on a 400-gate circuit. *)
-  let c = Circuit.Generators.random_circuit ~inputs:16 ~gates:400 ~outputs:12 ~seed:7 in
-  let universe =
-    Faults.Collapse.dominance c
-      (Faults.Collapse.equivalence c (Faults.Universe.all c))
-  in
-  let patterns =
-    Tpg.Random_tpg.uniform (Stats.Rng.create ~seed:99 ()) c ~count:32
-  in
-  let hard =
-    Fsim.Coverage.undetected (Fsim.Coverage.profile c universe patterns) universe
-  in
-  Alcotest.(check int) "random patterns leave 126 hard faults" 126
-    (List.length hard);
-  run_on "rand400 hard faults" c (Array.of_list hard);
-  Alcotest.(check bool)
-    (Printf.sprintf "aggregate assisted backtracks (%d) <= baseline (%d)"
-       !grand_assisted !grand_baseline)
-    true
-    (!grand_assisted <= !grand_baseline)
-
 let test_sampling_with_dominance () =
   let c = Circuit.Generators.c17 () in
   let universe = Faults.Universe.all c in
@@ -446,8 +358,6 @@ let suite =
   [ ( "analysis",
       [ Alcotest.test_case "dominators = brute-force paths" `Quick
           test_dominators_brute_force;
-        Alcotest.test_case "common dominators on c17" `Quick
-          test_common_dominators;
         Alcotest.test_case "c17.bench fixed reference" `Quick
           test_c17_bench_reference;
         Alcotest.test_case "learning reaches a fixpoint" `Quick
@@ -466,7 +376,5 @@ let suite =
           test_dominance_collapsed_coverage_one;
         Alcotest.test_case "restrict validates universe" `Quick
           test_restrict_validates;
-        Alcotest.test_case "podem verdicts unchanged by analysis" `Quick
-          test_podem_analysis_equivalence;
         Alcotest.test_case "sampling with dominance collapse" `Quick
           test_sampling_with_dominance ] ) ]

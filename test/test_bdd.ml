@@ -376,10 +376,11 @@ let test_equiv_interface_and_budget () =
   | _ -> Alcotest.fail "tiny budget must be inconclusive"
 
 (* ------------------------------------------------------------------ *)
-(* Integration: PODEM with exact verdicts agrees with exhaustive
-   simulation; an exact-equipped engine changes no verdict. *)
+(* Integration: the prover with the exact bundle and ATPG's SAT proof
+   agree with exhaustive simulation, and so with each other, fault by
+   fault. *)
 
-let test_podem_with_exact_engine () =
+let test_exact_prover_agrees_with_sat_proof () =
   let c = G.redundant_demo () in
   let universe = Faults.Universe.all c in
   let truth =
@@ -388,21 +389,28 @@ let test_podem_with_exact_engine () =
   let engine = Analysis.Engine.build ~exact_budget:E.default_budget c in
   Alcotest.(check bool) "engine carries the exact bundle" true
     (Analysis.Engine.exact engine <> None);
+  let prover = Analysis.Engine.untestable engine in
+  let untestable = ref 0 and tests = ref 0 in
   Array.iteri
     (fun fi fault ->
-      match Tpg.Podem.generate ~analysis:engine c fault with
-      | Tpg.Podem.Untestable, _ ->
-        if truth.(fi) > 0.0 then
-          Alcotest.failf "%s: PODEM verdict Untestable but d=%.4f"
-            (Faults.Fault.to_string c fault) truth.(fi)
-      | Tpg.Podem.Test _, _ ->
-        if truth.(fi) = 0.0 then
-          Alcotest.failf "%s: PODEM found a test for an undetectable fault"
-            (Faults.Fault.to_string c fault)
-      | Tpg.Podem.Aborted, _ ->
-        Alcotest.failf "%s: aborted on a 54-fault demo"
-          (Faults.Fault.to_string c fault))
-    universe
+      let name = Faults.Fault.to_string c fault in
+      let redundant = truth.(fi) = 0.0 in
+      Alcotest.(check bool) (name ^ ": prover verdict = exhaustive") redundant
+        (U.verdict prover fault <> None);
+      match Tpg.Atpg.prove c fault with
+      | Tpg.Podem.Untestable ->
+        if not redundant then
+          Alcotest.failf "%s: proof verdict Untestable but d=%.4f" name truth.(fi);
+        incr untestable
+      | Tpg.Podem.Test pattern ->
+        Alcotest.(check bool) (name ^ ": model detects") true
+          ((Fsim.Serial.run c [| fault |] [| pattern |]).(0) <> None);
+        incr tests
+      | Tpg.Podem.Aborted ->
+        Alcotest.failf "%s: proof ran out on a 54-fault demo" name)
+    universe;
+  Alcotest.(check (pair int int)) "18 untestable, 36 with a test" (18, 36)
+    (!untestable, !tests)
 
 let suite =
   [ ( "bdd",
@@ -430,5 +438,5 @@ let suite =
           test_equiv_verdicts;
         Alcotest.test_case "equiv interface errors and budget" `Quick
           test_equiv_interface_and_budget;
-        Alcotest.test_case "PODEM with exact engine agrees with truth" `Quick
-          test_podem_with_exact_engine ] ) ]
+        Alcotest.test_case "exact prover agrees with the SAT proof" `Quick
+          test_exact_prover_agrees_with_sat_proof ] ) ]

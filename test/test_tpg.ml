@@ -303,46 +303,14 @@ let collapsed c =
 let test_podem_search_record_pinned () =
   let c = Circuit.Generators.lsi_chip ~scale:4 () in
   let scoap = Tpg.Podem.Scoap_based (Tpg.Scoap.analyze c) in
-  let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
   check_search_record "expected/podem_lsi4.txt"
     (search_record (collapsed c)
        [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:200 c f);
-         ("scoap", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~guidance:scoap c f);
-         ("analysis", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~analysis c f) ]);
+         ("scoap", fun f -> Tpg.Podem.generate ~backtrack_limit:200 ~guidance:scoap c f) ]);
   let lot = Circuit.Generators.lsi_chip ~seed:1982 ~scale:5 () in
   check_search_record "expected/podem_lot1982.txt"
     (search_record (collapsed lot)
        [ ("level", fun f -> Tpg.Podem.generate ~backtrack_limit:2000 lot f) ])
-
-(* With an analysis engine, PODEM settles before search exactly the
-   faults the engine's untestability prover flags: [Untestable] with 0
-   backtracks and 0 implications (a search always counts at least one
-   implication) iff the prover's verdict is [Some _]. *)
-let test_podem_settles_prover_verdicts () =
-  let random seed =
-    ( Printf.sprintf "rand seed %d" seed,
-      Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed )
-  in
-  List.iter
-    (fun (name, c) ->
-      let analysis = Analysis.Engine.build ~learn_depth:(Some 1) c in
-      let prover = Analysis.Engine.untestable analysis in
-      Array.iter
-        (fun fault ->
-          let verdict, stats =
-            Tpg.Podem.generate ~backtrack_limit:100 ~analysis c fault
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s settled before search iff proved" name
-               (F.to_string c fault))
-            (Analysis.Untestable.verdict prover fault <> None)
-            (verdict = Tpg.Podem.Untestable
-            && stats.Tpg.Podem.backtracks = 0
-            && stats.Tpg.Podem.implications = 0))
-        (collapsed c))
-    ([ ("lsi:5", Circuit.Generators.lsi_chip ~scale:5 ());
-       ("lsi:6", Circuit.Generators.lsi_chip ~scale:6 ()) ]
-    @ List.map random [ 1; 2; 3; 4 ])
 
 (* ------------------------------ scoap ------------------------------- *)
 
@@ -651,21 +619,6 @@ let test_atpg_deterministic () =
   let b = Tpg.Atpg.run c universe in
   Alcotest.(check bool) "same patterns" true (a.Tpg.Atpg.patterns = b.Tpg.Atpg.patterns)
 
-let test_atpg_negative_learn_depth () =
-  (* The depth is a config field whether or not an engine is built. *)
-  let c = Circuit.Generators.c17 () in
-  let universe = Faults.Universe.all c in
-  List.iter
-    (fun (name, config) ->
-      Alcotest.check_raises name
-        (Invalid_argument "Atpg.run: negative learn_depth") (fun () ->
-          ignore
-            (Tpg.Atpg.run ~config:{ config with Tpg.Atpg.learn_depth = -3 } c
-               universe)))
-    [ ("no engine", Tpg.Atpg.default_config);
-      ("use_analysis", { Tpg.Atpg.default_config with use_analysis = true });
-      ("exact", { Tpg.Atpg.default_config with exact_budget = Some 10_000 }) ]
-
 (* ------------------------------- sat ------------------------------- *)
 
 (* A random CNF over at most 12 variables, near the 3-SAT threshold so
@@ -851,6 +804,36 @@ let test_sat_agrees_with_podem () =
     (collapsed c);
   Alcotest.(check bool) "some faults untestable" true (!proved > 0)
 
+(* The static prover's proofs are sound, so the proof must settle as
+   [Untestable] every fault that the depth-1 prover flags. *)
+let test_sat_settles_prover_verdicts () =
+  let random seed =
+    ( Printf.sprintf "rand seed %d" seed,
+      Circuit.Generators.random_circuit ~inputs:8 ~gates:70 ~outputs:5 ~seed )
+  in
+  List.iter
+    (fun (name, c) ->
+      let prover =
+        Analysis.Engine.untestable (Analysis.Engine.build ~learn_depth:(Some 1) c)
+      in
+      let flagged =
+        List.filter
+          (fun fault -> Analysis.Untestable.verdict prover fault <> None)
+          (Array.to_list (collapsed c))
+      in
+      Alcotest.(check bool) (name ^ ": the prover flags some faults") true
+        (flagged <> []);
+      List.iter
+        (fun fault ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s proved untestable" name (F.to_string c fault))
+            true
+            (Tpg.Atpg.prove c fault = Tpg.Podem.Untestable))
+        flagged)
+    ([ ("lsi:5", Circuit.Generators.lsi_chip ~scale:5 ());
+       ("lsi:6", Circuit.Generators.lsi_chip ~scale:6 ()) ]
+    @ List.map random [ 1; 2; 3; 4 ])
+
 (* The disjoint union of [a] and [b]: [a]'s nodes declared first, so
    they keep their ids and so every fault of [a] names the same line in
    the union; then [b]'s.  The union's inputs are [a]'s, then [b]'s. *)
@@ -1006,13 +989,12 @@ let suite =
         tc "proves absorption redundancy" test_podem_finds_redundancy;
         tc "respects backtrack limit" test_podem_respects_backtrack_limit;
         tc "stats populated" test_podem_stats_populated;
-        tc "per-fault search record pinned" test_podem_search_record_pinned;
-        tc "settles before search what the prover flags"
-          test_podem_settles_prover_verdicts ] );
+        tc "per-fault search record pinned" test_podem_search_record_pinned ] );
     ( "tpg.sat",
       [ tc "edge cases, budget and cancel" test_sat_edge_cases;
         tc "proof matches exhaustive simulation" test_sat_proof_workloads;
-        tc "proof agrees with PODEM on lsi:4" test_sat_agrees_with_podem ] );
+        tc "proof agrees with PODEM on lsi:4" test_sat_agrees_with_podem;
+        tc "proof settles what the prover flags" test_sat_settles_prover_verdicts ] );
     ( "tpg.scoap",
       [ tc "inverter chain" test_scoap_inverter_chain;
         tc "and gate rules" test_scoap_and_gate;
@@ -1032,7 +1014,6 @@ let suite =
         tc "multiplier accounted" test_atpg_multiplier;
         tc "profile consistent" test_atpg_profile_consistent;
         tc "profile equals a regrade" test_atpg_profile_is_regrade;
-        tc "deterministic" test_atpg_deterministic;
-        tc "negative learn_depth rejected" test_atpg_negative_learn_depth ] );
+        tc "deterministic" test_atpg_deterministic ] );
     ( "tpg.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props ) ]
