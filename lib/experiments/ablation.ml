@@ -135,13 +135,14 @@ let atpg_engines ?(bits = 6) ?(hardest = 60) () =
     { engine; total_backtracks = !backtracks; total_implications = !implications;
       aborted_faults = !aborted }
   in
+  let ws = Tpg.Podem.workspace c in
   [ measure "PODEM (level-guided)" (fun fault ->
-        let r, s = Tpg.Podem.generate ~backtrack_limit:5000 c fault in
+        let r, s = Tpg.Podem.search ~backtrack_limit:5000 ws fault in
         (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted));
     measure "PODEM (SCOAP-guided)" (fun fault ->
         let r, s =
-          Tpg.Podem.generate ~backtrack_limit:5000
-            ~guidance:(Tpg.Podem.Scoap_based scoap) c fault
+          Tpg.Podem.search ~backtrack_limit:5000
+            ~guidance:(Tpg.Podem.Scoap_based scoap) ws fault
         in
         (s.Tpg.Podem.backtracks, s.Tpg.Podem.implications, r = Tpg.Podem.Aborted)) ]
 

@@ -15,16 +15,42 @@ type state = Ppsfp.state = {
 
 let state = Ppsfp.state
 
-let extend ?(engine = Parallel) ?cancel c faults st ~offset patterns =
-  let alive = List.init (Array.length faults) Fun.id in
-  let alive = Array.of_list (List.filter (fun i -> st.nth.(i) = None) alive) in
-  if Array.length alive = 0 then 0
-  else
+(* [alive] has a slot per fault; each call gathers the alive faults'
+   indices into it, in increasing order, then grades a copy of that
+   prefix, since the engines reorder and compact what they are given.
+   PPSFP's kernel and good-word buffer are made on the first call that
+   has a fault to grade and serve every later one. *)
+type grader = {
+  alive : int array;
+  extend :
+    Robust.Cancel.t option -> state -> alive:int array -> offset:int ->
+    bool array array -> int;
+}
+
+let grader ?(engine = Parallel) c faults =
+  let extend =
     match engine with
-    | Serial -> Serial.extend ?cancel c faults st ~alive ~offset patterns
-    | Parallel -> Ppsfp.extend ?cancel c faults st ~alive ~offset patterns
-    | Par { domains } ->
-      Par.extend ?cancel ~domains c faults st ~alive ~offset patterns
+    | Serial -> fun cancel -> Serial.extend ?cancel c faults
+    | Parallel ->
+      let g = lazy (Ppsfp.grader c) in
+      fun cancel -> Ppsfp.extend ?cancel (Lazy.force g) faults
+    | Par { domains } -> fun cancel -> Par.extend ?cancel ~domains c faults
+  in
+  { alive = Array.make (Array.length faults) 0; extend }
+
+let extend_with ?cancel g st ~offset patterns =
+  let count = ref 0 in
+  for i = 0 to Array.length g.alive - 1 do
+    if st.nth.(i) = None then begin
+      g.alive.(!count) <- i;
+      incr count
+    end
+  done;
+  if !count = 0 then 0
+  else g.extend cancel st ~alive:(Array.sub g.alive 0 !count) ~offset patterns
+
+let extend ?engine ?cancel c faults st ~offset patterns =
+  extend_with ?cancel (grader ?engine c faults) st ~offset patterns
 
 let profiles st ~pattern_count =
   let view first_detection =

@@ -39,6 +39,29 @@ val state : n:int -> int -> state
 (** [state ~n faults]: nothing detected yet among [faults] faults.
     Raises [Invalid_argument] when [n < 1]. *)
 
+type grader
+(** An engine bound to a circuit and its fault array, with the scratch
+    its grading calls share: a slot per fault for gathering the alive
+    ones and, on {!Parallel}, one PPSFP kernel and one good-word buffer.
+    A grader is owned by one caller; it is what a caller that grades
+    pattern after pattern (ATPG, test-set compaction) keeps. *)
+
+val grader : ?engine:engine -> Circuit.Netlist.t -> Faults.Fault.t array -> grader
+(** A grader on [engine] (default {!Parallel}).  It allocates nothing
+    node-sized until its first call with a fault to grade. *)
+
+val extend_with :
+  ?cancel:Robust.Cancel.t -> grader -> state -> offset:int -> bool array array -> int
+(** [extend_with g st ~offset patterns] grades [patterns], numbered from
+    [offset], against the alive faults of [st], gathered in one pass
+    over the faults in increasing index order, records their
+    detections in place and returns how many reached [st.n] detections.
+    Every engine gives identical results at a different cost, and a
+    grader records what a fresh one would.  Per-fault results do not
+    depend on the other faults, so grading slice by slice records
+    exactly what one {!grade} does.  After [cancel] fires, the rest is
+    left ungraded. *)
+
 val extend :
   ?engine:engine ->
   ?cancel:Robust.Cancel.t ->
@@ -48,13 +71,8 @@ val extend :
   offset:int ->
   bool array array ->
   int
-(** [extend c faults st ~offset patterns] grades [patterns], numbered
-    from [offset], against the alive faults of [st] (default engine
-    {!Parallel}; every engine gives identical results at a different
-    cost), records their detections in place and returns how many
-    reached [st.n] detections.  Per-fault results do not depend on the
-    other faults, so grading slice by slice records exactly what one
-    {!grade} does.  After [cancel] fires, the rest is left ungraded. *)
+(** [extend c faults st ~offset patterns] is {!extend_with} through a
+    fresh {!grader}, used once. *)
 
 val profiles : state -> pattern_count:int -> profile * profile
 (** The state's first and n-th detections as {!profile}s over

@@ -84,8 +84,8 @@ let extend ?(cancel = Robust.Cancel.none) ?domains c faults (st : Ppsfp.state)
         (fun () ->
           let t0 = if observing then Obs.Trace.now_s () else 0.0 in
           let dropped =
-            Ppsfp.grade ~cancel ?on_block ~engine ~progress c faults ~blocks
-              ~good:(Array.get goods) ~offset st
+            Ppsfp.grade ~cancel ?on_block ~engine ~progress (Ppsfp.kernel c)
+              faults ~blocks ~good:(Array.get goods) ~offset st
               ~alive:(Array.copy shards.(i))
           in
           shard_dropped.(i) <- dropped;

@@ -106,10 +106,11 @@ let ffr_roots (c : Circuit.Netlist.t) =
 let[@inline] root_of root fault = root.(Faults.Fault.site_node fault)
 
 (* Stable counting sort of the fault indices [alive] by region root, in
-   increasing root order: O(nodes + faults), so grading one pattern at
-   a time (as ATPG does) stays cheap. *)
-let group_by_root root faults alive =
-  let start = Array.make (Array.length root + 1) 0 in
+   increasing root order, with [start] (one slot per node and one more)
+   as the counts: O(nodes + faults), so grading one pattern at a time
+   (as ATPG does) stays cheap. *)
+let group_by_root root start faults alive =
+  Array.fill start 0 (Array.length start) 0;
   Array.iter
     (fun fi ->
       let r = root_of root faults.(fi) in
@@ -130,7 +131,7 @@ let group_by_root root faults alive =
 let shards c faults alive ~domains =
   let root = ffr_roots c in
   let order = Array.copy alive in
-  group_by_root root faults order;
+  group_by_root root (Array.make (Array.length root + 1) 0) faults order;
   (* Deal the regions round-robin, in increasing root order. *)
   let shards = Array.make domains [] and region = ref (-1) in
   Array.iteri
@@ -150,10 +151,13 @@ let shards c faults alive ~domains =
    [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)], and a node
    is queued at most once per generation ([queued.(u) = generation]),
    so each level's segment is as long as the number of nodes on that
-   level. *)
+   level.  [start] holds the counts of [group_by_root].  A kernel serves
+   any number of [grade] calls on its circuit: between blocks every
+   [fill] is 0 and no stamp or queue mark equals a later generation. *)
 type kernel = {
   circuit : Circuit.Netlist.t;
   root : int array;
+  start : int array;
   faulty : Bytes.t;
   stamp : int array;
   queued : int array;
@@ -173,7 +177,8 @@ let kernel (c : Circuit.Netlist.t) =
   for l = 1 to depth + 1 do
     first.(l) <- first.(l) + first.(l - 1)
   done;
-  { circuit = c; root = ffr_roots c; faulty = Logicsim.Packed.words c;
+  { circuit = c; root = ffr_roots c; start = Array.make (nodes + 1) 0;
+    faulty = Logicsim.Packed.words c;
     stamp = Array.make nodes (-1); queued = Array.make nodes (-1);
     queue = Array.make nodes 0; first; fill = Array.make (depth + 1) 0;
     top = 0; generation = 0; flip_evals = 0 }
@@ -289,9 +294,8 @@ let[@inline] observe k good ~live r =
    reaches it, and each fault's detection word is its local mask AND
    the root's observability mask. *)
 let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine
-    ~progress c faults ~blocks ~good ~offset st ~alive =
-  let k = kernel c in
-  group_by_root k.root faults alive;
+    ~progress k faults ~blocks ~good ~offset st ~alive =
+  group_by_root k.root k.start faults alive;
   let locals = Bytes.create (8 * Array.length alive) in
   let alive_count = ref (Array.length alive) in
   let dropped = ref 0 in
@@ -344,9 +348,15 @@ let grade ?(cancel = Robust.Cancel.none) ?(on_block = ignore) ~engine
   done;
   !dropped
 
-(* The single-domain engine: the good machine is evaluated block by
-   block into one buffer, only while some fault is still alive. *)
-let extend ?cancel c faults st ~alive ~offset patterns =
+(* The single-domain engine: one kernel, and one buffer into which the
+   good machine is evaluated block by block, only while some fault is
+   still alive. *)
+type grader = { kernel : kernel; good : Bytes.t }
+
+let grader c = { kernel = kernel c; good = Logicsim.Packed.words c }
+
+let extend ?cancel g faults st ~alive ~offset patterns =
+  let c = g.kernel.circuit in
   Array.iter (fun fi -> Faults.Fault.check c faults.(fi)) alive;
   let np = Array.length patterns in
   Instrument.engine_run ~engine:"ppsfp" ~n:st.n ~faults:(Array.length alive)
@@ -354,13 +364,12 @@ let extend ?cancel c faults st ~alive ~offset patterns =
   @@ fun engine ->
   let blocks = Array.of_list (Logicsim.Packed.blocks_of_patterns c patterns) in
   let progress = Instrument.progress_start ~engine ~patterns:np in
-  let words = Logicsim.Packed.words c in
   let good b =
-    Logicsim.Packed.eval_words c blocks.(b) words;
-    words
+    Logicsim.Packed.eval_words c blocks.(b) g.good;
+    g.good
   in
   let dropped =
-    grade ?cancel ~engine ~progress c faults ~blocks ~good ~offset st ~alive
+    grade ?cancel ~engine ~progress g.kernel faults ~blocks ~good ~offset st ~alive
   in
   Obs.Progress.finish progress;
   dropped
@@ -372,4 +381,4 @@ let grade_all extend ~n c faults patterns =
   st
 
 let run ?cancel c faults patterns =
-  (grade_all (extend ?cancel) ~n:1 c faults patterns).first
+  (grade_all (fun c -> extend ?cancel (grader c)) ~n:1 c faults patterns).first

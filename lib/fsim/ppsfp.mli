@@ -77,12 +77,28 @@ val record_detections : state -> block_start:int -> int64 -> int -> bool
     into the state (first detection, saturated count, n-th detection),
     and return whether the fault stays alive. *)
 
+type kernel
+(** One domain's scratch for {!grade} on one circuit: the region roots,
+    the faulty words and their stamps, the event queue and the counts
+    of the sort by root.  A kernel serves any number of {!grade} calls
+    on its circuit, one at a time. *)
+
+val kernel : Circuit.Netlist.t -> kernel
+
+type grader
+(** The single-domain engine's scratch: a {!kernel} and the buffer the
+    good machine is evaluated into, block by block. *)
+
+val grader : Circuit.Netlist.t -> grader
+
 val extend :
   ?cancel:Robust.Cancel.t ->
-  Circuit.Netlist.t -> Faults.Fault.t array -> state -> alive:int array ->
+  grader -> Faults.Fault.t array -> state -> alive:int array ->
   offset:int -> bool array array -> int
-(** {!Coverage.extend} on this engine, over the faults whose indices
-    [alive] holds (reordered and compacted in place). *)
+(** {!Coverage.extend} on this engine and the grader's circuit, over the
+    faults whose indices [alive] holds (reordered and compacted in
+    place).  A grader serves any number of calls, and each records what
+    it would through a fresh one. *)
 
 val grade_all :
   (Circuit.Netlist.t -> Faults.Fault.t array -> state -> alive:int array ->
@@ -111,7 +127,7 @@ val grade :
   ?on_block:(unit -> unit) ->
   engine:string ->
   progress:Obs.Progress.t ->
-  Circuit.Netlist.t ->
+  kernel ->
   Faults.Fault.t array ->
   blocks:Logicsim.Packed.block array ->
   good:(int -> Bytes.t) ->
@@ -119,9 +135,10 @@ val grade :
   state ->
   alive:int array ->
   int
-(** [grade ~engine ~progress c faults ~blocks ~good ~offset st ~alive]
-    grades the faults whose indices [alive] holds against every block,
-    the first block starting at pattern [offset], into [st]
+(** [grade ~engine ~progress k faults ~blocks ~good ~offset st ~alive]
+    grades the faults whose indices [alive] holds against every block
+    of the kernel's circuit, the first block starting at pattern
+    [offset], into [st]
     ({!record_detections}), and returns how many of them it dropped.
     [good b] returns the good-machine words
     ({!Logicsim.Packed.eval_words}) of block [b]; the loop only reads

@@ -262,12 +262,42 @@ let gate_clauses solver kind out ins k =
   | Circuit.Gate.Or -> conj (-out) (-1)
   | Circuit.Gate.Nor -> conj out (-1)
 
-let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none)
-    (c : Circuit.Netlist.t) fault =
+(* The solver and the node maps a proof works in, made once per
+   circuit.  A proof writes [region] and [good] only on its subcircuit,
+   listed in [nodes.(0 .. size - 1)], and the next proof resets those
+   entries first: an input outside the subcircuit must read [good] 0.
+   [faulty] is read only on the cone, after the proof writes it. *)
+type prover = {
+  circuit : Circuit.Netlist.t;
+  solver : Sat.t;
+  region : int array;
+  nodes : int array;
+  mutable size : int;
+  good : int array;
+  faulty : int array;
+}
+
+let prover c =
+  let n = Circuit.Netlist.num_nodes c in
+  { circuit = c; solver = Sat.create (); region = Array.make n Podem.outside;
+    nodes = Array.make n 0; size = 0; good = Array.make n 0;
+    faulty = Array.make n 0 }
+
+let prove_with ?(conflict_budget = sat_conflict_budget)
+    ?(cancel = Robust.Cancel.none) p fault =
+  let c = p.circuit in
   Faults.Fault.check c fault;
   Obs.Trace.with_span "atpg.sat" @@ fun () ->
   let n = Circuit.Netlist.num_nodes c in
-  let solver = Sat.create () in
+  let region = p.region and nodes = p.nodes and good = p.good
+  and faulty = p.faulty and solver = p.solver in
+  for i = 0 to p.size - 1 do
+    let id = nodes.(i) in
+    region.(id) <- Podem.outside;
+    good.(id) <- 0
+  done;
+  p.size <- 0;
+  Sat.clear solver;
   let site = Faults.Fault.site_node fault in
   let stuck = Faults.Fault.polarity_bit fault.Faults.Fault.polarity in
   let stem, branch_gate, branch_pin =
@@ -280,8 +310,6 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   (* The subcircuit PODEM reads, its nodes then put in increasing id
      order: fanins have lower ids than their gates, so that is
      topological. *)
-  let region = Array.make n Podem.outside in
-  let nodes = Array.make n 0 in
   let size = Podem.mark_subcircuit c ~site region nodes in
   let k = ref 0 in
   for id = 0 to n - 1 do
@@ -290,6 +318,7 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
       incr k
     end
   done;
+  p.size <- size;
   let in_cone id = region.(id) = Podem.in_cone in
   (* A gate's input literals, gathered before its clauses are added. *)
   let ins = ref (Array.make 8 0) in
@@ -305,7 +334,6 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   in
   (* The good machine over the subcircuit, and a variable held at the
      stuck value. *)
-  let good = Array.make n 0 in
   for i = 0 to size - 1 do
     good.(nodes.(i)) <- Sat.new_var solver
   done;
@@ -320,7 +348,6 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   (* The faulty machine over the cone, reading the good value outside
      it: a stem fault's faulty value is the stuck value, and a branch
      fault ties its pin of the gate's faulty copy to it. *)
-  let faulty = Array.make n 0 in
   for i = 0 to size - 1 do
     let id = nodes.(i) in
     if in_cone id then
@@ -374,14 +401,23 @@ let prove ?(conflict_budget = sat_conflict_budget) ?(cancel = Robust.Cancel.none
   | Sat.Sat model ->
     Podem.Test (Array.map (fun i -> good.(i) > 0 && model.(good.(i))) c.inputs)
 
+let prove ?conflict_budget ?cancel c fault =
+  prove_with ?conflict_budget ?cancel (prover c) fault
+
+(* The circuit-sized state of a run's searches and proofs, made once per
+   run and reset by each target's. *)
+type workspace = { search : Podem.workspace; proof : prover }
+
+let workspace c = { search = Podem.workspace c; proof = prover c }
+
 (* A target's first two steps: PODEM within [first] backtracks and, if
    that aborts, the proof, whose model is the target's test when it
    finds one.  [Aborted] means both ran out or [cancel] fired. *)
-let search_then_prove ~first ?time_budget_s ~cancel c fault =
-  match fst (Podem.generate ~backtrack_limit:first ?time_budget_s ~cancel c fault) with
+let search_then_prove ws ~first ?time_budget_s ~cancel fault =
+  match fst (Podem.search ~backtrack_limit:first ?time_budget_s ~cancel ws.search fault) with
   | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
   | Podem.Aborted when Robust.Cancel.stop_requested cancel -> Podem.Aborted
-  | Podem.Aborted -> prove ~cancel c fault
+  | Podem.Aborted -> prove_with ~cancel ws.proof fault
 
 (* One target: PODEM within the first budget; if it aborts, the proof,
    which settles the target with a proof of redundancy or with its model
@@ -390,20 +426,20 @@ let search_then_prove ~first ?time_budget_s ~cancel c fault =
    so a target PODEM settles within the first budget gets what a single
    full search gives.  A time budget bounds the whole: the second search
    gets what is left of it. *)
-let settle config ~cancel c fault =
+let settle config ws ~cancel fault =
   let deadline =
     Option.map (fun b -> Obs.Clock.now_s () +. b) config.podem_time_budget_s
   in
   let first = first_limit config in
   match
-    search_then_prove ~first ?time_budget_s:config.podem_time_budget_s ~cancel c fault
+    search_then_prove ws ~first ?time_budget_s:config.podem_time_budget_s ~cancel fault
   with
   | (Podem.Test _ | Podem.Untestable) as verdict -> verdict
   | Podem.Aborted ->
     let search time_budget_s =
       fst
-        (Podem.generate ~backtrack_limit:config.backtrack_limit ?time_budget_s
-           ~cancel c fault)
+        (Podem.search ~backtrack_limit:config.backtrack_limit ?time_budget_s
+           ~cancel ws.search fault)
     in
     if first = config.backtrack_limit || Robust.Cancel.stop_requested cancel then
       Podem.Aborted
@@ -421,7 +457,7 @@ let settle config ~cancel c fault =
    search: the first search is a prefix of the full one, and a full
    search runs here only after a proof runs out, as it ran in the build
    that wrote the state. *)
-let check_older_patterns config c faults ~base ~first_detection ~processed extra =
+let check_older_patterns config ws faults ~base ~first_detection ~processed extra =
   let refuse fmt =
     Printf.ksprintf (fun msg -> raise (Robust.Checkpoint.Mismatch msg)) fmt
   in
@@ -432,7 +468,7 @@ let check_older_patterns config c faults ~base ~first_detection ~processed extra
         if k < Array.length extra && first_detection.(target) = Some (base + k)
         then begin
           (match
-             search_then_prove ~first ~cancel:Robust.Cancel.none c faults.(target)
+             search_then_prove ws ~first ~cancel:Robust.Cancel.none faults.(target)
            with
           | Podem.Test p when p = extra.(k) -> ()
           | Podem.Aborted when first < config.backtrack_limit -> ()
@@ -463,6 +499,8 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
   in
   let total = Array.length faults in
   let st = Fsim.Coverage.state ~n:1 total in
+  (* One workspace and one grader serve every target of the run. *)
+  let ws = workspace c and grader = Fsim.Coverage.grader c faults in
   let first_detection = st.Fsim.Coverage.first in
   Array.blit random_profile.Fsim.Coverage.first_detection 0 first_detection 0
     total;
@@ -496,9 +534,9 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
          it leaves undetected: a state saved by a build that graded each
          pattern against the unprocessed targets only lacks the aborts a
          later pattern detects. *)
-      ignore (Fsim.Coverage.extend c faults st ~offset:base ck.ck_extra);
+      ignore (Fsim.Coverage.extend_with grader st ~offset:base ck.ck_extra);
       if not ck.ck_models then
-        check_older_patterns config c faults ~base ~first_detection
+        check_older_patterns config ws faults ~base ~first_detection
           ~processed:(List.filteri (fun i _ -> i < ck.ck_processed) remaining_order)
           ck.ck_extra;
       extra := Array.fold_left (fun acc p -> p :: acc) [] ck.ck_extra;
@@ -553,7 +591,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
         deterministic ()
       end
       else begin
-        match settle config ~cancel c faults.(target) with
+        match settle config ws ~cancel faults.(target) with
         | Podem.Aborted when Robust.Cancel.stop_requested cancel ->
           (* The cancel token fired mid-search or mid-proof, so this
              [Aborted] is not a real per-fault verdict: leave the target
@@ -572,7 +610,7 @@ let run ?(config = default_config) ?(cancel = Robust.Cancel.none) ?checkpoint
                earlier aborts among them: grade it against every fault
                still undetected. *)
             ignore
-              (Fsim.Coverage.extend c faults st ~offset:(base + !extra_count)
+              (Fsim.Coverage.extend_with grader st ~offset:(base + !extra_count)
                  [| pattern |]);
             extra := pattern :: !extra;
             incr extra_count;

@@ -70,6 +70,14 @@ val run :
     there on a model may stand where the full search would have found
     another test or aborted, and grading it may detect other targets.
 
+    The run makes its circuit-sized state once: one {!Podem.workspace}
+    for every search, one {!prover} for every proof and one
+    {!Fsim.Coverage.grader} for every pattern's grade (the random phase
+    keeps its own), each reset or cleared per target.  Reuse changes no
+    verdict, model, backtrack count or pattern: the same variables,
+    clauses, decisions and alive faults come in the same order as
+    through fresh ones.
+
     [cancel] is polled before each deterministic target, inside each
     PODEM search (see {!Podem.generate}) and once per conflict of each
     proof; a target cut inside any of them gets no verdict.  A
@@ -112,29 +120,44 @@ val coverage : report -> float
 val first_backtrack_limit : int
 (** The backtrack budget of each target's first PODEM search (64). *)
 
+type prover
+(** The solver and the node maps a proof works in, made once per
+    circuit and owned by one caller.  A proof clears the solver
+    ({!Sat.clear}) and resets the maps only on the previous proof's
+    subcircuit. *)
+
+val prover : Circuit.Netlist.t -> prover
+
+val prove_with :
+  ?conflict_budget:int ->
+  ?cancel:Robust.Cancel.t ->
+  prover -> Faults.Fault.t -> Podem.result
+(** [prove_with p fault] decides the fault with {!Sat} over the
+    subcircuit PODEM reads: the site's fanout cone plus that cone's
+    transitive fanin.  Its verdict does not depend on the proofs run
+    through [p] before: the same variables and clauses come in the same
+    order, so it is {!prove}'s.  The formula holds Tseitin clauses for
+    the good machine over the subcircuit and for a faulty copy over the
+    cone only (outside it the faulty value is the good one); a stem
+    fault forces its faulty variable to the stuck value, a branch fault
+    ties that pin of its gate's faulty copy to it.  Activation asks the
+    faulty line's good value to be the complement of the stuck value,
+    detection that some output of the cone differ between the machines,
+    through one difference variable per output.  [Untestable] is a
+    proof of redundancy; [Test p] is the model's input assignment (an
+    input outside the subcircuit reads 0, as PODEM fills its
+    don't-cares), which detects the fault and which {!run} takes as the
+    target's pattern; [Aborted] means the search met [conflict_budget]
+    (default 1,000) or [cancel] fired.  The [atpg.sat] trace span
+    records [site], [pin] (-1 on a stem), [stuck], [vars], [clauses],
+    [conflicts], [untestable] and [budget_out] (1 on [Aborted]); with
+    {!Obs.Metrics} enabled the proof counts into [atpg.sat.calls],
+    [atpg.sat.untestable], [atpg.sat.conflicts] and
+    [atpg.sat.budget_outs].  Raises [Invalid_argument] unless the fault
+    is a line of the prover's circuit or when [conflict_budget < 1]. *)
+
 val prove :
   ?conflict_budget:int ->
   ?cancel:Robust.Cancel.t ->
   Circuit.Netlist.t -> Faults.Fault.t -> Podem.result
-(** [prove c fault] decides the fault with {!Sat} over the subcircuit
-    PODEM reads: the site's fanout cone plus that cone's transitive
-    fanin.  The formula holds Tseitin clauses for the good machine over
-    the subcircuit and for a faulty copy over the cone only (outside
-    it the faulty value is the good one); a stem fault forces its faulty
-    variable to the stuck value, a branch fault ties that pin of its
-    gate's faulty copy to it.  Activation asks the faulty line's good
-    value to be the complement of the stuck value, detection that some
-    output of the cone differ between the machines, through one
-    difference variable per output.  [Untestable] is a proof of
-    redundancy; [Test p] is the model's input assignment (an input
-    outside the subcircuit reads 0, as PODEM fills its don't-cares),
-    which detects the fault and which {!run} takes as the target's
-    pattern; [Aborted]
-    means the search met [conflict_budget] (default 1,000) or [cancel]
-    fired.  The [atpg.sat] trace span records [site], [pin] (-1 on a
-    stem), [stuck], [vars], [clauses], [conflicts], [untestable] and
-    [budget_out] (1 on [Aborted]); with {!Obs.Metrics} enabled the
-    proof counts into [atpg.sat.calls], [atpg.sat.untestable],
-    [atpg.sat.conflicts] and [atpg.sat.budget_outs].  Raises
-    [Invalid_argument] unless the fault is a line of [c] or when
-    [conflict_budget < 1]. *)
+(** [prove c fault] is {!prove_with} through a fresh {!prover} of [c]. *)

@@ -8,9 +8,10 @@ type result = {
    it detects a fault no previously kept pattern detected. *)
 let sweep c faults patterns order =
   let st = Fsim.Coverage.state ~n:1 (Array.length faults) in
+  let grader = Fsim.Coverage.grader c faults in
   let kept =
     List.filter
-      (fun k -> Fsim.Coverage.extend c faults st ~offset:k [| patterns.(k) |] > 0)
+      (fun k -> Fsim.Coverage.extend_with grader st ~offset:k [| patterns.(k) |] > 0)
       order
     |> List.sort compare
   in

@@ -53,9 +53,63 @@ let fault_line_driver (c : Circuit.Netlist.t) fault =
   | Faults.Fault.Stem v -> v
   | Faults.Fault.Branch { gate; pin } -> c.fanins.(gate).(pin)
 
-let generate ?(backtrack_limit = 1000) ?time_budget_s
-    ?(cancel = Robust.Cancel.none) ?(guidance = Level_based)
-    (c : Circuit.Netlist.t) fault =
+(* The node arrays a search works in, made once per circuit.  A search
+   leaves state behind only on the nodes of its subcircuit, listed in
+   [subcircuit.(0 .. marked - 1)]: their [region], [values],
+   [frontier_slot] and [queued] entries, besides [fill].  The next
+   search resets those first, so one cut by its backtrack limit, its
+   time budget or the cancel token leaves nothing stale.  [stamp] needs
+   no reset: [generation] only grows. *)
+type workspace = {
+  circuit : Circuit.Netlist.t;
+  topo_position : int array;
+  first : int array;  (* level [l]'s segment of [queue] starts here *)
+  values : Logic5.t array;
+  region : int array;
+  subcircuit : int array;
+  mutable marked : int;
+  frontier : int array;
+  frontier_slot : int array;
+  fill : int array;
+  queue : int array;
+  queued : bool array;
+  stamp : int array;
+  mutable generation : int;
+  pending : int array;
+}
+
+let workspace (c : Circuit.Netlist.t) =
+  let num_nodes = Circuit.Netlist.num_nodes c in
+  let topo_position = Array.make num_nodes 0 in
+  Array.iteri (fun i id -> topo_position.(id) <- i) c.topo_order;
+  let depth = Circuit.Netlist.depth c in
+  let first = Array.make (depth + 2) 0 in
+  Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) c.levels;
+  for l = 1 to depth + 1 do
+    first.(l) <- first.(l) + first.(l - 1)
+  done;
+  { circuit = c; topo_position; first; values = Array.make num_nodes Logic5.x;
+    region = Array.make num_nodes outside; subcircuit = Array.make num_nodes 0;
+    marked = 0; frontier = Array.make num_nodes 0;
+    frontier_slot = Array.make num_nodes (-1); fill = Array.make (depth + 1) 0;
+    queue = Array.make num_nodes 0; queued = Array.make num_nodes false;
+    stamp = Array.make num_nodes 0; generation = 0;
+    pending = Array.make num_nodes 0 }
+
+(* Back to the state [workspace] makes, through the last subcircuit. *)
+let reset ws =
+  for k = 0 to ws.marked - 1 do
+    let id = ws.subcircuit.(k) in
+    ws.region.(id) <- outside;
+    ws.values.(id) <- Logic5.x;
+    ws.frontier_slot.(id) <- -1;
+    ws.queued.(id) <- false
+  done;
+  ws.marked <- 0;
+  Array.fill ws.fill 0 (Array.length ws.fill) 0
+
+let search ?(backtrack_limit = 1000) ?time_budget_s
+    ?(cancel = Robust.Cancel.none) ?(guidance = Level_based) ws fault =
   (match time_budget_s with
   | Some b when not (0.0 < b) ->
     invalid_arg "Podem.generate: time budget must be > 0"
@@ -75,6 +129,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     | None -> false
   in
   let should_stop () = Robust.Cancel.stop_requested cancel || out_of_time () in
+  let c = ws.circuit in
   (* Cost of choosing [src] as the line to drive toward [value]; the
      search is correct for any cost, guidance only shapes its order. *)
   let choice_cost src value =
@@ -84,12 +139,11 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
   in
   let kinds = c.kinds and fanins = c.fanins and fanouts = c.fanouts
   and levels = c.levels and output_flags = c.output_flags in
-  let num_nodes = Circuit.Netlist.num_nodes c in
-  let topo_position = Array.make num_nodes 0 in
-  Array.iteri (fun i id -> topo_position.(id) <- i) c.topo_order;
+  let topo_position = ws.topo_position in
+  reset ws;
   (* Node values.  An input's value is its PI assignment, [Logic5.x],
      [zero] or [one], so the decisions need no array of their own. *)
-  let values = Array.make num_nodes Logic5.x in
+  let values = ws.values in
   let stuck =
     Logic5.plane_of_bool (fault.Faults.Fault.polarity = Faults.Fault.Stuck_at_1)
   in
@@ -110,7 +164,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      walk.  Nothing outside it is evaluated or decided, so an input
      outside stays X and reads 0 in a test.  Marked by [sweep], with
      [mark_subcircuit]. *)
-  let region = Array.make num_nodes outside in
+  let region = ws.region in
 
   (* The fault's faulty plane, forced on its stem. *)
   let inject id v = if id = stem then Logic5.with_faulty v stuck else v in
@@ -129,8 +183,7 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      re-decided for every node implication re-evaluates: membership
      depends only on a node's own value and its fanins', and a node is
      re-evaluated whenever one of them changes. *)
-  let frontier = Array.make num_nodes 0 in
-  let frontier_slot = Array.make num_nodes (-1) in
+  let frontier = ws.frontier and frontier_slot = ws.frontier_slot in
   let frontier_size = ref 0 in
   let on_frontier id =
     match kinds.(id) with
@@ -180,15 +233,8 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
      [queue.(first.(l)) .. queue.(first.(l) + fill.(l) - 1)], each node
      queued at most once — drained in level order, so every node is
      evaluated after all of its changed fanins. *)
-  let depth = Circuit.Netlist.depth c in
-  let first = Array.make (depth + 2) 0 in
-  Array.iter (fun l -> first.(l + 1) <- first.(l + 1) + 1) levels;
-  for l = 1 to depth + 1 do
-    first.(l) <- first.(l) + first.(l - 1)
-  done;
-  let fill = Array.make (depth + 1) 0 in
-  let queue = Array.make num_nodes 0 in
-  let queued = Array.make num_nodes false in
+  let first = ws.first and fill = ws.fill and queue = ws.queue
+  and queued = ws.queued in
   let top = ref 0 in
   let schedule_fanouts u =
     let outs = fanouts.(u) in
@@ -218,12 +264,11 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     end
   in
   let assign input v = set input (inject input v) in
-  (* [pending] is also the stack of [x_path_exists] below. *)
-  let pending = Array.make num_nodes 0 in
-  (* Mark the subcircuit, with [pending] as the queue, then evaluate it
-     in topological order. *)
+  (* Mark the subcircuit, listing it in [subcircuit] for the next
+     [reset], then evaluate it in topological order. *)
   let sweep () =
-    ignore (mark_subcircuit c ~site:(Faults.Fault.site_node fault) region pending);
+    ws.marked <-
+      mark_subcircuit c ~site:(Faults.Fault.site_node fault) region ws.subcircuit;
     Array.iter
       (fun id ->
         if region.(id) <> outside then begin
@@ -265,12 +310,11 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
 
   (* Is some primary output reachable from the frontier through X
      nodes?  [stamp] marks this call's visited nodes, so nothing is
-     cleared between calls. *)
-  let stamp = Array.make num_nodes 0 in
-  let generation = ref 0 in
+     cleared between calls; [pending] is the stack. *)
+  let stamp = ws.stamp and pending = ws.pending in
   let x_path_exists () =
-    incr generation;
-    let g = !generation in
+    ws.generation <- ws.generation + 1;
+    let g = ws.generation in
     let sp = ref 0 in
     for k = 0 to !frontier_size - 1 do
       let id = frontier.(k) in
@@ -433,3 +477,6 @@ let generate ?(backtrack_limit = 1000) ?time_budget_s
     Obs.Metrics.incr ~by:(float_of_int !evals) "atpg.podem.gate_evals"
   end;
   (verdict, { backtracks = !backtracks; implications = !implications })
+
+let generate ?backtrack_limit ?time_budget_s ?cancel ?guidance c fault =
+  search ?backtrack_limit ?time_budget_s ?cancel ?guidance (workspace c) fault

@@ -27,6 +27,7 @@ let until_coverage rng c faults ~target ~max_patterns =
     invalid_arg "Random_tpg.until_coverage: target outside [0,1]";
   let total = Array.length faults in
   let st = Fsim.Coverage.state ~n:1 total in
+  let grader = Fsim.Coverage.grader c faults in
   let detected = ref 0 in
   let chunks = ref [] in
   let applied = ref 0 in
@@ -37,7 +38,7 @@ let until_coverage rng c faults ~target ~max_patterns =
   do
     let count = min 64 (max_patterns - !applied) in
     let block = uniform rng c ~count in
-    detected := !detected + Fsim.Coverage.extend c faults st ~offset:!applied block;
+    detected := !detected + Fsim.Coverage.extend_with grader st ~offset:!applied block;
     chunks := block :: !chunks;
     applied := !applied + count
   done;

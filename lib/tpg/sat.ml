@@ -4,7 +4,11 @@ type result = Unsat | Sat of bool array | Budget_out
    (false), so negation is [lxor 1] and the variable is [lsr 1].  A
    clause is a header word holding its size followed by its literals,
    stored at offset [cr] of the arena; literals 0 and 1 are the ones it
-   watches, and the literal it implied, if any, is literal 0. *)
+   watches, and the literal it implied, if any, is literal 0.  The arena,
+   the per-variable arrays and the watch lists outlive a formula:
+   [clear] empties them and [solve] fills the first [vars + 1] slots,
+   growing them only when a formula has more variables than any before
+   it. *)
 type t = {
   mutable vars : int;
   mutable arena : int array;
@@ -16,12 +20,44 @@ type t = {
   mutable solved : bool;
   mutable scratch : int array;  (* the clause being added, sorted *)
   mutable pending : int;  (* its literals so far *)
+  (* Per literal: 1 true, -1 false, 0 unassigned. *)
+  mutable value : int array;
+  mutable level : int array;
+  mutable reason : int array;
+  mutable phase : bool array;
+  mutable seen : bool array;
+  mutable trail : int array;
+  (* [limits.(d)] is the trail length when decision level [d + 1]
+     began. *)
+  mutable limits : int array;
+  mutable learnt : int array;
+  (* The variable order: a max-heap on activity, lower index first. *)
+  mutable act : float array;
+  mutable slots : int array;  (* heap order, [heap_size] of them live *)
+  mutable index : int array;  (* a variable's slot, or -1 outside the heap *)
+  mutable heap_size : int;
+  (* Per literal, the clauses watching it: [watch_len.(l)] of them. *)
+  mutable watches : int array array;
+  mutable watch_len : int array;
 }
 
 let create () =
   { vars = 0; arena = Array.make 1024 0; arena_len = 0; clauses = 0;
     units = []; empty_clause = false; conflicts = 0; solved = false;
-    scratch = Array.make 16 0; pending = 0 }
+    scratch = Array.make 16 0; pending = 0; value = [||]; level = [||];
+    reason = [||]; phase = [||]; seen = [||]; trail = [||]; limits = [||];
+    learnt = [||]; act = [||]; slots = [||]; index = [||]; heap_size = 0;
+    watches = [||]; watch_len = [||] }
+
+let clear s =
+  s.vars <- 0;
+  s.arena_len <- 0;
+  s.clauses <- 0;
+  s.units <- [];
+  s.empty_clause <- false;
+  s.conflicts <- 0;
+  s.solved <- false;
+  s.pending <- 0
 
 let new_var s =
   s.vars <- s.vars + 1;
@@ -99,61 +135,79 @@ let add_clause s lits =
 
 (* ---- variable order: a max-heap on activity, lower index first ---- *)
 
-type heap = {
-  act : float array;
-  slots : int array;  (* heap order, [size] of them live *)
-  index : int array;  (* a variable's slot, or -1 outside the heap *)
-  mutable size : int;
-}
+let before s a b = s.act.(a) > s.act.(b) || (s.act.(a) = s.act.(b) && a < b)
 
-let before h a b = h.act.(a) > h.act.(b) || (h.act.(a) = h.act.(b) && a < b)
+let place s v i =
+  s.slots.(i) <- v;
+  s.index.(v) <- i
 
-let place h v i =
-  h.slots.(i) <- v;
-  h.index.(v) <- i
-
-let rec sift_up h i =
+let rec sift_up s i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    let v = h.slots.(i) and p = h.slots.(parent) in
-    if before h v p then begin
-      place h v parent;
-      place h p i;
-      sift_up h parent
+    let v = s.slots.(i) and p = s.slots.(parent) in
+    if before s v p then begin
+      place s v parent;
+      place s p i;
+      sift_up s parent
     end
   end
 
-let rec sift_down h i =
+let rec sift_down s i =
   let l = (2 * i) + 1 in
-  if l < h.size then begin
+  if l < s.heap_size then begin
     let r = l + 1 in
-    let child = if r < h.size && before h h.slots.(r) h.slots.(l) then r else l in
-    let v = h.slots.(i) and cv = h.slots.(child) in
-    if before h cv v then begin
-      place h cv i;
-      place h v child;
-      sift_down h child
+    let child =
+      if r < s.heap_size && before s s.slots.(r) s.slots.(l) then r else l
+    in
+    let v = s.slots.(i) and cv = s.slots.(child) in
+    if before s cv v then begin
+      place s cv i;
+      place s v child;
+      sift_down s child
     end
   end
 
-let heap_insert h v =
-  if h.index.(v) < 0 then begin
-    place h v h.size;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1)
+let heap_insert s v =
+  if s.index.(v) < 0 then begin
+    place s v s.heap_size;
+    s.heap_size <- s.heap_size + 1;
+    sift_up s (s.heap_size - 1)
   end
 
-let heap_pop h =
-  let top = h.slots.(0) in
-  h.size <- h.size - 1;
-  h.index.(top) <- -1;
-  if h.size > 0 then begin
-    place h h.slots.(h.size) 0;
-    sift_down h 0
+let heap_pop s =
+  let top = s.slots.(0) in
+  s.heap_size <- s.heap_size - 1;
+  s.index.(top) <- -1;
+  if s.heap_size > 0 then begin
+    place s s.slots.(s.heap_size) 0;
+    sift_down s 0
   end;
   top
 
 (* ---- search ------------------------------------------------------- *)
+
+(* Room for variables 0 to [n] in the per-variable arrays, at least
+   doubling them when they grow; the watch lists made so far are kept. *)
+let reserve s n =
+  let have = Array.length s.level in
+  if have <= n then begin
+    let m = max (n + 1) (2 * have) in
+    s.value <- Array.make (2 * m) 0;
+    s.level <- Array.make m 0;
+    s.reason <- Array.make m (-1);
+    s.phase <- Array.make m false;
+    s.seen <- Array.make m false;
+    s.trail <- Array.make m 0;
+    s.limits <- Array.make m 0;
+    s.learnt <- Array.make m 0;
+    s.act <- Array.make m 0.0;
+    s.slots <- Array.make m 0;
+    s.index <- Array.make m 0;
+    let watches = Array.make (2 * m) [||] in
+    Array.blit s.watches 0 watches 0 (2 * have);
+    s.watches <- watches;
+    s.watch_len <- Array.make (2 * m) 0
+  end
 
 let decay = 1.0 /. 0.95
 
@@ -163,26 +217,29 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
   if conflict_budget < 1 then invalid_arg "Sat.solve: conflict budget must be >= 1";
   s.solved <- true;
   let n = s.vars in
-  (* Per literal: 1 true, -1 false, 0 unassigned. *)
-  let value = Array.make (2 * (n + 1)) 0 in
-  let level = Array.make (n + 1) 0 in
-  let reason = Array.make (n + 1) (-1) in
-  let phase = Array.make (n + 1) false in
-  let seen = Array.make (n + 1) false in
-  let trail = Array.make (n + 1) 0 in
+  reserve s n;
+  (* Every variable unassigned, at activity 0 and phase false, and in
+     the heap in order: at equal activity that is heap order.  [level],
+     [trail], [limits] and [learnt] are written before they are read. *)
+  Array.fill s.value 0 (2 * (n + 1)) 0;
+  Array.fill s.reason 0 (n + 1) (-1);
+  Array.fill s.phase 0 (n + 1) false;
+  Array.fill s.seen 0 (n + 1) false;
+  Array.fill s.act 0 (n + 1) 0.0;
+  for v = 0 to n do
+    s.slots.(v) <- v + 1;
+    s.index.(v) <- v - 1
+  done;
+  s.heap_size <- n;
+  Array.fill s.watch_len 0 (2 * (n + 1)) 0;
+  let value = s.value and level = s.level and reason = s.reason
+  and phase = s.phase and seen = s.seen and trail = s.trail
+  and limits = s.limits and learnt = s.learnt in
+  let watches = s.watches and watch_len = s.watch_len in
   let trail_len = ref 0 and head = ref 0 in
-  (* [limits.(d)] is the trail length when decision level [d + 1]
-     began; [depth] is the current decision level. *)
-  let limits = Array.make (n + 1) 0 in
+  (* The current decision level. *)
   let depth = ref 0 in
-  (* Every variable, in order: at equal activity that is heap order. *)
-  let heap =
-    { act = Array.make (n + 1) 0.0; slots = Array.init (n + 1) (fun i -> i + 1);
-      index = Array.init (n + 1) (fun v -> v - 1); size = n }
-  in
   let bump = ref 1.0 in
-  let watches = Array.make (2 * (n + 1)) [||] in
-  let watch_len = Array.make (2 * (n + 1)) 0 in
   let watch l cr =
     let k = watch_len.(l) in
     if k = Array.length watches.(l) then begin
@@ -211,10 +268,9 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
       watch_len.(a) <- watch_len.(a) + 1;
       watch_len.(b) <- watch_len.(b) + 1);
   for l = 2 to (2 * n) + 1 do
-    if watch_len.(l) > 0 then begin
+    if watch_len.(l) > Array.length watches.(l) then
       watches.(l) <- Array.make watch_len.(l) 0;
-      watch_len.(l) <- 0
-    end
+    watch_len.(l) <- 0
   done;
   each_clause attach;
   let assign l why =
@@ -282,7 +338,7 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
     !conflict
   in
   let bump_var v =
-    let act = heap.act in
+    let act = s.act in
     act.(v) <- act.(v) +. !bump;
     if act.(v) > 1e100 then begin
       for u = 1 to n do
@@ -290,7 +346,7 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
       done;
       bump := !bump *. 1e-100
     end;
-    if heap.index.(v) >= 0 then sift_up heap heap.index.(v)
+    if s.index.(v) >= 0 then sift_up s s.index.(v)
   in
   let undo_to d =
     if !depth > d then begin
@@ -301,14 +357,13 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
         value.(l lxor 1) <- 0;
         reason.(v) <- -1;
         phase.(v) <- l land 1 = 0;
-        heap_insert heap v
+        heap_insert s v
       done;
       trail_len := limits.(d);
       head := !trail_len;
       depth := d
     end
   in
-  let learnt = Array.make (n + 1) 0 in
   (* First-UIP analysis of the conflicting clause [cr]: fills [learnt]
      with the asserting literal first and the literal of the highest
      remaining level second, and returns the clause's size and the
@@ -397,8 +452,8 @@ let solve ?(conflict_budget = max_int) ?(cancel = Robust.Cancel.none) s =
       end
       else begin
         let v = ref 0 in
-        while !v = 0 && heap.size > 0 do
-          let u = heap_pop heap in
+        while !v = 0 && s.heap_size > 0 do
+          let u = heap_pop s in
           if value.(2 * u) = 0 then v := u
         done;
         if !v = 0 then Sat (Array.init (n + 1) (fun u -> u > 0 && value.(2 * u) = 1))

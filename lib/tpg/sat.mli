@@ -27,6 +27,14 @@ type result =
 
 val create : unit -> t
 
+val clear : t -> unit
+(** Empty the solver for another formula: no variable, no clause, no
+    conflict, and {!add_clause} and {!solve} allowed again.  The clause
+    arena, the per-variable arrays and the watch lists are kept, so a
+    solver cleared and refilled allocates only when a formula needs more
+    room than any before it.  The next formula is decided exactly as a
+    fresh solver decides it: same verdict, model and conflicts. *)
+
 val new_var : t -> int
 (** A fresh variable: 1, 2, 3, ... in order. *)
 
@@ -35,7 +43,8 @@ val add_clause : t -> int list -> unit
     and a clause holding a literal and its negation is dropped; the
     empty clause makes the formula unsatisfiable.  Raises
     [Invalid_argument] on literal 0 or a literal whose variable has not
-    been created, adding nothing, or once {!solve} has run. *)
+    been created, adding nothing, or once {!solve} has run on the
+    formula. *)
 
 val add_literal : t -> int -> unit
 (** Append a literal to the clause being built, which {!end_clause}
@@ -53,12 +62,13 @@ val num_clauses : t -> int
 (** Clauses kept by {!add_clause}: tautologies are not counted. *)
 
 val solve : ?conflict_budget:int -> ?cancel:Robust.Cancel.t -> t -> result
-(** Decide the formula, once per solver.  The search stops with
+(** Decide the formula, once per formula; {!clear} starts another.  The
+    search stops with
     [Budget_out] at its [conflict_budget]-th conflict (default
     unbounded) unless that conflict proves the formula unsatisfiable,
     and polls [cancel] once per conflict.  Raises [Invalid_argument]
-    when called a second time, when a clause is not ended or when
-    [conflict_budget < 1]. *)
+    when called a second time on a formula, when a clause is not ended
+    or when [conflict_budget < 1]. *)
 
 val conflicts : t -> int
-(** Conflicts met by {!solve}, the last one included. *)
+(** Conflicts met by {!solve} on the formula, the last one included. *)

@@ -653,12 +653,16 @@ let brute_force_sat vars clauses =
   in
   from 0
 
-let solver_of vars clauses =
-  let s = Tpg.Sat.create () in
+(* Add [vars] variables and [clauses] to the solver [s]. *)
+let load s vars clauses =
   for _ = 1 to vars do
     ignore (Tpg.Sat.new_var s)
   done;
-  List.iter (Tpg.Sat.add_clause s) clauses;
+  List.iter (Tpg.Sat.add_clause s) clauses
+
+let solver_of vars clauses =
+  let s = Tpg.Sat.create () in
+  load s vars clauses;
   s
 
 (* Pigeonhole: [holes + 1] pigeons in [holes] holes, unsatisfiable and
@@ -834,6 +838,50 @@ let test_sat_settles_prover_verdicts () =
        ("lsi:6", Circuit.Generators.lsi_chip ~scale:6 ()) ]
     @ List.map random [ 1; 2; 3; 4 ])
 
+(* Words [f] allocates straight in the major heap, those too large for
+   the minor heap: the major heap's words less the minor heap's
+   survivors promoted into it. *)
+let direct_major_words f =
+  let _, promoted, major = Gc.counters () in
+  let result = f () in
+  let _, promoted', major' = Gc.counters () in
+  (result, major' -. major -. (promoted' -. promoted))
+
+(* On the lot design (lsi_chip 1982 at scale 5, 492 nodes), a search
+   through a reused workspace allocates nothing in the major heap: no
+   node array is made per search.  A proof through a reused prover
+   allocates at most 1,000 words there on average over the faults
+   PODEM aborts at 64 backtracks, about its model; node maps, solver
+   arrays and the clause arena are kept from the proofs before.  Made
+   per call, these were about 4,400 and 15,500 words. *)
+let test_workspace_allocations () =
+  let c = Circuit.Generators.lsi_chip ~seed:1982 ~scale:5 () in
+  let ws = Tpg.Podem.workspace c in
+  let aborts = ref [] and searched = ref 0.0 in
+  Array.iter
+    (fun fault ->
+      let (verdict, _), words =
+        direct_major_words (fun () ->
+            Tpg.Podem.search ~backtrack_limit:Tpg.Atpg.first_backtrack_limit ws fault)
+      in
+      searched := !searched +. words;
+      if verdict = Tpg.Podem.Aborted then aborts := fault :: !aborts)
+    (collapsed c);
+  Alcotest.(check (float 0.0)) "searches: major words" 0.0 !searched;
+  Alcotest.(check int) "aborts at 64 backtracks" 32 (List.length !aborts);
+  let p = Tpg.Atpg.prover c in
+  (* The first pass sizes the prover for the largest formula. *)
+  List.iter (fun fault -> ignore (Tpg.Atpg.prove_with p fault)) !aborts;
+  let proved =
+    List.fold_left
+      (fun acc fault ->
+        acc +. snd (direct_major_words (fun () -> Tpg.Atpg.prove_with p fault)))
+      0.0 !aborts
+  in
+  let mean = proved /. 32.0 in
+  if mean > 1_000.0 then
+    Alcotest.failf "proofs: %.0f major words on average, above 1,000" mean
+
 (* The disjoint union of [a] and [b]: [a]'s nodes declared first, so
    they keep their ids and so every fault of [a] names the same line in
    the union; then [b]'s.  The union's inputs are [a]'s, then [b]'s. *)
@@ -874,6 +922,24 @@ let union_of (inputs_a, inputs_b, seed_a, seed_b) =
       ~outputs:3 ~seed:seed_b
   in
   (a, b, disjoint_union a b)
+
+(* How one search, proof or solve of the reuse properties runs: whole
+   (budget [whole]), at its [smallest] budget, or under a token that
+   fires on its 1st to 8th poll.  The token is made per call, so that
+   both sides of a comparison get their own. *)
+let cut rng ~smallest ~whole =
+  match Stats.Rng.int rng 3 with
+  | 0 -> (whole, fun () -> Robust.Cancel.none)
+  | 1 -> (smallest, fun () -> Robust.Cancel.none)
+  | _ ->
+    let polls = Stats.Rng.int_in rng 1 8 in
+    (whole, fun () -> Robust.Cancel.after_polls polls)
+
+(* The random netlists of the reuse properties. *)
+let reuse_netlists inputs seed =
+  [ Circuit.Generators.random_circuit ~inputs ~gates:(10 + (seed mod 60))
+      ~outputs:(1 + (seed mod 4)) ~seed;
+    random_wide_netlist ~seed ~inputs:(min inputs 10) ]
 
 let qcheck_props =
   let open QCheck in
@@ -932,6 +998,80 @@ let qcheck_props =
              (fun fault d -> (d = None) = Hashtbl.mem truth fault)
              faults first
         && first = Fsim.Serial.run c faults report.Tpg.Atpg.patterns);
+    (* One workspace serves every search: each collapsed fault, in a
+       shuffled order, searched whole, at backtrack limit 0 or under a
+       token that fires on its k-th poll, gets from the workspace what a
+       fresh search with the same arguments gets, verdict and stats, so
+       a cut search leaves nothing behind. *)
+    Test.make ~count:20 ~name:"podem through one workspace equals fresh searches"
+      (pair (int_range 1 16) (int_range 1 10_000))
+      (fun (inputs, seed) ->
+        let rng = Stats.Rng.create ~seed () in
+        List.for_all
+          (fun c ->
+            let faults = collapsed c in
+            Stats.Rng.shuffle rng faults;
+            let ws = Tpg.Podem.workspace c in
+            Array.for_all
+              (fun fault ->
+                let backtrack_limit, cancel = cut rng ~smallest:0 ~whole:1000 in
+                Tpg.Podem.search ~backtrack_limit ~cancel:(cancel ()) ws fault
+                = Tpg.Podem.generate ~backtrack_limit ~cancel:(cancel ()) c fault)
+              faults)
+          (reuse_netlists inputs seed));
+    (* The same for proofs through one prover, cut at one conflict or by
+       a token that fires on its k-th poll. *)
+    Test.make ~count:20 ~name:"sat proof through one prover equals fresh proofs"
+      (pair (int_range 1 16) (int_range 1 10_000))
+      (fun (inputs, seed) ->
+        let rng = Stats.Rng.create ~seed () in
+        List.for_all
+          (fun c ->
+            let faults = collapsed c in
+            Stats.Rng.shuffle rng faults;
+            let p = Tpg.Atpg.prover c in
+            Array.for_all
+              (fun fault ->
+                let conflict_budget, cancel = cut rng ~smallest:1 ~whole:ample in
+                Tpg.Atpg.prove_with ~conflict_budget ~cancel:(cancel ()) p fault
+                = Tpg.Atpg.prove ~conflict_budget ~cancel:(cancel ()) c fault)
+              faults)
+          (reuse_netlists inputs seed));
+    (* One solver, cleared between formulas, decides each as a fresh
+       solver does, result and conflicts, whatever the solve before it
+       left behind: a model, a refutation, a search out of budget at its
+       first conflict or one cancelled there.  The pigeonhole formulas
+       need conflicts and have more variables than the random CNFs
+       around them, so the solver's arrays grow and are reused. *)
+    Test.make ~count:30 ~name:"sat solver cleared between formulas equals fresh"
+      (int_range 1 1_000_000)
+      (fun seed ->
+        let rng = Stats.Rng.create ~seed () in
+        let s = Tpg.Sat.create () in
+        let formulas =
+          List.concat_map
+            (fun k ->
+              let cnf = random_cnf (seed + k) in
+              let budget, cancel = cut rng ~smallest:1 ~whole:100_000 in
+              let hard =
+                match k with
+                | 0 -> [ (pigeonhole 4, 1, fun () -> Robust.Cancel.none) ]
+                | 1 -> [ (pigeonhole 4, 100_000, fun () -> Robust.Cancel.after_polls 1) ]
+                | 5 -> [ (pigeonhole 4, 100_000, fun () -> Robust.Cancel.none) ]
+                | _ -> []
+              in
+              (cnf, budget, cancel) :: hard)
+            (List.init 8 Fun.id)
+        in
+        List.for_all
+          (fun ((vars, clauses), conflict_budget, cancel) ->
+            let fresh = solver_of vars clauses in
+            let expected = Tpg.Sat.solve ~conflict_budget ~cancel:(cancel ()) fresh in
+            Tpg.Sat.clear s;
+            load s vars clauses;
+            Tpg.Sat.solve ~conflict_budget ~cancel:(cancel ()) s = expected
+            && Tpg.Sat.conflicts s = Tpg.Sat.conflicts fresh)
+          formulas);
     (* Logic outside a fault's subcircuit never steers its search: on
        the disjoint union of [a] and [b], every fault of [a] gets the
        verdict, backtracks and implications it gets on [a] alone, and
@@ -1014,6 +1154,7 @@ let suite =
         tc "multiplier accounted" test_atpg_multiplier;
         tc "profile consistent" test_atpg_profile_consistent;
         tc "profile equals a regrade" test_atpg_profile_is_regrade;
-        tc "deterministic" test_atpg_deterministic ] );
+        tc "deterministic" test_atpg_deterministic;
+        tc "reused search and proof allocations on lot" test_workspace_allocations ] );
     ( "tpg.properties",
       List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props ) ]
