@@ -71,12 +71,6 @@ let dominators t id =
     chain id []
   end
 
-let dominates t d ~over =
-  t.idom.(over) <> -1 && t.idom.(d) <> -1
-  &&
-  let rec chase id = id <> t.sink && (id = d || chase t.idom.(id)) in
-  chase t.idom.(over)
-
 let unobservable_stems t =
   let acc = ref [] in
   for id = Array.length t.idom - 2 downto 0 do

@@ -34,10 +34,6 @@ val dominators : t -> int -> int list
 (** All strict absolute dominators of [id], nearest first (the [idom]
     chain).  Empty for unobservable stems and for primary outputs. *)
 
-val dominates : t -> int -> over:int -> bool
-(** [dominates t d ~over:n] — is [d] a strict absolute dominator of
-    [n]? *)
-
 val unobservable_stems : t -> int list
 (** Nodes with no path to any primary output, in node order — dead
     logic as seen from the outputs. *)

@@ -53,13 +53,7 @@ let extend ?(cancel = Robust.Cancel.none) ?domains c faults (st : Ppsfp.state)
           let blocks =
             Array.of_list (Logicsim.Packed.blocks_of_patterns c patterns)
           in
-          ( blocks,
-            Array.map
-              (fun block ->
-                let words = Logicsim.Packed.words c in
-                Logicsim.Packed.eval_words c block words;
-                words)
-              blocks ))
+          (blocks, Array.map (Logicsim.Packed.eval_block c) blocks))
     in
     (* One shared task; every shard walks every block, so the atomic
        counter ends at patterns x domains whatever the interleaving. *)

@@ -16,7 +16,9 @@ let sensitization_mask (c : Circuit.Netlist.t) values id pin =
   let srcs = c.Circuit.Netlist.fanins.(id) in
   let fold_others op identity =
     let acc = ref identity in
-    Array.iteri (fun j src -> if j <> pin then acc := op !acc values.(src)) srcs;
+    Array.iteri
+      (fun j src -> if j <> pin then acc := op !acc (Logicsim.Packed.word values src))
+      srcs;
     !acc
   in
   match c.Circuit.Netlist.kinds.(id) with
@@ -39,7 +41,8 @@ let analyze (c : Circuit.Netlist.t) patterns =
       let values = Logicsim.Packed.eval_block c block in
       let live = Logicsim.Packed.live_mask block in
       for id = 0 to n - 1 do
-        ones.(id) <- ones.(id) + popcount (Int64.logand values.(id) live);
+        ones.(id) <-
+          ones.(id) + popcount (Int64.logand (Logicsim.Packed.word values id) live);
         Array.iteri
           (fun pin _src ->
             let mask = Int64.logand (sensitization_mask c values id pin) live in

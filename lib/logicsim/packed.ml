@@ -117,13 +117,10 @@ let eval_words (c : Circuit.Netlist.t) block words =
 let eval_block c block =
   let w = words c in
   eval_words c block w;
-  let values = Array.make (Circuit.Netlist.num_nodes c) 0L in
-  for id = 0 to Array.length values - 1 do
-    values.(id) <- Bytes.get_int64_ne w (id lsl 3)
-  done;
-  values
+  w
 
-let output_words (c : Circuit.Netlist.t) values =
-  Array.map (fun id -> values.(id)) c.outputs
+let[@inline] word w id = Bytes.get_int64_ne w (id lsl 3)
+
+let output_words (c : Circuit.Netlist.t) w = Array.map (word w) c.outputs
 
 let bit w i = Int64.logand (Int64.shift_right_logical w i) 1L = 1L

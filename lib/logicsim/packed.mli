@@ -6,10 +6,11 @@
     block.
 
     Words are stored unboxed in [Bytes]: node [id]'s word sits at byte
-    [8 * id] and is read and written with [Bytes.get_int64_ne] /
-    [Bytes.set_int64_ne].  {!eval_gate} is the one gate evaluator of
-    both the good machine ({!eval_words}) and the PPSFP fault kernel
-    in {!Fsim.Ppsfp}; it allocates nothing. *)
+    [8 * id] and is read with {!word} (written with
+    [Bytes.set_int64_ne]).  The good machine's result is such a buffer,
+    never a boxed copy of it.  {!eval_gate} is the one gate evaluator
+    of both the good machine ({!eval_words}, {!eval_block}) and the
+    PPSFP fault kernel in {!Fsim.Ppsfp}; it allocates nothing. *)
 
 type block = {
   pattern_count : int;       (** 1..64 live patterns in this block. *)
@@ -66,12 +67,18 @@ val eval_gate :
     its [good] word.  The good machine passes [faulty == good], so
     every fanin reads that one buffer. *)
 
-val eval_block : Circuit.Netlist.t -> block -> int64 array
-(** Evaluate every node for all patterns of the block; result is indexed
-    by node id. *)
+val eval_block : Circuit.Netlist.t -> block -> Bytes.t
+(** The good machine of one block into a fresh {!words} buffer, filled
+    by {!eval_words}: node [id]'s word for all patterns of the block is
+    [word (eval_block c block) id].  It allocates that buffer alone,
+    [num_nodes + 1] words (one block straight in the major heap on a
+    circuit of 256 nodes or more), and no box per node. *)
 
-val output_words : Circuit.Netlist.t -> int64 array -> int64 array
-(** Extract the primary-output words from a node-value array. *)
+val word : Bytes.t -> int -> int64
+(** [word w id] reads node [id]'s word from a {!words} buffer. *)
+
+val output_words : Circuit.Netlist.t -> Bytes.t -> int64 array
+(** The primary-output words of a {!words} buffer, in output order. *)
 
 val bit : int64 -> int -> bool
 (** [bit w i] reads pattern [i]'s value from word [w]. *)

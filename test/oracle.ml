@@ -29,7 +29,8 @@ let exact_probabilities c patterns =
       let values = Logicsim.Packed.eval_block c block in
       let live = Logicsim.Packed.live_mask block in
       for id = 0 to n - 1 do
-        ones.(id) <- ones.(id) + popcount (Int64.logand values.(id) live)
+        ones.(id) <-
+          ones.(id) + popcount (Int64.logand (Logicsim.Packed.word values id) live)
       done)
     (Logicsim.Packed.blocks_of_patterns c patterns);
   Array.map

@@ -17,7 +17,8 @@ let check_packed_matches_ref c ~seed ~count =
         let expected = Logicsim.Refsim.eval c patterns.(!base + i) in
         Array.iteri
           (fun id v ->
-            Alcotest.(check bool) "node value" v (Logicsim.Packed.bit values.(id) i))
+            Alcotest.(check bool) "node value" v
+              (Logicsim.Packed.bit (Logicsim.Packed.word values id) i))
           expected
       done;
       base := !base + block.Logicsim.Packed.pattern_count)
@@ -28,6 +29,31 @@ let test_packed_matches_ref () =
   check_packed_matches_ref
     (Circuit.Generators.random_circuit ~inputs:14 ~gates:400 ~outputs:10 ~seed:4)
     ~seed:102 ~count:200
+
+(* One good-machine block allocates its word buffer and no box per
+   node.  On lsi_chip 1981 at scale 12 the buffer is one major-heap
+   block of [num_nodes + 1] words and a header; the [Gc.minor] after the
+   call promotes whatever minor words are still live, so the major
+   count covers those too.  A boxed copy of every node's word read
+   5,896 minor and 9,823 major words here. *)
+let test_eval_block_allocation () =
+  let c = Circuit.Generators.lsi_chip ~seed:1981 ~scale:12 () in
+  let rng = Stats.Rng.create ~seed:12 () in
+  let block =
+    Logicsim.Packed.block_of_patterns c
+      (Array.init 64 (fun _ -> random_inputs rng (N.num_inputs c)))
+  in
+  Gc.minor ();
+  let minor, _, major = Gc.counters () in
+  ignore (Sys.opaque_identity (Logicsim.Packed.eval_block c block));
+  Gc.minor ();
+  let minor', _, major' = Gc.counters () in
+  let minor = minor' -. minor and major = major' -. major in
+  if minor > 64.0 then
+    Alcotest.failf "eval_block allocates %.0f minor words (> 64)" minor;
+  let limit = float_of_int (N.num_nodes c + 16) in
+  if major > limit then
+    Alcotest.failf "eval_block allocates %.0f major words (> %.0f)" major limit
 
 let test_packed_live_mask () =
   let c = Circuit.Generators.c17 () in
@@ -100,7 +126,9 @@ let qcheck_props =
         Array.iteri
           (fun i pattern ->
             Array.iteri
-              (fun id v -> if Logicsim.Packed.bit packed.(id) i <> v then ok := false)
+              (fun id v ->
+                if Logicsim.Packed.bit (Logicsim.Packed.word packed id) i <> v then
+                  ok := false)
               (Logicsim.Refsim.eval c pattern))
           patterns;
         !ok);
@@ -155,6 +183,7 @@ let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   [ ( "logicsim",
       [ tc "packed matches reference" test_packed_matches_ref;
+        tc "eval_block allocates only its buffer" test_eval_block_allocation;
         tc "live mask" test_packed_live_mask;
         tc "block splitting" test_packed_block_splitting;
         tc "bad widths rejected" test_packed_rejects_bad_widths;
